@@ -238,8 +238,8 @@ func BenchmarkAblationSuite(b *testing.B) {
 // simulation, the (p_min, α) RBF grid search, and test-set validation —
 // with the serial path (Parallel=1) against the default parallel path
 // (Parallel=0 → one worker per CPU). The two sub-benchmarks build
-// bit-identical models; `go run ./cmd/benchparallel` runs the same
-// pipeline standalone and records the speedup in BENCH_parallel.json.
+// bit-identical models; the build workload of cmd/bench times the same
+// pipeline end to end, with a per-stage breakdown.
 func BenchmarkParallelPipeline(b *testing.B) {
 	for _, bc := range []struct {
 		name    string

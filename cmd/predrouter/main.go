@@ -41,36 +41,26 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
 	"log"
-	"net"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"predperf/internal/cluster"
 	"predperf/internal/obs"
+	"predperf/internal/role"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("predrouter: ")
 
-	addr := flag.String("addr", "127.0.0.1:9300", "listen address (port 0 picks a free port)")
+	rf := role.Define(flag.CommandLine, "127.0.0.1:9300", 30*time.Second, "per-attempt deadline against one shard", 1<<20)
 	shards := flag.String("shards", "", "comma-separated predserve shard base URLs (required)")
 	workers := flag.String("workers", "", "comma-separated simworker base URLs scraped into /fleetz and searched by /tracez (the router routes no traffic to them)")
 	replicas := flag.Int("replicas", cluster.DefaultReplicas, "virtual nodes per shard on the consistent-hash ring")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-attempt deadline against one shard")
-	maxBody := flag.Int64("max-body", 1<<20, "request body size limit in bytes")
 	syncEvery := flag.Duration("sync-every", 5*time.Second, "cadence of the /v1/models topology poll driving replica re-sync")
-	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
-	traceSample := flag.Float64("trace-sample", 1, "fraction of edge requests that record a distributed trace into /tracez (0 disables; the decision rides the traceparent header to every shard and worker)")
 	traceSampleMax := flag.Float64("trace-sample-max", 0, "ceiling for SLO-burn-adaptive sampling: while a fleet SLO burns, the edge rate ramps from -trace-sample toward this value and decays back once the burn clears (0 keeps the rate static)")
-	traceStore := flag.Int("trace-store", 64, "traces retained per /tracez class (errors, kept, reservoir sample)")
 	fleetScrapeEvery := flag.Duration("fleet-scrape-every", 5*time.Second, "cadence of the /fleetz metrics federation across shards and workers (0 disables the background loop; /fleetz?refresh=1 still scrapes on demand)")
 	flag.Parse()
 
@@ -90,10 +80,6 @@ func main() {
 
 	obs.Enable()
 
-	ts := *traceSample
-	if ts <= 0 {
-		ts = -1
-	}
 	scrape := *fleetScrapeEvery
 	if scrape <= 0 {
 		scrape = -1 // the Options zero value means "default", not "off"
@@ -102,44 +88,17 @@ func main() {
 		Shards:              urls,
 		Workers:             splitURLs(*workers),
 		Replicas:            *replicas,
-		RequestTimeout:      *timeout,
-		MaxBodyBytes:        *maxBody,
+		RequestTimeout:      rf.Timeout,
+		MaxBodyBytes:        rf.MaxBody,
 		SyncInterval:        *syncEvery,
-		TraceSample:         ts,
+		TraceSample:         rf.SampleRate(),
 		TraceSampleMax:      *traceSampleMax,
-		TraceStoreSize:      *traceStore,
+		TraceStoreSize:      rf.TraceStore,
 		FleetScrapeInterval: scrape,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("ring: %s", strings.Join(rt.Ring().Shards(), ", "))
-
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The resolved address goes to stdout so scripts using -addr :0 can
-	// discover the port.
-	fmt.Printf("predrouter: listening on %s\n", l.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rt.Serve(l) }()
-
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			log.Fatal(err)
-		}
-	case <-ctx.Done():
-		stop()
-		log.Printf("signal received, draining (deadline %s)", *drain)
-		if err := rt.Shutdown(*drain); err != nil {
-			log.Fatalf("drain failed: %v", err)
-		}
-		<-serveErr
-		log.Print("shut down cleanly")
-	}
+	role.Run("predrouter", rf, rt)
 }

@@ -54,23 +54,20 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"predperf/internal/cluster"
 	"predperf/internal/obs"
+	"predperf/internal/role"
 	"predperf/internal/serve"
 )
 
@@ -92,34 +89,21 @@ func parseSizes(s string) []int {
 	return out
 }
 
-// sampleRate maps the -trace-sample flag onto Options semantics, where
-// the zero value means "default to 1.0": a flag value of 0 must disable
-// tracing, so it maps to the negative sentinel.
-func sampleRate(f float64) float64 {
-	if f <= 0 {
-		return -1
-	}
-	return f
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("predserve: ")
 
+	rf := role.Define(flag.CommandLine, "127.0.0.1:8080", 30*time.Second, "per-request deadline", 1<<20)
 	version := flag.Bool("version", false, "print build info (Go version, model format, VCS revision) and exit")
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	modelsDir := flag.String("models", "", "directory of *.json models to load at startup (also anchors relative /v1/models/load paths)")
 	modelFiles := flag.String("model", "", "comma-separated model files to load at startup")
 	cacheSize := flag.Int("cache", 4096, "prediction LRU cache entries (negative disables)")
 	workers := flag.Int("workers", 0, "batch-predict worker goroutines (0 = all CPUs)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
-	maxBody := flag.Int64("max-body", 1<<20, "request body size limit in bytes")
 	maxBatch := flag.Int("max-batch", 4096, "configurations allowed in one predict request")
 	coalesceWindow := flag.Duration("coalesce-window", time.Millisecond, "micro-batch window: concurrent single predictions arriving within it share one vectorized evaluation (0 disables coalescing)")
 	coalesceMax := flag.Int("coalesce-max", 64, "flush a coalesced micro-batch as soon as it holds this many configurations")
 	coalesceQueue := flag.Int("coalesce-queue", 4096, "coalescer admission-queue capacity; a full queue answers 503 coalesce_queue_full immediately")
 	searchInsts := flag.Int("search-insts", 50_000, "trace length for simulator-verified /v1/search")
-	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 	progress := flag.Bool("progress", false, "print periodic request counters to stderr")
 	accessLog := flag.String("access-log", "stderr", `JSON-lines access log destination: "stderr", "off", or a file path (appended)`)
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off by default")
@@ -139,10 +123,8 @@ func main() {
 	retrainTestPoints := flag.Int("retrain-test-points", 24, "simulator-backed test points driving the retrain stopping rule")
 	retrainWorkers := flag.Int("retrain-workers", 1, "worker goroutines for one background retrain build")
 	simWorkers := flag.String("sim-workers", "", "comma-separated simworker base URLs; when set, search verification, shadow re-simulation, and retrain builds fan out to the evaluation farm instead of simulating in-process")
-	traceSample := flag.Float64("trace-sample", 1, "fraction of edge requests that record a distributed trace into /tracez (0 disables; downstream hops inherit the edge's decision)")
 	traceSampleMax := flag.Float64("trace-sample-max", 0, "ceiling for SLO-burn-adaptive sampling: while a declared SLO burns, the edge rate ramps from -trace-sample toward this value and decays back once the burn clears (0 keeps the rate static)")
 	traceAdaptEvery := flag.Duration("trace-adapt-every", 10*time.Second, "cadence of the adaptive trace-sampling control loop (only runs when -trace-sample-max enables it)")
-	traceStore := flag.Int("trace-store", 64, "traces retained per /tracez class (errors, kept outliers, reservoir sample)")
 	flag.Parse()
 
 	if *version {
@@ -208,8 +190,8 @@ func main() {
 	}
 
 	srv := serve.New(serve.Options{
-		MaxBodyBytes:   *maxBody,
-		Timeout:        *timeout,
+		MaxBodyBytes:   rf.MaxBody,
+		Timeout:        rf.Timeout,
 		CacheSize:      *cacheSize,
 		Workers:        *workers,
 		MaxBatch:       *maxBatch,
@@ -239,10 +221,10 @@ func main() {
 
 		SimPool: simPool,
 
-		TraceSample:        sampleRate(*traceSample),
+		TraceSample:        rf.SampleRate(),
 		TraceSampleMax:     *traceSampleMax,
 		TraceAdaptInterval: *traceAdaptEvery,
-		TraceStoreSize:     *traceStore,
+		TraceStoreSize:     rf.TraceStore,
 	})
 	if *retrain && *shadowFrac <= 0 {
 		log.Print("warning: -retrain has no trigger without shadow monitoring; set -shadow-frac > 0")
@@ -266,32 +248,5 @@ func main() {
 	if srv.Registry().Len() == 0 {
 		log.Print("warning: no models loaded; hot-load with POST /v1/models/load")
 	}
-
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The resolved address goes to stdout so scripts using -addr :0 can
-	// discover the port.
-	fmt.Printf("predserve: listening on %s\n", l.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(l) }()
-
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			log.Fatal(err)
-		}
-	case <-ctx.Done():
-		stop()
-		log.Printf("signal received, draining (deadline %s)", *drain)
-		if err := srv.Shutdown(*drain); err != nil {
-			log.Fatalf("drain failed: %v", err)
-		}
-		<-serveErr
-		log.Print("shut down cleanly")
-	}
+	role.Run("predserve", rf, srv)
 }

@@ -26,78 +26,36 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
 	"log"
-	"net"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"predperf/internal/cluster"
 	"predperf/internal/obs"
+	"predperf/internal/role"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("simworker: ")
 
-	addr := flag.String("addr", "127.0.0.1:9101", "listen address (port 0 picks a free port)")
+	rf := role.Define(flag.CommandLine, "127.0.0.1:9101", 5*time.Minute, "per-request deadline", 4<<20)
 	id := flag.String("id", "", "worker identity in responses and /statusz (default: the listen address)")
 	maxBatch := flag.Int("max-batch", 4096, "configurations allowed in one eval request")
-	maxBody := flag.Int64("max-body", 4<<20, "request body size limit in bytes")
 	maxInsts := flag.Int("max-insts", 10_000_000, "longest trace (dynamic instructions) a request may demand")
-	timeout := flag.Duration("timeout", 5*time.Minute, "per-request deadline")
 	workers := flag.Int("workers", 0, "goroutines evaluating one batch (0 = all CPUs)")
-	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
-	traceSample := flag.Float64("trace-sample", 1, "fraction of edge requests that record a distributed trace into /tracez (0 disables; requests carrying a traceparent inherit the caller's decision)")
-	traceStore := flag.Int("trace-store", 64, "traces retained per /tracez class (errors, kept, reservoir sample)")
 	flag.Parse()
 
 	obs.Enable()
-
-	ts := *traceSample
-	if ts <= 0 {
-		ts = -1
-	}
 	w := cluster.NewWorker(cluster.WorkerOptions{
 		ID:             *id,
 		MaxBatch:       *maxBatch,
-		MaxBodyBytes:   *maxBody,
+		MaxBodyBytes:   rf.MaxBody,
 		MaxTraceLen:    *maxInsts,
-		Timeout:        *timeout,
+		Timeout:        rf.Timeout,
 		Workers:        *workers,
-		TraceSample:    ts,
-		TraceStoreSize: *traceStore,
+		TraceSample:    rf.SampleRate(),
+		TraceStoreSize: rf.TraceStore,
 	})
-
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The resolved address goes to stdout so scripts using -addr :0 can
-	// discover the port.
-	fmt.Printf("simworker: listening on %s\n", l.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- w.Serve(l) }()
-
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			log.Fatal(err)
-		}
-	case <-ctx.Done():
-		stop()
-		log.Printf("signal received, draining (deadline %s)", *drain)
-		if err := w.Shutdown(*drain); err != nil {
-			log.Fatalf("drain failed: %v", err)
-		}
-		<-serveErr
-		log.Print("shut down cleanly")
-	}
+	role.Run("simworker", rf, w)
 }

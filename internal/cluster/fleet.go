@@ -24,11 +24,11 @@ import (
 	"html/template"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"predperf/internal/obs"
+	"predperf/internal/role"
 )
 
 var (
@@ -105,13 +105,13 @@ func newFleetPlane(shards, workers []string, client *http.Client, timeout time.D
 			Name:        "fleet-latency",
 			Description: fmt.Sprintf("%.4g%% of fleet requests complete within %gms", fleetSLOObjective*100, fleetSLOLatencySec*1e3),
 			Objective:   fleetSLOObjective,
-			SLI:         p.windows.LatencySLI("serve.request_seconds", fleetSLOLatencySec),
+			SLI:         obs.LatencySLI(p.windows.Histogram("serve.request_seconds"), fleetSLOLatencySec),
 		}),
 		obs.RegisterSLO(&obs.SLO{
 			Name:        "fleet-availability",
 			Description: fmt.Sprintf("%.4g%% of fleet responses are non-5xx", fleetSLOObjective*100),
 			Objective:   fleetSLOObjective,
-			SLI:         p.windows.CounterRatioSLI("serve.responses_5xx", "serve.requests_total"),
+			SLI:         obs.AvailabilitySLI(p.windows.Counter("serve.responses_5xx"), p.windows.Counter("serve.requests_total")),
 		}),
 	}
 	return p
@@ -337,7 +337,7 @@ func (rt *Router) fleetzView() fleetzView {
 		v.Generated = last.UTC().Format(time.RFC3339)
 	}
 	// Fleet-wide 5m request view re-derived from the merged rings.
-	st := rt.fleet.windows.HistStatsOver("serve.request_seconds", 5*time.Minute)
+	st := rt.fleet.windows.Histogram("serve.request_seconds").StatsOver(5 * time.Minute)
 	if st.Count > 0 {
 		v.Windows = map[string]obs.WindowStats{"serve.request_seconds/5m": st}
 	}
@@ -347,7 +347,7 @@ func (rt *Router) fleetzView() fleetzView {
 // handleFleetz serves the fleet observability plane: merged metrics,
 // fleet SLO burn, readiness rollup, and per-role drill-down.
 func (rt *Router) handleFleetz(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	_, _, _, scrapes := rt.fleet.snapshot()
@@ -358,11 +358,11 @@ func (rt *Router) handleFleetz(w http.ResponseWriter, r *http.Request) {
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "json":
-		writeJSON(w, http.StatusOK, rt.fleetzView())
+		role.WriteJSON(w, http.StatusOK, rt.fleetzView())
 	case "", "html":
 		rt.renderFleetz(w)
 	default:
-		writeErr(w, http.StatusBadRequest, "bad_request",
+		role.WriteErr(w, http.StatusBadRequest, "bad_request",
 			`unknown format %q (want "html" or "json")`, format)
 	}
 }
@@ -444,42 +444,6 @@ svg.spark { vertical-align: middle; }
 </html>
 `))
 
-// fleetSparkSVG renders a per-bucket series as a 150×24 inline SVG
-// polyline scaled to the series max (the same visual idiom as serve's
-// /statusz sparklines, re-implemented here because serve imports
-// cluster, not the reverse).
-func fleetSparkSVG(series []float64) template.HTML {
-	const w, h = 150, 24
-	if len(series) == 0 {
-		return ""
-	}
-	maxV := 0.0
-	for _, v := range series {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var pts strings.Builder
-	n := len(series)
-	for i, v := range series {
-		x := float64(w)
-		if n > 1 {
-			x = float64(i) / float64(n-1) * w
-		}
-		y := float64(h - 1)
-		if maxV > 0 {
-			y = float64(h-1) - v/maxV*float64(h-2)
-		}
-		if i > 0 {
-			pts.WriteByte(' ')
-		}
-		fmt.Fprintf(&pts, "%.1f,%.1f", x, y)
-	}
-	return template.HTML(fmt.Sprintf(
-		`<svg class="spark" width="%d" height="%d" viewBox="0 0 %d %d"><polyline fill="none" stroke="#4a7dcf" stroke-width="1.2" points="%s"/></svg>`,
-		w, h, w, h, pts.String()))
-}
-
 func (rt *Router) renderFleetz(w http.ResponseWriter) {
 	v := rt.fleetzView()
 	d := fleetzHTML{
@@ -488,8 +452,8 @@ func (rt *Router) renderFleetz(w http.ResponseWriter) {
 		SampleRate: fmt.Sprintf("%.4g", v.SampleRate),
 		Scrapes:    v.Scrapes,
 		AllHealthy: true,
-		ReqSpark:   fleetSparkSVG(rt.fleet.windows.CounterSeries("serve.requests_total", time.Hour)),
-		ErrSpark:   fleetSparkSVG(rt.fleet.windows.CounterSeries("serve.responses_5xx", time.Hour)),
+		ReqSpark:   role.Sparkline(rt.fleet.windows.Counter("serve.requests_total").Series(time.Hour)),
+		ErrSpark:   role.Sparkline(rt.fleet.windows.Counter("serve.responses_5xx").Series(time.Hour)),
 	}
 	for _, st := range v.SLOs {
 		d.SLOs = append(d.SLOs, fleetzRow{

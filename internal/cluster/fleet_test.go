@@ -13,6 +13,7 @@ import (
 
 	"predperf/internal/cluster"
 	"predperf/internal/obs"
+	"predperf/internal/role"
 )
 
 // fakeRole serves a fixed obs.Report on /metricz and an empty trace
@@ -284,7 +285,7 @@ func TestFederatedTraceSearchAndJoin(t *testing.T) {
 
 	req, _ := http.NewRequest(http.MethodPost, f.routeTS.URL+"/v1/predict", strings.NewReader(predictBody))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(cluster.RequestIDHeader, id)
+	req.Header.Set(role.RequestIDHeader, id)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"predperf/internal/core"
 	"predperf/internal/design"
 	"predperf/internal/obs"
+	"predperf/internal/role"
 )
 
 // Client-side farm observability: how often the pool asked a worker for
@@ -188,12 +189,8 @@ func NewPool(urls []string, opt PoolOptions) (*Pool, error) {
 	p := &Pool{opt: opt, lats: make([]float64, hedgeSamples)}
 	seen := map[string]bool{}
 	for _, u := range urls {
-		u = strings.TrimRight(strings.TrimSpace(u), "/")
-		if u == "" {
+		if u = normalizeBaseURL(u); u == "" {
 			return nil, errors.New("cluster: empty worker URL")
-		}
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
 		}
 		if seen[u] {
 			return nil, fmt.Errorf("cluster: duplicate worker URL %s", u)
@@ -414,7 +411,7 @@ func (p *Pool) attempt(ctx context.Context, w *workerConn, body []byte, hedge bo
 		id = tr.ID()
 	}
 	if id != "" {
-		req.Header.Set(RequestIDHeader, id)
+		req.Header.Set(role.RequestIDHeader, id)
 		req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(obs.SpanContext{
 			TraceID: id, ParentID: obs.SpanIDFrom(spanCtx), Sampled: tr != nil,
 		}))

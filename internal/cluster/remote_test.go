@@ -19,6 +19,7 @@ import (
 	"predperf/internal/design"
 	"predperf/internal/evaltest"
 	"predperf/internal/rbf"
+	"predperf/internal/role"
 )
 
 const (
@@ -166,13 +167,13 @@ func TestWorkerEvalBitIdentical(t *testing.T) {
 func TestWorkerRequestIDEcho(t *testing.T) {
 	srv := newWorkerServer(t, cluster.WorkerOptions{})
 	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/healthz", nil)
-	req.Header.Set(cluster.RequestIDHeader, "ride-42")
+	req.Header.Set(role.RequestIDHeader, "ride-42")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(cluster.RequestIDHeader); got != "ride-42" {
+	if got := resp.Header.Get(role.RequestIDHeader); got != "ride-42" {
 		t.Fatalf("request ID not echoed: %q", got)
 	}
 }

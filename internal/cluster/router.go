@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"predperf/internal/obs"
+	"predperf/internal/role"
 )
 
 // Router-side observability: proxied request counts per route, failovers
@@ -150,7 +151,7 @@ type Router struct {
 	opt     RouterOptions
 	ring    *Ring
 	start   time.Time
-	http    *http.Server
+	http    *role.Server
 	sampler *obs.AdaptiveSampler
 	traces  *obs.TraceStore
 	fleet   *fleetPlane
@@ -206,7 +207,7 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 	for _, u := range ring.Shards() {
 		rt.shards[u] = &shardState{URL: u}
 	}
-	rt.http = &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	rt.http = role.NewServer(rt.Handler())
 	return rt, nil
 }
 
@@ -235,11 +236,11 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/v1/models", rt.handleModels)
 	mux.HandleFunc("/v1/models/load", rt.handleLoad)
 	mux.HandleFunc("/healthz", rt.handleHealthz)
-	mux.HandleFunc("/metricz", handleMetricz)
+	mux.HandleFunc("/metricz", role.Metricz)
 	mux.HandleFunc("/tracez", rt.handleTracez)
 	mux.HandleFunc("/fleetz", rt.handleFleetz)
 	mux.HandleFunc("/statusz", rt.handleStatusz)
-	return withTracing("router", rt.sampler, rt.traces, mux)
+	return role.Edge{Role: "router", Sampler: rt.sampler, Traces: rt.traces}.Wrap(mux)
 }
 
 // modelEnvelope peeks the model name out of a predict/search body
@@ -253,26 +254,19 @@ type modelEnvelope struct {
 // failover to the secondary.
 func (rt *Router) proxyByModel(route string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodPost) {
+		if !role.RequireMethod(w, r, http.MethodPost) {
 			return
 		}
 		cRouterRequests.With(route).Inc()
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.opt.MaxBodyBytes))
-		if err != nil {
-			cRouterErrors.Inc()
-			writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				"request body exceeds the %d-byte limit", rt.opt.MaxBodyBytes)
-			return
-		}
 		var env modelEnvelope
-		if err := json.Unmarshal(body, &env); err != nil {
+		body, ok := role.PeekJSON(w, r, rt.opt.MaxBodyBytes, &env)
+		if !ok {
 			cRouterErrors.Inc()
-			writeErr(w, http.StatusBadRequest, "bad_json", "decoding request: %v", err)
 			return
 		}
 		if env.Model == "" {
 			cRouterErrors.Inc()
-			writeErr(w, http.StatusBadRequest, "bad_request", `"model" is required`)
+			role.WriteErr(w, http.StatusBadRequest, "bad_request", `"model" is required`)
 			return
 		}
 		primary, secondary := rt.ring.Lookup(env.Model)
@@ -297,7 +291,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path string, b
 		if err != nil {
 			cRouterErrors.Inc()
 			w.Header().Set("Retry-After", RetryAfterSeconds(rt.opt.RequestTimeout/10))
-			writeErr(w, http.StatusServiceUnavailable, "no_shard",
+			role.WriteErr(w, http.StatusServiceUnavailable, "no_shard",
 				"no shard could serve the request: %v", err)
 			return
 		}
@@ -330,7 +324,7 @@ func (rt *Router) tryShard(ctx context.Context, shard, method, path string, body
 		id = tr.ID()
 	}
 	if id != "" {
-		req.Header.Set(RequestIDHeader, id)
+		req.Header.Set(role.RequestIDHeader, id)
 		req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(obs.SpanContext{
 			TraceID: id, ParentID: hopID, Sampled: tr != nil,
 		}))
@@ -521,7 +515,7 @@ func (rt *Router) loops(ctx context.Context, syncC, fleetC <-chan time.Time) {
 }
 
 func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	cRouterRequests.With("models").Inc()
@@ -534,31 +528,24 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.Unlock()
 	sort.Slice(models, func(i, j int) bool { return models[i].Name < models[j].Name })
-	writeJSON(w, http.StatusOK, map[string]any{"models": models})
+	role.WriteJSON(w, http.StatusOK, map[string]any{"models": models})
 }
 
 // handleLoad fans a load request to the key's primary and secondary
 // shards — both must host the model for failover to serve it.
 func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
+	if !role.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	cRouterRequests.With("load").Inc()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.opt.MaxBodyBytes))
-	if err != nil {
-		cRouterErrors.Inc()
-		writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large",
-			"request body exceeds the %d-byte limit", rt.opt.MaxBodyBytes)
-		return
-	}
 	var req struct {
 		Path string `json:"path"`
 		Name string `json:"name"`
 		Dir  string `json:"dir"`
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	body, ok := role.PeekJSON(w, r, rt.opt.MaxBodyBytes, &req)
+	if !ok {
 		cRouterErrors.Inc()
-		writeErr(w, http.StatusBadRequest, "bad_json", "decoding request: %v", err)
 		return
 	}
 	// The ring key is the registry name the shard will assign: an
@@ -580,7 +567,7 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 		}
 	default:
 		cRouterErrors.Inc()
-		writeErr(w, http.StatusBadRequest, "bad_request", `"path" or "dir" is required`)
+		role.WriteErr(w, http.StatusBadRequest, "bad_request", `"path" or "dir" is required`)
 		return
 	}
 	var (
@@ -593,7 +580,7 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			cRouterErrors.Inc()
 			w.Header().Set("Retry-After", RetryAfterSeconds(rt.opt.RequestTimeout/10))
-			writeErr(w, http.StatusServiceUnavailable, "no_shard", "shard load failed: %v", err)
+			role.WriteErr(w, http.StatusServiceUnavailable, "no_shard", "shard load failed: %v", err)
 			return
 		}
 		lastStatus, lastHdr, lastBody = status, hdr, respBody
@@ -629,10 +616,10 @@ func (rt *Router) snapshotModels() []routerModel {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	role.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"role":       "predrouter",
 		"uptime_sec": int64(time.Since(rt.start).Seconds()),
@@ -642,7 +629,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	var shardRows []statuszRow
@@ -724,11 +711,7 @@ func (rt *Router) Serve(l net.Listener) error {
 		}
 		go rt.loops(ctx, syncC, fleetC)
 	}
-	err := rt.http.Serve(l)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
+	return rt.http.Serve(l)
 }
 
 // Shutdown drains in-flight requests and stops the sync loop, waiting
@@ -741,7 +724,5 @@ func (rt *Router) Shutdown(deadline time.Duration) error {
 		cancel()
 		<-done
 	}
-	ctx, cancelT := context.WithTimeout(context.Background(), deadline)
-	defer cancelT()
-	return rt.http.Shutdown(ctx)
+	return rt.http.Shutdown(deadline)
 }

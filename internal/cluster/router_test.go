@@ -15,6 +15,7 @@ import (
 	"predperf/internal/core"
 	"predperf/internal/design"
 	"predperf/internal/rbf"
+	"predperf/internal/role"
 	"predperf/internal/serve"
 )
 
@@ -343,13 +344,13 @@ func TestRouterRequestIDPropagates(t *testing.T) {
 	f := newShardFarm(t, true)
 	req, _ := http.NewRequest(http.MethodPost, f.routeTS.URL+"/v1/predict", strings.NewReader(predictBody))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(cluster.RequestIDHeader, "ride-7")
+	req.Header.Set(role.RequestIDHeader, "ride-7")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(cluster.RequestIDHeader); got != "ride-7" {
+	if got := resp.Header.Get(role.RequestIDHeader); got != "ride-7" {
 		t.Fatalf("router did not echo the request ID: %q", got)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"predperf/internal/obs"
+	"predperf/internal/role"
 )
 
 var (
@@ -55,7 +56,7 @@ type fedTraceRow struct {
 // contract, and ?format=json stays compact (un-indented) like the
 // single-role list view so existing scrape tooling keeps parsing.
 func (rt *Router) handleTracez(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	q := r.URL.Query()
@@ -82,7 +83,7 @@ func (rt *Router) handleTracez(w http.ResponseWriter, r *http.Request) {
 			Now    string
 		}{rows, query, time.Now().UTC().Format(time.RFC3339)})
 	default:
-		writeErr(w, http.StatusBadRequest, "bad_request",
+		role.WriteErr(w, http.StatusBadRequest, "bad_request",
 			`unknown format %q (want "html", "json", or "wire")`, q.Get("format"))
 	}
 }

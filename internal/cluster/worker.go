@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -14,6 +13,7 @@ import (
 	"predperf/internal/design"
 	"predperf/internal/obs"
 	"predperf/internal/par"
+	"predperf/internal/role"
 )
 
 // Worker-side observability: request and configuration counts, the
@@ -93,7 +93,7 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 type Worker struct {
 	opt     WorkerOptions
 	start   time.Time
-	http    *http.Server
+	http    *role.Server
 	sampler obs.Sampler
 	traces  *obs.TraceStore
 
@@ -110,7 +110,7 @@ func NewWorker(opt WorkerOptions) *Worker {
 	w.sampler = obs.NewSampler(w.opt.TraceSample)
 	obs.NewGaugeFunc("obs.trace_sample_rate", w.sampler.Rate)
 	w.traces = obs.NewTraceStore(w.opt.TraceStoreSize)
-	w.http = &http.Server{Handler: w.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	w.http = role.NewServer(w.Handler())
 	return w
 }
 
@@ -151,19 +151,15 @@ func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/eval", w.handleEval)
 	mux.HandleFunc("/healthz", w.handleHealthz)
-	mux.HandleFunc("/metricz", handleMetricz)
+	mux.HandleFunc("/metricz", role.Metricz)
 	mux.Handle("/tracez", w.traces.Handler())
 	mux.HandleFunc("/statusz", w.handleStatusz)
-	th := http.TimeoutHandler(mux, w.opt.Timeout,
-		`{"error":{"code":"timeout","message":"request exceeded the worker's per-request deadline"}}`)
-	return withTracing("worker", w.sampler, w.traces, http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "application/json")
-		th.ServeHTTP(rw, r)
-	}))
+	edge := role.Edge{Role: "worker", Sampler: w.sampler, Traces: w.traces}
+	return edge.Wrap(role.WithTimeout(mux, w.opt.Timeout, "worker"))
 }
 
 func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
-	if !requireMethod(rw, r, http.MethodPost) {
+	if !role.RequireMethod(rw, r, http.MethodPost) {
 		return
 	}
 	spanCtx, end := obs.StartSpanCtx(r.Context(), "cluster.worker_eval")
@@ -178,48 +174,48 @@ func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 	gWorkerInflt.Inc()
 	defer gWorkerInflt.Dec()
 	var req EvalRequest
-	if !readJSON(rw, r, w.opt.MaxBodyBytes, &req) {
+	if !role.ReadJSON(rw, r, w.opt.MaxBodyBytes, &req) {
 		cWorkerErrors.Inc()
 		return
 	}
 	if req.Benchmark == "" {
 		cWorkerErrors.Inc()
-		writeErr(rw, http.StatusBadRequest, "bad_request", `"benchmark" is required`)
+		role.WriteErr(rw, http.StatusBadRequest, "bad_request", `"benchmark" is required`)
 		return
 	}
 	if req.TraceLen <= 0 {
 		cWorkerErrors.Inc()
-		writeErr(rw, http.StatusBadRequest, "bad_request", `"trace_len" must be positive, got %d`, req.TraceLen)
+		role.WriteErr(rw, http.StatusBadRequest, "bad_request", `"trace_len" must be positive, got %d`, req.TraceLen)
 		return
 	}
 	if req.TraceLen > w.opt.MaxTraceLen {
 		cWorkerErrors.Inc()
-		writeErr(rw, http.StatusBadRequest, "trace_too_long",
+		role.WriteErr(rw, http.StatusBadRequest, "trace_too_long",
 			"trace_len %d exceeds this worker's %d-instruction limit", req.TraceLen, w.opt.MaxTraceLen)
 		return
 	}
 	if len(req.Configs) == 0 {
 		cWorkerErrors.Inc()
-		writeErr(rw, http.StatusBadRequest, "bad_request", `"configs" must not be empty`)
+		role.WriteErr(rw, http.StatusBadRequest, "bad_request", `"configs" must not be empty`)
 		return
 	}
 	if len(req.Configs) > w.opt.MaxBatch {
 		cWorkerErrors.Inc()
-		writeErr(rw, http.StatusRequestEntityTooLarge, "batch_too_large",
+		role.WriteErr(rw, http.StatusRequestEntityTooLarge, "batch_too_large",
 			"batch of %d exceeds the %d-configuration limit", len(req.Configs), w.opt.MaxBatch)
 		return
 	}
 	metric, err := core.ParseMetric(req.Metric)
 	if err != nil {
 		cWorkerErrors.Inc()
-		writeErr(rw, http.StatusBadRequest, "bad_request", "%v", err)
+		role.WriteErr(rw, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
 	cfgs := make([]design.Config, len(req.Configs))
 	for i, wc := range req.Configs {
 		if err := wc.Validate(); err != nil {
 			cWorkerErrors.Inc()
-			writeErr(rw, http.StatusBadRequest, "invalid_config", "configs[%d]: %v", i, err)
+			role.WriteErr(rw, http.StatusBadRequest, "invalid_config", "configs[%d]: %v", i, err)
 			return
 		}
 		cfgs[i] = wc.Config()
@@ -227,7 +223,7 @@ func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 	base, err := w.evaluator(req.Benchmark, req.TraceLen)
 	if err != nil {
 		cWorkerErrors.Inc()
-		writeErr(rw, http.StatusBadRequest, "unknown_benchmark", "%v", err)
+		role.WriteErr(rw, http.StatusBadRequest, "unknown_benchmark", "%v", err)
 		return
 	}
 	ev := base.WithMetric(metric)
@@ -256,11 +252,11 @@ func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 	resp := EvalResponse{Values: values, Sims: sims, Worker: w.ID()}
 	// A traced caller gets this request's span forest back in the body;
 	// the eval span must end before the export so it is included.
-	if tr := obs.TraceFrom(spanCtx); tr != nil && spanReturnWanted(r.Context()) {
+	if tr := obs.TraceFrom(spanCtx); tr != nil && role.SpanReturnWanted(r.Context()) {
 		endEval()
 		resp.Spans = tr.Export(obs.MaxWireSpans)
 	}
-	writeJSON(rw, http.StatusOK, resp)
+	role.WriteJSON(rw, http.StatusOK, resp)
 }
 
 // workerLoadedEvaluator is one row of the worker's /healthz and
@@ -290,10 +286,10 @@ func (w *Worker) loaded() []workerLoadedEvaluator {
 }
 
 func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
-	if !requireMethod(rw, r, http.MethodGet) {
+	if !role.RequireMethod(rw, r, http.MethodGet) {
 		return
 	}
-	writeJSON(rw, http.StatusOK, map[string]any{
+	role.WriteJSON(rw, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"role":       "simworker",
 		"worker":     w.ID(),
@@ -306,7 +302,7 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 }
 
 func (w *Worker) handleStatusz(rw http.ResponseWriter, r *http.Request) {
-	if !requireMethod(rw, r, http.MethodGet) {
+	if !role.RequireMethod(rw, r, http.MethodGet) {
 		return
 	}
 	var rows []statuszRow
@@ -343,19 +339,11 @@ func (w *Worker) Serve(l net.Listener) error {
 		w.id = l.Addr().String()
 	}
 	w.mu.Unlock()
-	err := w.http.Serve(l)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
+	return w.http.Serve(l)
 }
 
 // Shutdown drains in-flight requests, waiting at most deadline.
-func (w *Worker) Shutdown(deadline time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
-	defer cancel()
-	return w.http.Shutdown(ctx)
-}
+func (w *Worker) Shutdown(deadline time.Duration) error { return w.http.Shutdown(deadline) }
 
 var _ fmt.Stringer = (*Worker)(nil)
 

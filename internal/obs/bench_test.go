@@ -8,8 +8,8 @@ import (
 // BenchmarkObsOverhead measures the per-call cost of each instrumentation
 // primitive in both states the pipeline runs in: disabled (the default —
 // this is the overhead every simulation pays) and enabled/traced (the
-// overhead when -report/-trace is on). cmd/benchobs runs these and emits
-// BENCH_obs.json.
+// overhead when -report/-trace is on). cmd/bench reports the overhead of
+// tracing whole operations (bench.trace_overhead_pct).
 func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("counter/disabled", func(b *testing.B) {
 		Disable()

@@ -2,8 +2,8 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -135,32 +135,14 @@ func equalBounds(a, b []float64) bool {
 	return true
 }
 
-// goodUnder counts the events in counts that landed in buckets whose
-// upper bound is <= threshold — the bucket-quantized latency-SLI
-// primitive shared by WindowedHistogram.GoodOver and FleetWindows.
-func goodUnder(bounds []float64, counts []int64, n int64, threshold float64) (good int64) {
-	hi := sort.SearchFloat64s(bounds, threshold)
-	if hi < len(bounds) && bounds[hi] == threshold {
-		hi++
-	}
-	for i := 0; i < hi && i < len(counts); i++ {
-		good += counts[i]
-	}
-	if hi > len(bounds) { // threshold above every finite bound: overflow too
-		good = n
-	}
-	return good
-}
-
-// FleetWindows re-derives sliding-window views from successive merged
-// cumulative snapshots — the federating reader's counterpart of
-// WindowedCounter / WindowedHistogram. A scraper feeds it one merged
-// Report per scrape tick; each metric keeps the same
-// ring-of-cumulative-snapshots the per-process windows use, so
-// windowed deltas, rates, quantiles, and SLI good/total counts over
-// the merged fleet follow exactly the per-process semantics
-// (bucket-width granularity, negative deltas from role restarts
-// clamped to zero).
+// FleetWindows holds sliding-window views over successive merged
+// cumulative snapshots — the federating reader's counterpart of the
+// registry's windows. Each merged metric gets an ordinary
+// WindowedCounter or WindowedHistogram whose source is the latest merged
+// value Ingest stored, so windowed deltas, rates, quantiles, and SLI
+// counts over the fleet follow the per-process semantics exactly,
+// including the clamp that reads a role restart's shrinking cumulative
+// value as zero traffic rather than negative traffic.
 type FleetWindows struct {
 	mu       sync.Mutex
 	clock    Clock
@@ -168,12 +150,38 @@ type FleetWindows struct {
 	hists    map[string]*fleetSeries
 }
 
-// fleetSeries is one merged metric's ring plus its latest merged
-// cumulative snapshot (the "live" value between scrape ticks).
+// fleetSeries is one merged metric: the latest cumulative snapshot
+// Ingest stored (nil until a report carries the metric) and the view
+// that reads it, c for a counter or h for a histogram.
 type fleetSeries struct {
-	bounds []float64 // histograms only
-	r      *ring
-	last   winSnap
+	last atomic.Pointer[fleetSnap]
+	c    *WindowedCounter
+	h    *WindowedHistogram
+}
+
+type fleetSnap struct {
+	bounds []float64
+	snap   winSnap
+}
+
+// latest is the view's source: the latest merged snapshot, zero before
+// the first.
+func (s *fleetSeries) latest() fleetSnap {
+	if p := s.last.Load(); p != nil {
+		return *p
+	}
+	return fleetSnap{}
+}
+
+// advance stores a newly ingested snapshot and rotates view onto it. The
+// first snapshot re-bases the view, so traffic from before the first
+// scrape never counts as windowed traffic.
+func (s *fleetSeries) advance(next *fleetSnap, view windowView) {
+	if s.last.Swap(next) == nil {
+		view.Rebase()
+	} else {
+		view.Tick()
+	}
 }
 
 // NewFleetWindows builds an empty fleet-window set on the given clock
@@ -189,200 +197,73 @@ func NewFleetWindows(clock Clock) *FleetWindows {
 	}
 }
 
-// Ingest feeds one merged report: every counter and every histogram
-// that carries raw buckets advances its ring to the current bucket
-// boundary and records the merged cumulative state. Metrics absent
-// from the report (a role down mid-scrape) simply keep their last
-// value — the windowed delta then under-counts for one tick rather
-// than inventing negative traffic.
+// Counter returns the window over the named merged counter, created on
+// first use so an SLI can bind to it before the first scrape.
+func (f *FleetWindows) Counter(name string) *WindowedCounter {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.counter(name).c
+}
+
+// Histogram returns the window over the named merged histogram, created
+// on first use.
+func (f *FleetWindows) Histogram(name string) *WindowedHistogram {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.hist(name).h
+}
+
+// counter returns (creating) a counter series. Callers hold f.mu.
+func (f *FleetWindows) counter(name string) *fleetSeries {
+	s, ok := f.counters[name]
+	if !ok {
+		s = &fleetSeries{}
+		s.c = newWindowedCounter(name, nil, f.clock, func() winSnap { return s.latest().snap })
+		f.counters[name] = s
+	}
+	return s
+}
+
+// hist returns (creating) a histogram series. Callers hold f.mu.
+func (f *FleetWindows) hist(name string) *fleetSeries {
+	s, ok := f.hists[name]
+	if !ok {
+		s = &fleetSeries{}
+		s.h = newWindowedHistogram(name, nil, f.clock,
+			func() []float64 { return s.latest().bounds },
+			func() winSnap { return s.latest().snap })
+		f.hists[name] = s
+	}
+	return s
+}
+
+// Ingest feeds one merged report: every counter, and every histogram
+// that carries raw buckets, stores its merged cumulative value and
+// moves its window to the current bucket boundary. Metrics absent from
+// the report (a role down mid-scrape) simply keep their last value —
+// the windowed delta then under-counts for one tick rather than
+// inventing negative traffic.
 func (f *FleetWindows) Ingest(rep *Report) {
 	if rep == nil {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	now := f.clock()
 	for name, v := range rep.Counters {
-		s, ok := f.counters[name]
-		if !ok {
-			s = &fleetSeries{r: newRing(DefWindowBucket, maxWindow)}
-			f.counters[name] = s
-		}
-		s.last = winSnap{count: v}
-		s.r.rotate(now, s.last)
+		s := f.counter(name)
+		s.advance(&fleetSnap{snap: winSnap{count: v}}, s.c)
 	}
 	for name, st := range rep.Histograms {
 		if len(st.Buckets) == 0 {
 			continue // pre-format-3 source: not windowable exactly
 		}
-		s, ok := f.hists[name]
-		if !ok {
-			s = &fleetSeries{bounds: append([]float64(nil), st.Bounds...), r: newRing(DefWindowBucket, maxWindow)}
-			f.hists[name] = s
-		}
-		if !equalBounds(s.bounds, st.Bounds) {
+		s := f.hist(name)
+		if p := s.last.Load(); p != nil && !equalBounds(p.bounds, st.Bounds) {
 			continue // layout changed under us (mixed builds): skip
 		}
-		s.last = winSnap{count: st.Count, sum: st.Sum, buckets: append([]int64(nil), st.Buckets...)}
-		s.r.rotate(now, s.last)
-	}
-}
-
-// syncLocked rotates one series to the current boundary using its last
-// ingested snapshot as the live value. Callers hold f.mu.
-func (f *FleetWindows) syncLocked(s *fleetSeries) {
-	s.r.rotate(f.clock(), s.last)
-}
-
-// CounterOver returns how many merged events the named counter
-// recorded in the last d (clamped at zero across role restarts).
-func (f *FleetWindows) CounterOver(name string, d time.Duration) int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.counters[name]
-	if !ok {
-		return 0
-	}
-	f.syncLocked(s)
-	n := s.last.count - s.r.at(s.r.bucketsFor(d)).count
-	if n < 0 {
-		n = 0
-	}
-	return n
-}
-
-// CounterRate returns the merged event rate per second over the last d.
-func (f *FleetWindows) CounterRate(name string, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(f.CounterOver(name, d)) / d.Seconds()
-}
-
-// CounterSeries returns per-bucket merged event counts over the last
-// d, oldest first, live partial bucket last — the sparkline shape.
-func (f *FleetWindows) CounterSeries(name string, d time.Duration) []float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.counters[name]
-	if !ok {
-		return nil
-	}
-	f.syncLocked(s)
-	k := s.r.bucketsFor(d)
-	out := make([]float64, 0, k+1)
-	for i := k; i >= 1; i-- {
-		out = append(out, clampF(float64(s.r.at(i-1).count-s.r.at(i).count)))
-	}
-	out = append(out, clampF(float64(s.last.count-s.r.at(0).count)))
-	return out
-}
-
-func clampF(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// histDeltasLocked mirrors WindowedHistogram.deltas over a merged
-// series. Callers hold f.mu.
-func (f *FleetWindows) histDeltasLocked(s *fleetSeries, d time.Duration) (counts []int64, n int64, sum float64) {
-	f.syncLocked(s)
-	ref := s.r.at(s.r.bucketsFor(d))
-	counts = make([]int64, len(s.last.buckets))
-	for i := range counts {
-		c := s.last.buckets[i]
-		if ref.buckets != nil && i < len(ref.buckets) {
-			c -= ref.buckets[i]
-		}
-		if c < 0 {
-			c = 0
-		}
-		counts[i] = c
-	}
-	n = s.last.count - ref.count
-	if n < 0 {
-		n = 0
-	}
-	return counts, n, s.last.sum - ref.sum
-}
-
-// HistStatsOver summarizes the named merged histogram over the last d,
-// with the same semantics as WindowedHistogram.StatsOver.
-func (f *FleetWindows) HistStatsOver(name string, d time.Duration) WindowStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.hists[name]
-	if !ok {
-		return WindowStats{}
-	}
-	counts, n, sum := f.histDeltasLocked(s, d)
-	st := WindowStats{Count: n}
-	if d > 0 {
-		st.Rate = float64(n) / d.Seconds()
-	}
-	if n <= 0 {
-		return st
-	}
-	st.Mean = sum / float64(n)
-	st.P50 = quantile(0.50, s.bounds, counts)
-	st.P90 = quantile(0.90, s.bounds, counts)
-	st.P99 = quantile(0.99, s.bounds, counts)
-	return st
-}
-
-// HistSeries returns per-bucket merged observation counts over the
-// last d, oldest first, live partial bucket last.
-func (f *FleetWindows) HistSeries(name string, d time.Duration) []float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.hists[name]
-	if !ok {
-		return nil
-	}
-	f.syncLocked(s)
-	k := s.r.bucketsFor(d)
-	out := make([]float64, 0, k+1)
-	for i := k; i >= 1; i-- {
-		out = append(out, clampF(float64(s.r.at(i-1).count-s.r.at(i).count)))
-	}
-	out = append(out, clampF(float64(s.last.count-s.r.at(0).count)))
-	return out
-}
-
-// GoodOver counts merged observations in the last d that landed in
-// buckets whose upper bound is <= threshold, plus the window total —
-// the fleet latency-SLI primitive, bucket-quantized exactly like
-// WindowedHistogram.GoodOver.
-func (f *FleetWindows) GoodOver(name string, d time.Duration, threshold float64) (good, total int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.hists[name]
-	if !ok {
-		return 0, 0
-	}
-	counts, n, _ := f.histDeltasLocked(s, d)
-	return goodUnder(s.bounds, counts, n, threshold), n
-}
-
-// LatencySLI builds an SLI over a merged latency histogram: good means
-// the request completed within threshold seconds, fleet-wide.
-func (f *FleetWindows) LatencySLI(name string, thresholdSec float64) SLIFunc {
-	return func(d time.Duration) (good, total int64) {
-		return f.GoodOver(name, d, thresholdSec)
-	}
-}
-
-// CounterRatioSLI builds an availability SLI from a merged error
-// counter and a merged total counter: good = total - errors.
-func (f *FleetWindows) CounterRatioSLI(errName, totalName string) SLIFunc {
-	return func(d time.Duration) (good, total int64) {
-		t := f.CounterOver(totalName, d)
-		e := f.CounterOver(errName, d)
-		if e > t {
-			e = t
-		}
-		return t - e, t
+		s.advance(&fleetSnap{
+			bounds: append([]float64(nil), st.Bounds...),
+			snap:   winSnap{count: st.Count, sum: st.Sum, buckets: append([]int64(nil), st.Buckets...)},
+		}, s.h)
 	}
 }

@@ -163,7 +163,7 @@ func TestFleetWindowsSLOBurn(t *testing.T) {
 	slo := &SLO{
 		Name:      "fleet-availability",
 		Objective: 0.9, // error budget 0.1
-		SLI:       fw.CounterRatioSLI("fleet.errors", "fleet.total"),
+		SLI:       AvailabilitySLI(fw.Counter("fleet.errors"), fw.Counter("fleet.total")),
 	}
 	st := slo.State()
 	// Over both windows the deltas visible to the ring are the same 200
@@ -205,7 +205,7 @@ func TestFleetWindowsSLOBurn(t *testing.T) {
 	fw.Ingest(&Report{Histograms: map[string]HistStats{
 		"fleet.lat": {Count: 4, Sum: 0.5, Bounds: bounds, Buckets: []int64{3, 0, 1}},
 	}})
-	good, total := fw.GoodOver("fleet.lat", 5*time.Minute, 0.001)
+	good, total := fw.Histogram("fleet.lat").GoodOver(5*time.Minute, 0.001)
 	if good != 3 || total != 4 {
 		t.Fatalf("latency SLI: good %d total %d", good, total)
 	}
@@ -220,7 +220,7 @@ func TestFleetWindowsRestartClamp(t *testing.T) {
 	fw.Ingest(&Report{Counters: map[string]int64{"c": 500}})
 	now = now.Add(time.Minute)
 	fw.Ingest(&Report{Counters: map[string]int64{"c": 100}}) // role restarted
-	if n := fw.CounterOver("c", time.Minute); n != 0 {
+	if n := fw.Counter("c").CountOver(time.Minute); n != 0 {
 		t.Fatalf("negative window delta leaked: %d", n)
 	}
 }

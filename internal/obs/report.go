@@ -8,9 +8,8 @@ import (
 	"time"
 )
 
-// Host records how much hardware a run had available, mirroring the
-// host block of BENCH_parallel.json so reports from different machines
-// compare like for like.
+// Host records how much hardware a run had available, so reports from
+// different machines compare like for like.
 type Host struct {
 	CPUs       int    `json:"cpus"`
 	GOMAXPROCS int    `json:"gomaxprocs"`

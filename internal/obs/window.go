@@ -2,18 +2,20 @@ package obs
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
 
-// Sliding-window views over cumulative metrics. A Windowed* wrapper
-// keeps a ring of snapshots of its metric's cumulative state, one per
-// bucket-width boundary; the windowed value over the last d is the
-// difference between the live cumulative state and the snapshot taken
-// ~d ago. Deriving windows from snapshots (instead of intercepting every
-// Add/Observe) keeps the hot-path cost of an instrumented metric exactly
-// what it was — one atomic add — and lets any existing Counter or
-// Histogram gain 1m/5m/1h views after the fact.
+// Sliding-window views over cumulative metrics. A Windowed* view keeps a
+// ring of snapshots of a cumulative source, one per bucket-width
+// boundary; the windowed value over the last d is the difference between
+// the live cumulative state and the snapshot taken ~d ago. Deriving
+// windows from snapshots (instead of intercepting every Add/Observe)
+// keeps the hot-path cost of an instrumented metric exactly what it was
+// — one atomic add — and lets any existing Counter or Histogram gain
+// 1m/5m/1h views after the fact. The source need not be a local metric:
+// FleetWindows feeds the same views from merged fleet reports.
 //
 // Rotation is lazy: every read (and every Tick) advances the ring to the
 // current bucket boundary, stamping the live cumulative state into each
@@ -135,6 +137,25 @@ func (r *ring) bucketsFor(d time.Duration) int {
 	return k
 }
 
+// countOver returns the events between the snapshot d ago and the live
+// cumulative count cur. A cumulative value that shrank — a restarted
+// source — reads as zero, never as negative traffic.
+func (r *ring) countOver(cur int64, d time.Duration) int64 {
+	return max(cur-r.at(r.bucketsFor(d)).count, 0)
+}
+
+// series returns per-bucket event counts over the last d, oldest first,
+// with the live (partial) bucket ending at cur last — the sparkline
+// shape. A shrinking bucket reads as zero, as in countOver.
+func (r *ring) series(cur int64, d time.Duration) []float64 {
+	k := r.bucketsFor(d)
+	out := make([]float64, 0, k+1)
+	for i := k; i >= 1; i-- {
+		out = append(out, float64(max(r.at(i-1).count-r.at(i).count, 0)))
+	}
+	return append(out, float64(max(cur-r.at(0).count, 0)))
+}
+
 // WindowStats is one windowed summary: event count and rate over the
 // window, plus (histograms only) the mean and interpolated quantiles of
 // the values observed inside it.
@@ -147,41 +168,104 @@ type WindowStats struct {
 	P99   float64 `json:"p99,omitempty"`
 }
 
-// WindowedCounter is a sliding-window view over a Counter.
-type WindowedCounter struct {
+// window is what every view shares: identity, the cumulative source it
+// reads, its clock, and its ring. All ring access is guarded by mu.
+type window struct {
 	name   string
-	fetch  func() *Counter
 	labels []Label
+	src    func() winSnap
 
 	mu    sync.Mutex
 	clock Clock
 	r     *ring
 }
 
+// windowView is a registered or fleet view: a *WindowedCounter or a
+// *WindowedHistogram.
+type windowView interface {
+	Tick()
+	Rebase()
+	clearHistory()
+}
+
 // sync rotates the ring to the clock's current bucket and returns the
-// live cumulative count. Callers hold w.mu.
-func (w *WindowedCounter) sync() int64 {
-	v := w.fetch().Value()
-	w.r.rotate(w.clock(), winSnap{count: v})
-	return v
+// live cumulative snapshot. A Histogram's bucket counts are read one
+// atomic load at a time, so a snapshot taken mid-Observe can be off by
+// one event — the same (documented) skew the Prometheus exposition
+// has. Callers hold w.mu.
+func (w *window) sync() winSnap {
+	cur := w.src()
+	w.r.rotate(w.clock(), cur)
+	return cur
 }
 
 // Tick rotates the ring without reading anything out — the hook the
 // background rotator (StartWindowRotation) uses to keep bucket
 // boundaries stamped while no one is reading.
-func (w *WindowedCounter) Tick() {
+func (w *window) Tick() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.sync()
 }
 
-// CountOver returns how many events the counter recorded in the last d
-// (rounded to bucket boundaries; d is clamped to the ring's span).
-func (w *WindowedCounter) CountOver(d time.Duration) int64 {
+// Rebase forgets the window's history and re-bases every ring slot at
+// the current cumulative state: every windowed delta reads zero until
+// new events arrive. The serving layer calls it when the entity a
+// window describes is replaced wholesale (a hot-swapped model), so
+// observations of the predecessor stop counting against the successor.
+func (w *window) Rebase() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	cur := w.sync()
-	return cur - w.r.at(w.r.bucketsFor(d)).count
+	w.r.clear()
+	w.sync()
+}
+
+// rebind moves the view onto a new clock, which may not be continuous
+// with the old one, so the history goes too.
+func (w *window) rebind(clock Clock) {
+	w.mu.Lock()
+	w.clock = clock
+	w.mu.Unlock()
+	w.Rebase()
+}
+
+// clearHistory drops the ring's history without reading the source;
+// the next access re-bases.
+func (w *window) clearHistory() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.r.clear()
+}
+
+// CountOver returns how many events landed in the last d (rounded to
+// bucket boundaries; d is clamped to the ring's span).
+func (w *window) CountOver(d time.Duration) int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.r.countOver(w.sync().count, d)
+}
+
+// Series returns per-bucket event counts over the last d, oldest first,
+// with the live (partial) bucket as the final element — the sparkline
+// shape.
+func (w *window) Series(d time.Duration) []float64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.r.series(w.sync().count, d)
+}
+
+// WindowedCounter is a sliding-window view over a cumulative count: a
+// Counter, or any source whose value only grows, such as a merged fleet
+// counter.
+type WindowedCounter struct{ window }
+
+// newWindowedCounter builds an unregistered view over src, baselined at
+// once: events between creation and the first read must be inside the
+// window, not under it.
+func newWindowedCounter(name string, labels []Label, clock Clock, src func() winSnap) *WindowedCounter {
+	w := &WindowedCounter{window{name: name, labels: labels, src: src, clock: clock, r: newRing(DefWindowBucket, maxWindow)}}
+	w.Tick()
+	return w
 }
 
 // RateOver returns the event rate per second over the last d.
@@ -190,22 +274,6 @@ func (w *WindowedCounter) RateOver(d time.Duration) float64 {
 		return 0
 	}
 	return float64(w.CountOver(d)) / d.Seconds()
-}
-
-// Series returns per-bucket event counts over the last d, oldest first,
-// with the live (partial) bucket as the final element — the sparkline
-// shape.
-func (w *WindowedCounter) Series(d time.Duration) []float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	cur := w.sync()
-	k := w.r.bucketsFor(d)
-	out := make([]float64, 0, k+1)
-	for i := k; i >= 1; i-- {
-		out = append(out, float64(w.r.at(i-1).count-w.r.at(i).count))
-	}
-	out = append(out, float64(cur-w.r.at(0).count))
-	return out
 }
 
 // Stats summarizes the window (histogram-only fields stay zero).
@@ -218,63 +286,38 @@ func (w *WindowedCounter) Stats(d time.Duration) WindowStats {
 	return st
 }
 
-// WindowedHistogram is a sliding-window view over a Histogram (or one
-// child of a HistogramVec): windowed count, rate, mean, and interpolated
-// quantiles computed from per-bucket count deltas.
+// WindowedHistogram is a sliding-window view over a cumulative histogram
+// (a Histogram, one child of a HistogramVec, or a merged fleet
+// histogram): windowed count, rate, mean, and interpolated quantiles
+// computed from per-bucket count deltas.
 type WindowedHistogram struct {
-	name   string
-	fetch  func() *Histogram
-	labels []Label
-
-	mu    sync.Mutex
-	clock Clock
-	r     *ring
+	window
+	bounds func() []float64 // the source's bucket upper bounds
 }
 
-// sync rotates the ring and returns the histogram with its live
-// cumulative snapshot. Bucket counts are read one atomic load at a time,
-// so a snapshot taken mid-Observe can be off by one event — the same
-// (documented) skew the Prometheus exposition has. Callers hold w.mu.
-func (w *WindowedHistogram) sync() (*Histogram, winSnap) {
-	h := w.fetch()
-	cur := winSnap{count: h.Count(), sum: h.Sum(), buckets: h.bucketCounts()}
-	w.r.rotate(w.clock(), cur)
-	return h, cur
-}
-
-// Tick rotates the ring without reading anything out.
-func (w *WindowedHistogram) Tick() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.sync()
+// newWindowedHistogram builds an unregistered view over src, baselined
+// at once like newWindowedCounter.
+func newWindowedHistogram(name string, labels []Label, clock Clock, bounds func() []float64, src func() winSnap) *WindowedHistogram {
+	w := &WindowedHistogram{window{name: name, labels: labels, src: src, clock: clock, r: newRing(DefWindowBucket, maxWindow)}, bounds}
+	w.Tick()
+	return w
 }
 
 // deltas returns the per-bucket event counts inside the last d, along
-// with the count and sum deltas. Negative per-bucket deltas (a torn
-// snapshot racing a reset) clamp to zero. Callers hold w.mu.
+// with the count and sum deltas. Negative deltas — a torn snapshot
+// racing a reset, or a restarted source — clamp to zero. Callers hold
+// w.mu.
 func (w *WindowedHistogram) deltas(d time.Duration) (bounds []float64, counts []int64, n int64, sum float64) {
-	h, cur := w.sync()
+	cur := w.sync()
 	ref := w.r.at(w.r.bucketsFor(d))
 	counts = make([]int64, len(cur.buckets))
-	for i := range counts {
-		c := cur.buckets[i]
-		if ref.buckets != nil {
+	for i, c := range cur.buckets {
+		if i < len(ref.buckets) {
 			c -= ref.buckets[i]
 		}
-		if c < 0 {
-			c = 0
-		}
-		counts[i] = c
+		counts[i] = max(c, 0)
 	}
-	return h.bounds, counts, cur.count - ref.count, cur.sum - ref.sum
-}
-
-// CountOver returns how many observations landed in the last d.
-func (w *WindowedHistogram) CountOver(d time.Duration) int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, cur := w.sync()
-	return cur.count - w.r.at(w.r.bucketsFor(d)).count
+	return w.bounds(), counts, max(cur.count-ref.count, 0), cur.sum - ref.sum
 }
 
 // MeanOver returns the mean observed value over the last d (0 when the
@@ -282,7 +325,7 @@ func (w *WindowedHistogram) CountOver(d time.Duration) int64 {
 func (w *WindowedHistogram) MeanOver(d time.Duration) float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	_, cur := w.sync()
+	cur := w.sync()
 	ref := w.r.at(w.r.bucketsFor(d))
 	n := cur.count - ref.count
 	if n <= 0 {
@@ -334,39 +377,20 @@ func (w *WindowedHistogram) GoodOver(d time.Duration, threshold float64) (good, 
 	return goodUnder(bounds, counts, n, threshold), n
 }
 
-// Rebase forgets the window's history and re-bases every ring slot at
-// the current cumulative state: every windowed delta reads zero until
-// new observations arrive. The serving layer calls it when the entity a
-// window describes is replaced wholesale (a hot-swapped model), so
-// observations of the predecessor stop counting against the successor.
-func (w *WindowedHistogram) Rebase() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.r.clear()
-	w.sync()
-}
-
-// Rebase forgets the window's history (see WindowedHistogram.Rebase).
-func (w *WindowedCounter) Rebase() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.r.clear()
-	w.sync()
-}
-
-// Series returns per-bucket observation counts over the last d, oldest
-// first, live partial bucket last.
-func (w *WindowedHistogram) Series(d time.Duration) []float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, cur := w.sync()
-	k := w.r.bucketsFor(d)
-	out := make([]float64, 0, k+1)
-	for i := k; i >= 1; i-- {
-		out = append(out, float64(w.r.at(i-1).count-w.r.at(i).count))
+// goodUnder counts the events in counts that landed in buckets whose
+// upper bound is <= threshold — the bucket-quantized core of GoodOver.
+func goodUnder(bounds []float64, counts []int64, n int64, threshold float64) (good int64) {
+	hi := sort.SearchFloat64s(bounds, threshold)
+	if hi < len(bounds) && bounds[hi] == threshold {
+		hi++
 	}
-	out = append(out, float64(cur.count-w.r.at(0).count))
-	return out
+	for i := 0; i < hi && i < len(counts); i++ {
+		good += counts[i]
+	}
+	if hi > len(bounds) { // threshold above every finite bound: overflow too
+		good = n
+	}
+	return good
 }
 
 // windows is the registry of windowed views, keyed by the underlying
@@ -412,23 +436,9 @@ func WindowCounter(c *Counter, clock Clock) *WindowedCounter {
 	name := c.displayName()
 	return registerWindow(name, clock,
 		func(clk Clock) *WindowedCounter {
-			w := &WindowedCounter{
-				name: name, labels: c.labels, clock: clk,
-				fetch: func() *Counter { return c },
-				r:     newRing(DefWindowBucket, maxWindow),
-			}
-			// Baseline immediately: events between view creation and the
-			// first read must be inside the window, not under it.
-			w.Tick()
-			return w
+			return newWindowedCounter(name, c.labels, clk, func() winSnap { return winSnap{count: c.Value()} })
 		},
-		func(w *WindowedCounter, clk Clock) {
-			w.mu.Lock()
-			w.clock = clk
-			w.r.clear()
-			w.sync()
-			w.mu.Unlock()
-		})
+		(*WindowedCounter).rebind)
 }
 
 // WindowHistogram returns the sliding-window view of h.
@@ -446,23 +456,14 @@ func WindowHistogramIn(v *HistogramVec, clock Clock, values ...string) *Windowed
 }
 
 func windowHistogram(name string, labels []Label, clock Clock, fetch func() *Histogram) *WindowedHistogram {
+	bounds := func() []float64 { return fetch().bounds }
+	src := func() winSnap {
+		h := fetch()
+		return winSnap{count: h.Count(), sum: h.Sum(), buckets: h.bucketCounts()}
+	}
 	return registerWindow(name, clock,
-		func(clk Clock) *WindowedHistogram {
-			w := &WindowedHistogram{
-				name: name, labels: labels, clock: clk, fetch: fetch,
-				r: newRing(DefWindowBucket, maxWindow),
-			}
-			// Baseline immediately, as for counters.
-			w.Tick()
-			return w
-		},
-		func(w *WindowedHistogram, clk Clock) {
-			w.mu.Lock()
-			w.clock = clk
-			w.r.clear()
-			w.sync()
-			w.mu.Unlock()
-		})
+		func(clk Clock) *WindowedHistogram { return newWindowedHistogram(name, labels, clk, bounds, src) },
+		(*WindowedHistogram).rebind)
 }
 
 // windowViews copies the registry's views in registration order.
@@ -481,12 +482,7 @@ func windowViews() []any {
 // tests call it after advancing time.
 func TickWindows() {
 	for _, v := range windowViews() {
-		switch w := v.(type) {
-		case *WindowedCounter:
-			w.Tick()
-		case *WindowedHistogram:
-			w.Tick()
-		}
+		v.(windowView).Tick()
 	}
 }
 
@@ -547,15 +543,6 @@ func WindowSnapshot() map[string]map[string]WindowStats {
 // with the cumulative metrics under them).
 func resetWindows() {
 	for _, v := range windowViews() {
-		switch w := v.(type) {
-		case *WindowedCounter:
-			w.mu.Lock()
-			w.r.clear()
-			w.mu.Unlock()
-		case *WindowedHistogram:
-			w.mu.Lock()
-			w.r.clear()
-			w.mu.Unlock()
-		}
+		v.(windowView).clearHistory()
 	}
 }

@@ -169,8 +169,8 @@ func TestFitResultPredictBatch(t *testing.T) {
 
 // Benchmarks: scalar per-point evaluation (with and without the hoisted
 // 1/r²) against the compiled blocked batch pass, at serving-relevant
-// batch sizes. cmd/benchpredict packages the same comparison (plus the
-// coalesced HTTP path) into BENCH_predict.json.
+// batch sizes. The predict workloads of cmd/bench measure the served
+// path end to end, coalescer and HTTP included.
 func benchmarkNetwork(m int) (*Network, [][]float64) {
 	rng := rand.New(rand.NewSource(1))
 	net := randomNetwork(rng, m, 9)

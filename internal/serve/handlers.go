@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,6 +12,7 @@ import (
 	"predperf/internal/design"
 	"predperf/internal/obs"
 	"predperf/internal/par"
+	"predperf/internal/role"
 	"predperf/internal/search"
 )
 
@@ -67,91 +67,17 @@ func (w wireConfig) validate() error {
 	return nil
 }
 
-// apiError is the structured error body: {"error":{"code","message"}}.
-type apiError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, code, format string, args ...any) {
-	cErrors.Inc()
-	writeJSON(w, status, map[string]apiError{
-		"error": {Code: code, Message: fmt.Sprintf(format, args...)},
-	})
-}
-
-// readJSON decodes a size-capped request body, mapping oversize and
-// malformed bodies to structured errors. It returns false after writing
-// the error response.
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				"request body exceeds the %d-byte limit", tooLarge.Limit)
-			return false
-		}
-		writeErr(w, http.StatusBadRequest, "bad_json", "decoding request: %v", err)
-		return false
-	}
-	return true
-}
-
-func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method != method {
-		w.Header().Set("Allow", method)
-		writeErr(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			"%s requires %s, got %s", r.URL.Path, method, r.Method)
-		return false
-	}
-	return true
-}
-
 // ---- /healthz ----
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	role.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
 		"models": s.reg.Len(),
 		"build":  Build(),
 	})
-}
-
-// ---- /metricz ----
-
-// handleMetricz reports the process's metrics. The default is the
-// internal/obs JSON snapshot (counters, gauges, histogram summaries,
-// span aggregates); ?format=prom switches to Prometheus text exposition
-// so any standard scraper can collect the same series.
-func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "prom", "prometheus":
-		w.Header().Set("Content-Type", obs.PromContentType)
-		obs.WritePrometheus(w)
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		obs.Snapshot().Write(w)
-	default:
-		writeErr(w, http.StatusBadRequest, "bad_request",
-			`unknown metrics format %q (want "json" or "prom")`, format)
-	}
 }
 
 // ---- /v1/models ----
@@ -183,7 +109,7 @@ func entryInfo(e *Entry) modelInfo {
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	entries := s.reg.Entries()
@@ -191,7 +117,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	for i, e := range entries {
 		infos[i] = entryInfo(e)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"models": infos})
+	role.WriteJSON(w, http.StatusOK, map[string]any{"models": infos})
 }
 
 // ---- /v1/models/load ----
@@ -212,41 +138,41 @@ type loadRequest struct {
 }
 
 func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
+	if !role.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req loadRequest
-	if !s.readJSON(w, r, &req) {
+	if !role.ReadJSON(w, r, s.opt.MaxBodyBytes, &req) {
 		return
 	}
 	switch {
 	case req.Dir != "":
 		rel, err := s.reg.ClientPath(req.Dir)
 		if err != nil {
-			writeErr(w, http.StatusForbidden, "forbidden_path", "%v", err)
+			role.WriteErr(w, http.StatusForbidden, "forbidden_path", "%v", err)
 			return
 		}
 		names, err := s.reg.LoadDir(s.reg.resolve(rel))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "load_failed", "%v", err)
+			role.WriteErr(w, http.StatusBadRequest, "load_failed", "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"loaded": names})
+		role.WriteJSON(w, http.StatusOK, map[string]any{"loaded": names})
 	case req.Path != "":
 		rel, err := s.reg.ClientPath(req.Path)
 		if err != nil {
-			writeErr(w, http.StatusForbidden, "forbidden_path", "%v", err)
+			role.WriteErr(w, http.StatusForbidden, "forbidden_path", "%v", err)
 			return
 		}
 		name, err := s.reg.LoadFile(rel, req.Name)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "load_failed", "%v", err)
+			role.WriteErr(w, http.StatusBadRequest, "load_failed", "%v", err)
 			return
 		}
 		e, _ := s.reg.Get(name)
-		writeJSON(w, http.StatusOK, map[string]any{"loaded": []string{name}, "model": entryInfo(e)})
+		role.WriteJSON(w, http.StatusOK, map[string]any{"loaded": []string{name}, "model": entryInfo(e)})
 	default:
-		writeErr(w, http.StatusBadRequest, "bad_request", `"path" or "dir" is required`)
+		role.WriteErr(w, http.StatusBadRequest, "bad_request", `"path" or "dir" is required`)
 	}
 }
 
@@ -276,46 +202,46 @@ type predictResponse struct {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
+	if !role.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	_, end := obs.StartSpanCtx(r.Context(), "serve.predict")
 	defer end()
 	var req predictRequest
-	if !s.readJSON(w, r, &req) {
+	if !role.ReadJSON(w, r, s.opt.MaxBodyBytes, &req) {
 		return
 	}
 	if req.Model == "" {
-		writeErr(w, http.StatusBadRequest, "bad_request", `"model" is required`)
+		role.WriteErr(w, http.StatusBadRequest, "bad_request", `"model" is required`)
 		return
 	}
 	entry, ok := s.reg.Get(req.Model)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown_model",
+		role.WriteErr(w, http.StatusNotFound, "unknown_model",
 			"no model %q is loaded (GET /v1/models lists the registry)", req.Model)
 		return
 	}
 	var batch []wireConfig
 	switch {
 	case req.Config != nil && len(req.Configs) > 0:
-		writeErr(w, http.StatusBadRequest, "bad_request", `give "config" or "configs", not both`)
+		role.WriteErr(w, http.StatusBadRequest, "bad_request", `give "config" or "configs", not both`)
 		return
 	case req.Config != nil:
 		batch = []wireConfig{*req.Config}
 	case len(req.Configs) > 0:
 		batch = req.Configs
 	default:
-		writeErr(w, http.StatusBadRequest, "bad_request", `"config" or "configs" is required`)
+		role.WriteErr(w, http.StatusBadRequest, "bad_request", `"config" or "configs" is required`)
 		return
 	}
 	if len(batch) > s.opt.MaxBatch {
-		writeErr(w, http.StatusRequestEntityTooLarge, "batch_too_large",
+		role.WriteErr(w, http.StatusRequestEntityTooLarge, "batch_too_large",
 			"batch of %d exceeds the %d-configuration limit", len(batch), s.opt.MaxBatch)
 		return
 	}
 	for i, wc := range batch {
 		if err := wc.validate(); err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid_config", "configs[%d]: %v", i, err)
+			role.WriteErr(w, http.StatusBadRequest, "invalid_config", "configs[%d]: %v", i, err)
 			return
 		}
 	}
@@ -337,15 +263,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 				// The queue drains within a coalesce window plus one batch
 				// evaluation; hint a retry after that, not a fixed second.
 				w.Header().Set("Retry-After", cluster.RetryAfterSeconds(s.opt.CoalesceWindow))
-				writeErr(w, http.StatusServiceUnavailable, "coalesce_queue_full",
+				role.WriteErr(w, http.StatusServiceUnavailable, "coalesce_queue_full",
 					"the prediction admission queue is full; retry shortly")
 				return
 			case errors.Is(err, ErrCoalesceStopped):
-				writeErr(w, http.StatusServiceUnavailable, "shutting_down",
+				role.WriteErr(w, http.StatusServiceUnavailable, "shutting_down",
 					"the server is draining and no longer accepts predictions")
 				return
 			case err != nil: // the request's own context died while queued
-				writeErr(w, http.StatusServiceUnavailable, "request_canceled",
+				role.WriteErr(w, http.StatusServiceUnavailable, "request_canceled",
 					"request canceled while queued for coalescing: %v", err)
 				return
 			}
@@ -362,7 +288,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		preds = s.predictBatch(entry, cfgs)
 	}
-	writeJSON(w, http.StatusOK, predictResponse{Model: req.Model, Predictions: preds})
+	role.WriteJSON(w, http.StatusOK, predictResponse{Model: req.Model, Predictions: preds})
 }
 
 // cacheKey is the LRU key for one quantized configuration: the entry
@@ -488,22 +414,22 @@ type searchResponse struct {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
+	if !role.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	ctx, end := obs.StartSpanCtx(r.Context(), "serve.search")
 	defer end()
 	var req searchRequest
-	if !s.readJSON(w, r, &req) {
+	if !role.ReadJSON(w, r, s.opt.MaxBodyBytes, &req) {
 		return
 	}
 	if req.Model == "" {
-		writeErr(w, http.StatusBadRequest, "bad_request", `"model" is required`)
+		role.WriteErr(w, http.StatusBadRequest, "bad_request", `"model" is required`)
 		return
 	}
 	entry, ok := s.reg.Get(req.Model)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown_model",
+		role.WriteErr(w, http.StatusNotFound, "unknown_model",
 			"no model %q is loaded (GET /v1/models lists the registry)", req.Model)
 		return
 	}
@@ -521,7 +447,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	case "sim":
 		sim, err := entry.simEvaluator(s.opt.SearchTraceLen)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "no_simulator",
+			role.WriteErr(w, http.StatusBadRequest, "no_simulator",
 				"model %q cannot be simulator-verified: %v", req.Model, err)
 			return
 		}
@@ -529,7 +455,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	case "model":
 		ev, verifiedBy = modelEvaluator{entry.Model}, "model"
 	default:
-		writeErr(w, http.StatusBadRequest, "bad_request",
+		role.WriteErr(w, http.StatusBadRequest, "bad_request",
 			`"verify" must be "auto", "sim", or "model", got %q`, req.Verify)
 		return
 	}
@@ -547,7 +473,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Shortlist:  req.Shortlist,
 	})
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "search_failed", "%v", err)
+		role.WriteErr(w, http.StatusUnprocessableEntity, "search_failed", "%v", err)
 		return
 	}
 	resp := searchResponse{
@@ -566,5 +492,5 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Predicted: entry.Model.PredictConfig(res.Best),
 		Actual:    res.BestValue,
 	}
-	writeJSON(w, http.StatusOK, resp)
+	role.WriteJSON(w, http.StatusOK, resp)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"predperf/internal/obs"
+	"predperf/internal/role"
 )
 
 // Request-path observability: per-route latency histograms, per-route ×
@@ -67,33 +68,6 @@ func routeLabel(path string) string {
 	return "other"
 }
 
-// statusWriter captures the status code and body size written through a
-// ResponseWriter, for the access log and response metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-	wrote  bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.status = code
-		w.wrote = true
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if !w.wrote {
-		w.status = http.StatusOK
-		w.wrote = true
-	}
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
 // accessLog serializes JSON-lines access entries to one writer. A mutex
 // keeps concurrent requests from interleaving partial lines.
 type accessLog struct {
@@ -130,100 +104,44 @@ func (l *accessLog) log(e accessEntry) {
 	l.enc.Encode(e)
 }
 
-// requestIDHeader is the header predserve reads and echoes on every
-// request; it doubles as the request's trace ID. Client-supplied values
-// are validated (obs.ValidRequestID: 1–64 chars of [A-Za-z0-9._-])
-// before being echoed into headers, access logs, and trace IDs; anything
-// else is replaced with a generated ID.
-const requestIDHeader = "X-Request-Id"
-
-// withObs is the outermost middleware: it assigns (or respects, after
-// validation) the request ID, decides whether this request records a
-// distributed trace, tracks the in-flight gauge, and — once the inner
-// chain returns — records the per-route latency histogram (with a trace
-// exemplar when traced), the route × code response counter, the
-// access-log line, and offers the finished trace to the /tracez store.
-// It wraps the timeout handler, so a timed-out request is logged with
-// its real 503 and its full duration.
-//
-// The sampling decision: an inbound traceparent header (router-fronted
-// deployments) carries the edge's bit and is authoritative — a sampled
-// remote hop records spans without a local root (the forest returns to
-// the caller on the X-Trace-Spans trailer and grafts under its hop
-// span), an unsampled one allocates no trace at all. Edge requests go
-// through the local sampler and get a "serve.request" root span.
-func (s *Server) withObs(next http.Handler) http.Handler {
+// withMetrics is serve's own layer inside the shared role.Edge (see
+// Server.Handler): the in-flight gauge and, once the inner chain
+// returns, the per-route latency histogram (with a trace exemplar when
+// traced), the route × code response counter, the SLO aggregates, the
+// access-log line, and the slow-outlier flag that makes the edge keep
+// the trace. It wraps the timeout handler, so a timed-out request is
+// measured and logged with its real 503 and its full duration.
+func (s *Server) withMetrics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		id := r.Header.Get(requestIDHeader)
-		if !obs.ValidRequestID(id) {
-			id = obs.NewTraceID()
-		}
-		w.Header().Set(requestIDHeader, id)
-		route := routeLabel(r.URL.Path)
-		ctx := obs.WithRequestID(r.Context(), id)
-
-		sc, remote := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-		sampled := sc.Sampled
-		if !remote {
-			sampled = s.sampler.Sample(id)
-		}
-		var tr *obs.Trace
-		endRoot := func() {}
-		if sampled {
-			tid := id
-			if remote && sc.TraceID != "" {
-				tid = sc.TraceID
-			}
-			tr = obs.NewTrace(tid)
-			ctx = obs.WithTrace(ctx, tr)
-			if remote {
-				// Declare the span-return trailer before any write; the
-				// value is set after the inner chain finishes.
-				w.Header().Add("Trailer", obs.SpanTrailerHeader)
-			} else {
-				ctx, endRoot = obs.StartSpanCtx(ctx, "serve.request", "route", route)
-			}
-		}
-		r = r.WithContext(ctx)
-
 		gInflight.Inc()
 		defer gInflight.Dec()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		endRoot()
+		next.ServeHTTP(w, r)
 
-		d := time.Since(t0)
-		if tr != nil {
-			if remote {
-				w.Header().Set(obs.SpanTrailerHeader, obs.EncodeSpans(tr.Export(obs.MaxWireSpans)))
-			}
+		x := role.ExchangeOf(w)
+		d := time.Since(x.Start)
+		route := routeLabel(r.URL.Path)
+		if tr := obs.TraceFrom(r.Context()); tr != nil {
 			hRequests.With(route).ObserveWithExemplar(d.Seconds(), tr.ID())
+			x.Keep = s.slowOutlier(route, d)
 		} else {
 			hRequests.With(route).Observe(d.Seconds())
 		}
 		if !sloExempt[route] {
 			hAllRequests.Observe(d.Seconds())
 			cRequestsTotal.Inc()
-			if sw.status >= 500 {
+			if x.Status >= 500 {
 				cResponses5xx.Inc()
 			}
 		}
-		cResponses.With(route, strconv.Itoa(sw.status)).Inc()
-		if tr != nil {
-			s.traces.Add(tr, obs.TraceMeta{
-				ID: tr.ID(), Kind: "request", Route: route, Status: sw.status,
-				Start: t0, Dur: d, Err: sw.status >= 500, Keep: s.slowOutlier(route, d),
-			})
-		}
+		cResponses.With(route, strconv.Itoa(x.Status)).Inc()
 		s.access.log(accessEntry{
-			Time:      t0.UTC().Format("2006-01-02T15:04:05.000Z07:00"),
-			ID:        id,
+			Time:      x.Start.UTC().Format("2006-01-02T15:04:05.000Z07:00"),
+			ID:        obs.RequestIDFrom(r.Context()),
 			Remote:    r.RemoteAddr,
 			Method:    r.Method,
 			Path:      r.URL.Path,
-			Status:    sw.status,
-			Bytes:     sw.bytes,
+			Status:    x.Status,
+			Bytes:     x.Bytes,
 			DurMS:     float64(d.Nanoseconds()) / 1e6,
 			UserAgent: r.UserAgent(),
 		})

@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"predperf/internal/obs"
+	"predperf/internal/role"
 )
 
 // Readiness: /healthz says the process is alive; /readyz says it should
@@ -14,11 +15,9 @@ import (
 // drift monitor has tripped. /alertz exposes the underlying firing/
 // resolved alert history with timestamps.
 
-// unreadyReason is one structured cause in a 503 /readyz body.
-type unreadyReason struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
+// unreadyReason is one structured cause in a 503 /readyz body, in the
+// same {code, message} shape as an error.
+type unreadyReason = role.APIError
 
 // evaluate re-checks every readiness condition, records transitions in
 // the alert set, and returns the currently-failing reasons (nil when
@@ -63,7 +62,7 @@ func sloBurnMessage(st obs.SLOState) string {
 // ---- /readyz ----
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	reasons := s.evaluate()
@@ -80,7 +79,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		if len(notes) > 0 {
 			body["notes"] = notes
 		}
-		writeJSON(w, http.StatusOK, body)
+		role.WriteJSON(w, http.StatusOK, body)
 		return
 	}
 	body := map[string]any{
@@ -90,13 +89,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if len(notes) > 0 {
 		body["notes"] = notes
 	}
-	writeJSON(w, http.StatusServiceUnavailable, body)
+	role.WriteJSON(w, http.StatusServiceUnavailable, body)
 }
 
 // ---- /alertz ----
 
 func (s *Server) handleAlertz(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	s.evaluate()
@@ -107,5 +106,5 @@ func (s *Server) handleAlertz(w http.ResponseWriter, r *http.Request) {
 	if st := s.retrain.states(); len(st) > 0 {
 		body["retrains"] = st
 	}
-	writeJSON(w, http.StatusOK, body)
+	role.WriteJSON(w, http.StatusOK, body)
 }

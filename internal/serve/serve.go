@@ -31,7 +31,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -42,6 +41,7 @@ import (
 	"predperf/internal/cluster"
 	"predperf/internal/core"
 	"predperf/internal/obs"
+	"predperf/internal/role"
 )
 
 // Request-path counters and spans (internal/obs). serve.predicts counts
@@ -55,7 +55,6 @@ var (
 	cCacheMiss  = obs.NewCounter("serve.cache_misses")
 	cSearches   = obs.NewCounter("serve.searches")
 	cModelLoads = obs.NewCounter("serve.model_loads")
-	cErrors     = obs.NewCounter("serve.errors")
 )
 
 // Options configures a Server. Zero values take production defaults.
@@ -280,7 +279,7 @@ type Server struct {
 	reg    *Registry
 	cache  *lru
 	access *accessLog
-	http   *http.Server
+	http   *role.Server
 
 	// Time-aware observability: the clock every window/SLO/alert runs
 	// on, sliding-window views over the request metrics, the declared
@@ -384,10 +383,7 @@ func New(opt Options) *Server {
 		go s.adaptLoop()
 	}
 
-	s.http = &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	s.http = role.NewServer(s.Handler())
 	return s
 }
 
@@ -426,59 +422,33 @@ func (s *Server) Registry() *Registry { return s.reg }
 // Traces exposes the /tracez trace store (tests and embedding callers).
 func (s *Server) Traces() *obs.TraceStore { return s.traces }
 
-// Handler returns the full API handler: the route mux wrapped with the
-// per-request timeout, wrapped in turn with the observability middleware
-// (request-ID assignment + request-scoped trace, per-route latency
-// histograms and response counters, in-flight gauge, access log) — so
-// even timed-out requests are logged and measured with their real 503.
-// Request-size limits are applied per route (the body readers are capped
-// with http.MaxBytesReader).
+// Handler returns the full API handler. Outermost is the shared
+// role.Edge (request ID, sampling decision, request-scoped trace,
+// /tracez retention; a router-fronted hop returns its spans on the
+// X-Trace-Spans trailer), then serve's metrics layer (per-route
+// histograms, response counters, SLO aggregates, in-flight gauge,
+// access log), then the per-request timeout — so even timed-out
+// requests are logged and measured with their real 503. Request-size
+// limits are applied per route by the body reader.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/alertz", s.handleAlertz)
 	mux.HandleFunc("/statusz", s.handleStatusz)
-	mux.HandleFunc("/metricz", s.handleMetricz)
+	mux.HandleFunc("/metricz", role.Metricz)
 	mux.Handle("/tracez", s.traces.Handler())
 	mux.HandleFunc("/v1/models", s.handleModels)
 	mux.HandleFunc("/v1/models/load", s.handleModelsLoad)
 	mux.HandleFunc("/v1/predict", s.handlePredict)
 	mux.HandleFunc("/v1/search", s.handleSearch)
-	return s.withObs(s.withTimeout(mux))
-}
-
-// withTimeout wraps h with the per-request deadline. http.TimeoutHandler
-// writes its error body without a Content-Type, which Go's sniffer would
-// label text/plain, so the JSON Content-Type is pre-set on the real
-// response writer; handlers on the non-timeout path set it themselves.
-func (s *Server) withTimeout(h http.Handler) http.Handler {
-	th := http.TimeoutHandler(h, s.opt.Timeout,
-		`{"error":{"code":"timeout","message":"request exceeded the server's per-request deadline"}}`)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		th.ServeHTTP(w, r)
-	})
+	edge := role.Edge{Role: "serve", Sampler: s.sampler, Traces: s.traces, SpanTrailer: true, Route: routeLabel}
+	return edge.Wrap(s.withMetrics(role.WithTimeout(mux, s.opt.Timeout, "server")))
 }
 
 // Serve accepts connections on l until Shutdown. A server that was shut
 // down cleanly returns nil rather than http.ErrServerClosed.
-func (s *Server) Serve(l net.Listener) error {
-	err := s.http.Serve(l)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
-}
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
+func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
 
 // Shutdown drains in-flight requests, waiting at most deadline before
 // giving up on stragglers, then stops the retrain controller (cancels
@@ -491,9 +461,7 @@ func (s *Server) ListenAndServe(addr string) error {
 // answers a structured 503, and offering to the stopped shadow monitor
 // drops the sample and counts it.
 func (s *Server) Shutdown(deadline time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
-	defer cancel()
-	err := s.http.Shutdown(ctx)
+	err := s.http.Shutdown(deadline)
 	if s.adaptStop != nil {
 		close(s.adaptStop)
 		<-s.adaptDone

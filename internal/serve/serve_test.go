@@ -19,6 +19,7 @@ import (
 	"predperf/internal/design"
 	"predperf/internal/obs"
 	"predperf/internal/rbf"
+	"predperf/internal/role"
 	"predperf/internal/search"
 )
 
@@ -505,7 +506,7 @@ func TestTimeoutResponseIsJSON(t *testing.T) {
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done() // TimeoutHandler cancels this at the deadline
 	})
-	ts := httptest.NewServer(s.withTimeout(slow))
+	ts := httptest.NewServer(role.WithTimeout(slow, s.opt.Timeout, "server"))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL)
@@ -520,7 +521,7 @@ func TestTimeoutResponseIsJSON(t *testing.T) {
 		t.Fatalf("Content-Type %q, want application/json", ct)
 	}
 	var body struct {
-		Error apiError `json:"error"`
+		Error role.APIError `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)

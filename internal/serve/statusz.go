@@ -6,11 +6,11 @@ import (
 	"math"
 	"net/http"
 	"sort"
-	"strings"
 	"time"
 
 	"predperf/internal/cluster"
 	"predperf/internal/obs"
+	"predperf/internal/role"
 )
 
 // /statusz: a single self-contained HTML page — stdlib html/template,
@@ -203,41 +203,6 @@ svg.spark { vertical-align: middle; }
 </html>
 `))
 
-// sparklineSVG renders a per-bucket series as a 150×24 inline SVG
-// polyline, scaled to the series max. Empty or all-zero series render a
-// flat baseline.
-func sparklineSVG(series []float64) template.HTML {
-	const w, h = 150, 24
-	if len(series) == 0 {
-		return ""
-	}
-	maxV := 0.0
-	for _, v := range series {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var pts strings.Builder
-	n := len(series)
-	for i, v := range series {
-		x := float64(w)
-		if n > 1 {
-			x = float64(i) / float64(n-1) * w
-		}
-		y := float64(h - 1)
-		if maxV > 0 {
-			y = float64(h-1) - v/maxV*float64(h-2)
-		}
-		if i > 0 {
-			pts.WriteByte(' ')
-		}
-		fmt.Fprintf(&pts, "%.1f,%.1f", x, y)
-	}
-	svg := fmt.Sprintf(`<svg class="spark" width="%d" height="%d" viewBox="0 0 %d %d"><polyline fill="none" stroke="#4a7dcf" stroke-width="1.2" points="%s"/></svg>`,
-		w, h, w, h, pts.String())
-	return template.HTML(svg)
-}
-
 // msString renders seconds as milliseconds with two decimals ("–" for
 // empty windows).
 func msString(sec float64, empty bool) string {
@@ -321,7 +286,7 @@ func (s *Server) statuszData() statuszData {
 			P50:       msString(st5.P50, empty),
 			P90:       msString(st5.P90, empty),
 			P99:       msString(st5.P99, empty),
-			Sparkline: sparklineSVG(w.Series(time.Hour)),
+			Sparkline: role.Sparkline(w.Series(time.Hour)),
 		})
 		if ex, ok := hRequests.With(r).LatestExemplar(); ok {
 			d.Routes[len(d.Routes)-1].TraceID = ex.TraceID
@@ -333,7 +298,7 @@ func (s *Server) statuszData() statuszData {
 // ---- /statusz ----
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
+	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")

@@ -7,6 +7,24 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# wait_addr <log> <role> prints the address <role> announced in <log>
+# ("<role>: listening on <addr>"), polling for up to 5 s. If it never
+# appears, it prints the log to stderr and fails.
+wait_addr() {
+    local a=""
+    for _ in $(seq 1 50); do
+        a=$(sed -n "s/^$2: listening on //p" "$1")
+        [ -n "$a" ] && break
+        sleep 0.1
+    done
+    if [ -z "$a" ]; then
+        echo "$2 did not start:" >&2
+        cat "$1" >&2
+        return 1
+    fi
+    echo "$a"
+}
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -55,17 +73,7 @@ mkdir "$smoke_dir/models"
     -coalesce-window 5ms -coalesce-max 64 \
     > "$smoke_dir/predserve.log" 2>&1 &
 smoke_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^predserve: listening on //p' "$smoke_dir/predserve.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "predserve did not start:" >&2
-    cat "$smoke_dir/predserve.log" >&2
-    exit 1
-fi
+addr=$(wait_addr "$smoke_dir/predserve.log" predserve)
 curl -fsS "http://$addr/healthz" | grep -q '"status": "ok"'
 # /healthz carries build info.
 curl -fsS "http://$addr/healthz" | grep -q '"go_version"'
@@ -171,17 +179,7 @@ go run ./cmd/predperf -bench mcf -insts 2000 -sample 8 -lhs 4 -test 2 \
     -retrain-test-points 6 -retrain-workers 2 \
     > "$smoke_dir/retrain.log" 2>&1 &
 smoke_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^predserve: listening on //p' "$smoke_dir/retrain.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "predserve (retrain smoke) did not start:" >&2
-    cat "$smoke_dir/retrain.log" >&2
-    exit 1
-fi
+addr=$(wait_addr "$smoke_dir/retrain.log" predserve)
 # One batch of 12 distinct configurations: enough shadow samples to
 # cross the drift minimum (10) in a single request.
 retrain_cfgs=""
@@ -240,18 +238,8 @@ w1_pid=$!
 "$smoke_dir/simworker" -addr 127.0.0.1:0 -id w2 > "$smoke_dir/worker2.log" 2>&1 &
 w2_pid=$!
 worker_pids="$w1_pid $w2_pid"
-w1=""; w2=""
-for _ in $(seq 1 50); do
-    w1=$(sed -n 's/^simworker: listening on //p' "$smoke_dir/worker1.log")
-    w2=$(sed -n 's/^simworker: listening on //p' "$smoke_dir/worker2.log")
-    [ -n "$w1" ] && [ -n "$w2" ] && break
-    sleep 0.1
-done
-if [ -z "$w1" ] || [ -z "$w2" ]; then
-    echo "sim workers did not start:" >&2
-    cat "$smoke_dir/worker1.log" "$smoke_dir/worker2.log" >&2
-    exit 1
-fi
+w1=$(wait_addr "$smoke_dir/worker1.log" simworker)
+w2=$(wait_addr "$smoke_dir/worker2.log" simworker)
 curl -fsS "http://$w1/healthz" | grep -q '"simworker"'
 # Distributed build through the farm, killing worker 1 immediately: the
 # pool must retry its in-flight chunks against worker 2 and the build
@@ -277,24 +265,12 @@ grep -q '"name":"mcf"' "$smoke_dir/models3/mcf.json"
     > "$smoke_dir/shard.log" 2>&1 &
 shard_pid=$!
 worker_pids="$worker_pids $shard_pid"
-shard=""
-for _ in $(seq 1 50); do
-    shard=$(sed -n 's/^predserve: listening on //p' "$smoke_dir/shard.log")
-    [ -n "$shard" ] && break
-    sleep 0.1
-done
-[ -n "$shard" ] || { echo "cluster shard did not start" >&2; cat "$smoke_dir/shard.log" >&2; exit 1; }
+shard=$(wait_addr "$smoke_dir/shard.log" predserve)
 "$smoke_dir/predrouter" -addr 127.0.0.1:0 -shards "$shard" \
     > "$smoke_dir/router.log" 2>&1 &
 router_pid=$!
 worker_pids="$worker_pids $router_pid"
-router=""
-for _ in $(seq 1 50); do
-    router=$(sed -n 's/^predrouter: listening on //p' "$smoke_dir/router.log")
-    [ -n "$router" ] && break
-    sleep 0.1
-done
-[ -n "$router" ] || { echo "predrouter did not start" >&2; cat "$smoke_dir/router.log" >&2; exit 1; }
+router=$(wait_addr "$smoke_dir/router.log" predrouter)
 # Prediction through the router must match the shard's own answer.
 curl -fsS -X POST "http://$router/v1/predict" \
     -d '{"model":"mcf","config":{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}}' \
@@ -348,31 +324,16 @@ fs1_pid=$!
     -search-insts 50000 -access-log off > "$smoke_dir/fshard2.log" 2>&1 &
 fs2_pid=$!
 worker_pids="$fw1_pid $fw2_pid $fs1_pid $fs2_pid"
-fw1=""; fw2=""; fs1=""; fs2=""
-for _ in $(seq 1 50); do
-    fw1=$(sed -n 's/^simworker: listening on //p' "$smoke_dir/fworker1.log")
-    fw2=$(sed -n 's/^simworker: listening on //p' "$smoke_dir/fworker2.log")
-    fs1=$(sed -n 's/^predserve: listening on //p' "$smoke_dir/fshard1.log")
-    fs2=$(sed -n 's/^predserve: listening on //p' "$smoke_dir/fshard2.log")
-    [ -n "$fw1" ] && [ -n "$fw2" ] && [ -n "$fs1" ] && [ -n "$fs2" ] && break
-    sleep 0.1
-done
-if [ -z "$fw1" ] || [ -z "$fw2" ] || [ -z "$fs1" ] || [ -z "$fs2" ]; then
-    echo "fleet roles did not start" >&2
-    exit 1
-fi
+fw1=$(wait_addr "$smoke_dir/fworker1.log" simworker)
+fw2=$(wait_addr "$smoke_dir/fworker2.log" simworker)
+fs1=$(wait_addr "$smoke_dir/fshard1.log" predserve)
+fs2=$(wait_addr "$smoke_dir/fshard2.log" predserve)
 "$smoke_dir/predrouter" -addr 127.0.0.1:0 -shards "$fs1,$fs2" -workers "$fw1,$fw2" \
     -trace-sample 0.02 -trace-sample-max 1 -fleet-scrape-every 200ms \
     > "$smoke_dir/frouter.log" 2>&1 &
 fr_pid=$!
 worker_pids="$worker_pids $fr_pid"
-fr=""
-for _ in $(seq 1 50); do
-    fr=$(sed -n 's/^predrouter: listening on //p' "$smoke_dir/frouter.log")
-    [ -n "$fr" ] && break
-    sleep 0.1
-done
-[ -n "$fr" ] || { echo "fleet router did not start" >&2; cat "$smoke_dir/frouter.log" >&2; exit 1; }
+fr=$(wait_addr "$smoke_dir/frouter.log" predrouter)
 # Two predictions against each shard directly, so each shard's own
 # request counter is non-zero and the merged total must cover both.
 for s in "$fs1" "$fs2"; do
@@ -466,26 +427,9 @@ grep -q "shut down cleanly" "$smoke_dir/frouter.log"
 grep -q "shut down cleanly" "$smoke_dir/fshard1.log"
 grep -q "shut down cleanly" "$smoke_dir/fshard2.log"
 
-echo "== cluster throughput report =="
-go run ./cmd/benchcluster -insts 2000 -configs 8 -chunk 2 -workers 1,2 \
-    -router-iters 20 -out "$smoke_dir/BENCH_cluster.json" > /dev/null
-grep -q '"bit_identical_remote_vs_local": true' "$smoke_dir/BENCH_cluster.json"
-grep -q '"speedup_vs_one_worker"' "$smoke_dir/BENCH_cluster.json"
-
-echo "== obs overhead report =="
-go run ./cmd/benchobs -iters 100000 -repeats 1 -sample 20 -insts 5000 \
-    -out "$smoke_dir/BENCH_obs.json" > /dev/null
-grep -q '"ops_ns"' "$smoke_dir/BENCH_obs.json"
-grep -q '"request_sampled_off"' "$smoke_dir/BENCH_obs.json"
-grep -q '"trace_store_retention"' "$smoke_dir/BENCH_obs.json"
-grep -q '"fleet_merge_4_reports"' "$smoke_dir/BENCH_obs.json"
-grep -q '"trace_search_fanout_2"' "$smoke_dir/BENCH_obs.json"
-
-echo "== predict throughput report =="
-go run ./cmd/benchpredict -insts 2000 -sample 12 -lhs 4 -mintime 10ms \
-    -http-iters 2 -batches 1,4 -out "$smoke_dir/BENCH_predict.json" > /dev/null
-grep -q '"vectorized_ops_per_sec"' "$smoke_dir/BENCH_predict.json"
-grep -q '"ratio_vectorized_over_scalar"' "$smoke_dir/BENCH_predict.json"
-grep -q '"bit_identical_all_paths": true' "$smoke_dir/BENCH_predict.json"
+echo "== benchmark module (cmd/bench) =="
+# The benchmark is its own Go module, outside `go test ./...`. Its smoke
+# test starts every role binary, so role changes are checked here too.
+(cd cmd/bench && go vet ./... && go test ./...)
 
 echo "CI gate passed."
