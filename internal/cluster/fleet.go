@@ -452,8 +452,8 @@ func (rt *Router) renderFleetz(w http.ResponseWriter) {
 		SampleRate: fmt.Sprintf("%.4g", v.SampleRate),
 		Scrapes:    v.Scrapes,
 		AllHealthy: true,
-		ReqSpark:   role.Sparkline(rt.fleet.windows.Counter("serve.requests_total").Series(time.Hour)),
-		ErrSpark:   role.Sparkline(rt.fleet.windows.Counter("serve.responses_5xx").Series(time.Hour)),
+		ReqSpark:   role.Sparkline(rt.fleet.windows.CounterSeries("serve.requests_total", time.Hour)),
+		ErrSpark:   role.Sparkline(rt.fleet.windows.CounterSeries("serve.responses_5xx", time.Hour)),
 	}
 	for _, st := range v.SLOs {
 		d.SLOs = append(d.SLOs, fleetzRow{

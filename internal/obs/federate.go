@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,7 +96,7 @@ func mergeHistStats(a, b HistStats) HistStats {
 		return cloneHistStats(a)
 	}
 	m := HistStats{Count: a.Count + b.Count, Sum: a.Sum + b.Sum}
-	if len(a.Buckets) > 0 && len(a.Buckets) == len(b.Buckets) && equalBounds(a.Bounds, b.Bounds) {
+	if len(a.Buckets) > 0 && len(a.Buckets) == len(b.Buckets) && slices.Equal(a.Bounds, b.Bounds) {
 		m.Bounds = append([]float64(nil), a.Bounds...)
 		m.Buckets = make([]int64, len(a.Buckets))
 		for i := range m.Buckets {
@@ -121,18 +122,6 @@ func cloneHistStats(s HistStats) HistStats {
 	c.Bounds = append([]float64(nil), s.Bounds...)
 	c.Buckets = append([]int64(nil), s.Buckets...)
 	return c
-}
-
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FleetWindows holds sliding-window views over successive merged
@@ -213,6 +202,20 @@ func (f *FleetWindows) Histogram(name string) *WindowedHistogram {
 	return f.hist(name).h
 }
 
+// CounterSeries returns the named merged counter's per-bucket event
+// counts over the last d (WindowedCounter.Series), or nil until a report
+// has carried the counter, so a dashboard draws nothing before the first
+// scrape.
+func (f *FleetWindows) CounterSeries(name string, d time.Duration) []float64 {
+	f.mu.Lock()
+	s, ok := f.counters[name]
+	f.mu.Unlock()
+	if !ok || s.last.Load() == nil {
+		return nil
+	}
+	return s.c.Series(d)
+}
+
 // counter returns (creating) a counter series. Callers hold f.mu.
 func (f *FleetWindows) counter(name string) *fleetSeries {
 	s, ok := f.counters[name]
@@ -258,7 +261,7 @@ func (f *FleetWindows) Ingest(rep *Report) {
 			continue // pre-format-3 source: not windowable exactly
 		}
 		s := f.hist(name)
-		if p := s.last.Load(); p != nil && !equalBounds(p.bounds, st.Bounds) {
+		if p := s.last.Load(); p != nil && !slices.Equal(p.bounds, st.Bounds) {
 			continue // layout changed under us (mixed builds): skip
 		}
 		s.advance(&fleetSnap{

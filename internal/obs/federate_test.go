@@ -224,3 +224,25 @@ func TestFleetWindowsRestartClamp(t *testing.T) {
 		t.Fatalf("negative window delta leaked: %d", n)
 	}
 }
+
+// TestFleetWindowsSeriesBeforeIngest: a counter no report has carried
+// yet has no series (the dashboard draws nothing), even once a reader
+// has bound to it; the first report starts a flat one.
+func TestFleetWindowsSeriesBeforeIngest(t *testing.T) {
+	now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	fw := NewFleetWindows(func() time.Time { return now })
+	fw.Counter("c")
+	if s := fw.CounterSeries("c", time.Hour); s != nil {
+		t.Fatalf("series before the first ingest: %v", s)
+	}
+	fw.Ingest(&Report{Counters: map[string]int64{"c": 500}})
+	s := fw.CounterSeries("c", time.Hour)
+	if len(s) == 0 {
+		t.Fatal("no series after the first ingest")
+	}
+	for _, v := range s {
+		if v != 0 {
+			t.Fatalf("pre-scrape traffic counted: %v", s)
+		}
+	}
+}

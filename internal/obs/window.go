@@ -325,13 +325,11 @@ func (w *WindowedHistogram) deltas(d time.Duration) (bounds []float64, counts []
 func (w *WindowedHistogram) MeanOver(d time.Duration) float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	cur := w.sync()
-	ref := w.r.at(w.r.bucketsFor(d))
-	n := cur.count - ref.count
-	if n <= 0 {
+	_, _, n, sum := w.deltas(d)
+	if n == 0 {
 		return 0
 	}
-	return (cur.sum - ref.sum) / float64(n)
+	return sum / float64(n)
 }
 
 // QuantileOver estimates the q-quantile of the values observed in the
@@ -398,12 +396,12 @@ func goodUnder(bounds []float64, counts []int64, n int64, threshold float64) (go
 // and the Prometheus exposition are stable.
 var windows struct {
 	mu     sync.Mutex
-	byName map[string]any // *WindowedCounter | *WindowedHistogram
+	byName map[string]windowView
 	order  []string
 }
 
 func init() {
-	windows.byName = map[string]any{}
+	windows.byName = map[string]windowView{}
 }
 
 // registerWindow installs (or re-binds) a windowed view. Latest-wins
@@ -411,7 +409,7 @@ func init() {
 // newly constructed server's clock takes over its predecessor's view.
 // Re-registration clears ring history, because the new clock may not be
 // continuous with the old one.
-func registerWindow[T any](name string, clock Clock, mk func(Clock) T, rebind func(T, Clock)) T {
+func registerWindow[T windowView](name string, clock Clock, mk func(Clock) T, rebind func(T, Clock)) T {
 	if clock == nil {
 		clock = time.Now
 	}
@@ -467,10 +465,10 @@ func windowHistogram(name string, labels []Label, clock Clock, fetch func() *His
 }
 
 // windowViews copies the registry's views in registration order.
-func windowViews() []any {
+func windowViews() []windowView {
 	windows.mu.Lock()
 	defer windows.mu.Unlock()
-	out := make([]any, 0, len(windows.order))
+	out := make([]windowView, 0, len(windows.order))
 	for _, name := range windows.order {
 		out = append(out, windows.byName[name])
 	}
@@ -482,7 +480,7 @@ func windowViews() []any {
 // tests call it after advancing time.
 func TickWindows() {
 	for _, v := range windowViews() {
-		v.(windowView).Tick()
+		v.Tick()
 	}
 }
 
@@ -543,6 +541,6 @@ func WindowSnapshot() map[string]map[string]WindowStats {
 // with the cumulative metrics under them).
 func resetWindows() {
 	for _, v := range windowViews() {
-		v.(windowView).clearHistory()
+		v.clearHistory()
 	}
 }

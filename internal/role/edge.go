@@ -33,8 +33,9 @@ type Edge struct {
 	// tracing on or off. Without it the handler returns the forest in its
 	// own response body, and SpanReturnWanted tells it when.
 	SpanTrailer bool
-	// Route maps a request path to the bounded label the root span and
-	// the trace store carry (nil: the path itself).
+	// Route maps a request path to the bounded label the trace store and
+	// the root span's "route" attribute carry. Without it both carry the
+	// path itself, the span as its "path" attribute.
 	Route func(path string) string
 }
 
@@ -95,9 +96,9 @@ func (e Edge) Wrap(next http.Handler) http.Handler {
 		}
 		w.Header().Set(RequestIDHeader, id)
 		ctx := obs.WithRequestID(r.Context(), id)
-		route := r.URL.Path
+		attr, route := "path", r.URL.Path
 		if e.Route != nil {
-			route = e.Route(route)
+			attr, route = "route", e.Route(route)
 		}
 
 		sc, remote := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
@@ -116,7 +117,7 @@ func (e Edge) Wrap(next http.Handler) http.Handler {
 			ctx = obs.WithTrace(ctx, tr)
 			switch {
 			case !remote:
-				ctx, endRoot = obs.StartSpanCtx(ctx, e.Role+".request", "route", route)
+				ctx, endRoot = obs.StartSpanCtx(ctx, e.Role+".request", attr, route)
 			case e.SpanTrailer:
 				// Declared before any write; the value is set once the
 				// chain has finished.

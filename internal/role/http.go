@@ -59,51 +59,61 @@ func RequireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	return true
 }
 
-// ReadJSON reads a request body capped at maxBytes and decodes exactly
-// one JSON value into v. Unknown fields and any data after the value
-// are rejected. An oversize body answers 413 body_too_large, a
-// malformed one 400 bad_json; ReadJSON returns false after writing the
-// error.
+// ReadJSON decodes a request body capped at maxBytes into v, straight
+// from the stream. Unknown fields and any data after the JSON value are
+// rejected. An oversize body answers 413 body_too_large, a malformed one
+// 400 bad_json; ReadJSON returns false after writing the error.
 func ReadJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
-	_, ok := readJSON(w, r, maxBytes, v, true)
-	return ok
-}
-
-// PeekJSON is ReadJSON for a body the caller forwards verbatim: fields
-// v does not declare are allowed, and the raw body is returned.
-func PeekJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) ([]byte, bool) {
-	return readJSON(w, r, maxBytes, v, false)
-}
-
-func readJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any, strict bool) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+	dec.DisallowUnknownFields()
+	err := decodeOne(dec, v)
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		WriteErr(w, http.StatusRequestEntityTooLarge, "body_too_large",
 			"request body exceeds the %d-byte limit", tooLarge.Limit)
+		return false
+	}
+	return decoded(w, err)
+}
+
+// PeekJSON is ReadJSON for a body the caller forwards verbatim: it
+// reads the whole body (any read error answers 413 body_too_large),
+// allows fields v does not declare, and returns the raw bytes.
+func PeekJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	if err != nil {
+		WriteErr(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			"request body exceeds the %d-byte limit", maxBytes)
 		return nil, false
 	}
-	if err == nil {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		if strict {
-			dec.DisallowUnknownFields()
-		}
-		if err = dec.Decode(v); err == nil {
-			// A second value (or any non-space byte) after the first is
-			// malformed input, not something to ignore.
-			if _, terr := dec.Token(); terr != io.EOF {
-				err = terr
-				if err == nil {
-					err = errors.New("unexpected data after the JSON value")
-				}
-			}
-		}
+	return body, decoded(w, decodeOne(json.NewDecoder(bytes.NewReader(body)), v))
+}
+
+// decodeOne decodes exactly one JSON value: a second value (or any
+// non-space byte) after the first is malformed input, not something to
+// ignore.
+func decodeOne(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
+	switch _, err := dec.Token(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("unexpected data after the JSON value")
+	default:
+		return err
+	}
+}
+
+// decoded answers 400 bad_json for a decode error and reports whether
+// there was none.
+func decoded(w http.ResponseWriter, err error) bool {
 	if err != nil {
 		WriteErr(w, http.StatusBadRequest, "bad_json", "decoding request: %v", err)
-		return nil, false
+		return false
 	}
-	return body, true
+	return true
 }
 
 // Metricz serves the process's obs registry: the JSON snapshot by

@@ -27,6 +27,7 @@ type roleUnderTest struct {
 	traces *obs.TraceStore
 	post   string // a POST route that decodes a JSON body
 	body   string // a well-formed body for post
+	attr   string // the root span attribute that names the request
 }
 
 // newRoles serves predserve, a simworker, and a predrouter in front of
@@ -57,9 +58,9 @@ func newRoles(t *testing.T) []roleUnderTest {
 	predict := `{"model":"mcf","config":` + cfg + `}`
 	eval := `{"benchmark":"mcf","trace_len":1000,"configs":[` + cfg + `]}`
 	return []roleUnderTest{
-		{"serve", serveTS.URL, srv.Traces(), "/v1/predict", predict},
-		{"worker", workerTS.URL, wk.Traces(), "/v1/eval", eval},
-		{"router", routerTS.URL, rt.Traces(), "/v1/predict", predict},
+		{"serve", serveTS.URL, srv.Traces(), "/v1/predict", predict, "route"},
+		{"worker", workerTS.URL, wk.Traces(), "/v1/eval", eval, "path"},
+		{"router", routerTS.URL, rt.Traces(), "/v1/predict", predict, "path"},
 	}
 }
 
@@ -99,12 +100,18 @@ func errorCode(t *testing.T, body []byte) string {
 
 // hasSpan reports whether tr recorded a span with the given name.
 func hasSpan(tr *obs.Trace, name string) bool {
+	_, ok := span(tr, name)
+	return ok
+}
+
+// span returns tr's first span with the given name.
+func span(tr *obs.Trace, name string) (obs.SpanInfo, bool) {
 	for _, s := range tr.Spans() {
 		if s.Name == name {
-			return true
+			return s, true
 		}
 	}
-	return false
+	return obs.SpanInfo{}, false
 }
 
 func traceparent(id string, sampled bool) string {
@@ -136,6 +143,8 @@ func TestRoleConformance(t *testing.T) {
 			}
 			if tr, _, ok := rl.traces.Get(id); !ok || !hasSpan(tr, rl.name+".request") {
 				t.Errorf("edge request not traced under a %s.request root (stored: %v)", rl.name, ok)
+			} else if root, _ := span(tr, rl.name+".request"); strings.Join(root.Args, " ") != rl.attr+" /healthz" {
+				t.Errorf("root span args %q, want [%s /healthz]", root.Args, rl.attr)
 			}
 
 			// An unsampled traceparent: no trace is stored, and the ID is
@@ -195,5 +204,29 @@ func TestTrailingJSONRejected(t *testing.T) {
 		} else if string(body) != string(first) {
 			t.Errorf("%s answered %s; predserve answered %s", rl.name, body, first)
 		}
+	}
+}
+
+// errAfter is a request body that fails mid-read, as a client that
+// drops its connection does.
+type errAfter struct{ r io.Reader }
+
+func (e errAfter) Read(p []byte) (int, error) {
+	if n, _ := e.r.Read(p); n > 0 {
+		return n, nil
+	}
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestPeekJSONReadError: the router answers any failure to read the body
+// it forwards with 413 body_too_large, as it always has; only a body it
+// read whole can be bad_json.
+func TestPeekJSONReadError(t *testing.T) {
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict", errAfter{strings.NewReader(`{"model":`)})
+	rec := httptest.NewRecorder()
+	var v struct{ Model string }
+	if _, ok := role.PeekJSON(rec, req, maxBody, &v); ok || rec.Code != http.StatusRequestEntityTooLarge ||
+		errorCode(t, rec.Body.Bytes()) != "body_too_large" {
+		t.Errorf("body read error = %d %s, want 413 body_too_large", rec.Code, rec.Body)
 	}
 }

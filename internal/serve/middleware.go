@@ -30,7 +30,14 @@ var (
 	cResponses5xx  = obs.NewCounter("serve.responses_5xx")
 )
 
-// routes is the fixed label set for per-route metrics.
+// routes is the fixed label set for per-route metrics. The value marks
+// the probe/ops surface, which is exempt from the SLO aggregates: a
+// /readyz 503 is readiness signal, not a served-traffic failure.
+// Counting it would let an unready server burn its own availability
+// budget with every probe and never report ready again — and counting
+// /healthz probes or /metricz scrapes (the router's fleet plane polls
+// every role on a sub-second cadence) would dilute the bad fraction with
+// synthetic good traffic.
 var routes = map[string]bool{
 	"/healthz":        true,
 	"/readyz":         true,
@@ -38,31 +45,15 @@ var routes = map[string]bool{
 	"/statusz":        true,
 	"/metricz":        true,
 	"/tracez":         true,
-	"/v1/models":      true,
-	"/v1/models/load": true,
-	"/v1/predict":     true,
-	"/v1/search":      true,
-}
-
-// sloExempt marks the probe/ops surface, which is excluded from the
-// SLO aggregates: a /readyz 503 is readiness signal, not a served-traffic
-// failure. Counting it would let an unready server burn its own
-// availability budget with every probe and never report ready again —
-// and counting /healthz probes or /metricz scrapes (the router's fleet
-// plane polls every role on a sub-second cadence) would dilute the bad
-// fraction with synthetic good traffic.
-var sloExempt = map[string]bool{
-	"/healthz": true,
-	"/readyz":  true,
-	"/alertz":  true,
-	"/statusz": true,
-	"/metricz": true,
-	"/tracez":  true,
+	"/v1/models":      false,
+	"/v1/models/load": false,
+	"/v1/predict":     false,
+	"/v1/search":      false,
 }
 
 // routeLabel normalizes a request path to a bounded label value.
 func routeLabel(path string) string {
-	if routes[path] {
+	if _, ok := routes[path]; ok {
 		return path
 	}
 	return "other"
@@ -126,7 +117,7 @@ func (s *Server) withMetrics(next http.Handler) http.Handler {
 		} else {
 			hRequests.With(route).Observe(d.Seconds())
 		}
-		if !sloExempt[route] {
+		if exempt := routes[route]; !exempt {
 			hAllRequests.Observe(d.Seconds())
 			cRequestsTotal.Inc()
 			if x.Status >= 500 {
