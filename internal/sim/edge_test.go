@@ -39,19 +39,119 @@ func memTrace(n int, footprint uint64, loadFrac float64) trace.Trace {
 	return tr
 }
 
-func TestEventWheelOverflowLongLatencies(t *testing.T) {
-	// DRAM latencies beyond the 32k-cycle event wheel must go through
-	// the overflow map without losing completions.
+// farEventConfig is a machine whose DRAM completions land more than 2^15
+// cycles after the cycle that schedules them.
+func farEventConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Mem = mem.Config{TCAS: 40000, TRCD: 100, TRP: 100, BusCycles: 8, Banks: 8, RowBytes: 2048, QueueDepth: 16}
 	cfg.L2.SizeKB = 256
+	return cfg
+}
+
+func TestFarEventsComplete(t *testing.T) {
+	// Completions scheduled tens of thousands of cycles ahead must all
+	// fire; TestGoldenResults pins their exact timing.
 	tr := memTrace(3000, 64<<20, 0.3) // misses everywhere
-	r := Run(cfg, tr)
+	r := Run(farEventConfig(), tr)
 	if r.Instructions != 3000 {
 		t.Fatalf("committed %d", r.Instructions)
 	}
 	if r.CPI() < 10 {
 		t.Fatalf("CPI %v suspiciously low for 40k-cycle DRAM", r.CPI())
+	}
+}
+
+// The next three tests pin, at values the cycle-by-cycle engine produced,
+// runs whose idle spans end on a wake-up that no completion event marks.
+// An engine that skipped idle cycles without that wake-up would move
+// the numbers or wedge.
+
+func TestWakeOnICacheFill(t *testing.T) {
+	// Straight-line ALU code over 256 KB: every new line misses the
+	// I-cache and the L2, so the back end drains and nothing but the
+	// I-cache fill (fetchStallUntil) ends the wait.
+	tr := make(trace.Trace, 6000)
+	for i := range tr {
+		tr[i] = trace.Inst{PC: 0x400000 + uint64(4*i)*11, Op: trace.IntALU}
+	}
+	r := Run(DefaultConfig(), tr)
+	if r.Cycles != 342915 || r.FetchStallCycles != 338775 || r.IL1Stats.Misses != 4125 {
+		t.Fatalf("cycles=%d fetchStall=%d il1Misses=%d", r.Cycles, r.FetchStallCycles, r.IL1Stats.Misses)
+	}
+}
+
+func TestWakeOnFrontEndRefill(t *testing.T) {
+	// Random branch outcomes every fourth instruction: after each
+	// mispredict the refetched group stops at the next mispredicted
+	// branch, and the machine waits, empty, until that group's head
+	// reaches dispatch (fq[0].readyAt).
+	tr := mkTrace(6000, 4)
+	x := uint64(7)
+	for i := range tr {
+		if tr[i].Op == trace.Branch && tr[i].Target == tr[i].PC+4 {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			tr[i].Taken = x&1 == 0
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.PipeDepth = 20
+	r := Run(cfg, tr)
+	if r.Cycles != 18522 || r.FetchStallCycles != 16984 || r.Mispredicts != 711 {
+		t.Fatalf("cycles=%d fetchStall=%d mispredicts=%d", r.Cycles, r.FetchStallCycles, r.Mispredicts)
+	}
+}
+
+// strideMixTrace builds a loop whose loads either walk an array of
+// `array` bytes with an 8-byte stride from one PC, which trains the
+// stride prefetcher, or hit random addresses over 64 MB, which miss to
+// DRAM and fill the MSHRs.
+func strideMixTrace(n int, strideFrac, randFrac float64, array uint64) trace.Trace {
+	tr := make(trace.Trace, n)
+	base := uint64(0x400000)
+	const loopInsts = 128
+	x := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	var off uint64
+	for i := range tr {
+		pos := i % loopInsts
+		in := trace.Inst{PC: base + uint64(4*pos), Op: trace.IntALU}
+		r := float64(next()%1000) / 1000
+		switch {
+		case pos == loopInsts-1:
+			in.Op, in.Taken, in.Target = trace.Branch, true, base
+		case r < strideFrac:
+			in.Op = trace.Load
+			in.PC = base + 4*loopInsts
+			in.Addr = 0x20000000 + off%array
+			off += 8
+		case r < strideFrac+randFrac:
+			in.Op = trace.Load
+			in.Addr = 0x10000000 + (next()%(64<<20))&^7
+		}
+		tr[i] = in
+	}
+	return tr
+}
+
+func TestWakeOnPrefetchFill(t *testing.T) {
+	// Three MSHRs shared by DRAM-bound random loads and the stride
+	// prefetcher's fills: a demand load that finds them all busy waits
+	// for the first to free, and when that is a prefetch fill, which
+	// schedules no completion event, only the MSHR's done cycle ends the
+	// wait.
+	cfg := DefaultConfig()
+	cfg.MSHRs = 3
+	cfg.Prefetch = Prefetch{DL1Stride: true, Degree: 2}
+	r := Run(cfg, strideMixTrace(6000, 0.1, 0.05, 128<<10))
+	if r.Cycles != 28771 || r.Prefetches != 6 || r.DL1Stats.Misses != 399 {
+		t.Fatalf("cycles=%d prefetches=%d dl1Misses=%d", r.Cycles, r.Prefetches, r.DL1Stats.Misses)
 	}
 }
 

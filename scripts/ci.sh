@@ -45,6 +45,21 @@ go test -race ./...
 echo "== benchmark smoke (1 iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
+echo "== quick-scale paper results golden =="
+# The quick-scale experiment suite is deterministic: its output must match
+# cmd/experiments/testdata/quick.golden byte for byte once the wall-clock
+# section and total timings are masked. After an intended change to the
+# results, regenerate the golden by redirecting this pipeline into it. It
+# is pinned on amd64 only, because Go fuses multiply-add on other
+# architectures, which moves low-order digits.
+mask_timings='s/^(=== [a-z0-9]+) \([0-9.]+s\) ===$/\1 (N.Ns) ===/; s/^total: [0-9.]+s$/total: N.Ns/'
+if [ "$(go env GOARCH)" = amd64 ]; then
+    go run ./cmd/experiments -scale quick | sed -E "$mask_timings" |
+        diff -u cmd/experiments/testdata/quick.golden -
+else
+    echo "skipped on $(go env GOARCH): the golden is pinned on amd64"
+fi
+
 echo "== predserve smoke =="
 smoke_dir=$(mktemp -d)
 smoke_pid=""
