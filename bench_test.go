@@ -274,6 +274,7 @@ func BenchmarkSimulatorRun(b *testing.B) {
 	}
 	cfg := sim.DefaultConfig()
 	cfg.WarmupInsts = 20_000
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Run(cfg, tr)

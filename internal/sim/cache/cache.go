@@ -41,10 +41,10 @@ type line struct {
 // with true-LRU replacement.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
-	setShift  uint
+	lines     []line // way w of set s at s*Assoc+w
 	setMask   uint64
 	lineShift uint
+	tagShift  uint // lineShift + log2(sets)
 	tick      uint64
 	Stats     Stats
 }
@@ -70,14 +70,15 @@ func New(cfg Config) *Cache {
 		p *= 2
 	}
 	nsets = p
-	c := &Cache{cfg: cfg, sets: make([][]line, nsets)}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
-	}
+	c := &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Assoc)}
 	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
 	}
 	c.setMask = uint64(nsets - 1)
+	c.tagShift = c.lineShift
+	for s := nsets; s > 1; s >>= 1 {
+		c.tagShift++
+	}
 	return c
 }
 
@@ -85,20 +86,16 @@ func New(cfg Config) *Cache {
 func (c *Cache) Config() Config { return c.cfg }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // index splits an address into set index and tag.
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	blk := addr >> c.lineShift
-	return int(blk & c.setMask), blk >> uint(popcount(c.setMask))
+	return int(addr >> c.lineShift & c.setMask), addr >> c.tagShift
 }
 
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
+// ways returns the lines of one set.
+func (c *Cache) ways(set int) []line {
+	return c.lines[set*c.cfg.Assoc : (set+1)*c.cfg.Assoc]
 }
 
 // Access looks up addr, allocating on a miss. write marks the line dirty.
@@ -109,7 +106,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, writeb
 	c.tick++
 	c.Stats.Accesses++
 	set, tag := c.index(addr)
-	lines := c.sets[set]
+	lines := c.ways(set)
 	for i := range lines {
 		if lines[i].valid && lines[i].tag == tag {
 			lines[i].lastUse = c.tick
@@ -147,7 +144,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, writeb
 func (c *Cache) Fill(addr uint64) (victim uint64, writeback bool) {
 	c.tick++
 	set, tag := c.index(addr)
-	lines := c.sets[set]
+	lines := c.ways(set)
 	for i := range lines {
 		if lines[i].valid && lines[i].tag == tag {
 			lines[i].lastUse = c.tick
@@ -177,7 +174,7 @@ func (c *Cache) Fill(addr uint64) (victim uint64, writeback bool) {
 // state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
-	for _, l := range c.sets[set] {
+	for _, l := range c.ways(set) {
 		if l.valid && l.tag == tag {
 			return true
 		}
@@ -187,7 +184,7 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // lineAddr reconstructs a byte address from set and tag.
 func (c *Cache) lineAddr(set int, tag uint64) uint64 {
-	return ((tag << uint(popcount(c.setMask))) | uint64(set)) << c.lineShift
+	return tag<<c.tagShift | uint64(set)<<c.lineShift
 }
 
 // LineBytes returns the line size.
@@ -200,5 +197,5 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 
 func (c *Cache) String() string {
 	return fmt.Sprintf("%s(%dKB %d-way %dB lines, %d sets)",
-		c.cfg.Name, c.cfg.SizeKB, c.cfg.Assoc, c.cfg.LineBytes, len(c.sets))
+		c.cfg.Name, c.cfg.SizeKB, c.cfg.Assoc, c.cfg.LineBytes, c.Sets())
 }

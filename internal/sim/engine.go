@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"predperf/internal/sim/branch"
@@ -41,7 +40,7 @@ type robEntry struct {
 	taken  bool
 	target uint64
 
-	dependents []depRef
+	dependents []depRef // backing array kept across reuses of the slot
 }
 
 // fqEntry is an instruction in flight through the front end.
@@ -51,34 +50,6 @@ type fqEntry struct {
 	bpCP     branch.Checkpoint
 	predOK   bool
 }
-
-// readyItem orders ready instructions oldest-first for issue.
-type readyItem struct {
-	seq  uint64
-	slot int32
-}
-
-type readyHeap []readyItem
-
-func (h readyHeap) Len() int            { return len(h) }
-func (h readyHeap) Less(i, j int) bool  { return h[i].seq < h[j].seq }
-func (h readyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x interface{}) { *h = append(*h, x.(readyItem)) }
-func (h *readyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// event is a scheduled completion.
-type event struct {
-	slot int32
-	seq  uint64
-}
-
-const wheelBits = 15 // event wheel spans 32k cycles; overflow goes to a map
 
 // inflightFill tracks an outstanding L1D line fill (an MSHR).
 type inflightFill struct {
@@ -91,6 +62,9 @@ type storeRef struct {
 	seq  uint64
 	addr uint64
 }
+
+// stallCounts are the Result counters an idle cycle charges.
+type stallCounts struct{ rob, iq, lsq, fetch uint64 }
 
 // cpu is the complete microarchitectural state of one run.
 type cpu struct {
@@ -111,8 +85,7 @@ type cpu struct {
 	fetchStallUntil uint64
 	fetchBlocked    bool
 	lastFetchLine   uint64
-	fq              []fqEntry
-	fqCap           int
+	fq              ring[fqEntry]
 
 	// Back end.
 	rob      []robEntry
@@ -128,12 +101,12 @@ type cpu struct {
 	intDivBusy uint64
 	fpDivBusy  uint64
 
-	// Event wheel.
-	wheel    [1 << wheelBits][]event
-	overflow map[uint64][]event
+	// Scheduled completions and the count of events ever scheduled.
+	events    eventQueue
+	scheduled uint64
 
-	// Store queue for forwarding.
-	storeQ []storeRef
+	// Store queue for forwarding, oldest first.
+	storeQ ring[storeRef]
 
 	committed int
 	warmup    int    // commits before statistics start
@@ -157,9 +130,9 @@ func Run(cfg Config, tr trace.Trace) Result {
 		memc:          mem.New(cfg.Mem),
 		bp:            branch.New(cfg.Branch),
 		rob:           make([]robEntry, cfg.ROBSize),
-		fqCap:         cfg.FetchWidth * (cfg.PipeDepth + 2),
+		fq:            newRing[fqEntry](cfg.FetchWidth * (cfg.PipeDepth + 2)),
+		storeQ:        newRing[storeRef](cfg.LSQSize),
 		lastFetchLine: ^uint64(0),
-		overflow:      map[uint64][]event{},
 		seqGen:        1,
 	}
 	warm := cfg.WarmupInsts
@@ -180,16 +153,24 @@ func Run(cfg Config, tr trace.Trace) Result {
 	return c.res
 }
 
+// stallLimit is how many cycles the machine may go without a commit
+// before the run is declared wedged.
+const stallLimit = 1_000_000
+
+// run advances the machine cycle by cycle. A cycle in which no stage
+// changes state is idle, and so is every following cycle until the next
+// wake-up (see nextWake); run skips those in one step.
 func (c *cpu) run() {
 	lastProgress := uint64(0)
 	lastCommitted := 0
 	for c.committed < len(c.tr) {
 		c.now++
-		c.completions()
+		before := c.stallCounts()
+		fired := c.completions()
 		c.commit()
-		c.issue()
-		c.dispatch()
-		c.fetch()
+		issued := c.issue()
+		dispatched := c.dispatch()
+		fetched := c.fetch()
 
 		if c.committed != lastCommitted {
 			if lastCommitted < c.warmup && c.committed >= c.warmup {
@@ -197,11 +178,71 @@ func (c *cpu) run() {
 			}
 			lastCommitted = c.committed
 			lastProgress = c.now
-		} else if c.now-lastProgress > 1_000_000 {
+			continue
+		}
+		if !fired && !issued && !dispatched && !fetched {
+			c.skipIdle(before, lastProgress+stallLimit)
+		}
+		if c.now-lastProgress > stallLimit {
 			panic(fmt.Sprintf("sim: no commit progress for 1M cycles at cycle %d (committed %d/%d, robCount=%d, fetchIdx=%d, blocked=%v)",
 				c.now, c.committed, len(c.tr), c.robCount, c.fetchIdx, c.fetchBlocked))
 		}
 	}
+}
+
+func (c *cpu) stallCounts() stallCounts {
+	return stallCounts{c.res.ROBStallCycles, c.res.IQStallCycles, c.res.LSQStallCycles, c.res.FetchStallCycles}
+}
+
+// skipIdle is called after an idle cycle, whose stall counters went from
+// before to their current values. The cycles up to the next wake-up
+// would find the same state and charge the same stalls, so skipIdle
+// charges them and moves now to the cycle before the wake-up, stopping
+// at limit so a wedged machine still panics at the cycle it would have
+// ticked to.
+func (c *cpu) skipIdle(before stallCounts, limit uint64) {
+	to := c.nextWake() - 1
+	if to > limit {
+		to = limit
+	}
+	if to <= c.now {
+		return
+	}
+	n := to - c.now
+	after := c.stallCounts()
+	c.res.ROBStallCycles += n * (after.rob - before.rob)
+	c.res.IQStallCycles += n * (after.iq - before.iq)
+	c.res.LSQStallCycles += n * (after.lsq - before.lsq)
+	c.res.FetchStallCycles += n * (after.fetch - before.fetch)
+	c.now = to
+}
+
+// nextWake returns the earliest cycle after now at which an idle machine
+// can change state, or ^uint64(0) if none is pending: the next
+// completion event; the end of an I-cache miss or redirect stall; the
+// front-end queue head reaching dispatch; a divider coming free; or an
+// outstanding fill releasing its MSHR, which matters because a prefetch
+// fill schedules no event.
+func (c *cpu) nextWake() uint64 {
+	wake := ^uint64(0)
+	at := func(t uint64) {
+		if t > c.now && t < wake {
+			wake = t
+		}
+	}
+	if len(c.events) > 0 {
+		at(c.events[0].at)
+	}
+	at(c.fetchStallUntil)
+	if c.fq.n > 0 {
+		at(c.fq.at(0).readyAt)
+	}
+	at(c.intDivBusy)
+	at(c.fpDivBusy)
+	for _, f := range c.mshrs {
+		at(f.done)
+	}
+	return wake
 }
 
 // resetStats clears all statistics at the end of warmup while leaving
@@ -223,25 +264,22 @@ func (c *cpu) schedule(at uint64, slot int32, seq uint64) {
 	if at <= c.now {
 		at = c.now + 1
 	}
-	if at-c.now < 1<<wheelBits {
-		idx := at & ((1 << wheelBits) - 1)
-		c.wheel[idx] = append(c.wheel[idx], event{slot, seq})
-	} else {
-		c.overflow[at] = append(c.overflow[at], event{slot, seq})
+	c.scheduled++
+	order := c.scheduled
+	if at-c.now >= farHorizon {
+		order |= farBit
 	}
+	c.events.push(event{at: at, order: order, seq: seq, slot: slot})
 }
 
 // completions processes every event due this cycle: instructions finish
-// execution, wake their dependents, and branches resolve.
-func (c *cpu) completions() {
-	idx := c.now & ((1 << wheelBits) - 1)
-	evs := c.wheel[idx]
-	c.wheel[idx] = nil
-	if ov, ok := c.overflow[c.now]; ok {
-		evs = append(evs, ov...)
-		delete(c.overflow, c.now)
-	}
-	for _, ev := range evs {
+// execution, wake their dependents, and branches resolve. It reports
+// whether any event fired.
+func (c *cpu) completions() bool {
+	fired := false
+	for len(c.events) > 0 && c.events[0].at <= c.now {
+		ev := c.events.pop()
+		fired = true
 		e := &c.rob[ev.slot]
 		if e.seq != ev.seq || e.state != stIssued {
 			continue // squashed
@@ -254,14 +292,15 @@ func (c *cpu) completions() {
 			}
 			de.notReady--
 			if de.notReady == 0 {
-				heap.Push(&c.ready, readyItem{seq: de.seq, slot: d.slot})
+				c.ready.push(readyItem{seq: de.seq, slot: d.slot})
 			}
 		}
-		e.dependents = nil
+		e.dependents = e.dependents[:0]
 		if e.op == trace.Branch {
 			c.resolveBranch(ev.slot)
 		}
 	}
+	return fired
 }
 
 // resolveBranch trains the predictor and, on a misprediction, flushes the
@@ -284,9 +323,9 @@ func (c *cpu) resolveBranch(slot int32) {
 	// the (empty) front-end queue. Assert the invariant rather than
 	// carrying dead squash machinery.
 	pos := (int(slot) - c.robHead + len(c.rob)) % len(c.rob)
-	if c.robCount != pos+1 || len(c.fq) != 0 {
+	if c.robCount != pos+1 || c.fq.n != 0 {
 		panic(fmt.Sprintf("sim: wrong-path state at mispredict resolve: robCount=%d pos=%d fq=%d",
-			c.robCount, pos, len(c.fq)))
+			c.robCount, pos, c.fq.n))
 	}
 	c.fetchIdx = e.traceIdx + 1
 	c.fetchBlocked = false
@@ -304,10 +343,10 @@ func (c *cpu) commit() {
 		}
 		if e.op == trace.Store {
 			c.storeCommit(e.addr)
-			if len(c.storeQ) == 0 || c.storeQ[0].seq != e.seq {
+			if c.storeQ.n == 0 || c.storeQ.at(0).seq != e.seq {
 				panic("sim: store queue out of sync with commit order")
 			}
-			c.storeQ = c.storeQ[1:]
+			c.storeQ.pop()
 		}
 		if e.op.IsMem() {
 			c.lsqCount--
@@ -350,16 +389,17 @@ func (c *cpu) l2Access(at uint64, addr uint64, write bool) uint64 {
 }
 
 // issue selects up to IssueWidth ready instructions, oldest first,
-// subject to functional-unit and MSHR availability.
-func (c *cpu) issue() {
+// subject to functional-unit and MSHR availability. It reports whether
+// any instruction issued.
+func (c *cpu) issue() bool {
 	aluLeft := c.cfg.IntALUs
 	mulLeft := c.cfg.IntMults
 	fpLeft := c.cfg.FPUnits
 	memLeft := c.cfg.MemPorts
 	c.stash = c.stash[:0]
 	budget := c.cfg.IssueWidth
-	for budget > 0 && c.ready.Len() > 0 {
-		item := heap.Pop(&c.ready).(readyItem)
+	for budget > 0 && len(c.ready) > 0 {
+		item := c.ready.pop()
 		e := &c.rob[item.slot]
 		if e.seq != item.seq || e.state != stWaiting {
 			continue // squashed or stale
@@ -437,8 +477,9 @@ func (c *cpu) issue() {
 		budget--
 	}
 	for _, it := range c.stash {
-		heap.Push(&c.ready, it)
+		c.ready.push(it)
 	}
+	return budget < c.cfg.IssueWidth
 }
 
 // loadIssue runs a load through forwarding, the L1D, the MSHRs, and the
@@ -447,8 +488,8 @@ func (c *cpu) issue() {
 func (c *cpu) loadIssue(e *robEntry) (done uint64, ok bool) {
 	// Store-to-load forwarding from the youngest older store to the
 	// same address.
-	for i := len(c.storeQ) - 1; i >= 0; i-- {
-		s := c.storeQ[i]
+	for i := c.storeQ.n - 1; i >= 0; i-- {
+		s := c.storeQ.at(i)
 		if s.seq < e.seq && s.addr == e.addr {
 			c.res.LoadForwards++
 			return c.now + 1, true
@@ -493,42 +534,45 @@ func (c *cpu) loadIssue(e *robEntry) (done uint64, ok bool) {
 }
 
 // dispatch moves decoded instructions from the front-end queue into the
-// ROB, issue queue, and LSQ, resolving their data dependencies.
-func (c *cpu) dispatch() {
-	for budget := c.cfg.FetchWidth; budget > 0; budget-- {
-		if len(c.fq) == 0 || c.fq[0].readyAt > c.now {
-			return
+// ROB, issue queue, and LSQ, resolving their data dependencies. It
+// reports whether any instruction dispatched.
+func (c *cpu) dispatch() bool {
+	budget := c.cfg.FetchWidth
+	for ; budget > 0; budget-- {
+		if c.fq.n == 0 || c.fq.at(0).readyAt > c.now {
+			break
 		}
 		if c.robCount == len(c.rob) {
 			c.res.ROBStallCycles++
-			return
+			break
 		}
 		if c.iqCount == c.cfg.IQSize {
 			c.res.IQStallCycles++
-			return
+			break
 		}
-		f := c.fq[0]
+		f := *c.fq.at(0)
 		in := &c.tr[f.traceIdx]
 		if in.Op.IsMem() && c.lsqCount == c.cfg.LSQSize {
 			c.res.LSQStallCycles++
-			return
+			break
 		}
-		c.fq = c.fq[1:]
+		c.fq.pop()
 
 		slot := int32((c.robHead + c.robCount) % len(c.rob))
 		c.seqGen++
 		e := &c.rob[slot]
 		*e = robEntry{
-			seq:      c.seqGen,
-			traceIdx: f.traceIdx,
-			pc:       in.PC,
-			addr:     in.Addr,
-			op:       in.Op,
-			state:    stWaiting,
-			bpCP:     f.bpCP,
-			predOK:   f.predOK,
-			taken:    in.Taken,
-			target:   in.Target,
+			seq:        c.seqGen,
+			traceIdx:   f.traceIdx,
+			pc:         in.PC,
+			addr:       in.Addr,
+			op:         in.Op,
+			state:      stWaiting,
+			bpCP:       f.bpCP,
+			predOK:     f.predOK,
+			taken:      in.Taken,
+			target:     in.Target,
+			dependents: e.dependents[:0],
 		}
 		headTraceIdx := f.traceIdx - c.robCount // oldest in-flight trace index
 		if c.robCount > 0 {
@@ -559,30 +603,32 @@ func (c *cpu) dispatch() {
 			c.lsqCount++
 		}
 		if in.Op == trace.Store {
-			c.storeQ = append(c.storeQ, storeRef{seq: e.seq, addr: e.addr})
+			c.storeQ.push(storeRef{seq: e.seq, addr: e.addr})
 		}
 		if e.notReady == 0 {
-			heap.Push(&c.ready, readyItem{seq: e.seq, slot: slot})
+			c.ready.push(readyItem{seq: e.seq, slot: slot})
 		}
 	}
+	return budget < c.cfg.FetchWidth
 }
 
 // fetch brings up to FetchWidth instructions into the front-end queue,
 // modeling I-cache misses, branch prediction, taken-branch fetch breaks,
 // and misprediction stalls. Fetched instructions become dispatchable
 // PipeDepth cycles later, which is what makes pipeline depth costly on
-// flushes.
-func (c *cpu) fetch() {
+// flushes. It reports whether it fetched or touched the I-cache.
+func (c *cpu) fetch() bool {
 	if c.fetchIdx >= len(c.tr) {
-		return
+		return false
 	}
 	if c.fetchBlocked || c.now < c.fetchStallUntil {
 		c.res.FetchStallCycles++
-		return
+		return false
 	}
+	start := c.fetchIdx
 	for budget := c.cfg.FetchWidth; budget > 0; budget-- {
-		if len(c.fq) >= c.fqCap || c.fetchIdx >= len(c.tr) {
-			return
+		if c.fq.n == len(c.fq.buf) || c.fetchIdx >= len(c.tr) {
+			break
 		}
 		in := &c.tr[c.fetchIdx]
 		line := in.PC &^ uint64(c.il1.LineBytes()-1)
@@ -595,7 +641,7 @@ func (c *cpu) fetch() {
 			if !hit {
 				c.fetchStallUntil = c.l2Access(c.now, in.PC, false)
 				c.maybePrefetchNextLine(in.PC)
-				return
+				return true
 			}
 		}
 		f := fqEntry{traceIdx: c.fetchIdx, readyAt: c.now + uint64(c.cfg.PipeDepth)}
@@ -609,18 +655,19 @@ func (c *cpu) fetch() {
 					f.predOK = false
 				}
 			}
-			c.fq = append(c.fq, f)
+			c.fq.push(f)
 			c.fetchIdx++
 			if !f.predOK {
 				c.fetchBlocked = true
-				return
+				return true
 			}
 			if in.Taken {
-				return // redirect: taken branches end the fetch group
+				return true // redirect: taken branches end the fetch group
 			}
 			continue
 		}
-		c.fq = append(c.fq, f)
+		c.fq.push(f)
 		c.fetchIdx++
 	}
+	return c.fetchIdx != start
 }
