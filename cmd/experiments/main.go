@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -108,7 +109,7 @@ func run(args []string, stdout io.Writer) error {
 		if sectionErr != nil || !sel(id) {
 			return
 		}
-		end := obs.StartSpan("exper.section/" + id)
+		_, end := obs.StartSpanCtx(context.Background(), "exper.section/"+id)
 		t0 := time.Now()
 		res, err := run()
 		end()

@@ -24,29 +24,29 @@
 // ?format=prom; -pprof serves net/http/pprof on a side address.
 //
 // Concurrent single predictions are coalesced into micro-batches
-// (-coalesce-window, default 1ms; -coalesce-max per flush) and scored
-// with one vectorized RBF evaluation, bit-identical to evaluating them
-// alone; explicit batch requests go straight to the vectorized path.
-// A full admission queue (-coalesce-queue) answers a structured 503
-// (coalesce_queue_full) immediately.
+// (-coalesce-window, default 1ms; at most 64 per flush) and scored with
+// one vectorized RBF evaluation, bit-identical to evaluating them
+// alone; explicit batches (up to 4096 configurations) go straight to
+// the vectorized path. A full admission queue (4096 waiting requests)
+// answers a structured 503 (coalesce_queue_full) immediately.
 //
 // Operational endpoints beyond /healthz: /readyz answers 503 with
-// structured reasons while the registry is empty, an SLO burn rate
-// (-slo-latency, -slo-availability, -burn-threshold) exceeds its
-// threshold, or a model drifts from the simulator under shadow
-// sampling (-shadow-frac, -shadow-workers, -shadow-err-pct); /alertz
-// lists firing and resolved alerts with timestamps; /statusz is a
+// structured reasons while the registry is empty, the request SLO
+// (99.9% of requests within 250ms, 99.9% non-5xx) burns past 14.4× on
+// both its 5m and 1h windows, or a model drifts from the simulator
+// under shadow sampling (-shadow-frac, -shadow-err-pct); /alertz lists
+// firing and resolved alerts with timestamps; /statusz is a
 // self-contained HTML dashboard.
 //
 // With -retrain, drift closes the loop instead of only flipping
 // readiness: a model whose drift alert fires for -retrain-after is
-// rebuilt in the background at escalated sample sizes (-retrain-sizes,
-// stopping at -retrain-target-pct mean test error), hot-swapped into
-// the registry under a new generation, and persisted atomically back
-// into -models. Retrains are single-flight per model, bounded by
-// -retrain-max-concurrent, and cooled down by -retrain-cooldown after
-// success and failure alike; progress shows up in serve_retrains
-// counters, /statusz, /alertz, and as non-failing notes in /readyz.
+// rebuilt in the background at 2×, 3× and 4× its sample size (stopping
+// at -retrain-target-pct mean test error), hot-swapped into the
+// registry under a new generation, and persisted atomically back into
+// -models. Retrains are single-flight per model, one at a time
+// process-wide, and cooled down for 10 minutes after success and
+// failure alike; progress shows up in serve_retrains counters,
+// /statusz, /alertz, and as non-failing notes in /readyz.
 //
 // SIGINT/SIGTERM triggers a graceful drain: the listener closes
 // immediately, in-flight requests get -drain to finish, and the process
@@ -56,12 +56,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -71,63 +69,63 @@ import (
 	"predperf/internal/serve"
 )
 
-// parseSizes turns the -retrain-sizes flag ("60,90,120") into the
-// escalation ladder; malformed or non-positive entries are fatal, an
-// empty flag means automatic escalation.
-func parseSizes(s string) []int {
-	if strings.TrimSpace(s) == "" {
-		return nil
+// config is predserve's parsed command line: the shared role flags, the
+// serve.Options the flags set directly, and the flags main resolves
+// itself.
+type config struct {
+	role       *role.Flags
+	opt        serve.Options
+	version    bool
+	modelFiles string
+	accessLog  string
+	pprofAddr  string
+	simWorkers string
+}
+
+// parseFlags defines predserve's flags on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
+	c := &config{}
+	o := &c.opt
+	c.role = role.Define(fs, "127.0.0.1:8080", 30*time.Second, "per-request deadline", 1<<20)
+	fs.BoolVar(&c.version, "version", false, "print build info (Go version, model format, VCS revision) and exit")
+	fs.StringVar(&o.ModelDir, "models", "", "directory of *.json models to load at startup (also anchors relative /v1/models/load paths)")
+	fs.StringVar(&c.modelFiles, "model", "", "comma-separated model files to load at startup")
+	fs.DurationVar(&o.CoalesceWindow, "coalesce-window", time.Millisecond, "micro-batch window: concurrent single predictions arriving within it share one vectorized evaluation (0 disables coalescing)")
+	fs.IntVar(&o.SearchTraceLen, "search-insts", 50_000, "trace length for simulator-verified /v1/search")
+	fs.StringVar(&c.accessLog, "access-log", "stderr", `JSON-lines access log destination: "stderr", "off", or a file path (appended)`)
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off by default")
+	fs.Float64Var(&o.ShadowFraction, "shadow-frac", 0, "fraction of served predictions re-checked on the cycle-level simulator (0 disables, 1 checks everything)")
+	fs.Float64Var(&o.ShadowErrPct, "shadow-err-pct", 25, "windowed mean shadow error (percent) above which a model counts as drifting (0 or negative never trips)")
+	fs.BoolVar(&o.Retrain, "retrain", false, "rebuild drifting models at 2x/3x/4x their sample size and hot-swap the winner (requires -shadow-frac > 0 to ever trigger)")
+	fs.Float64Var(&o.RetrainTargetPct, "retrain-target-pct", 5, "stop the retrain escalation once mean test error drops to this percentage")
+	fs.DurationVar(&o.RetrainAfter, "retrain-after", 30*time.Second, "how long a model's drift alert must fire continuously before a retrain starts (0 starts at once)")
+	fs.DurationVar(&o.RetrainPoll, "retrain-poll", 10*time.Second, "drift-state poll cadence of the retrain controller")
+	fs.IntVar(&o.RetrainTestPoints, "retrain-test-points", 24, "simulator-backed test points driving the retrain stopping rule")
+	fs.IntVar(&o.RetrainWorkers, "retrain-workers", 1, "worker goroutines for one background retrain build")
+	fs.StringVar(&c.simWorkers, "sim-workers", "", "comma-separated simworker base URLs; when set, search verification, shadow re-simulation, and retrain builds fan out to the evaluation farm instead of simulating in-process")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			log.Fatalf("-retrain-sizes: %q is not a positive integer", part)
-		}
-		out = append(out, n)
+	o.MaxBodyBytes, o.Timeout = c.role.MaxBody, c.role.Timeout
+	o.TraceSample, o.TraceStoreSize = c.role.SampleRate(), c.role.TraceStore
+	// The Options zero value means "default", not "none": an explicit 0
+	// becomes the negative sentinel, as predrouter does for
+	// -fleet-scrape-every.
+	if o.RetrainAfter <= 0 {
+		o.RetrainAfter = -1
 	}
-	return out
+	if o.ShadowErrPct <= 0 {
+		o.ShadowErrPct = -1
+	}
+	return c, nil
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("predserve: ")
+	c, _ := parseFlags(flag.CommandLine, os.Args[1:]) // flag.CommandLine exits on error
 
-	rf := role.Define(flag.CommandLine, "127.0.0.1:8080", 30*time.Second, "per-request deadline", 1<<20)
-	version := flag.Bool("version", false, "print build info (Go version, model format, VCS revision) and exit")
-	modelsDir := flag.String("models", "", "directory of *.json models to load at startup (also anchors relative /v1/models/load paths)")
-	modelFiles := flag.String("model", "", "comma-separated model files to load at startup")
-	cacheSize := flag.Int("cache", 4096, "prediction LRU cache entries (negative disables)")
-	workers := flag.Int("workers", 0, "batch-predict worker goroutines (0 = all CPUs)")
-	maxBatch := flag.Int("max-batch", 4096, "configurations allowed in one predict request")
-	coalesceWindow := flag.Duration("coalesce-window", time.Millisecond, "micro-batch window: concurrent single predictions arriving within it share one vectorized evaluation (0 disables coalescing)")
-	coalesceMax := flag.Int("coalesce-max", 64, "flush a coalesced micro-batch as soon as it holds this many configurations")
-	coalesceQueue := flag.Int("coalesce-queue", 4096, "coalescer admission-queue capacity; a full queue answers 503 coalesce_queue_full immediately")
-	searchInsts := flag.Int("search-insts", 50_000, "trace length for simulator-verified /v1/search")
-	progress := flag.Bool("progress", false, "print periodic request counters to stderr")
-	accessLog := flag.String("access-log", "stderr", `JSON-lines access log destination: "stderr", "off", or a file path (appended)`)
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off by default")
-	sloLatency := flag.Duration("slo-latency", 250*time.Millisecond, "latency SLO: a request is good when it completes within this duration")
-	sloAvail := flag.Float64("slo-availability", 0.999, "target good fraction for the latency and availability SLOs (0 < x < 1)")
-	burnThreshold := flag.Float64("burn-threshold", obs.DefBurnThreshold, "SLO burn rate above which /readyz reports unready")
-	shadowFrac := flag.Float64("shadow-frac", 0, "fraction of served predictions re-checked on the cycle-level simulator (0 disables, 1 checks everything)")
-	shadowWorkers := flag.Int("shadow-workers", 1, "background shadow-simulation worker goroutines")
-	shadowErr := flag.Float64("shadow-err-pct", 25, "windowed mean shadow error (percent) above which a model counts as drifting (negative never trips)")
-	retrain := flag.Bool("retrain", false, "rebuild drifting models at escalated sample sizes and hot-swap the winner (requires -shadow-frac > 0 to ever trigger)")
-	retrainSizes := flag.String("retrain-sizes", "", "comma-separated escalation ladder of sample sizes; only sizes above the serving model's are built (empty = 2x/3x/4x the serving size)")
-	retrainTarget := flag.Float64("retrain-target-pct", 5, "stop the retrain escalation once mean test error drops to this percentage")
-	retrainCooldown := flag.Duration("retrain-cooldown", 10*time.Minute, "per-model pause after a retrain (success or failure) before another may start")
-	retrainMax := flag.Int("retrain-max-concurrent", 1, "simultaneous retrains across all models")
-	retrainAfter := flag.Duration("retrain-after", 30*time.Second, "how long a model's drift alert must fire continuously before a retrain starts")
-	retrainPoll := flag.Duration("retrain-poll", 10*time.Second, "drift-state poll cadence of the retrain controller")
-	retrainTestPoints := flag.Int("retrain-test-points", 24, "simulator-backed test points driving the retrain stopping rule")
-	retrainWorkers := flag.Int("retrain-workers", 1, "worker goroutines for one background retrain build")
-	simWorkers := flag.String("sim-workers", "", "comma-separated simworker base URLs; when set, search verification, shadow re-simulation, and retrain builds fan out to the evaluation farm instead of simulating in-process")
-	traceSampleMax := flag.Float64("trace-sample-max", 0, "ceiling for SLO-burn-adaptive sampling: while a declared SLO burns, the edge rate ramps from -trace-sample toward this value and decays back once the burn clears (0 keeps the rate static)")
-	traceAdaptEvery := flag.Duration("trace-adapt-every", 10*time.Second, "cadence of the adaptive trace-sampling control loop (only runs when -trace-sample-max enables it)")
-	flag.Parse()
-
-	if *version {
+	if c.version {
 		b := serve.Build()
 		fmt.Printf("predserve %s model-format %d", b.GoVersion, b.ModelFormat)
 		if b.Revision != "" {
@@ -148,96 +146,54 @@ func main() {
 	obs.RegisterRuntimeMetrics()
 	stopRotation := obs.StartWindowRotation(obs.DefWindowBucket)
 	defer stopRotation()
-	if *progress {
-		stop := obs.StartProgress(os.Stderr, 2*time.Second)
-		defer stop()
-	}
-	if *pprofAddr != "" {
+	if c.pprofAddr != "" {
 		go func() {
-			log.Printf("pprof: %v", http.ListenAndServe(*pprofAddr, nil))
+			log.Printf("pprof: %v", http.ListenAndServe(c.pprofAddr, nil))
 		}()
 	}
 
-	var accessW io.Writer
-	switch *accessLog {
+	switch c.accessLog {
 	case "off", "":
 		// disabled
 	case "stderr":
-		accessW = os.Stderr
+		c.opt.AccessLog = os.Stderr
 	default:
-		f, err := os.OpenFile(*accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(c.accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			log.Fatalf("opening access log: %v", err)
 		}
 		defer f.Close()
-		accessW = f
+		c.opt.AccessLog = f
 	}
 
-	var simPool *cluster.Pool
-	if *simWorkers != "" {
+	if c.simWorkers != "" {
 		var urls []string
-		for _, u := range strings.Split(*simWorkers, ",") {
+		for _, u := range strings.Split(c.simWorkers, ",") {
 			if u = strings.TrimSpace(u); u != "" {
 				urls = append(urls, u)
 			}
 		}
-		var err error
-		simPool, err = cluster.NewPool(urls, cluster.PoolOptions{})
+		pool, err := cluster.NewPool(urls, cluster.PoolOptions{})
 		if err != nil {
 			log.Fatalf("-sim-workers: %v", err)
 		}
-		log.Printf("sim-worker pool: %s", strings.Join(simPool.Workers(), ", "))
+		log.Printf("sim-worker pool: %s", strings.Join(pool.Workers(), ", "))
+		c.opt.SimPool = pool
 	}
 
-	srv := serve.New(serve.Options{
-		MaxBodyBytes:   rf.MaxBody,
-		Timeout:        rf.Timeout,
-		CacheSize:      *cacheSize,
-		Workers:        *workers,
-		MaxBatch:       *maxBatch,
-		CoalesceWindow: *coalesceWindow,
-		CoalesceMax:    *coalesceMax,
-		CoalesceQueue:  *coalesceQueue,
-		SearchTraceLen: *searchInsts,
-		ModelDir:       *modelsDir,
-		AccessLog:      accessW,
-
-		SLOLatency:      *sloLatency,
-		SLOAvailability: *sloAvail,
-		BurnThreshold:   *burnThreshold,
-		ShadowFraction:  *shadowFrac,
-		ShadowWorkers:   *shadowWorkers,
-		ShadowErrPct:    *shadowErr,
-
-		Retrain:              *retrain,
-		RetrainSizes:         parseSizes(*retrainSizes),
-		RetrainTargetPct:     *retrainTarget,
-		RetrainCooldown:      *retrainCooldown,
-		RetrainMaxConcurrent: *retrainMax,
-		RetrainAfter:         *retrainAfter,
-		RetrainPoll:          *retrainPoll,
-		RetrainTestPoints:    *retrainTestPoints,
-		RetrainWorkers:       *retrainWorkers,
-
-		SimPool: simPool,
-
-		TraceSample:        rf.SampleRate(),
-		TraceSampleMax:     *traceSampleMax,
-		TraceAdaptInterval: *traceAdaptEvery,
-		TraceStoreSize:     rf.TraceStore,
-	})
-	if *retrain && *shadowFrac <= 0 {
+	srv := serve.New(c.opt)
+	if c.opt.Retrain && c.opt.ShadowFraction <= 0 {
 		log.Print("warning: -retrain has no trigger without shadow monitoring; set -shadow-frac > 0")
 	}
-	if *modelsDir != "" {
+	if c.opt.ModelDir != "" {
 		names, err := srv.Registry().LoadDir("")
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("loaded %d model(s) from %s: %s", len(names), *modelsDir, strings.Join(names, ", "))
+		log.Printf("loaded %d model(s) from %s: %s", len(names), c.opt.ModelDir, strings.Join(names, ", "))
 	}
-	if *modelFiles != "" {
-		for _, p := range strings.Split(*modelFiles, ",") {
+	if c.modelFiles != "" {
+		for _, p := range strings.Split(c.modelFiles, ",") {
 			name, err := srv.Registry().LoadFile(strings.TrimSpace(p), "")
 			if err != nil {
 				log.Fatal(err)
@@ -248,5 +204,5 @@ func main() {
 	if srv.Registry().Len() == 0 {
 		log.Print("warning: no models loaded; hot-load with POST /v1/models/load")
 	}
-	role.Run("predserve", rf, srv)
+	role.Run("predserve", c.role, srv)
 }

@@ -41,14 +41,6 @@ var (
 // unhealthy in the /fleetz readiness rollup.
 const fleetFailAfter = 3
 
-// Fleet SLO defaults, mirroring serve's: the latency threshold is
-// bucket-aligned (250ms is a DefLatencyBuckets bound) so the windowed
-// good-count is exact, not interpolated.
-const (
-	fleetSLOLatencySec = 0.25
-	fleetSLOObjective  = 0.999
-)
-
 // fleetTarget is one scraped role. Mutable fields are guarded by
 // fleetPlane.mu.
 type fleetTarget struct {
@@ -96,24 +88,13 @@ func newFleetPlane(shards, workers []string, client *http.Client, timeout time.D
 	for _, u := range workers {
 		p.targets = append(p.targets, &fleetTarget{URL: u, Role: "worker"})
 	}
-	// Fleet-level SLOs over the merged windows. These are re-derived
+	// The request SLOs predserve declares, here over the merged fleet
+	// windows ("fleet-latency", "fleet-availability"). These are re-derived
 	// from the merged cumulative counters/buckets on every scrape — a
 	// p50 of per-role p50s is not a p50, so per-role window summaries
 	// are never averaged.
-	p.slos = []*obs.SLO{
-		obs.RegisterSLO(&obs.SLO{
-			Name:        "fleet-latency",
-			Description: fmt.Sprintf("%.4g%% of fleet requests complete within %gms", fleetSLOObjective*100, fleetSLOLatencySec*1e3),
-			Objective:   fleetSLOObjective,
-			SLI:         obs.LatencySLI(p.windows.Histogram("serve.request_seconds"), fleetSLOLatencySec),
-		}),
-		obs.RegisterSLO(&obs.SLO{
-			Name:        "fleet-availability",
-			Description: fmt.Sprintf("%.4g%% of fleet responses are non-5xx", fleetSLOObjective*100),
-			Objective:   fleetSLOObjective,
-			SLI:         obs.AvailabilitySLI(p.windows.Counter("serve.responses_5xx"), p.windows.Counter("serve.requests_total")),
-		}),
-	}
+	p.slos = obs.RequestSLOs("fleet", p.windows.Histogram("serve.request_seconds"),
+		p.windows.Counter("serve.responses_5xx"), p.windows.Counter("serve.requests_total"))
 	return p
 }
 

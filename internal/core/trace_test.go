@@ -107,3 +107,34 @@ func TestTracedBuildSpanTree(t *testing.T) {
 		t.Fatalf("recorded %d rbf.grid_cell spans, want %d", len(byName["rbf.grid_cell"]), wantCells)
 	}
 }
+
+// TestTracedBuildToAccuracyValidateSpans: every escalation step of a
+// traced BuildToAccuracyFromCtx records core.validate on the caller's
+// trace, next to the step's core.build_rbf under the caller's span.
+func TestTracedBuildToAccuracyValidateSpans(t *testing.T) {
+	ev := FuncEvaluator(syntheticCPI)
+	ts := NewTestSet(ev, nil, 10, 3)
+	tr := obs.NewTrace("escalate")
+	ctx, end := obs.StartSpanCtx(obs.WithTrace(context.Background(), tr), "escalate")
+	// A target no model meets, so every size is built and validated.
+	res, err := BuildToAccuracyFromCtx(ctx, ev, 0, []int{15, 20}, -1, ts, fastOpt())
+	end()
+	if err != nil || len(res) != 2 {
+		t.Fatalf("BuildToAccuracyFromCtx = %d results, %v; want 2, nil", len(res), err)
+	}
+	byName := map[string][]obs.SpanInfo{}
+	for _, s := range tr.Spans() {
+		byName[s.Name] = append(byName[s.Name], s)
+	}
+	root := byName["escalate"][0]
+	for _, name := range []string{"core.build_rbf", "core.validate"} {
+		if len(byName[name]) != len(res) {
+			t.Fatalf("recorded %d %s spans, want one per step (%d)", len(byName[name]), name, len(res))
+		}
+		for _, s := range byName[name] {
+			if s.Parent != root.ID {
+				t.Fatalf("%s parented under %d, want the caller's span %d", name, s.Parent, root.ID)
+			}
+		}
+	}
+}

@@ -85,7 +85,8 @@ func NewTestSet(ev Evaluator, testSpace *design.Space, n int, seed int64) *TestS
 // training sample uses, so the test set is identical for every worker
 // count.
 func NewTestSetWorkers(ev Evaluator, testSpace *design.Space, n int, seed int64, workers int) *TestSet {
-	defer obs.StartSpan("core.testset")()
+	_, end := obs.StartSpanCtx(context.Background(), "core.testset")
+	defer end()
 	if testSpace == nil {
 		testSpace = design.TestSpace()
 	}
@@ -119,8 +120,11 @@ type batchPredictor interface {
 	PredictBatch(xs [][]float64) []float64
 }
 
-func validateOn(m predictor, space *design.Space, ts *TestSet) ErrorStats {
-	defer obs.StartSpan("core.validate")()
+// validateOn scores m on the test set under a core.validate span on
+// ctx, so a traced caller sees the stage on its trace.
+func validateOn(ctx context.Context, m predictor, space *design.Space, ts *TestSet) ErrorStats {
+	_, end := obs.StartSpanCtx(ctx, "core.validate")
+	defer end()
 	var pred []float64
 	if bp, ok := m.(batchPredictor); ok {
 		xs := make([][]float64, len(ts.Configs))
@@ -138,10 +142,14 @@ func validateOn(m predictor, space *design.Space, ts *TestSet) ErrorStats {
 }
 
 // Validate estimates the RBF model's accuracy on a test set.
-func (m *Model) Validate(ts *TestSet) ErrorStats { return validateOn(m.Fit, m.Space, ts) }
+func (m *Model) Validate(ts *TestSet) ErrorStats {
+	return validateOn(context.Background(), m.Fit, m.Space, ts)
+}
 
 // Validate estimates the linear baseline's accuracy on a test set.
-func (m *LinearModel) Validate(ts *TestSet) ErrorStats { return validateOn(m.Fit, m.Space, ts) }
+func (m *LinearModel) Validate(ts *TestSet) ErrorStats {
+	return validateOn(context.Background(), m.Fit, m.Space, ts)
+}
 
 // BuildResult pairs a model with its measured accuracy at one step of
 // the iterative procedure.
@@ -198,7 +206,7 @@ func BuildToAccuracyFromCtx(ctx context.Context, ev Evaluator, above int, sizes 
 			lastErr = err
 			continue
 		}
-		st := m.Validate(ts)
+		st := validateOn(ctx, m.Fit, m.Space, ts)
 		out = append(out, BuildResult{Model: m, Stats: st})
 		if st.Mean <= targetMeanPct {
 			break

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -70,7 +71,8 @@ func (r *Runner) Workers() int { return par.Workers(r.Scale.Workers) }
 // Evaluator returns the (memoizing) simulator evaluator for a benchmark.
 func (r *Runner) Evaluator(bench string) (*core.SimEvaluator, error) {
 	return resolve(r, r.evs, bench, func() (*core.SimEvaluator, error) {
-		defer obs.StartSpan("exper.evaluator/" + bench)()
+		_, end := obs.StartSpanCtx(context.Background(), "exper.evaluator/"+bench)
+		defer end()
 		return core.NewSimEvaluator(bench, r.Scale.TraceLen)
 	})
 }
@@ -79,7 +81,8 @@ func (r *Runner) Evaluator(bench string) (*core.SimEvaluator, error) {
 // space), simulating it on first use.
 func (r *Runner) TestSet(bench string) (*core.TestSet, error) {
 	return resolve(r, r.tests, bench, func() (*core.TestSet, error) {
-		defer obs.StartSpan("exper.testset/" + bench)()
+		_, end := obs.StartSpanCtx(context.Background(), "exper.testset/"+bench)
+		defer end()
 		ev, err := r.Evaluator(bench)
 		if err != nil {
 			return nil, err
@@ -102,7 +105,8 @@ func (r *Runner) opt() core.Options {
 func (r *Runner) Model(bench string, size int) (*core.Model, error) {
 	key := fmt.Sprintf("%s/%d", bench, size)
 	return resolve(r, r.models, key, func() (*core.Model, error) {
-		defer obs.StartSpan("exper.model/" + key)()
+		_, end := obs.StartSpanCtx(context.Background(), "exper.model/"+key)
+		defer end()
 		ev, err := r.Evaluator(bench)
 		if err != nil {
 			return nil, err
@@ -120,7 +124,8 @@ func (r *Runner) Model(bench string, size int) (*core.Model, error) {
 func (r *Runner) Linear(bench string, size int) (*core.LinearModel, error) {
 	key := fmt.Sprintf("%s/%d", bench, size)
 	return resolve(r, r.linear, key, func() (*core.LinearModel, error) {
-		defer obs.StartSpan("exper.linear/" + key)()
+		_, end := obs.StartSpanCtx(context.Background(), "exper.linear/"+key)
+		defer end()
 		ev, err := r.Evaluator(bench)
 		if err != nil {
 			return nil, err

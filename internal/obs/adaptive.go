@@ -132,12 +132,6 @@ func (a *AdaptiveSampler) Rate() float64 {
 	return math.Float64frombits(a.rateBits.Load())
 }
 
-// Base returns the configured resting rate.
-func (a *AdaptiveSampler) Base() float64 { return a.base }
-
-// Max returns the configured ramp ceiling.
-func (a *AdaptiveSampler) Max() float64 { return a.max }
-
 // Tick advances the control loop one step. burning is the multi-window
 // SLO-burn signal (any relevant SLO firing). While burning the rate
 // doubles each tick up to max (starting from minRampRate when the base

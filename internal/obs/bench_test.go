@@ -44,25 +44,18 @@ func BenchmarkObsOverhead(b *testing.B) {
 			}
 		})
 	})
-	b.Run("span/disabled", func(b *testing.B) {
-		Disable()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			end := StartSpan("bench.span")
-			end()
-		}
-	})
-	b.Run("span/enabled", func(b *testing.B) {
-		Enable()
-		defer Disable()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			end := StartSpan("bench.span")
-			end()
-		}
-	})
 	b.Run("spanctx/no-trace-disabled", func(b *testing.B) {
 		Disable()
+		ctx := context.Background()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, end := StartSpanCtx(ctx, "bench.spanctx")
+			end()
+		}
+	})
+	b.Run("spanctx/no-trace-enabled", func(b *testing.B) {
+		Enable()
+		defer Disable()
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -311,23 +311,6 @@ func span(name string) *spanStats {
 	return s
 }
 
-// StartSpan begins timing a named stage and returns the function that
-// ends it. The idiom is
-//
-//	defer obs.StartSpan("core.simulate")()
-//
-// When observability is disabled the returned closure is a shared no-op
-// and no clock is read, so un-sinked runs pay one atomic load. To attach
-// the span to an active trace as well, use StartSpanCtx (trace.go).
-func StartSpan(name string) func() {
-	if !enabled.Load() {
-		return noop
-	}
-	s := span(name)
-	t0 := time.Now()
-	return func() { s.record(time.Since(t0)) }
-}
-
 var noop = func() {}
 
 // Reset zeroes every counter, gauge and histogram, drops the children of

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -49,7 +50,7 @@ func TestSpanRecordsWhenEnabled(t *testing.T) {
 	defer Disable()
 	Reset()
 	for i := 0; i < 3; i++ {
-		end := StartSpan("test.stage")
+		_, end := StartSpanCtx(context.Background(), "test.stage")
 		time.Sleep(time.Millisecond)
 		end()
 	}
@@ -76,7 +77,8 @@ func TestSpanConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				StartSpan("test.parallel")()
+				_, end := StartSpanCtx(context.Background(), "test.parallel")
+				end()
 			}
 		}()
 	}
@@ -89,7 +91,8 @@ func TestSpanConcurrent(t *testing.T) {
 func TestSpanNoopWhenDisabled(t *testing.T) {
 	Disable()
 	Reset()
-	StartSpan("test.ghost")()
+	_, end := StartSpanCtx(context.Background(), "test.ghost")
+	end()
 	if _, ok := Snapshot().Stages["test.ghost"]; ok {
 		t.Fatal("disabled span recorded a stage")
 	}
@@ -103,7 +106,8 @@ func TestReportRoundTrip(t *testing.T) {
 	defer Disable()
 	Reset()
 	NewCounter("test.roundtrip").Add(7)
-	StartSpan("test.rt_stage")()
+	_, end := StartSpanCtx(context.Background(), "test.rt_stage")
+	end()
 	rep := Snapshot()
 	rep.Meta = map[string]string{"cmd": "test", "scale": "quick"}
 
@@ -154,7 +158,8 @@ func TestResetClearsState(t *testing.T) {
 	defer Disable()
 	c := NewCounter("test.reset")
 	c.Add(5)
-	StartSpan("test.reset_stage")()
+	_, end := StartSpanCtx(context.Background(), "test.reset_stage")
+	end()
 	Reset()
 	if c.Value() != 0 {
 		t.Fatalf("counter survived reset: %d", c.Value())
@@ -221,7 +226,8 @@ func BenchmarkSpanDisabled(b *testing.B) {
 	Disable()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		StartSpan("bench.disabled")()
+		_, end := StartSpanCtx(context.Background(), "bench.disabled")
+		end()
 	}
 }
 
@@ -231,7 +237,8 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	Reset()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		StartSpan("bench.enabled")()
+		_, end := StartSpanCtx(context.Background(), "bench.enabled")
+		end()
 	}
 }
 
@@ -251,7 +258,8 @@ func TestSnapshotConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				StartSpan("obs.test_snapshot_span")()
+				_, end := StartSpanCtx(context.Background(), "obs.test_snapshot_span")
+				end()
 			}
 		}()
 	}

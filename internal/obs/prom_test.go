@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"regexp"
 	"strings"
@@ -63,10 +64,10 @@ func TestWritePrometheusGolden(t *testing.T) {
 func TestWritePrometheusSpans(t *testing.T) {
 	Enable()
 	defer Disable()
-	end := StartSpan("promtest.span")
-	end()
-	end = StartSpan("promtest.span")
-	end()
+	for i := 0; i < 2; i++ {
+		_, end := StartSpanCtx(context.Background(), "promtest.span")
+		end()
+	}
 
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf); err != nil {

@@ -20,13 +20,23 @@ import (
 // combines fast detection (the 5m window reacts within a bucket
 // rotation) with de-flapping (the 1h window ignores one bad burst).
 
-// DefBurnThreshold is the default paging burn-rate threshold.
-const DefBurnThreshold = 14.4
+// BurnThreshold is the paging burn rate: an SLO fires when both of its
+// windows burn faster than this.
+const BurnThreshold = 14.4
 
-// Default fast/slow burn windows.
+// The fast and slow burn windows.
 const (
 	DefFastWindow = 5 * time.Minute
 	DefSlowWindow = time.Hour
+)
+
+// The request SLO every serving role declares over its request metrics:
+// RequestObjective of requests complete within RequestLatency, and the
+// same share answer non-5xx. 250ms is a DefLatencyBuckets bound, so the
+// windowed good-count is exact, not interpolated.
+const (
+	RequestLatency   = 250 * time.Millisecond
+	RequestObjective = 0.999
 )
 
 // SLIFunc reads a service-level indicator over a trailing window: how
@@ -41,13 +51,36 @@ type SLO struct {
 	Description string
 	// Objective is the target good fraction in (0, 1), e.g. 0.999.
 	Objective float64
-	// Threshold is the burn rate above which the SLO fires
-	// (DefBurnThreshold when zero).
-	Threshold float64
 	// SLI reads the indicator.
 	SLI SLIFunc
-	// FastWindow/SlowWindow override the burn windows (5m/1h when zero).
-	FastWindow, SlowWindow time.Duration
+}
+
+// RequestSLOs declares and registers the request SLO pair over one
+// role's request windows: the latency objective over latency, and the
+// availability objective over errors out of total. scope names whose
+// requests they count: "" for a serving process ("latency",
+// "availability"), "fleet" for the router's merged fleet view
+// ("fleet-latency", "fleet-availability").
+func RequestSLOs(scope string, latency *WindowedHistogram, errors, total *WindowedCounter) []*SLO {
+	name, of := "", ""
+	if scope != "" {
+		name, of = scope+"-", scope+" "
+	}
+	pct := RequestObjective * 100
+	return []*SLO{
+		RegisterSLO(&SLO{
+			Name:        name + "latency",
+			Description: fmt.Sprintf("%.4g%% of %srequests complete within %s", pct, of, RequestLatency),
+			Objective:   RequestObjective,
+			SLI:         LatencySLI(latency, RequestLatency.Seconds()),
+		}),
+		RegisterSLO(&SLO{
+			Name:        name + "availability",
+			Description: fmt.Sprintf("%.4g%% of %sresponses are non-5xx", pct, of),
+			Objective:   RequestObjective,
+			SLI:         AvailabilitySLI(errors, total),
+		}),
+	}
 }
 
 // BurnWindow is the burn-rate computation over one window.
@@ -75,24 +108,6 @@ type SLOState struct {
 	Firing      bool    `json:"firing"`
 }
 
-func (s *SLO) windows() (fast, slow time.Duration) {
-	fast, slow = s.FastWindow, s.SlowWindow
-	if fast <= 0 {
-		fast = DefFastWindow
-	}
-	if slow <= 0 {
-		slow = DefSlowWindow
-	}
-	return fast, slow
-}
-
-func (s *SLO) threshold() float64 {
-	if s.Threshold <= 0 {
-		return DefBurnThreshold
-	}
-	return s.Threshold
-}
-
 // burnOver evaluates one window. An empty window burns nothing: no
 // traffic is not an SLO violation.
 func (s *SLO) burnOver(d time.Duration) BurnWindow {
@@ -115,14 +130,13 @@ func (s *SLO) burnOver(d time.Duration) BurnWindow {
 // State evaluates both burn windows. The SLO fires when both exceed the
 // threshold — the multi-window AND that pages fast without flapping.
 func (s *SLO) State() SLOState {
-	fast, slow := s.windows()
 	st := SLOState{
 		Name:        s.Name,
 		Description: s.Description,
 		Objective:   s.Objective,
-		Threshold:   s.threshold(),
-		Fast:        s.burnOver(fast),
-		Slow:        s.burnOver(slow),
+		Threshold:   BurnThreshold,
+		Fast:        s.burnOver(DefFastWindow),
+		Slow:        s.burnOver(DefSlowWindow),
 	}
 	st.BudgetSpent = min(st.Slow.BurnRate, 10)
 	st.Firing = st.Fast.BurnRate > st.Threshold && st.Slow.BurnRate > st.Threshold

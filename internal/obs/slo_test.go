@@ -32,8 +32,8 @@ func TestSLOBurnRateMath(t *testing.T) {
 	if st.Firing {
 		t.Fatal("SLO fired with only the fast window over threshold")
 	}
-	if st.Threshold != DefBurnThreshold {
-		t.Fatalf("threshold defaulted to %v, want %v", st.Threshold, DefBurnThreshold)
+	if st.Threshold != BurnThreshold {
+		t.Fatalf("threshold = %v, want %v", st.Threshold, BurnThreshold)
 	}
 	// BudgetSpent tracks the slow burn, capped at 10.
 	if math.Abs(st.BudgetSpent-10) > 1e-9 {

@@ -133,10 +133,13 @@ func TraceFrom(ctx context.Context) *Trace {
 // pairs (alternating key, value) annotate the span in the Chrome trace
 // export.
 //
-// The idiom mirrors StartSpan:
+// The idiom is
 //
 //	ctx, end := obs.StartSpanCtx(ctx, "core.sample")
 //	defer end()
+//
+// A caller that holds no context passes context.Background(), and the
+// span feeds the aggregates only.
 func StartSpanCtx(ctx context.Context, name string, kv ...string) (context.Context, func()) {
 	tr := TraceFrom(ctx)
 	if tr == nil {

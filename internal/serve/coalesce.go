@@ -30,6 +30,16 @@ var (
 	hCoalesceBatch = obs.NewHistogram("serve.coalesce_batch_size", obs.ExponentialBuckets(1, 2, 11))
 )
 
+const (
+	// coalesceMax flushes a micro-batch as soon as it holds this many
+	// configurations, without waiting out the window.
+	coalesceMax = 64
+	// coalesceQueue bounds the admission queue; a full queue answers a
+	// structured 503 (coalesce_queue_full) at once instead of blocking
+	// the handler toward its deadline.
+	coalesceQueue = 4096
+)
+
 // ErrCoalesceQueueFull is returned (and mapped to a structured 503,
 // code "coalesce_queue_full") when the admission queue is at capacity:
 // the server is over-committed and the client should back off and
@@ -65,19 +75,14 @@ type coalescer struct {
 	stopOnce sync.Once
 }
 
-// newCoalescer builds (and starts) a coalescer. window <= 0 returns a
-// disabled coalescer: enabled() is false and predict must not be
-// called.
+// newCoalescer builds (and starts) a coalescer that flushes at maxSize
+// configurations and admits queueCap waiting ones (the server passes
+// coalesceMax and coalesceQueue). window <= 0 returns a disabled
+// coalescer: enabled() is false and predict must not be called.
 func newCoalescer(window time.Duration, maxSize, queueCap int, eval func(*Entry, []design.Config) []prediction) *coalescer {
 	c := &coalescer{window: window, maxSize: maxSize, eval: eval}
 	if window <= 0 {
 		return c
-	}
-	if c.maxSize <= 0 {
-		c.maxSize = 64
-	}
-	if queueCap <= 0 {
-		queueCap = 4096
 	}
 	c.queue = make(chan coalesceReq, queueCap)
 	c.stopped = make(chan struct{})

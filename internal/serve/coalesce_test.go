@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"predperf/internal/cluster"
 	"predperf/internal/core"
 	"predperf/internal/design"
 	"predperf/internal/obs"
@@ -39,7 +40,7 @@ func coalescingServer(t *testing.T, opt Options, models ...*core.Model) (*Server
 
 func predictSingle(t *testing.T, url, model string, cfg design.Config) (prediction, int) {
 	t.Helper()
-	body := fmt.Sprintf(`{"model":%q,"config":%s}`, model, string(mustJSON(t, toWire(cfg))))
+	body := fmt.Sprintf(`{"model":%q,"config":%s}`, model, string(mustJSON(t, cluster.FromConfig(cfg))))
 	resp, raw := postJSON(t, url+"/v1/predict", body)
 	if resp.StatusCode != http.StatusOK {
 		return prediction{}, resp.StatusCode
@@ -90,15 +91,12 @@ func TestCoalescingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCoalesceWindowFlush: with a huge max batch, a lone request can
+// TestCoalesceWindowFlush: a lone request, far below coalesceMax, can
 // only complete via the window timer, and the flush is tagged "window".
 func TestCoalesceWindowFlush(t *testing.T) {
 	obs.Reset()
 	m := buildTestModel(t, "win")
-	_, ts := coalescingServer(t, Options{
-		CoalesceWindow: 2 * time.Millisecond,
-		CoalesceMax:    1024,
-	}, m)
+	_, ts := coalescingServer(t, Options{CoalesceWindow: 2 * time.Millisecond}, m)
 	start := time.Now()
 	if p, code := predictSingle(t, ts.URL, "win", m.Configs[0]); code != http.StatusOK || p.Value == 0 {
 		t.Fatalf("predict = %+v (status %d)", p, code)
@@ -119,18 +117,15 @@ func TestCoalesceWindowFlush(t *testing.T) {
 
 // TestCoalesceMaxSizeFlush: with a window far longer than the test,
 // requests can only complete via the size trigger; fire exactly one
-// batch worth concurrently and require a "size" flush.
+// batch worth (coalesceMax) concurrently and require a "size" flush.
 func TestCoalesceMaxSizeFlush(t *testing.T) {
 	obs.Reset()
 	m := buildTestModel(t, "sz")
-	const maxSize = 4
-	_, ts := coalescingServer(t, Options{
-		CoalesceWindow: 30 * time.Second,
-		CoalesceMax:    maxSize,
-	}, m)
+	_, ts := coalescingServer(t, Options{CoalesceWindow: 30 * time.Second}, m)
 	var wg sync.WaitGroup
-	errs := make(chan string, maxSize)
-	for i := 0; i < maxSize; i++ {
+	errs := make(chan string, coalesceMax)
+	for i := 0; i < coalesceMax; i++ {
+		cfg := m.Configs[i%len(m.Configs)]
 		wg.Add(1)
 		go func(cfg design.Config, want float64) {
 			defer wg.Done()
@@ -138,7 +133,7 @@ func TestCoalesceMaxSizeFlush(t *testing.T) {
 			if code != http.StatusOK || p.Value != want {
 				errs <- fmt.Sprintf("value %x (status %d), want %x", p.Value, code, want)
 			}
-		}(m.Configs[i], m.PredictConfig(m.Configs[i]))
+		}(cfg, m.PredictConfig(cfg))
 	}
 	wg.Wait()
 	close(errs)
@@ -161,7 +156,7 @@ func TestCoalescePerModelIsolation(t *testing.T) {
 	for i := range mb.Fit.Net.Weights {
 		mb.Fit.Net.Weights[i] *= 1.5
 	}
-	_, ts := coalescingServer(t, Options{CoalesceWindow: 20 * time.Millisecond, CoalesceMax: 64}, ma, mb)
+	_, ts := coalescingServer(t, Options{CoalesceWindow: 20 * time.Millisecond}, ma, mb)
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for i := 0; i < 8; i++ {
@@ -193,15 +188,11 @@ func TestCoalescePerModelIsolation(t *testing.T) {
 func TestCoalesceCancellationMidQueue(t *testing.T) {
 	obs.Reset()
 	m := buildTestModel(t, "cancel")
-	_, ts := coalescingServer(t, Options{
-		CoalesceWindow: 300 * time.Millisecond,
-		CoalesceMax:    1024,
-		CacheSize:      -1, // keep later asserts off the cache-hit path
-	}, m)
+	_, ts := coalescingServer(t, Options{CoalesceWindow: 300 * time.Millisecond}, m)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	body := fmt.Sprintf(`{"model":"cancel","config":%s}`, mustJSON(t, toWire(m.Configs[0])))
+	body := fmt.Sprintf(`{"model":"cancel","config":%s}`, mustJSON(t, cluster.FromConfig(m.Configs[0])))
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/predict", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +235,7 @@ func TestCoalesceQueueFull(t *testing.T) {
 		<-release
 		preds := make([]prediction, len(cfgs))
 		for i, cfg := range cfgs {
-			preds[i] = prediction{Config: toWire(cfg), Value: e.Model.PredictConfig(cfg)}
+			preds[i] = prediction{Config: cluster.FromConfig(cfg), Value: e.Model.PredictConfig(cfg)}
 		}
 		return preds
 	}
@@ -306,7 +297,7 @@ func TestCoalesceQueueFull(t *testing.T) {
 	// moving on, making the final probe deterministic.
 	flushed := cCoalesceFlushes.With("size").Value()
 	post := func(i int) {
-		body := fmt.Sprintf(`{"model":"full","config":%s}`, mustJSON(t, toWire(m.Configs[i])))
+		body := fmt.Sprintf(`{"model":"full","config":%s}`, mustJSON(t, cluster.FromConfig(m.Configs[i])))
 		go func() {
 			resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
 			if err == nil {
@@ -330,7 +321,7 @@ func TestCoalesceQueueFull(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	resp, raw := postJSON(t, ts.URL+"/v1/predict",
-		fmt.Sprintf(`{"model":"full","config":%s}`, mustJSON(t, toWire(m.Configs[2]))))
+		fmt.Sprintf(`{"model":"full","config":%s}`, mustJSON(t, cluster.FromConfig(m.Configs[2]))))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d with a full queue, want 503 (body %s)", resp.StatusCode, raw)
 	}
@@ -348,10 +339,7 @@ func TestCoalesceQueueFull(t *testing.T) {
 func TestCoalesceStorm(t *testing.T) {
 	obs.Reset()
 	m := buildTestModel(t, "storm-co")
-	_, ts := coalescingServer(t, Options{
-		CoalesceWindow: time.Millisecond,
-		CoalesceMax:    8,
-	}, m)
+	_, ts := coalescingServer(t, Options{CoalesceWindow: time.Millisecond}, m)
 	want := make([]float64, len(m.Configs))
 	for i, cfg := range m.Configs {
 		want[i] = m.PredictConfig(cfg)
@@ -375,7 +363,7 @@ func TestCoalesceStorm(t *testing.T) {
 				}
 				j := (i + 3) % len(m.Configs)
 				body := fmt.Sprintf(`{"model":"storm-co","configs":[%s,%s]}`,
-					mustJSON(t, toWire(m.Configs[i])), mustJSON(t, toWire(m.Configs[j])))
+					mustJSON(t, cluster.FromConfig(m.Configs[i])), mustJSON(t, cluster.FromConfig(m.Configs[j])))
 				resp, raw := postJSON(t, ts.URL+"/v1/predict", body)
 				if resp.StatusCode != http.StatusOK {
 					errs <- fmt.Sprintf("batch status %d: %s", resp.StatusCode, raw)
@@ -418,7 +406,7 @@ func TestBatchVectorizedBitIdentical(t *testing.T) {
 		if i > 0 {
 			sb.WriteString(",")
 		}
-		sb.Write(mustJSON(t, toWire(cfg)))
+		sb.Write(mustJSON(t, cluster.FromConfig(cfg)))
 	}
 	sb.WriteString("]}")
 	for round := 0; round < 2; round++ {

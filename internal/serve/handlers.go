@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 
@@ -19,53 +18,6 @@ import (
 // cModelPredictions counts scored configurations per model, so /metricz
 // says which models actually take traffic.
 var cModelPredictions = obs.NewCounterVec("serve.model_predictions", "model")
-
-// wireConfig is the JSON shape of a processor configuration, using the
-// same short field names as the predperf CLI's -predict flag.
-type wireConfig struct {
-	Depth  int `json:"depth"`
-	ROB    int `json:"rob"`
-	IQ     int `json:"iq"`
-	LSQ    int `json:"lsq"`
-	L2KB   int `json:"l2kb"`
-	L2Lat  int `json:"l2lat"`
-	IL1KB  int `json:"il1kb"`
-	DL1KB  int `json:"dl1kb"`
-	DL1Lat int `json:"dl1lat"`
-}
-
-func (w wireConfig) config() design.Config {
-	return design.Config{
-		PipeDepth: w.Depth, ROBSize: w.ROB, IQSize: w.IQ, LSQSize: w.LSQ,
-		L2SizeKB: w.L2KB, L2Lat: w.L2Lat, IL1SizeKB: w.IL1KB, DL1SizeKB: w.DL1KB, DL1Lat: w.DL1Lat,
-	}
-}
-
-func toWire(c design.Config) wireConfig {
-	return wireConfig{
-		Depth: c.PipeDepth, ROB: c.ROBSize, IQ: c.IQSize, LSQ: c.LSQSize,
-		L2KB: c.L2SizeKB, L2Lat: c.L2Lat, IL1KB: c.IL1SizeKB, DL1KB: c.DL1SizeKB, DL1Lat: c.DL1Lat,
-	}
-}
-
-// validate rejects configurations the design space cannot normalize:
-// every field must be positive (IQ/LSQ sizes are re-expressed as
-// fractions of ROB, so a zero ROB would divide by zero).
-func (w wireConfig) validate() error {
-	fields := []struct {
-		name string
-		v    int
-	}{
-		{"depth", w.Depth}, {"rob", w.ROB}, {"iq", w.IQ}, {"lsq", w.LSQ},
-		{"l2kb", w.L2KB}, {"l2lat", w.L2Lat}, {"il1kb", w.IL1KB}, {"dl1kb", w.DL1KB}, {"dl1lat", w.DL1Lat},
-	}
-	for _, f := range fields {
-		if f.v <= 0 {
-			return fmt.Errorf("field %q must be positive, got %d", f.name, f.v)
-		}
-	}
-	return nil
-}
 
 // ---- /healthz ----
 
@@ -182,18 +134,18 @@ type predictRequest struct {
 	Model string `json:"model"`
 	// Config predicts one configuration; Configs a batch. Exactly one
 	// of the two must be present.
-	Config  *wireConfig  `json:"config,omitempty"`
-	Configs []wireConfig `json:"configs,omitempty"`
+	Config  *cluster.WireConfig  `json:"config,omitempty"`
+	Configs []cluster.WireConfig `json:"configs,omitempty"`
 }
 
 // prediction is one scored configuration. Config echoes the machine
 // actually scored: the input after clamping to the design space's
 // ranges and quantizing to its discrete levels.
 type prediction struct {
-	Config  wireConfig `json:"config"`
-	Value   float64    `json:"value"`
-	Cached  bool       `json:"cached"`
-	Clamped bool       `json:"clamped,omitempty"`
+	Config  cluster.WireConfig `json:"config"`
+	Value   float64            `json:"value"`
+	Cached  bool               `json:"cached"`
+	Clamped bool               `json:"clamped,omitempty"`
 }
 
 type predictResponse struct {
@@ -221,26 +173,26 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			"no model %q is loaded (GET /v1/models lists the registry)", req.Model)
 		return
 	}
-	var batch []wireConfig
+	var batch []cluster.WireConfig
 	switch {
 	case req.Config != nil && len(req.Configs) > 0:
 		role.WriteErr(w, http.StatusBadRequest, "bad_request", `give "config" or "configs", not both`)
 		return
 	case req.Config != nil:
-		batch = []wireConfig{*req.Config}
+		batch = []cluster.WireConfig{*req.Config}
 	case len(req.Configs) > 0:
 		batch = req.Configs
 	default:
 		role.WriteErr(w, http.StatusBadRequest, "bad_request", `"config" or "configs" is required`)
 		return
 	}
-	if len(batch) > s.opt.MaxBatch {
+	if len(batch) > maxBatch {
 		role.WriteErr(w, http.StatusRequestEntityTooLarge, "batch_too_large",
-			"batch of %d exceeds the %d-configuration limit", len(batch), s.opt.MaxBatch)
+			"batch of %d exceeds the %d-configuration limit", len(batch), maxBatch)
 		return
 	}
 	for i, wc := range batch {
-		if err := wc.validate(); err != nil {
+		if err := wc.Validate(); err != nil {
 			role.WriteErr(w, http.StatusBadRequest, "invalid_config", "configs[%d]: %v", i, err)
 			return
 		}
@@ -257,7 +209,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		var p prediction
 		if s.coalesce.enabled() {
 			var err error
-			p, err = s.coalesce.predict(r.Context(), entry, batch[0].config())
+			p, err = s.coalesce.predict(r.Context(), entry, batch[0].Config())
 			switch {
 			case errors.Is(err, ErrCoalesceQueueFull):
 				// The queue drains within a coalesce window plus one batch
@@ -276,7 +228,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		} else {
-			p = s.predictOne(entry, batch[0].config())
+			p = s.predictOne(entry, batch[0].Config())
 		}
 		preds = []prediction{p}
 	} else {
@@ -284,7 +236,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// shape, so they go straight to the vectorized evaluator.
 		cfgs := make([]design.Config, len(batch))
 		for i, wc := range batch {
-			cfgs[i] = wc.config()
+			cfgs[i] = wc.Config()
 		}
 		preds = s.predictBatch(entry, cfgs)
 	}
@@ -309,7 +261,7 @@ func cacheKey(e *Entry, q design.Config) string {
 func (s *Server) predictOne(e *Entry, cfg design.Config) prediction {
 	m := e.Model
 	q := m.Space.Decode(m.Space.Encode(cfg), m.SampleSize)
-	p := prediction{Config: toWire(q), Clamped: q != cfg}
+	p := prediction{Config: cluster.FromConfig(q), Clamped: q != cfg}
 	key := cacheKey(e, q)
 	if v, ok := s.cache.Get(key); ok {
 		cCacheHits.Inc()
@@ -347,7 +299,7 @@ func (s *Server) predictBatch(e *Entry, cfgs []design.Config) []prediction {
 	for i, cfg := range cfgs {
 		q := m.Space.Decode(m.Space.Encode(cfg), m.SampleSize)
 		quant[i] = q
-		preds[i] = prediction{Config: toWire(q), Clamped: q != cfg}
+		preds[i] = prediction{Config: cluster.FromConfig(q), Clamped: q != cfg}
 		if v, ok := s.cache.Get(cacheKey(e, q)); ok {
 			cCacheHits.Inc()
 			preds[i].Value, preds[i].Cached = v, true
@@ -364,7 +316,7 @@ func (s *Server) predictBatch(e *Entry, cfgs []design.Config) []prediction {
 	vals := make([]float64, len(missXs))
 	cm := m.Fit.Compiled()
 	chunks := (len(missXs) + predictBatchChunk - 1) / predictBatchChunk
-	par.For(s.opt.Workers, chunks, func(ci int) {
+	par.For(par.Workers(0), chunks, func(ci int) {
 		lo := ci * predictBatchChunk
 		hi := lo + predictBatchChunk
 		if hi > len(missXs) {
@@ -399,9 +351,9 @@ type searchRequest struct {
 }
 
 type searchCandidate struct {
-	Config    wireConfig `json:"config"`
-	Predicted float64    `json:"predicted"`
-	Actual    float64    `json:"actual"`
+	Config    cluster.WireConfig `json:"config"`
+	Predicted float64            `json:"predicted"`
+	Actual    float64            `json:"actual"`
 }
 
 type searchResponse struct {
@@ -484,11 +436,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, c := range res.Shortlist {
 		resp.Shortlist = append(resp.Shortlist, searchCandidate{
-			Config: toWire(c.Config), Predicted: c.Predicted, Actual: c.Actual,
+			Config: cluster.FromConfig(c.Config), Predicted: c.Predicted, Actual: c.Actual,
 		})
 	}
 	resp.Best = searchCandidate{
-		Config:    toWire(res.Best),
+		Config:    cluster.FromConfig(res.Best),
 		Predicted: entry.Model.PredictConfig(res.Best),
 		Actual:    res.BestValue,
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -255,7 +256,8 @@ func readModel(full, name string) (string, *core.Model, error) {
 // argument, the model's persisted benchmark name, the file's base name
 // without extension. Returns the name the model was registered under.
 func (r *Registry) LoadFile(path, name string) (string, error) {
-	defer obs.StartSpan("serve.load")()
+	_, end := obs.StartSpanCtx(context.Background(), "serve.load")
+	defer end()
 	full := r.resolve(path)
 	name, m, err := readModel(full, name)
 	if err != nil {
@@ -274,7 +276,8 @@ func (r *Registry) LoadFile(path, name string) (string, error) {
 // model is registered, so a failing file leaves the registry exactly as
 // it was.
 func (r *Registry) LoadDir(dir string) ([]string, error) {
-	defer obs.StartSpan("serve.load")()
+	_, end := obs.StartSpanCtx(context.Background(), "serve.load")
+	defer end()
 	if dir == "" {
 		dir = r.dir
 	}

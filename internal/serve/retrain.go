@@ -25,13 +25,13 @@ import (
 // entry they resolved, the LRU cache keys on the generation, so the
 // swap is atomic per request with zero downtime and zero stale hits.
 //
-// Production hygiene: retrains are single-flight per model, bounded
-// globally (RetrainMaxConcurrent), built with a bounded internal/par
-// worker budget (RetrainWorkers) so background builds cannot starve the
-// serving CPUs, followed by a cooldown after success AND failure so a
-// model that cannot be fixed does not hot-loop the simulator, and
-// persisted atomically (temp file + rename) back into the model
-// directory so a restart serves the new generation.
+// Production hygiene: retrains are single-flight per model, one at a
+// time process-wide (retrainMaxConcurrent), built with a bounded
+// internal/par worker budget (RetrainWorkers) so background builds
+// cannot starve the serving CPUs, followed by a cooldown after success
+// AND failure so a model that cannot be fixed does not hot-loop the
+// simulator, and persisted atomically (temp file + rename) back into
+// the model directory so a restart serves the new generation.
 var (
 	cRetrains = obs.NewCounterVec("serve.retrains", "model", "outcome")
 )
@@ -44,6 +44,15 @@ const (
 	retrainOutcomePersistFailed = "persist_failed"
 	retrainOutcomeSwapFailed    = "swap_failed"
 	retrainOutcomeCanceled      = "canceled"
+)
+
+const (
+	// retrainMaxConcurrent bounds simultaneous retrains across all
+	// models.
+	retrainMaxConcurrent = 1
+	// retrainCooldown is the per-model pause after a retrain finishes —
+	// success or failure — before another may start.
+	retrainCooldown = 10 * time.Minute
 )
 
 // retrainTestSeed seeds the controller's validation test sets. Fixed,
@@ -80,9 +89,7 @@ type retrainModel struct {
 // injected clock and closes the loop from drift to hot-swap.
 type retrainController struct {
 	on         bool
-	sizes      []int // escalation ladder ([] = auto: 2×, 3×, 4× the serving size)
 	targetPct  float64
-	cooldown   time.Duration
 	after      time.Duration // how long drift must fire before a retrain starts
 	pollEvery  time.Duration
 	testPoints int
@@ -118,9 +125,7 @@ func newRetrainController(opt Options, reg *Registry, shadow *shadowMonitor, clo
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &retrainController{
 		on:         opt.Retrain,
-		sizes:      opt.RetrainSizes,
 		targetPct:  opt.RetrainTargetPct,
-		cooldown:   opt.RetrainCooldown,
 		after:      opt.RetrainAfter,
 		pollEvery:  opt.RetrainPoll,
 		testPoints: opt.RetrainTestPoints,
@@ -131,7 +136,7 @@ func newRetrainController(opt Options, reg *Registry, shadow *shadowMonitor, clo
 		clock:      clock,
 		ctx:        ctx,
 		cancel:     cancel,
-		sem:        make(chan struct{}, opt.RetrainMaxConcurrent),
+		sem:        make(chan struct{}, retrainMaxConcurrent),
 		stopTicker: make(chan struct{}),
 		models:     map[string]*retrainModel{},
 	}
@@ -263,7 +268,7 @@ func (c *retrainController) run(e *Entry, attempt int64) {
 	// Cooldown after success AND failure: a freshly swapped model needs
 	// time to accumulate shadow samples before its drift state means
 	// anything, and a failing build must not hot-loop the simulator.
-	st.cooldownUntil = now.Add(c.cooldown)
+	st.cooldownUntil = now.Add(retrainCooldown)
 	st.firingSince = time.Time{}
 	c.mu.Unlock()
 }
@@ -290,7 +295,7 @@ func (c *retrainController) retrain(ctx context.Context, e *Entry, attempt int64
 		// loop must not do.
 		Seed: retrainTestSeed + attempt,
 	}
-	results, err := c.build(ctx, ev, e.Model.SampleSize, c.sizesFor(e.Model.SampleSize), c.targetPct, ts, opt)
+	results, err := c.build(ctx, ev, e.Model.SampleSize, sizesFor(e.Model.SampleSize), c.targetPct, ts, opt)
 	if len(results) == 0 || (err != nil && ctx.Err() != nil) {
 		if ctx.Err() != nil {
 			return retrainOutcomeCanceled, 0, ctx.Err()
@@ -328,21 +333,10 @@ func (c *retrainController) retrain(ctx context.Context, e *Entry, attempt int64
 	return retrainOutcomeSuccess, m.SampleSize, nil
 }
 
-// sizesFor resolves the escalation ladder for a model currently serving
-// at base: the configured sizes above base, or — when none are — the
-// automatic 2×/3×/4× ladder, so escalation always has somewhere to go.
-func (c *retrainController) sizesFor(base int) []int {
-	eligible := make([]int, 0, len(c.sizes))
-	for _, s := range c.sizes {
-		if s > base {
-			eligible = append(eligible, s)
-		}
-	}
-	if len(eligible) == 0 {
-		eligible = []int{2 * base, 3 * base, 4 * base}
-	}
-	return eligible
-}
+// sizesFor is the escalation ladder for a model currently serving at
+// base: 2×, 3× and 4× its sample size, so escalation always has
+// somewhere to go.
+func sizesFor(base int) []int { return []int{2 * base, 3 * base, 4 * base} }
 
 // persistPath is where the retrained model lands on disk: the file the
 // serving model was loaded from, else <model-dir>/<name>.json, else ""
@@ -406,7 +400,6 @@ func (c *retrainController) notes() []unreadyReason {
 	if !c.enabled() {
 		return nil
 	}
-	now := c.clock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	names := make([]string, 0, len(c.models))
@@ -424,7 +417,6 @@ func (c *retrainController) notes() []unreadyReason {
 			Message: fmt.Sprintf("model %q: retraining in progress (attempt %d, drift sustained since %s)",
 				name, st.attempts, st.firingSince.UTC().Format(time.RFC3339)),
 		})
-		_ = now
 	}
 	return out
 }

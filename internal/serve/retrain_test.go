@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"predperf/internal/cluster"
 	"predperf/internal/core"
 	"predperf/internal/obs"
 	"predperf/internal/rbf"
@@ -56,7 +57,8 @@ func firing(model string) driftState { return driftState{Model: model, Firing: t
 
 // TestRetrainSuccessAndCooldown: a sustained drift signal triggers one
 // escalation, the winner is hot-swapped under a bumped generation, and
-// the per-model cooldown blocks a re-trigger until it expires.
+// the per-model cooldown (retrainCooldown, 10m) blocks a re-trigger
+// until it expires.
 func TestRetrainSuccessAndCooldown(t *testing.T) {
 	obs.Reset()
 	clk := newFakeClock()
@@ -64,7 +66,7 @@ func TestRetrainSuccessAndCooldown(t *testing.T) {
 	if err := reg.Add("m", buildTestModel(t, "m"), ""); err != nil {
 		t.Fatal(err)
 	}
-	c := stubController(t, clk, reg, Options{RetrainAfter: -1, RetrainCooldown: 10 * time.Minute})
+	c := stubController(t, clk, reg, Options{RetrainAfter: -1})
 	repl1, repl2 := buildTestModel(t, "m"), buildTestModel(t, "m")
 	c.build = stubBuild(repl1, repl2)
 
@@ -148,7 +150,7 @@ func TestRetrainSingleFlightAndConcurrencyBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := stubController(t, clk, reg, Options{RetrainAfter: -1, RetrainMaxConcurrent: 1})
+	c := stubController(t, clk, reg, Options{RetrainAfter: -1})
 	release := make(chan struct{})
 	models := make(chan *core.Model, 2)
 	models <- buildTestModel(t, "x")
@@ -341,21 +343,14 @@ func TestRetrainStopCancelsInFlight(t *testing.T) {
 	}
 }
 
-// TestRetrainSizesFor: the configured ladder is filtered to sizes above
-// the serving model's, and an exhausted (or absent) ladder falls back
-// to the automatic 2x/3x/4x escalation.
+// TestRetrainSizesFor: the escalation ladder is 2x/3x/4x the serving
+// model's sample size.
 func TestRetrainSizesFor(t *testing.T) {
-	clk := newFakeClock()
-	c := stubController(t, clk, NewRegistry(""), Options{RetrainSizes: []int{10, 20, 30}})
-	if got := c.sizesFor(15); len(got) != 2 || got[0] != 20 || got[1] != 30 {
-		t.Fatalf("sizesFor(15) over {10,20,30} = %v, want [20 30]", got)
+	if got := sizesFor(30); len(got) != 3 || got[0] != 60 || got[1] != 90 || got[2] != 120 {
+		t.Fatalf("sizesFor(30) = %v, want [60 90 120]", got)
 	}
-	if got := c.sizesFor(30); len(got) != 3 || got[0] != 60 || got[1] != 90 || got[2] != 120 {
-		t.Fatalf("sizesFor(30) with exhausted ladder = %v, want auto [60 90 120]", got)
-	}
-	c2 := stubController(t, clk, NewRegistry(""), Options{})
-	if got := c2.sizesFor(40); len(got) != 3 || got[0] != 80 {
-		t.Fatalf("sizesFor(40) with no ladder = %v, want auto [80 120 160]", got)
+	if got := sizesFor(40); len(got) != 3 || got[0] != 80 {
+		t.Fatalf("sizesFor(40) = %v, want [80 120 160]", got)
 	}
 }
 
@@ -489,16 +484,12 @@ func TestRetrainLifecycle(t *testing.T) {
 		// the drift signal is injected at the accounting layer below,
 		// keeping the trigger deterministic.
 		ShadowFraction:    1e-12,
-		ShadowWorkers:     1,
 		ShadowErrPct:      5,
-		ShadowMinSamples:  3,
 		SearchTraceLen:    traceLen,
 		Retrain:           true,
-		RetrainSizes:      []int{12},
-		RetrainTargetPct:  1e9, // first successful size wins
+		RetrainTargetPct:  1e9, // first successful size wins: 2× the serving 8
 		RetrainAfter:      -1,  // immediate once drift fires
 		RetrainPoll:       time.Hour,
-		RetrainCooldown:   time.Hour,
 		RetrainTestPoints: 4,
 		RetrainWorkers:    2,
 	})
@@ -509,7 +500,7 @@ func TestRetrainLifecycle(t *testing.T) {
 	defer ts.Close()
 	defer s.retrain.stop()
 
-	cfgs := []wireConfig{toWire(bad.Configs[0]), toWire(bad.Configs[1])}
+	cfgs := []cluster.WireConfig{cluster.FromConfig(bad.Configs[0]), cluster.FromConfig(bad.Configs[1])}
 	batch := func() [2]float64 {
 		js, _ := json.Marshal(map[string]any{"model": "twolf", "configs": cfgs})
 		resp, body := postJSON(t, ts.URL+"/v1/predict", string(js))
@@ -526,7 +517,7 @@ func TestRetrainLifecycle(t *testing.T) {
 
 	// Trip drift deterministically at the accounting layer.
 	st := s.shadow.stats("twolf")
-	for i := 0; i < 4; i++ {
+	for i := 0; i < shadowMinSamples; i++ {
 		st.hist.Observe(40)
 	}
 	if resp, body := getBody(t, ts.URL+"/readyz"); resp.StatusCode != 503 || !strings.Contains(body, "model_drift") {
@@ -565,8 +556,8 @@ func TestRetrainLifecycle(t *testing.T) {
 	wg.Wait()
 
 	e, ok := s.Registry().Get("twolf")
-	if !ok || e.Generation() != 2 || e.Model.SampleSize != 12 {
-		t.Fatalf("after retrain: generation %d sample %d, want generation 2 at size 12", e.Generation(), e.Model.SampleSize)
+	if !ok || e.Generation() != 2 || e.Model.SampleSize != 16 {
+		t.Fatalf("after retrain: generation %d sample %d, want generation 2 at size 16", e.Generation(), e.Model.SampleSize)
 	}
 	if got := retrainCount("twolf", retrainOutcomeSuccess); got != 1 {
 		t.Fatalf("serve.retrains{twolf,success} = %d, want 1", got)
@@ -610,8 +601,8 @@ func TestRetrainLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("persisted retrained model does not decode: %v", err)
 	}
-	if loaded.SampleSize != 12 {
-		t.Fatalf("persisted sample size = %d, want 12", loaded.SampleSize)
+	if loaded.SampleSize != 16 {
+		t.Fatalf("persisted sample size = %d, want 16", loaded.SampleSize)
 	}
 	if got, want := loaded.PredictConfig(bad.Configs[0]), e.Model.PredictConfig(bad.Configs[0]); got != want {
 		t.Fatalf("persisted model predicts %v, serving model %v — not the same fit", got, want)

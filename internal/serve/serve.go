@@ -31,11 +31,9 @@
 package serve
 
 import (
-	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"time"
 
 	"predperf/internal/cluster"
@@ -57,6 +55,14 @@ var (
 	cModelLoads = obs.NewCounter("serve.model_loads")
 )
 
+const (
+	// cacheSize bounds the LRU prediction cache in entries.
+	cacheSize = 4096
+	// maxBatch bounds the number of configurations in one predict
+	// request.
+	maxBatch = 4096
+)
+
 // Options configures a Server. Zero values take production defaults.
 type Options struct {
 	// MaxBodyBytes bounds the size of a request body (default 1 MiB).
@@ -64,29 +70,12 @@ type Options struct {
 	// Timeout bounds the handling of one request; requests that exceed
 	// it receive a structured 503 (default 30s).
 	Timeout time.Duration
-	// CacheSize bounds the LRU prediction cache in entries (default
-	// 4096; negative disables caching).
-	CacheSize int
-	// Workers bounds the internal/par fan-out used for batch predict
-	// requests (default one per CPU).
-	Workers int
-	// MaxBatch bounds the number of configurations in one predict
-	// request (default 4096).
-	MaxBatch int
 	// CoalesceWindow bounds how long a single prediction may wait for
 	// companions before its micro-batch is flushed. Concurrent single
 	// requests inside one window share a single vectorized model
 	// evaluation, bit-identical to evaluating them alone. 0 (the
 	// default) disables coalescing; cmd/predserve turns it on at 1ms.
 	CoalesceWindow time.Duration
-	// CoalesceMax flushes a micro-batch as soon as it holds this many
-	// configurations, without waiting out the window (default 64).
-	CoalesceMax int
-	// CoalesceQueue bounds the coalescer's admission queue; a full
-	// queue answers a structured 503 (coalesce_queue_full) immediately
-	// instead of blocking the handler toward its deadline (default
-	// 4096).
-	CoalesceQueue int
 	// SearchTraceLen is the trace length used when /v1/search verifies
 	// its shortlist with the simulator (default 50k instructions).
 	SearchTraceLen int
@@ -100,52 +89,23 @@ type Options struct {
 	// alert timestamps, and shadow drift windows (default time.Now).
 	// Tests drive a fake clock through it.
 	Clock obs.Clock
-	// SLOLatency is the latency objective: a request is "good" when it
-	// completes within this duration (default 250ms). Align it with a
-	// histogram bucket bound for exact accounting.
-	SLOLatency time.Duration
-	// SLOAvailability is the target good fraction for both SLOs
-	// (default 0.999).
-	SLOAvailability float64
-	// BurnThreshold is the burn rate above which an SLO trips /readyz
-	// (default obs.DefBurnThreshold, 14.4).
-	BurnThreshold float64
 	// ShadowFraction is the fraction of served predictions re-checked on
 	// the cycle-level simulator (0 disables shadow monitoring, 1 checks
 	// everything). Sampling is a deterministic hash of the (model,
 	// quantized config) pair.
 	ShadowFraction float64
-	// ShadowWorkers bounds the background simulation worker pool
-	// (default 1).
-	ShadowWorkers int
-	// ShadowQueue bounds the pending shadow-sample queue; a full queue
-	// drops samples instead of blocking the predict path (default 1024).
-	ShadowQueue int
 	// ShadowErrPct is the windowed mean percent error above which a
 	// model counts as drifting (default 25; negative keeps the error
 	// histograms but never trips readiness).
 	ShadowErrPct float64
-	// ShadowMinSamples is how many windowed shadow samples a model needs
-	// before drift can fire (default 10).
-	ShadowMinSamples int
 	// Retrain enables the drift-triggered retrain controller: models
 	// whose shadow drift alert fires for RetrainAfter are rebuilt at
-	// escalated sample sizes and hot-swapped in. Requires shadow
+	// 2×, 3×, 4× their sample size and hot-swapped in. Requires shadow
 	// monitoring (ShadowFraction > 0) to ever trigger.
 	Retrain bool
-	// RetrainSizes is the escalation ladder of sample sizes; only sizes
-	// above the serving model's are built. Empty means automatic: 2×,
-	// 3×, 4× the serving model's sample size.
-	RetrainSizes []int
 	// RetrainTargetPct stops the escalation once the mean test error
 	// drops to this percentage (default 5, the paper's "a few percent").
 	RetrainTargetPct float64
-	// RetrainCooldown is the per-model pause after a retrain finishes —
-	// success or failure — before another may start (default 10m).
-	RetrainCooldown time.Duration
-	// RetrainMaxConcurrent bounds simultaneous retrains across all
-	// models (default 1).
-	RetrainMaxConcurrent int
 	// RetrainAfter is how long a model's drift alert must fire
 	// continuously before a retrain starts (default 30s; negative means
 	// immediately).
@@ -173,17 +133,6 @@ type Options struct {
 	// decision is made once at the edge — an inbound traceparent header
 	// carries it downstream instead.
 	TraceSample float64
-	// TraceSampleMax, when above TraceSample, turns on SLO-burn-adaptive
-	// head sampling: while any declared SLO fires, the edge sampling rate
-	// ramps (doubling per adapt tick) toward this ceiling, and decays
-	// back to TraceSample once the burn clears. 0 (the default) keeps
-	// the rate static at TraceSample. Only the number of retained traces
-	// changes — response bodies are untouched and the decision at any
-	// fixed rate stays deterministic per request ID.
-	TraceSampleMax float64
-	// TraceAdaptInterval is the adaptive sampling controller's tick
-	// cadence (default 10s). Only meaningful with TraceSampleMax set.
-	TraceAdaptInterval time.Duration
 	// TraceStoreSize bounds each retention class of the /tracez store
 	// (errors, kept outliers, reservoir sample) in traces (default 64).
 	TraceStoreSize int
@@ -196,56 +145,17 @@ func (o Options) withDefaults() Options {
 	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
 	}
-	if o.CacheSize == 0 {
-		o.CacheSize = 4096
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 4096
-	}
 	if o.SearchTraceLen <= 0 {
 		o.SearchTraceLen = 50_000
-	}
-	if o.CoalesceMax <= 0 {
-		o.CoalesceMax = 64
-	}
-	if o.CoalesceQueue <= 0 {
-		o.CoalesceQueue = 4096
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
 	}
-	if o.SLOLatency <= 0 {
-		o.SLOLatency = 250 * time.Millisecond
-	}
-	if o.SLOAvailability <= 0 || o.SLOAvailability >= 1 {
-		o.SLOAvailability = 0.999
-	}
-	if o.BurnThreshold <= 0 {
-		o.BurnThreshold = obs.DefBurnThreshold
-	}
-	if o.ShadowWorkers <= 0 {
-		o.ShadowWorkers = 1
-	}
-	if o.ShadowQueue <= 0 {
-		o.ShadowQueue = 1024
-	}
 	if o.ShadowErrPct == 0 {
 		o.ShadowErrPct = 25
 	}
-	if o.ShadowMinSamples <= 0 {
-		o.ShadowMinSamples = 10
-	}
 	if o.RetrainTargetPct <= 0 {
 		o.RetrainTargetPct = 5
-	}
-	if o.RetrainCooldown <= 0 {
-		o.RetrainCooldown = 10 * time.Minute
-	}
-	if o.RetrainMaxConcurrent <= 0 {
-		o.RetrainMaxConcurrent = 1
 	}
 	if o.RetrainAfter == 0 {
 		o.RetrainAfter = 30 * time.Second
@@ -263,9 +173,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TraceSample == 0 {
 		o.TraceSample = 1
-	}
-	if o.TraceAdaptInterval <= 0 {
-		o.TraceAdaptInterval = 10 * time.Second
 	}
 	if o.TraceStoreSize <= 0 {
 		o.TraceStoreSize = 64
@@ -296,13 +203,10 @@ type Server struct {
 	coalesce *coalescer
 	retrain  *retrainController
 
-	// Distributed tracing: the edge head-sampler (burn-adaptive when
-	// Options.TraceSampleMax raises the ceiling) and the tail-retention
+	// Distributed tracing: the edge head-sampler and the tail-retention
 	// trace store behind /tracez.
-	sampler   *obs.AdaptiveSampler
-	traces    *obs.TraceStore
-	adaptStop chan struct{}
-	adaptDone chan struct{}
+	sampler obs.Sampler
+	traces  *obs.TraceStore
 }
 
 // New builds a Server with an empty registry. Load models through
@@ -316,11 +220,11 @@ func New(opt Options) *Server {
 	s := &Server{
 		opt:    opt,
 		reg:    NewRegistry(opt.ModelDir),
-		cache:  newLRU(opt.CacheSize),
+		cache:  newLRU(cacheSize),
 		access: newAccessLog(opt.AccessLog),
 		clock:  opt.Clock,
 	}
-	s.sampler = obs.NewAdaptiveSampler(opt.TraceSample, opt.TraceSampleMax, 0)
+	s.sampler = obs.NewSampler(opt.TraceSample)
 	s.traces = obs.NewTraceStore(opt.TraceStoreSize)
 	obs.NewGaugeFunc("obs.trace_sample_rate", s.sampler.Rate)
 	if opt.SimPool != nil {
@@ -345,27 +249,12 @@ func New(opt Options) *Server {
 	}
 	s.wRoutes["other"] = obs.WindowHistogramIn(hRequests, s.clock, "other")
 
-	// The two declared SLOs, Google SRE multi-window burn style. Both
-	// are registered globally so run reports carry their states.
-	s.slos = []*obs.SLO{
-		obs.RegisterSLO(&obs.SLO{
-			Name:        "latency",
-			Description: fmt.Sprintf("%.4g%% of requests complete within %s", opt.SLOAvailability*100, opt.SLOLatency),
-			Objective:   opt.SLOAvailability,
-			Threshold:   opt.BurnThreshold,
-			SLI:         obs.LatencySLI(s.wLatency, opt.SLOLatency.Seconds()),
-		}),
-		obs.RegisterSLO(&obs.SLO{
-			Name:        "availability",
-			Description: fmt.Sprintf("%.4g%% of responses are non-5xx", opt.SLOAvailability*100),
-			Objective:   opt.SLOAvailability,
-			Threshold:   opt.BurnThreshold,
-			SLI:         obs.AvailabilitySLI(s.w5xx, s.wTotal),
-		}),
-	}
+	// The request SLO pair, Google SRE multi-window burn style,
+	// registered globally so run reports carry their states.
+	s.slos = obs.RequestSLOs("", s.wLatency, s.w5xx, s.wTotal)
 	s.alerts = obs.NewAlertSet(s.clock)
 	s.shadow = newShadowMonitor(opt, s.clock)
-	s.coalesce = newCoalescer(opt.CoalesceWindow, opt.CoalesceMax, opt.CoalesceQueue, s.predictBatch)
+	s.coalesce = newCoalescer(opt.CoalesceWindow, coalesceMax, coalesceQueue, s.predictBatch)
 	s.retrain = newRetrainController(opt, s.reg, s.shadow, s.clock)
 	s.retrain.traces = s.traces
 	if opt.Retrain {
@@ -373,47 +262,8 @@ func New(opt Options) *Server {
 	}
 	s.retrain.start()
 
-	// Burn-adaptive sampling controller: a periodic tick feeds the
-	// multi-window SLO state into the sampler's ramp/decay logic. Only
-	// started when a ceiling above the base rate makes adaptation
-	// possible; tests drive AdaptTick directly instead.
-	if opt.TraceSampleMax > 0 && s.sampler.Max() > s.sampler.Base() {
-		s.adaptStop = make(chan struct{})
-		s.adaptDone = make(chan struct{})
-		go s.adaptLoop()
-	}
-
 	s.http = role.NewServer(s.Handler())
 	return s
-}
-
-// AdaptTick runs one adaptive-sampling controller step: the sampling
-// rate ramps while any declared SLO fires and decays (with hysteresis)
-// once every burn has cleared. Returns the rate now in effect.
-func (s *Server) AdaptTick() float64 {
-	burning := false
-	for _, slo := range s.slos {
-		if slo.State().Firing {
-			burning = true
-			break
-		}
-	}
-	return s.sampler.Tick(burning)
-}
-
-// adaptLoop ticks the adaptive sampling controller until Shutdown.
-func (s *Server) adaptLoop() {
-	defer close(s.adaptDone)
-	t := time.NewTicker(s.opt.TraceAdaptInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.adaptStop:
-			return
-		case <-t.C:
-			s.AdaptTick()
-		}
-	}
 }
 
 // Registry exposes the model registry for loading and inspection.
@@ -462,11 +312,6 @@ func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
 // drops the sample and counts it.
 func (s *Server) Shutdown(deadline time.Duration) error {
 	err := s.http.Shutdown(deadline)
-	if s.adaptStop != nil {
-		close(s.adaptStop)
-		<-s.adaptDone
-		s.adaptStop = nil
-	}
 	s.retrain.stop()
 	s.coalesce.stop()
 	s.shadow.stop()

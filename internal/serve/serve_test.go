@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"predperf/internal/cluster"
 	"predperf/internal/core"
 	"predperf/internal/design"
 	"predperf/internal/obs"
@@ -111,12 +112,12 @@ func TestEndToEnd(t *testing.T) {
 	// the identity) must be bit-identical to in-process predictions.
 	batch := m.Configs[:10]
 	var reqBody struct {
-		Model   string       `json:"model"`
-		Configs []wireConfig `json:"configs"`
+		Model   string               `json:"model"`
+		Configs []cluster.WireConfig `json:"configs"`
 	}
 	reqBody.Model = "synthetic"
 	for _, c := range batch {
-		reqBody.Configs = append(reqBody.Configs, toWire(c))
+		reqBody.Configs = append(reqBody.Configs, cluster.FromConfig(c))
 	}
 	js, _ := json.Marshal(reqBody)
 	resp2, body := postJSON(t, ts.URL+"/v1/predict", string(js))
@@ -135,9 +136,9 @@ func TestEndToEnd(t *testing.T) {
 		if p.Value != want {
 			t.Fatalf("prediction %d = %v, want bit-identical %v", i, p.Value, want)
 		}
-		if p.Config != toWire(batch[i]) {
+		if p.Config != cluster.FromConfig(batch[i]) {
 			t.Fatalf("prediction %d echoed %+v, want %+v (on-grid input must not move)",
-				i, p.Config, toWire(batch[i]))
+				i, p.Config, cluster.FromConfig(batch[i]))
 		}
 		if p.Clamped {
 			t.Fatalf("prediction %d marked clamped for an on-grid input", i)
@@ -176,8 +177,8 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Best.Config != toWire(want.Best) {
-		t.Fatalf("search best %+v, want %+v", sr.Best.Config, toWire(want.Best))
+	if sr.Best.Config != cluster.FromConfig(want.Best) {
+		t.Fatalf("search best %+v, want %+v", sr.Best.Config, cluster.FromConfig(want.Best))
 	}
 	if sr.Best.Actual != want.BestValue || sr.Best.Predicted != m.PredictConfig(want.Best) {
 		t.Fatalf("search best values (%v, %v), want (%v, %v)",
@@ -219,7 +220,7 @@ func TestEndToEnd(t *testing.T) {
 // cache, and par fan-out compose race-free.
 func TestPredictStorm(t *testing.T) {
 	m := buildTestModel(t, "storm")
-	s := New(Options{CacheSize: 64, Workers: 4})
+	s := New(Options{})
 	if err := s.Registry().Add("storm", m, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -239,14 +240,14 @@ func TestPredictStorm(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 10; rep++ {
 				var req struct {
-					Model   string       `json:"model"`
-					Configs []wireConfig `json:"configs"`
+					Model   string               `json:"model"`
+					Configs []cluster.WireConfig `json:"configs"`
 				}
 				req.Model = "storm"
 				// Overlapping slices so goroutines contend on cache keys.
 				lo := (g + rep) % (len(m.Configs) - 8)
 				for _, c := range m.Configs[lo : lo+8] {
-					req.Configs = append(req.Configs, toWire(c))
+					req.Configs = append(req.Configs, cluster.FromConfig(c))
 				}
 				js, _ := json.Marshal(req)
 				resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(js))
@@ -304,7 +305,7 @@ func TestPredictClampsOutOfRange(t *testing.T) {
 	if p.Config.ROB > 128 {
 		t.Fatalf("echoed ROB %d not clamped into the space", p.Config.ROB)
 	}
-	if want := m.PredictConfig(p.Config.config()); p.Value != want {
+	if want := m.PredictConfig(p.Config.Config()); p.Value != want {
 		t.Fatalf("value %v, want %v (prediction of the echoed machine)", p.Value, want)
 	}
 }
@@ -414,7 +415,7 @@ func TestHotReloadInvalidatesCache(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	cfg := toWire(m1.Configs[0])
+	cfg := cluster.FromConfig(m1.Configs[0])
 	js, _ := json.Marshal(map[string]any{"model": "reload", "config": cfg})
 	predict := func() prediction {
 		t.Helper()
@@ -533,7 +534,7 @@ func TestTimeoutResponseIsJSON(t *testing.T) {
 
 func TestStructuredErrors(t *testing.T) {
 	m := buildTestModel(t, "errs")
-	s := New(Options{MaxBodyBytes: 512, MaxBatch: 4})
+	s := New(Options{})
 	if err := s.Registry().Add("errs", m, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -541,6 +542,9 @@ func TestStructuredErrors(t *testing.T) {
 	defer ts.Close()
 
 	okCfg := `{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}`
+	// One configuration past the batch limit, well inside the 1 MiB body
+	// limit.
+	tooMany := strings.Repeat(okCfg+`,`, maxBatch) + okCfg
 	cases := []struct {
 		name, url, body string
 		status          int
@@ -552,7 +556,7 @@ func TestStructuredErrors(t *testing.T) {
 		{"no config", "/v1/predict", `{"model":"errs"}`, http.StatusBadRequest, "bad_request"},
 		{"both config kinds", "/v1/predict", `{"model":"errs","config":` + okCfg + `,"configs":[` + okCfg + `]}`, http.StatusBadRequest, "bad_request"},
 		{"invalid config", "/v1/predict", `{"model":"errs","config":{"depth":12,"rob":0,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}}`, http.StatusBadRequest, "invalid_config"},
-		{"batch too large", "/v1/predict", `{"model":"errs","configs":[` + okCfg + `,` + okCfg + `,` + okCfg + `,` + okCfg + `,` + okCfg + `]}`, http.StatusRequestEntityTooLarge, "batch_too_large"},
+		{"batch too large", "/v1/predict", `{"model":"errs","configs":[` + tooMany + `]}`, http.StatusRequestEntityTooLarge, "batch_too_large"},
 		{"search unknown model", "/v1/search", `{"model":"nope"}`, http.StatusNotFound, "unknown_model"},
 		{"search bad verify", "/v1/search", `{"model":"errs","verify":"psychic"}`, http.StatusBadRequest, "bad_request"},
 		{"search needs sim", "/v1/search", `{"model":"errs","verify":"sim"}`, http.StatusBadRequest, "no_simulator"},
@@ -568,14 +572,19 @@ func TestStructuredErrors(t *testing.T) {
 		}
 	}
 
-	// Oversize body → 413. The batch above stayed under 512 bytes; this
-	// one exceeds it.
+	// Oversize body → 413, against a server with a 512-byte limit.
+	small := New(Options{MaxBodyBytes: 512})
+	if err := small.Registry().Add("errs", m, ""); err != nil {
+		t.Fatal(err)
+	}
+	smallTS := httptest.NewServer(small.Handler())
+	defer smallTS.Close()
 	big := `{"model":"errs","configs":[` + okCfg
 	for len(big) < 600 {
 		big += `,` + okCfg
 	}
 	big += `]}`
-	resp, body := postJSON(t, ts.URL+"/v1/predict", big)
+	resp, body := postJSON(t, smallTS.URL+"/v1/predict", big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "body_too_large") {
 		t.Errorf("oversize body: status %d body %s", resp.StatusCode, body)
 	}

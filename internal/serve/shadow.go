@@ -39,6 +39,17 @@ var (
 
 var shadowErrBuckets = obs.ExponentialBuckets(0.01, 2, 23)
 
+const (
+	// shadowWorkers is the background simulation pool size.
+	shadowWorkers = 1
+	// shadowQueue bounds the pending-sample queue; a full queue drops
+	// samples instead of blocking the predict path.
+	shadowQueue = 1024
+	// shadowMinSamples is how many windowed samples a model needs
+	// before drift can fire.
+	shadowMinSamples = 10
+)
+
 // shadowJob is one sampled prediction awaiting simulator verification.
 type shadowJob struct {
 	entry     *Entry
@@ -56,12 +67,11 @@ type shadowModelStats struct {
 // shadowMonitor owns the sampling decision, the bounded queue, the
 // worker pool, and the per-model drift state.
 type shadowMonitor struct {
-	frac       float64
-	limit      uint64 // sampling threshold in FNV-64a hash space
-	traceLen   int
-	errPct     float64 // windowed mean error (percent) above which a model drifts
-	minSamples int64   // windowed samples required before drift can fire
-	clock      obs.Clock
+	frac     float64
+	limit    uint64 // sampling threshold in FNV-64a hash space
+	traceLen int
+	errPct   float64 // windowed mean error (percent) above which a model drifts
+	clock    obs.Clock
 
 	queue    chan shadowJob
 	jobs     sync.WaitGroup
@@ -102,19 +112,18 @@ func shadowLimit(frac float64) uint64 {
 // returns a disabled monitor: every method is a cheap no-op.
 func newShadowMonitor(opt Options, clock obs.Clock) *shadowMonitor {
 	m := &shadowMonitor{
-		frac:       opt.ShadowFraction,
-		traceLen:   opt.SearchTraceLen,
-		errPct:     opt.ShadowErrPct,
-		minSamples: int64(opt.ShadowMinSamples),
-		clock:      clock,
-		models:     map[string]*shadowModelStats{},
+		frac:     opt.ShadowFraction,
+		traceLen: opt.SearchTraceLen,
+		errPct:   opt.ShadowErrPct,
+		clock:    clock,
+		models:   map[string]*shadowModelStats{},
 	}
 	if opt.ShadowFraction <= 0 {
 		return m
 	}
 	m.limit = shadowLimit(opt.ShadowFraction)
-	m.queue = make(chan shadowJob, opt.ShadowQueue)
-	for i := 0; i < opt.ShadowWorkers; i++ {
+	m.queue = make(chan shadowJob, shadowQueue)
+	for i := 0; i < shadowWorkers; i++ {
 		go m.run()
 	}
 	return m
@@ -241,7 +250,7 @@ type driftState struct {
 
 // driftStates evaluates every model the monitor has samples for, sorted
 // by model name. A model fires when its windowed mean error exceeds the
-// threshold with at least minSamples observations in the window.
+// threshold with at least shadowMinSamples observations in the window.
 func (m *shadowMonitor) driftStates() []driftState {
 	if !m.enabled() {
 		return nil
@@ -262,7 +271,7 @@ func (m *shadowMonitor) driftStates() []driftState {
 			Samples: st.win.CountOver(obs.DefSlowWindow),
 			MeanPct: st.win.MeanOver(obs.DefSlowWindow),
 		}
-		d.Firing = m.errPct > 0 && d.Samples >= m.minSamples && d.MeanPct > m.errPct
+		d.Firing = m.errPct > 0 && d.Samples >= shadowMinSamples && d.MeanPct > m.errPct
 		out = append(out, d)
 	}
 	return out

@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
+	"predperf/internal/cluster"
 	"predperf/internal/core"
 	"predperf/internal/design"
 	"predperf/internal/obs"
@@ -65,19 +67,19 @@ func TestShadowResponsesBitIdentical(t *testing.T) {
 	m := buildTestModel(t, "bitid")
 
 	run := func(frac float64) []byte {
-		s := New(Options{ShadowFraction: frac, ShadowWorkers: 1})
+		s := New(Options{ShadowFraction: frac})
 		if err := s.Registry().Add("bitid", m, ""); err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		var req struct {
-			Model   string       `json:"model"`
-			Configs []wireConfig `json:"configs"`
+			Model   string               `json:"model"`
+			Configs []cluster.WireConfig `json:"configs"`
 		}
 		req.Model = "bitid"
 		for _, c := range m.Configs[:16] {
-			req.Configs = append(req.Configs, toWire(c))
+			req.Configs = append(req.Configs, cluster.FromConfig(c))
 		}
 		js, _ := json.Marshal(req)
 		_, body := postJSON(t, ts.URL+"/v1/predict", string(js))
@@ -103,19 +105,24 @@ func TestShadowResponsesBitIdentical(t *testing.T) {
 func TestShadowQueueDrops(t *testing.T) {
 	obs.Reset()
 	m := buildTestModel(t, "drops")
-	// Queue of 1 and a worker pool that can't drain 16 sims instantly:
-	// the burst must overflow and the overflow must be counted.
-	opt := Options{ShadowFraction: 1, ShadowWorkers: 1, ShadowQueue: 1}.withDefaults()
-	mon := newShadowMonitor(opt, nil)
+	// The one worker blocks building its evaluator, so a burst of one
+	// more sample than the worker and the queue can hold must overflow,
+	// and the overflow must be counted.
+	release := make(chan struct{})
+	e := &Entry{Name: "drops", Model: m, evalFactory: func(string, int) (core.Evaluator, error) {
+		<-release
+		return nil, errors.New("no simulator in this test")
+	}}
+	mon := newShadowMonitor(Options{ShadowFraction: 1}.withDefaults(), nil)
 	defer mon.stop()
-	e := &Entry{Name: "drops", Model: m}
-	for _, cfg := range m.Configs[:16] {
-		mon.offer(e, cfg, 1.0)
+	for i := 0; i < shadowWorkers+shadowQueue+1; i++ {
+		mon.offer(e, m.Configs[i%len(m.Configs)], 1.0)
 	}
+	close(release)
 	mon.drain()
 	dropped := obs.NewCounter("serve.shadow_dropped").Value()
 	if dropped == 0 {
-		t.Fatal("16 offers through a 1-slot queue dropped nothing")
+		t.Fatalf("%d offers through a %d-slot queue dropped nothing", shadowWorkers+shadowQueue+1, shadowQueue)
 	}
 }
 
@@ -161,7 +168,6 @@ func TestShadowErrorMatchesBuildTimeValidation(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Options{
 		ShadowFraction: 1,
-		ShadowWorkers:  1,
 		SearchTraceLen: traceLen, // shadow evaluator: same benchmark, same trace length
 		Clock:          clk.now,
 		ShadowErrPct:   -1, // never trip readiness in this test
@@ -173,12 +179,12 @@ func TestShadowErrorMatchesBuildTimeValidation(t *testing.T) {
 	defer hts.Close()
 
 	var req struct {
-		Model   string       `json:"model"`
-		Configs []wireConfig `json:"configs"`
+		Model   string               `json:"model"`
+		Configs []cluster.WireConfig `json:"configs"`
 	}
 	req.Model = "twolf"
 	for _, c := range ts.Configs {
-		req.Configs = append(req.Configs, toWire(c))
+		req.Configs = append(req.Configs, cluster.FromConfig(c))
 	}
 	js, _ := json.Marshal(req)
 	_, body := postJSON(t, hts.URL+"/v1/predict", string(js))
@@ -225,11 +231,9 @@ func TestShadowDriftTripsReadyz(t *testing.T) {
 	obs.Reset()
 	clk := newFakeClock()
 	s := New(Options{
-		ShadowFraction:   1,
-		ShadowWorkers:    1,
-		Clock:            clk.now,
-		ShadowErrPct:     5,
-		ShadowMinSamples: 3,
+		ShadowFraction: 1,
+		Clock:          clk.now,
+		ShadowErrPct:   5,
 	})
 	m := buildTestModel(t, "drifty")
 	if err := s.Registry().Add("drifty", m, ""); err != nil {
@@ -239,7 +243,7 @@ func TestShadowDriftTripsReadyz(t *testing.T) {
 	// histogram is what driftStates reads, and feeding it here keeps the
 	// test independent of simulator availability.
 	st := s.shadow.stats("drifty")
-	for i := 0; i < 4; i++ {
+	for i := 0; i < shadowMinSamples; i++ {
 		st.hist.Observe(40) // 40% error, well past the 5% threshold
 	}
 
@@ -259,6 +263,26 @@ func TestShadowDriftTripsReadyz(t *testing.T) {
 	}
 }
 
+// TestShadowNegativeErrPctNeverTrips: a negative threshold (what
+// -shadow-err-pct 0 maps to) keeps the error histograms but never
+// flips /readyz, however large the error.
+func TestShadowNegativeErrPctNeverTrips(t *testing.T) {
+	obs.Reset()
+	s := New(Options{ShadowFraction: 1, ShadowErrPct: -1})
+	if err := s.Registry().Add("calm", buildTestModel(t, "calm"), ""); err != nil {
+		t.Fatal(err)
+	}
+	st := s.shadow.stats("calm")
+	for i := 0; i < shadowMinSamples; i++ {
+		st.hist.Observe(400)
+	}
+	hts := httptest.NewServer(s.Handler())
+	defer hts.Close()
+	if resp, body := getBody(t, hts.URL+"/readyz"); resp.StatusCode != 200 {
+		t.Fatalf("readyz = %d (%s), want 200: a negative threshold never trips", resp.StatusCode, body)
+	}
+}
+
 // TestShadowOfferAfterStop is the regression test for the shutdown
 // straggler race: a handler that outlives the drain deadline and offers
 // a sample after stop() must have it dropped and counted — before the
@@ -268,7 +292,7 @@ func TestShadowOfferAfterStop(t *testing.T) {
 	obs.Reset()
 	m := buildTestModel(t, "straggler")
 	e := &Entry{Name: "straggler", Model: m}
-	opt := Options{ShadowFraction: 1, ShadowWorkers: 1}.withDefaults()
+	opt := Options{ShadowFraction: 1}.withDefaults()
 
 	mon := newShadowMonitor(opt, nil)
 	mon.stop()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"predperf/internal/cluster"
 	"predperf/internal/obs"
 )
 
@@ -200,5 +201,36 @@ func TestHealthzCarriesBuildInfo(t *testing.T) {
 	}
 	if h.Build.GoVersion == "" || h.Build.ModelFormat < 1 {
 		t.Fatalf("healthz build info incomplete: %+v", h.Build)
+	}
+}
+
+// TestRequestSLODeclarations pins the four request SLOs — this server's
+// and the router fleet plane's — as /alertz, /statusz, /fleetz and run
+// reports show them.
+func TestRequestSLODeclarations(t *testing.T) {
+	New(Options{})
+	if _, err := cluster.NewRouter(cluster.RouterOptions{Shards: []string{"127.0.0.1:1"}}); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct{ name, desc string }{
+		{"latency", "99.9% of requests complete within 250ms"},
+		{"availability", "99.9% of responses are non-5xx"},
+		{"fleet-latency", "99.9% of fleet requests complete within 250ms"},
+		{"fleet-availability", "99.9% of fleet responses are non-5xx"},
+	}
+	states := map[string]obs.SLOState{}
+	for _, st := range obs.SLOStates() {
+		states[st.Name] = st
+	}
+	for _, w := range want {
+		st, ok := states[w.name]
+		if !ok {
+			t.Errorf("SLO %q is not registered", w.name)
+			continue
+		}
+		if st.Description != w.desc || st.Objective != 0.999 || st.Threshold != 14.4 {
+			t.Errorf("SLO %q = %q objective %v threshold %v, want %q objective 0.999 threshold 14.4",
+				w.name, st.Description, st.Objective, st.Threshold, w.desc)
+		}
 	}
 }

@@ -78,14 +78,19 @@ grep -q '"name": "core.sim_point"' "$smoke_dir/build-trace.json"
 go build -o "$smoke_dir/predserve" ./cmd/predserve
 # -version prints build info without serving.
 "$smoke_dir/predserve" -version | grep -q 'model-format'
+# Knob ratchet: predserve has exactly 22 flags, so adding one is a
+# visible diff here.
+nflags=$("$smoke_dir/predserve" -h 2>&1 | grep -c '^  -')
+if [ "$nflags" != 22 ]; then
+    echo "predserve -h lists $nflags flags, want 22" >&2
+    exit 1
+fi
 # Start with an EMPTY model directory so /readyz goes through its full
 # lifecycle, and shadow-verify 100% of served predictions on the
 # simulator (same trace length the model was built with).
 mkdir "$smoke_dir/models"
 "$smoke_dir/predserve" -addr 127.0.0.1:0 -models "$smoke_dir/models" \
-    -shadow-frac 1.0 -shadow-workers 1 -search-insts 2000 \
-    -slo-latency 250ms -slo-availability 0.999 \
-    -coalesce-window 5ms -coalesce-max 64 \
+    -shadow-frac 1.0 -search-insts 2000 -coalesce-window 5ms \
     > "$smoke_dir/predserve.log" 2>&1 &
 smoke_pid=$!
 addr=$(wait_addr "$smoke_dir/predserve.log" predserve)
@@ -181,16 +186,15 @@ grep -q '"id":' "$smoke_dir/predserve.log"
 echo "== retrain smoke =="
 # Closed-loop lifecycle: serve a deliberately weak model (8-point fit)
 # with full shadow verification and a drift threshold its real error is
-# certain to exceed, then let the retrain controller rebuild it at an
-# escalated sample size and hot-swap the winner.
+# certain to exceed, then let the retrain controller rebuild it at 2x
+# its sample size and hot-swap the winner.
 mkdir "$smoke_dir/models2"
 go run ./cmd/predperf -bench mcf -insts 2000 -sample 8 -lhs 4 -test 2 \
     -save "$smoke_dir/models2/mcf.json" > /dev/null
 "$smoke_dir/predserve" -addr 127.0.0.1:0 -models "$smoke_dir/models2" \
-    -shadow-frac 1.0 -shadow-workers 1 -search-insts 2000 \
-    -shadow-err-pct 0.5 \
-    -retrain -retrain-sizes 16 -retrain-target-pct 10000 \
-    -retrain-after 1ms -retrain-poll 200ms -retrain-cooldown 1m \
+    -shadow-frac 1.0 -search-insts 2000 -shadow-err-pct 0.5 \
+    -retrain -retrain-target-pct 10000 \
+    -retrain-after 0 -retrain-poll 200ms \
     -retrain-test-points 6 -retrain-workers 2 \
     > "$smoke_dir/retrain.log" 2>&1 &
 smoke_pid=$!
