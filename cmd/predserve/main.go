@@ -23,10 +23,11 @@
 // latency histograms, and spans as JSON, or as Prometheus text with
 // ?format=prom; -pprof serves net/http/pprof on a side address.
 //
-// Concurrent single predictions are coalesced into micro-batches
-// (-coalesce-window, default 1ms; at most 64 per flush) and scored with
-// one vectorized RBF evaluation, bit-identical to evaluating them
-// alone; explicit batches (up to 4096 configurations) go straight to
+// Concurrent single predictions are coalesced into micro-batches and
+// scored with one vectorized RBF evaluation, bit-identical to scoring
+// them alone. The dispatcher never waits: it flushes what is queued (at
+// most 64) at once, and requests that arrive meanwhile form the next
+// batch. Explicit batches (up to 4096 configurations) go straight to
 // the vectorized path. A full admission queue (4096 waiting requests)
 // answers a structured 503 (coalesce_queue_full) immediately.
 //
@@ -90,7 +91,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.BoolVar(&c.version, "version", false, "print build info (Go version, model format, VCS revision) and exit")
 	fs.StringVar(&o.ModelDir, "models", "", "directory of *.json models to load at startup (also anchors relative /v1/models/load paths)")
 	fs.StringVar(&c.modelFiles, "model", "", "comma-separated model files to load at startup")
-	fs.DurationVar(&o.CoalesceWindow, "coalesce-window", time.Millisecond, "micro-batch window: concurrent single predictions arriving within it share one vectorized evaluation (0 disables coalescing)")
 	fs.IntVar(&o.SearchTraceLen, "search-insts", 50_000, "trace length for simulator-verified /v1/search")
 	fs.StringVar(&c.accessLog, "access-log", "stderr", `JSON-lines access log destination: "stderr", "off", or a file path (appended)`)
 	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off by default")

@@ -25,24 +25,14 @@ type lruEntry struct {
 	val float64
 }
 
-// newLRU builds a cache bounded at max entries; max < 0 disables the
-// cache (every Get misses, Put is a no-op).
+// newLRU builds a cache bounded at max entries.
 func newLRU(max int) *lru {
-	if max < 0 {
-		return &lru{}
-	}
 	return &lru{max: max, ll: list.New(), items: make(map[string]*list.Element, max)}
 }
-
-// enabled reports whether the cache stores anything.
-func (c *lru) enabled() bool { return c.max > 0 }
 
 // Get returns the cached prediction for key and marks it most recently
 // used.
 func (c *lru) Get(key string) (float64, bool) {
-	if !c.enabled() {
-		return 0, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -56,9 +46,6 @@ func (c *lru) Get(key string) (float64, bool) {
 // Put inserts or refreshes a prediction, evicting the least recently
 // used entry when the cache is full.
 func (c *lru) Put(key string, val float64) {
-	if !c.enabled() {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -76,13 +63,10 @@ func (c *lru) Put(key string, val float64) {
 
 // Len reports the number of cached predictions.
 func (c *lru) Len() int {
-	if !c.enabled() {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
 
-// Cap reports the cache's entry capacity (0 when disabled).
+// Cap reports the cache's entry capacity.
 func (c *lru) Cap() int { return c.max }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"predperf/internal/design"
 	"predperf/internal/obs"
@@ -13,14 +12,15 @@ import (
 // Request coalescing: the vectorized RBF evaluator (rbf.Compiled) is at
 // its best when it scores many configurations in one blocked matrix
 // pass, but independent clients send one configuration at a time. The
-// coalescer turns that concurrency into batch shape: concurrent single
-// /v1/predict requests enqueue onto a bounded admission queue, and a
-// dispatcher goroutine drains up to maxSize configs or one window
-// (whichever comes first) into a micro-batch, evaluates each model's
-// share with one vectorized call, and fans the results back per
-// request. Responses are bit-identical with coalescing on or off — the
-// batch evaluator reproduces the scalar path exactly — so the window
-// trades a bounded latency budget purely for throughput.
+// coalescer turns that concurrency into batch shape without a timer:
+// every single /v1/predict request enqueues onto a bounded admission
+// queue, and one dispatcher goroutine blocks for the first request,
+// takes whatever else is already queued (up to coalesceMax), and
+// flushes at once. Requests that arrive during a flush form the next
+// batch, as in group commit, so batches grow with concurrency and a
+// lone request never waits for a companion. Each model's share of a
+// micro-batch is scored with one vectorized call, and the results fan
+// back per request, bit-identical to evaluating each alone.
 var (
 	cCoalesced        = obs.NewCounter("serve.coalesced_requests")
 	cCoalesceCanceled = obs.NewCounter("serve.coalesce_canceled")
@@ -31,8 +31,8 @@ var (
 )
 
 const (
-	// coalesceMax flushes a micro-batch as soon as it holds this many
-	// configurations, without waiting out the window.
+	// coalesceMax bounds the configurations one flush takes from the
+	// queue; the rest wait for the next flush.
 	coalesceMax = 64
 	// coalesceQueue bounds the admission queue; a full queue answers a
 	// structured 503 (coalesce_queue_full) at once instead of blocking
@@ -63,7 +63,6 @@ type coalesceReq struct {
 // predictBatch, so the cache and shadow monitor apply per config
 // exactly as on the direct path).
 type coalescer struct {
-	window  time.Duration
 	maxSize int
 	eval    func(*Entry, []design.Config) []prediction
 
@@ -75,22 +74,19 @@ type coalescer struct {
 	stopOnce sync.Once
 }
 
-// newCoalescer builds (and starts) a coalescer that flushes at maxSize
-// configurations and admits queueCap waiting ones (the server passes
-// coalesceMax and coalesceQueue). window <= 0 returns a disabled
-// coalescer: enabled() is false and predict must not be called.
-func newCoalescer(window time.Duration, maxSize, queueCap int, eval func(*Entry, []design.Config) []prediction) *coalescer {
-	c := &coalescer{window: window, maxSize: maxSize, eval: eval}
-	if window <= 0 {
-		return c
+// newCoalescer builds (and starts) a coalescer that flushes at most
+// maxSize configurations at a time and admits queueCap waiting ones
+// (the server passes coalesceMax and coalesceQueue).
+func newCoalescer(maxSize, queueCap int, eval func(*Entry, []design.Config) []prediction) *coalescer {
+	c := &coalescer{
+		maxSize: maxSize,
+		eval:    eval,
+		queue:   make(chan coalesceReq, queueCap),
+		stopped: make(chan struct{}),
 	}
-	c.queue = make(chan coalesceReq, queueCap)
-	c.stopped = make(chan struct{})
 	go c.dispatch()
 	return c
 }
-
-func (c *coalescer) enabled() bool { return c != nil && c.queue != nil }
 
 // predict enqueues one configuration and blocks until its micro-batch
 // has been evaluated. It fails fast — never waiting out the request
@@ -123,9 +119,9 @@ func (c *coalescer) predict(ctx context.Context, e *Entry, cfg design.Config) (p
 }
 
 // dispatch is the single consumer: it blocks for the first request of
-// a micro-batch, then collects companions until the batch is full
-// ("size"), the window expires ("window"), or the queue closes during
-// shutdown ("drain"), and flushes.
+// a micro-batch, then takes only what is already queued, and flushes
+// when the queue is empty ("idle"), the batch is full ("size"), or the
+// queue closed during shutdown ("drain").
 func (c *coalescer) dispatch() {
 	defer close(c.stopped)
 	for {
@@ -135,8 +131,7 @@ func (c *coalescer) dispatch() {
 		}
 		batch := make([]coalesceReq, 1, c.maxSize)
 		batch[0] = first
-		reason := "window"
-		timer := time.NewTimer(c.window)
+		reason := "size"
 	collect:
 		for len(batch) < c.maxSize {
 			select {
@@ -146,13 +141,10 @@ func (c *coalescer) dispatch() {
 					break collect
 				}
 				batch = append(batch, r)
-			case <-timer.C:
+			default:
+				reason = "idle"
 				break collect
 			}
-		}
-		timer.Stop()
-		if len(batch) >= c.maxSize {
-			reason = "size"
 		}
 		c.flush(batch, reason)
 		if reason == "drain" {
@@ -200,9 +192,6 @@ func (c *coalescer) flush(batch []coalesceReq, reason string) {
 // everything already queued, and blocks until it has exited. Call
 // after the HTTP side has drained.
 func (c *coalescer) stop() {
-	if !c.enabled() {
-		return
-	}
 	c.stopOnce.Do(func() {
 		c.mu.Lock()
 		c.closed = true

@@ -17,14 +17,11 @@ import (
 	"predperf/internal/obs"
 )
 
-// coalescingServer builds a server with coalescing on and the given
-// model registered, returning the server and its test listener.
-func coalescingServer(t *testing.T, opt Options, models ...*core.Model) (*Server, *httptest.Server) {
+// coalescingServer builds a default server with the given models
+// registered, returning the server and its test listener.
+func coalescingServer(t *testing.T, models ...*core.Model) (*Server, *httptest.Server) {
 	t.Helper()
-	if opt.CoalesceWindow == 0 {
-		opt.CoalesceWindow = 2 * time.Millisecond
-	}
-	s := New(opt)
+	s := New(Options{})
 	for _, m := range models {
 		if err := s.Registry().Add(m.Name, m, ""); err != nil {
 			t.Fatal(err)
@@ -38,24 +35,77 @@ func coalescingServer(t *testing.T, opt Options, models ...*core.Model) (*Server
 	return s, ts
 }
 
+// holdDispatcher swaps s's coalescer for one of the same shape whose
+// first flush blocks inside eval until release is called, so later
+// singles queue up behind it as they do behind any slow flush. Every
+// flush evaluates through s.predictBatch; sizes reports how many
+// configs each evaluation carried, in order.
+func holdDispatcher(t *testing.T, s *Server) (release func(), sizes func() []int) {
+	gate := make(chan struct{})
+	var mu sync.Mutex
+	var got []int
+	s.coalesce.stop()
+	s.coalesce = newCoalescer(coalesceMax, coalesceQueue, func(e *Entry, cfgs []design.Config) []prediction {
+		mu.Lock()
+		got = append(got, len(cfgs))
+		first := len(got) == 1
+		mu.Unlock()
+		if first {
+			<-gate
+		}
+		return s.predictBatch(e, cfgs)
+	})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	// Cleanups run last-in first-out: the gate opens before the server's
+	// cleanup stops the coalescer, which waits for the dispatcher.
+	t.Cleanup(release)
+	sizes = func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int(nil), got...)
+	}
+	return release, sizes
+}
+
+// waitUntil polls cond for up to 5 s and fails the test with what if
+// it never holds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// predictSingle posts one config and returns its prediction and the
+// HTTP status. It reports failures with t.Error, never t.Fatal, so
+// goroutines may call it; a transport or decoding failure returns
+// status 0.
 func predictSingle(t *testing.T, url, model string, cfg design.Config) (prediction, int) {
 	t.Helper()
-	body := fmt.Sprintf(`{"model":%q,"config":%s}`, model, string(mustJSON(t, cluster.FromConfig(cfg))))
-	resp, raw := postJSON(t, url+"/v1/predict", body)
+	body := fmt.Sprintf(`{"model":%q,"config":%s}`, model, mustJSON(t, cluster.FromConfig(cfg)))
+	resp, err := http.Post(url+"/v1/predict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return prediction{}, 0
+	}
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return prediction{}, resp.StatusCode
 	}
 	var pr predictResponse
-	if err := json.Unmarshal(raw, &pr); err != nil {
-		t.Fatalf("decoding %s: %v", raw, err)
-	}
-	if len(pr.Predictions) != 1 {
-		t.Fatalf("got %d predictions for a single config", len(pr.Predictions))
+	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil || len(pr.Predictions) != 1 {
+		t.Errorf("decoding a single prediction: %v (%d predictions)", err, len(pr.Predictions))
+		return prediction{}, 0
 	}
 	return pr.Predictions[0], resp.StatusCode
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -64,90 +114,114 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// TestCoalescingBitIdentical: for on-grid configs, responses with
-// coalescing on must match both the in-process model and a server with
-// coalescing off, bit for bit.
+// TestCoalescingBitIdentical: for on-grid configs, a coalesced single
+// must match the in-process model bit for bit, and equal the same
+// config scored inside a direct 2-config batch (on a second server, so
+// neither answer comes from the other's cache).
 func TestCoalescingBitIdentical(t *testing.T) {
 	obs.Reset()
 	m := buildTestModel(t, "co")
-	_, on := coalescingServer(t, Options{CoalesceWindow: time.Millisecond}, m)
-	soff := New(Options{})
-	if err := soff.Registry().Add(m.Name, m, ""); err != nil {
-		t.Fatal(err)
-	}
-	off := httptest.NewServer(soff.Handler())
-	defer off.Close()
+	_, singles := coalescingServer(t, m)
+	_, batches := coalescingServer(t, m)
 
-	for _, cfg := range m.Configs[:8] {
+	for i, cfg := range m.Configs[:8] {
 		want := m.PredictConfig(cfg)
-		pOn, _ := predictSingle(t, on.URL, "co", cfg)
-		pOff, _ := predictSingle(t, off.URL, "co", cfg)
-		if pOn.Value != want {
-			t.Fatalf("coalesced value %x != in-process %x", pOn.Value, want)
+		p, code := predictSingle(t, singles.URL, "co", cfg)
+		if code != http.StatusOK {
+			t.Fatalf("single status %d", code)
 		}
-		if pOn.Value != pOff.Value {
-			t.Fatalf("coalesced value %x != uncoalesced %x", pOn.Value, pOff.Value)
+		if p.Value != want {
+			t.Fatalf("coalesced value %x != in-process %x", p.Value, want)
+		}
+		body := fmt.Sprintf(`{"model":"co","configs":[%s,%s]}`,
+			mustJSON(t, cluster.FromConfig(cfg)), mustJSON(t, cluster.FromConfig(m.Configs[8+i])))
+		resp, raw := postJSON(t, batches.URL+"/v1/predict", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
+		}
+		var pr predictResponse
+		if err := json.Unmarshal(raw, &pr); err != nil {
+			t.Fatal(err)
+		}
+		if pr.Predictions[0] != p {
+			t.Fatalf("coalesced single %+v != batched %+v", p, pr.Predictions[0])
 		}
 	}
 }
 
-// TestCoalesceWindowFlush: a lone request, far below coalesceMax, can
-// only complete via the window timer, and the flush is tagged "window".
-func TestCoalesceWindowFlush(t *testing.T) {
+// TestCoalesceIdleFlush: a lone request, far below coalesceMax, is
+// flushed as soon as the dispatcher finds the queue empty: one "idle"
+// flush of one config, counted, with no timer to wait out.
+func TestCoalesceIdleFlush(t *testing.T) {
 	obs.Reset()
-	m := buildTestModel(t, "win")
-	_, ts := coalescingServer(t, Options{CoalesceWindow: 2 * time.Millisecond}, m)
-	start := time.Now()
-	if p, code := predictSingle(t, ts.URL, "win", m.Configs[0]); code != http.StatusOK || p.Value == 0 {
+	m := buildTestModel(t, "idle")
+	_, ts := coalescingServer(t, m)
+	if p, code := predictSingle(t, ts.URL, "idle", m.Configs[0]); code != http.StatusOK || p.Value != m.PredictConfig(m.Configs[0]) {
 		t.Fatalf("predict = %+v (status %d)", p, code)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("window flush took %s", elapsed)
+	if n := cCoalesceFlushes.With("idle").Value(); n != 1 {
+		t.Fatalf("idle flushes = %d, want 1", n)
 	}
-	if n := cCoalesceFlushes.With("window").Value(); n < 1 {
-		t.Fatalf("window flushes = %d, want >= 1", n)
+	if n := cCoalesceFlushes.With("size").Value(); n != 0 {
+		t.Fatalf("size flushes = %d, want 0", n)
 	}
-	if n := cCoalesced.Value(); n < 1 {
-		t.Fatalf("coalesced_requests = %d, want >= 1", n)
+	if n := cCoalesced.Value(); n != 1 {
+		t.Fatalf("coalesced_requests = %d, want 1", n)
 	}
-	if hCoalesceBatch.Count() < 1 {
-		t.Fatal("coalesce_batch_size histogram recorded nothing")
+	if n, sum := hCoalesceBatch.Count(), hCoalesceBatch.Sum(); n != 1 || sum != 1 {
+		t.Fatalf("coalesce_batch_size count %d sum %v, want one flush of 1", n, sum)
 	}
 }
 
-// TestCoalesceMaxSizeFlush: with a window far longer than the test,
-// requests can only complete via the size trigger; fire exactly one
-// batch worth (coalesceMax) concurrently and require a "size" flush.
+// TestCoalesceMaxSizeFlush pins self-clocked batching: with the
+// dispatcher held inside one flush, coalesceMax+3 singles queue behind
+// it; once it returns they leave as one full "size" batch and then one
+// "idle" batch of the 3 left over, every value bit-equal to the
+// in-process model.
 func TestCoalesceMaxSizeFlush(t *testing.T) {
 	obs.Reset()
 	m := buildTestModel(t, "sz")
-	_, ts := coalescingServer(t, Options{CoalesceWindow: 30 * time.Second}, m)
+	s, ts := coalescingServer(t, m)
+	release, sizes := holdDispatcher(t, s)
 	var wg sync.WaitGroup
-	errs := make(chan string, coalesceMax)
-	for i := 0; i < coalesceMax; i++ {
-		cfg := m.Configs[i%len(m.Configs)]
+	errs := make(chan string, coalesceMax+4)
+	fire := func(cfg design.Config) {
+		want := m.PredictConfig(cfg)
 		wg.Add(1)
-		go func(cfg design.Config, want float64) {
+		go func() {
 			defer wg.Done()
 			p, code := predictSingle(t, ts.URL, "sz", cfg)
 			if code != http.StatusOK || p.Value != want {
 				errs <- fmt.Sprintf("value %x (status %d), want %x", p.Value, code, want)
 			}
-		}(cfg, m.PredictConfig(cfg))
+		}()
 	}
+	fire(m.Configs[0])
+	waitUntil(t, "the dispatcher to hold the first single", func() bool { return len(sizes()) == 1 })
+	for i := 1; i <= coalesceMax+3; i++ {
+		fire(m.Configs[i%len(m.Configs)])
+	}
+	waitUntil(t, "the singles to queue", func() bool { return len(s.coalesce.queue) == coalesceMax+3 })
+	release()
 	wg.Wait()
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
 	}
-	if n := cCoalesceFlushes.With("size").Value(); n < 1 {
-		t.Fatalf("size flushes = %d, want >= 1 (window flushes: %d)",
-			n, cCoalesceFlushes.With("window").Value())
+	if got, want := fmt.Sprint(sizes()), fmt.Sprint([]int{1, coalesceMax, 3}); got != want {
+		t.Fatalf("flush sizes %s, want %s", got, want)
+	}
+	if idle, size := cCoalesceFlushes.With("idle").Value(), cCoalesceFlushes.With("size").Value(); idle != 2 || size != 1 {
+		t.Fatalf("flushes: idle %d size %d, want 2 and 1", idle, size)
+	}
+	if n := cCoalesced.Value(); n != coalesceMax+4 {
+		t.Fatalf("coalesced_requests = %d, want %d", n, coalesceMax+4)
 	}
 }
 
 // TestCoalescePerModelIsolation: one flush containing several models
-// must route every result to the model that was asked for.
+// must route every result to the model that was asked for. The eight
+// mixed singles queue behind a held flush, so they share the next one.
 func TestCoalescePerModelIsolation(t *testing.T) {
 	obs.Reset()
 	ma := buildTestModel(t, "iso-a")
@@ -156,15 +230,11 @@ func TestCoalescePerModelIsolation(t *testing.T) {
 	for i := range mb.Fit.Net.Weights {
 		mb.Fit.Net.Weights[i] *= 1.5
 	}
-	_, ts := coalescingServer(t, Options{CoalesceWindow: 20 * time.Millisecond}, ma, mb)
+	s, ts := coalescingServer(t, ma, mb)
+	release, sizes := holdDispatcher(t, s)
 	var wg sync.WaitGroup
-	errs := make(chan string, 16)
-	for i := 0; i < 8; i++ {
-		model, ref := "iso-a", ma
-		if i%2 == 1 {
-			model, ref = "iso-b", mb
-		}
-		cfg := ref.Configs[i]
+	errs := make(chan string, 9)
+	fire := func(model string, ref *core.Model, cfg design.Config) {
 		want := ref.PredictConfig(cfg)
 		wg.Add(1)
 		go func() {
@@ -175,24 +245,48 @@ func TestCoalescePerModelIsolation(t *testing.T) {
 			}
 		}()
 	}
+	fire("iso-a", ma, ma.Configs[9])
+	waitUntil(t, "the dispatcher to hold the first single", func() bool { return len(sizes()) == 1 })
+	for i := 0; i < 8; i++ {
+		model, ref := "iso-a", ma
+		if i%2 == 1 {
+			model, ref = "iso-b", mb
+		}
+		fire(model, ref, ref.Configs[i])
+	}
+	waitUntil(t, "the singles to queue", func() bool { return len(s.coalesce.queue) == 8 })
+	release()
 	wg.Wait()
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
 	}
+	// One evaluation for the held single, then one per model.
+	if got, want := fmt.Sprint(sizes()), "[1 4 4]"; got != want {
+		t.Fatalf("evaluation sizes %s, want %s", got, want)
+	}
 }
 
 // TestCoalesceCancellationMidQueue: a request whose client gives up
-// while queued returns promptly, the dispatcher skips its work, and
-// the server keeps answering.
+// while it waits behind a flush returns promptly, the dispatcher skips
+// its work and counts it, and the server keeps answering.
 func TestCoalesceCancellationMidQueue(t *testing.T) {
 	obs.Reset()
 	m := buildTestModel(t, "cancel")
-	_, ts := coalescingServer(t, Options{CoalesceWindow: 300 * time.Millisecond}, m)
+	s, ts := coalescingServer(t, m)
+	release, sizes := holdDispatcher(t, s)
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		if p, code := predictSingle(t, ts.URL, "cancel", m.Configs[0]); code != http.StatusOK || p.Value != m.PredictConfig(m.Configs[0]) {
+			t.Errorf("held predict = %+v (status %d)", p, code)
+		}
+	}()
+	waitUntil(t, "the dispatcher to hold the first single", func() bool { return len(sizes()) == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	body := fmt.Sprintf(`{"model":"cancel","config":%s}`, mustJSON(t, cluster.FromConfig(m.Configs[0])))
+	body := fmt.Sprintf(`{"model":"cancel","config":%s}`, mustJSON(t, cluster.FromConfig(m.Configs[1])))
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/predict", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -205,18 +299,21 @@ func TestCoalesceCancellationMidQueue(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
 		t.Fatalf("canceled request returned after %s, not promptly", elapsed)
 	}
-	// The dispatcher flushes the batch at the 300ms window and must
-	// count the dead request instead of evaluating it.
-	deadline := time.Now().Add(5 * time.Second)
-	for cCoalesceCanceled.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("coalesce_canceled never incremented")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// The server answers 503 once it sees the client go, which cancels
+	// the request's context; only then may the held flush return, so
+	// the dispatcher finds the dead request in the queue.
+	waitUntil(t, "the canceled request to queue and be answered", func() bool {
+		return len(s.coalesce.queue) == 1 && cResponses.With("/v1/predict", "503").Value() == 1
+	})
+	release()
+	<-held
+	waitUntil(t, "coalesce_canceled to count the dead request", func() bool { return cCoalesceCanceled.Value() == 1 })
 	// And the server still answers.
-	if p, code := predictSingle(t, ts.URL, "cancel", m.Configs[1]); code != http.StatusOK || p.Value != m.PredictConfig(m.Configs[1]) {
+	if p, code := predictSingle(t, ts.URL, "cancel", m.Configs[2]); code != http.StatusOK || p.Value != m.PredictConfig(m.Configs[2]) {
 		t.Fatalf("post-cancel predict = %+v (status %d)", p, code)
+	}
+	if got, want := fmt.Sprint(sizes()), "[1 1]"; got != want {
+		t.Fatalf("evaluated flush sizes %s, want %s (the canceled request skipped)", got, want)
 	}
 }
 
@@ -239,7 +336,7 @@ func TestCoalesceQueueFull(t *testing.T) {
 		}
 		return preds
 	}
-	c := newCoalescer(time.Millisecond, 1, 1, blockingEval)
+	c := newCoalescer(1, 1, blockingEval)
 	defer func() { close(release); c.stop() }()
 
 	// First request: picked up by the dispatcher, stuck in eval.
@@ -281,10 +378,10 @@ func TestCoalesceQueueFull(t *testing.T) {
 	}
 
 	// HTTP level: swap in a blocked coalescer and require the 503 shape.
-	s, ts := coalescingServer(t, Options{}, m)
+	s, ts := coalescingServer(t, m)
 	release2 := make(chan struct{})
 	s.coalesce.stop()
-	s.coalesce = newCoalescer(time.Millisecond, 1, 1, func(e *Entry, cfgs []design.Config) []prediction {
+	s.coalesce = newCoalescer(1, 1, func(e *Entry, cfgs []design.Config) []prediction {
 		<-release2
 		return s.predictBatch(e, cfgs)
 	})
@@ -328,8 +425,8 @@ func TestCoalesceQueueFull(t *testing.T) {
 	if !strings.Contains(string(raw), "coalesce_queue_full") {
 		t.Fatalf("503 body = %s, want code coalesce_queue_full", raw)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 carried no Retry-After header")
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("503 Retry-After = %q, want \"1\"", got)
 	}
 }
 
@@ -339,7 +436,7 @@ func TestCoalesceQueueFull(t *testing.T) {
 func TestCoalesceStorm(t *testing.T) {
 	obs.Reset()
 	m := buildTestModel(t, "storm-co")
-	_, ts := coalescingServer(t, Options{CoalesceWindow: time.Millisecond}, m)
+	_, ts := coalescingServer(t, m)
 	want := make([]float64, len(m.Configs))
 	for i, cfg := range m.Configs {
 		want[i] = m.PredictConfig(cfg)
@@ -435,7 +532,7 @@ func TestBatchVectorizedBitIdentical(t *testing.T) {
 func TestCoalescePredictAfterStop(t *testing.T) {
 	m := buildTestModel(t, "after-stop")
 	e := &Entry{Name: "after-stop", Model: m}
-	c := newCoalescer(time.Millisecond, 4, 16, func(e *Entry, cfgs []design.Config) []prediction {
+	c := newCoalescer(4, 16, func(e *Entry, cfgs []design.Config) []prediction {
 		out := make([]prediction, len(cfgs))
 		for i, cfg := range cfgs {
 			out[i] = prediction{Value: e.Model.PredictConfig(cfg)}

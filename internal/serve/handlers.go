@@ -203,32 +203,26 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var preds []prediction
 	if len(batch) == 1 {
 		// A single prediction never pays worker-pool dispatch: it goes
-		// through the coalescer when one is running — concurrent
-		// singles then share one vectorized evaluation — and straight
-		// to predictOne otherwise. Both routes are bit-identical.
-		var p prediction
-		if s.coalesce.enabled() {
-			var err error
-			p, err = s.coalesce.predict(r.Context(), entry, batch[0].Config())
-			switch {
-			case errors.Is(err, ErrCoalesceQueueFull):
-				// The queue drains within a coalesce window plus one batch
-				// evaluation; hint a retry after that, not a fixed second.
-				w.Header().Set("Retry-After", cluster.RetryAfterSeconds(s.opt.CoalesceWindow))
-				role.WriteErr(w, http.StatusServiceUnavailable, "coalesce_queue_full",
-					"the prediction admission queue is full; retry shortly")
-				return
-			case errors.Is(err, ErrCoalesceStopped):
-				role.WriteErr(w, http.StatusServiceUnavailable, "shutting_down",
-					"the server is draining and no longer accepts predictions")
-				return
-			case err != nil: // the request's own context died while queued
-				role.WriteErr(w, http.StatusServiceUnavailable, "request_canceled",
-					"request canceled while queued for coalescing: %v", err)
-				return
-			}
-		} else {
-			p = s.predictOne(entry, batch[0].Config())
+		// through the coalescer, so concurrent singles share one
+		// vectorized evaluation.
+		p, err := s.coalesce.predict(r.Context(), entry, batch[0].Config())
+		switch {
+		case errors.Is(err, ErrCoalesceQueueFull):
+			// The dispatcher never waits between flushes: a full queue
+			// drains in 64 back-to-back flushes of 64. Hint the header's
+			// smallest unit, one second.
+			w.Header().Set("Retry-After", "1")
+			role.WriteErr(w, http.StatusServiceUnavailable, "coalesce_queue_full",
+				"the prediction admission queue is full; retry shortly")
+			return
+		case errors.Is(err, ErrCoalesceStopped):
+			role.WriteErr(w, http.StatusServiceUnavailable, "shutting_down",
+				"the server is draining and no longer accepts predictions")
+			return
+		case err != nil: // the request's own context died while queued
+			role.WriteErr(w, http.StatusServiceUnavailable, "request_canceled",
+				"request canceled while queued for coalescing: %v", err)
+			return
 		}
 		preds = []prediction{p}
 	} else {
@@ -250,46 +244,22 @@ func cacheKey(e *Entry, q design.Config) string {
 	return e.Name + "\x00" + strconv.FormatUint(e.gen, 10) + "\x00" + q.Key()
 }
 
-// predictOne scores one configuration: clamp and quantize it through
-// the model's design space (the same Decode∘Encode mapping used on the
-// training sample), then serve from the LRU cache or evaluate the RBF
-// network. The cache key is the quantized machine, so raw inputs that
-// snap to the same design point share an entry. The entry generation in
-// the key retires every cached value for a name when a hot-reload
-// replaces its model; stale entries then age out of the LRU instead of
-// being served.
-func (s *Server) predictOne(e *Entry, cfg design.Config) prediction {
-	m := e.Model
-	q := m.Space.Decode(m.Space.Encode(cfg), m.SampleSize)
-	p := prediction{Config: cluster.FromConfig(q), Clamped: q != cfg}
-	key := cacheKey(e, q)
-	if v, ok := s.cache.Get(key); ok {
-		cCacheHits.Inc()
-		p.Value, p.Cached = v, true
-	} else {
-		cCacheMiss.Inc()
-		p.Value = m.PredictConfig(q)
-		s.cache.Put(key, p.Value)
-	}
-	// Shadow monitoring happens after the value is final and never
-	// touches p: the served response is byte-identical with sampling on
-	// or off.
-	s.shadow.offer(e, q, p.Value)
-	return p
-}
-
 // predictBatchChunk is how many configurations one worker scores per
 // vectorized call when a large batch is split across the pool.
 const predictBatchChunk = 256
 
-// predictBatch scores a batch of configurations with the compiled RBF
-// evaluator: quantize every input, serve what the LRU already holds,
-// then evaluate all cache misses in one blocked design-matrix pass
-// (chunked across the worker pool when the miss set is large — fixed
-// slots, so results are deterministic). Per-config semantics are
-// identical to predictOne — same quantization, cache keys, generation
-// handling, and shadow sampling — and the values are bit-identical to
-// the scalar path, so the coalescer and explicit batches can share it.
+// predictBatch scores a batch of configurations; the coalescer and
+// explicit batches share it. Every input is clamped and quantized
+// through the model's design space (the same Decode∘Encode mapping used
+// on the training sample), what the LRU already holds is served from
+// it, and all cache misses are evaluated in one blocked design-matrix
+// pass of the compiled RBF network (chunked across the worker pool when
+// the miss set is large — fixed slots, so results are deterministic and
+// bit-identical to scalar Model.PredictConfig). The cache key is the
+// quantized machine, so raw inputs that snap to the same design point
+// share an entry. Shadow monitoring sees each value after it is final
+// and never touches the prediction: the served response is
+// byte-identical with sampling on or off.
 func (s *Server) predictBatch(e *Entry, cfgs []design.Config) []prediction {
 	m := e.Model
 	preds := make([]prediction, len(cfgs))

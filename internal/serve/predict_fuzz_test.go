@@ -1,0 +1,83 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"predperf/internal/cluster"
+)
+
+// FuzzPredictBody sends arbitrary bytes as POST /v1/predict to a server
+// holding one test model. Whatever the body, the handler must not
+// panic and must answer one of the statuses the API documents: every
+// failure as a structured error with a code, every success with one
+// prediction per configuration, each bit-equal to the in-process model
+// on the quantized configuration.
+func FuzzPredictBody(f *testing.F) {
+	m := buildTestModel(f, "fz")
+	s := New(Options{})
+	if err := s.Registry().Add(m.Name, m, ""); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.coalesce.stop)
+	h := s.Handler()
+
+	cfg := func(i int) string { return string(mustJSON(f, cluster.FromConfig(m.Configs[i]))) }
+	for _, body := range []string{
+		`{"model":"fz","config":` + cfg(0) + `}`,
+		`{"model":"fz","configs":[` + cfg(1) + `,` + cfg(2) + `]}`,
+		`{"model":"fz","config":` + cfg(0) + `,"configs":[` + cfg(1) + `]}`,
+		`{"model":"fz"}`,
+		`{"model":"nope","config":` + cfg(0) + `}`,
+		`{"model":"fz","config":` + cfg(0) + `}{"junk":1}`,
+		`{"model":"fz","configs":[` + strings.Repeat(`{},`, maxBatch) + `{}]}`,
+	} {
+		f.Add([]byte(body))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
+			var e struct {
+				Error struct {
+					Code string `json:"code"`
+				} `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code == "" {
+				t.Fatalf("status %d body %q is not a structured error", rec.Code, rec.Body.String())
+			}
+			return
+		default:
+			t.Fatalf("status %d, body %q", rec.Code, rec.Body.String())
+		}
+		var req predictRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("accepted body does not decode: %v", err)
+		}
+		in := req.Configs
+		if req.Config != nil {
+			in = []cluster.WireConfig{*req.Config}
+		}
+		var resp predictResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 body %q: %v", rec.Body.String(), err)
+		}
+		if len(resp.Predictions) != len(in) {
+			t.Fatalf("%d predictions for %d configs", len(resp.Predictions), len(in))
+		}
+		for i, wc := range in {
+			q := m.Space.Decode(m.Space.Encode(wc.Config()), m.SampleSize)
+			p := resp.Predictions[i]
+			if p.Config != cluster.FromConfig(q) || p.Value != m.PredictConfig(q) {
+				t.Fatalf("prediction %d = %+v, want config %+v value %x", i, p, cluster.FromConfig(q), m.PredictConfig(q))
+			}
+		}
+	})
+}

@@ -18,10 +18,10 @@
 // LRU prediction cache keyed on (model, quantized config), vectorized
 // batch evaluation (one blocked design-matrix pass per batch via
 // rbf.Compiled, chunked over the internal/par pool for large batches),
-// micro-batch coalescing of concurrent single predictions (Options.
-// CoalesceWindow), request-size limits, per-request timeouts,
-// structured JSON errors, and graceful shutdown (drain with a
-// deadline).
+// micro-batch coalescing of concurrent single predictions (flushed as
+// soon as the queue is empty, so a lone request never waits),
+// request-size limits, per-request timeouts, structured JSON errors,
+// and graceful shutdown (drain with a deadline).
 //
 // Every incoming configuration is validated and then clamped/quantized
 // through the model's design.Space exactly as at training time
@@ -70,12 +70,6 @@ type Options struct {
 	// Timeout bounds the handling of one request; requests that exceed
 	// it receive a structured 503 (default 30s).
 	Timeout time.Duration
-	// CoalesceWindow bounds how long a single prediction may wait for
-	// companions before its micro-batch is flushed. Concurrent single
-	// requests inside one window share a single vectorized model
-	// evaluation, bit-identical to evaluating them alone. 0 (the
-	// default) disables coalescing; cmd/predserve turns it on at 1ms.
-	CoalesceWindow time.Duration
 	// SearchTraceLen is the trace length used when /v1/search verifies
 	// its shortlist with the simulator (default 50k instructions).
 	SearchTraceLen int
@@ -254,7 +248,7 @@ func New(opt Options) *Server {
 	s.slos = obs.RequestSLOs("", s.wLatency, s.w5xx, s.wTotal)
 	s.alerts = obs.NewAlertSet(s.clock)
 	s.shadow = newShadowMonitor(opt, s.clock)
-	s.coalesce = newCoalescer(opt.CoalesceWindow, coalesceMax, coalesceQueue, s.predictBatch)
+	s.coalesce = newCoalescer(coalesceMax, coalesceQueue, s.predictBatch)
 	s.retrain = newRetrainController(opt, s.reg, s.shadow, s.clock)
 	s.retrain.traces = s.traces
 	if opt.Retrain {

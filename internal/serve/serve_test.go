@@ -35,7 +35,7 @@ func syntheticCPI(c design.Config) float64 {
 		0.2*float64(c.DL1Lat)/4*(64/float64(c.DL1SizeKB))*0.2
 }
 
-func buildTestModel(t *testing.T, name string) *core.Model {
+func buildTestModel(t testing.TB, name string) *core.Model {
 	t.Helper()
 	m, err := core.BuildRBFModel(core.FuncEvaluator(syntheticCPI), 40, core.Options{
 		LHSCandidates: 16,
@@ -657,12 +657,6 @@ func TestLRUCache(t *testing.T) {
 	c.Put("a", 10) // refresh value in place
 	if v, _ := c.Get("a"); v != 10 {
 		t.Fatalf("refreshed a = %v", v)
-	}
-
-	off := newLRU(-1)
-	off.Put("x", 1)
-	if _, ok := off.Get("x"); ok || off.Len() != 0 {
-		t.Fatal("disabled cache stored a value")
 	}
 }
 

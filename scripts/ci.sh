@@ -42,6 +42,9 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== fuzz /v1/predict bodies (10 s) =="
+go test -run '^$' -fuzz '^FuzzPredictBody$' -fuzztime 10s ./internal/serve
+
 echo "== benchmark smoke (1 iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -78,11 +81,11 @@ grep -q '"name": "core.sim_point"' "$smoke_dir/build-trace.json"
 go build -o "$smoke_dir/predserve" ./cmd/predserve
 # -version prints build info without serving.
 "$smoke_dir/predserve" -version | grep -q 'model-format'
-# Knob ratchet: predserve has exactly 22 flags, so adding one is a
+# Knob ratchet: predserve has exactly 21 flags, so adding one is a
 # visible diff here.
 nflags=$("$smoke_dir/predserve" -h 2>&1 | grep -c '^  -')
-if [ "$nflags" != 22 ]; then
-    echo "predserve -h lists $nflags flags, want 22" >&2
+if [ "$nflags" != 21 ]; then
+    echo "predserve -h lists $nflags flags, want 21" >&2
     exit 1
 fi
 # Start with an EMPTY model directory so /readyz goes through its full
@@ -90,7 +93,7 @@ fi
 # simulator (same trace length the model was built with).
 mkdir "$smoke_dir/models"
 "$smoke_dir/predserve" -addr 127.0.0.1:0 -models "$smoke_dir/models" \
-    -shadow-frac 1.0 -search-insts 2000 -coalesce-window 5ms \
+    -shadow-frac 1.0 -search-insts 2000 \
     > "$smoke_dir/predserve.log" 2>&1 &
 smoke_pid=$!
 addr=$(wait_addr "$smoke_dir/predserve.log" predserve)
@@ -173,9 +176,11 @@ if [ -z "$vals_batch" ] || [ "$vals_single" != "$vals_batch" ]; then
     exit 1
 fi
 # The coalescer's flush counter must show up in the Prometheus export
-# (fetched to a file: grep -q on a pipe + pipefail trips curl EPIPE).
+# with an "idle" series: the dispatcher flushes as soon as it finds the
+# queue empty, never on a timer (fetched to a file: grep -q on a pipe +
+# pipefail trips curl EPIPE).
 curl -fsS "http://$addr/metricz?format=prom" > "$smoke_dir/metricz.prom"
-grep -q 'serve_coalesce_flushes' "$smoke_dir/metricz.prom"
+grep -q '^serve_coalesce_flushes{reason="idle"}' "$smoke_dir/metricz.prom"
 kill -TERM "$smoke_pid"
 wait "$smoke_pid"   # non-zero (unclean drain) fails the gate via set -e
 smoke_pid=""
