@@ -20,9 +20,9 @@
 // simworkers into /fleetz and includes them in /tracez search fan-out.
 // /fleetz merges every role's /metricz report into one fleet aggregate
 // (exact bucket-wise histogram sums) on the -fleet-scrape-every cadence
-// and evaluates fleet SLO burn over the merged windows; when
-// -trace-sample-max is above -trace-sample, that burn adaptively raises
-// the edge trace-sampling rate until the incident resolves.
+// and evaluates fleet SLO burn over the merged windows. The router
+// samples traces at the fixed -trace-sample rate and carries its
+// decision to every shard and worker a request reaches.
 //
 // The router polls every shard's /v1/models on -sync-every; the model
 // generation vector piggybacked on those responses detects hot swaps
@@ -60,7 +60,6 @@ func main() {
 	workers := flag.String("workers", "", "comma-separated simworker base URLs scraped into /fleetz and searched by /tracez (the router routes no traffic to them)")
 	replicas := flag.Int("replicas", cluster.DefaultReplicas, "virtual nodes per shard on the consistent-hash ring")
 	syncEvery := flag.Duration("sync-every", 5*time.Second, "cadence of the /v1/models topology poll driving replica re-sync")
-	traceSampleMax := flag.Float64("trace-sample-max", 0, "ceiling for SLO-burn-adaptive sampling: while a fleet SLO burns, the edge rate ramps from -trace-sample toward this value and decays back once the burn clears (0 keeps the rate static)")
 	fleetScrapeEvery := flag.Duration("fleet-scrape-every", 5*time.Second, "cadence of the /fleetz metrics federation across shards and workers (0 disables the background loop; /fleetz?refresh=1 still scrapes on demand)")
 	flag.Parse()
 
@@ -92,7 +91,6 @@ func main() {
 		MaxBodyBytes:        rf.MaxBody,
 		SyncInterval:        *syncEvery,
 		TraceSample:         rf.SampleRate(),
-		TraceSampleMax:      *traceSampleMax,
 		TraceStoreSize:      rf.TraceStore,
 		FleetScrapeInterval: scrape,
 	})

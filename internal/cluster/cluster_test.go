@@ -2,12 +2,16 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"predperf/internal/obs"
 )
 
 // ---- ring ----
@@ -136,11 +140,10 @@ func TestPoolEvictionAndReadmission(t *testing.T) {
 	defer steady.Close()
 
 	p, err := NewPool([]string{flaky.URL, steady.URL}, PoolOptions{
-		EvictAfter:    2,
-		ReadmitAfter:  30 * time.Millisecond,
-		BaseBackoff:   time.Millisecond,
-		MaxBackoff:    2 * time.Millisecond,
-		HedgeQuantile: -1, // hedging off: this test is about health gating
+		EvictAfter:   2,
+		ReadmitAfter: 30 * time.Millisecond,
+		BaseBackoff:  time.Millisecond,
+		MaxBackoff:   2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,59 +214,140 @@ func TestPoolPermanentErrorNoRetry(t *testing.T) {
 	}
 }
 
-// ---- hedging ----
-
-func TestPoolHedgesSlowRequests(t *testing.T) {
+// TestPoolNoDuplicateRequests: one chunk is one request to one worker,
+// even when a worker turns slow after a warm history.
+func TestPoolNoDuplicateRequests(t *testing.T) {
 	var slow atomic.Bool
+	var hits atomic.Int64
 	slowSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
 		if slow.Load() {
 			time.Sleep(300 * time.Millisecond)
 		}
 		evalOK(w, r)
 	}))
 	defer slowSrv.Close()
-	fastSrv := httptest.NewServer(http.HandlerFunc(evalOK))
+	fastSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		evalOK(w, r)
+	}))
 	defer fastSrv.Close()
 
-	p, err := NewPool([]string{slowSrv.URL, fastSrv.URL}, PoolOptions{
-		HedgeQuantile: 0.5,
-		HedgeMin:      5 * time.Millisecond,
+	p, err := NewPool([]string{slowSrv.URL, fastSrv.URL}, PoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := EvalRequest{Benchmark: "x", TraceLen: 1, Configs: []WireConfig{{1, 1, 1, 1, 1, 1, 1, 1, 1}}}
+	for i := 0; i < 32; i++ {
+		if _, _, err := p.EvalChunk(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slow.Store(true)
+	hits.Store(0)
+
+	tr := obs.NewTrace("no-duplicate-test")
+	ctx := obs.WithTrace(context.Background(), tr)
+	for i := 0; i < 4; i++ {
+		if _, _, err := p.EvalChunk(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := hits.Load(); n != 4 {
+		t.Fatalf("4 chunks sent %d requests, want 4", n)
+	}
+	attempts := 0
+	for _, s := range tr.Spans() {
+		if s.Name == "cluster.pool_attempt" {
+			attempts++
+		}
+	}
+	if attempts != 4 {
+		t.Fatalf("4 chunks recorded %d cluster.pool_attempt spans, want 4", attempts)
+	}
+}
+
+// TestPoolShortAnswerEvicts: a worker that answers 200 with the wrong
+// number of values is failing, not succeeding. Its answers never reach
+// the caller, and it is evicted like any other failing worker.
+func TestPoolShortAnswerEvicts(t *testing.T) {
+	short := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"values":[],"sims":0}`)
+	}))
+	defer short.Close()
+	good := httptest.NewServer(http.HandlerFunc(evalOK))
+	defer good.Close()
+
+	p, err := NewPool([]string{short.URL, good.URL}, PoolOptions{
+		EvictAfter:  2,
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := EvalRequest{Benchmark: "x", TraceLen: 1, Configs: []WireConfig{{1, 1, 1, 1, 1, 1, 1, 1, 1}}}
-
-	// Warm the latency tracker past hedgeWarmup while both are fast.
-	for i := 0; i < hedgeWarmup+2; i++ {
-		if _, _, err := p.EvalChunk(context.Background(), req); err != nil {
-			t.Fatal(err)
+	for i := 0; i < 6; i++ {
+		vals, _, err := p.EvalChunk(context.Background(), req)
+		if err != nil {
+			t.Fatalf("request %d failed despite a healthy worker: %v", i, err)
+		}
+		if len(vals) != 1 || vals[0] != 1.25 {
+			t.Fatalf("request %d answered %v, want [1.25]", i, vals)
 		}
 	}
-	if _, ok := p.hedgeDelay(); !ok {
-		t.Fatal("hedging not armed after warmup")
+	for _, ws := range p.Snapshot() {
+		if ws.URL != short.URL {
+			continue
+		}
+		if !ws.Evicted || ws.OK != 0 {
+			t.Fatalf("short-answering worker: evicted=%v requests_ok=%d, want evicted with 0 ok", ws.Evicted, ws.OK)
+		}
 	}
+}
 
-	hedgesBefore, winsBefore := cPoolHedges.Value(), cPoolHedgeWins.Value()
-	slow.Store(true)
-	// Round-robin guarantees the slow worker is the primary for half
-	// the requests; those must hedge to the fast worker and return in
-	// well under the slow worker's 300ms.
+// TestPoolCancelInFlight: cancelling the caller's context aborts an
+// attempt stuck on a worker that never answers. The call returns
+// context.Canceled long before RequestTimeout, frees the worker's
+// in-flight slot, and does not count against the worker's health.
+func TestPoolCancelInFlight(t *testing.T) {
+	arrived, done := make(chan struct{}, 1), make(chan struct{})
+	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		arrived <- struct{}{}
+		select {
+		case <-r.Context().Done():
+		case <-done:
+		}
+	}))
+	defer stuck.Close()
+	defer close(done)
+
+	p, err := NewPool([]string{stuck.URL}, PoolOptions{RequestTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-arrived
+		cancel()
+	}()
+	req := EvalRequest{Benchmark: "x", TraceLen: 1, Configs: []WireConfig{{1, 1, 1, 1, 1, 1, 1, 1, 1}}}
 	start := time.Now()
-	for i := 0; i < 4; i++ {
-		if _, _, err := p.EvalChunk(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
+	_, _, err = p.EvalChunk(ctx, req)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled chunk returned %v, want context.Canceled", err)
 	}
-	elapsed := time.Since(start)
-	if hedged := cPoolHedges.Value() - hedgesBefore; hedged == 0 {
-		t.Fatal("no hedge launched against a 300ms primary with a 5ms trigger")
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("cancelled chunk took %s to return", d)
 	}
-	if wins := cPoolHedgeWins.Value() - winsBefore; wins == 0 {
-		t.Fatal("no hedge won against a 300ms primary")
+	ws := p.Snapshot()[0]
+	if ws.Inflight != 0 {
+		t.Fatalf("cancelled attempt still holds %d in-flight slots", ws.Inflight)
 	}
-	if elapsed >= 600*time.Millisecond {
-		t.Fatalf("4 requests took %s; hedging should cut slow-primary latency", elapsed)
+	if ws.Errors != 0 || ws.Fails != 0 {
+		t.Fatalf("caller cancellation counted against the worker: %+v", ws)
 	}
 }
 

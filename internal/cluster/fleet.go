@@ -5,10 +5,10 @@ package cluster
 // merges them (plus the router's own registry) into one fleet-wide
 // aggregate with obs.MergeReports — exact bucket-wise histogram sums,
 // not quantile averaging — feeds the merged cumulative values into an
-// obs.FleetWindows for sliding-window views, evaluates fleet-level SLO
-// burn over those windows, and drives the router's adaptive head
-// sampler from the burn state. /fleetz serves the result as HTML and
-// JSON.
+// obs.FleetWindows for sliding-window views, and evaluates fleet-level
+// SLO burn over those windows. /fleetz serves the result as HTML and
+// JSON. Cycles are serialized, so an older cycle can never overwrite a
+// newer one's merge or feed an older snapshot into the windows.
 //
 // Scrape-failure policy mirrors the worker Pool's health marks: a
 // target is marked unhealthy after fleetFailAfter consecutive failures
@@ -55,14 +55,17 @@ type fleetTarget struct {
 	report     *obs.Report
 }
 
-// fleetPlane owns the scrape targets, the merged aggregate, the fleet
-// windows/SLOs, and the sampler the burn state drives.
+// fleetPlane owns the scrape targets, the merged aggregate, and the
+// fleet windows/SLOs.
 type fleetPlane struct {
 	client  *http.Client
 	timeout time.Duration
-	sampler *obs.AdaptiveSampler
 	windows *obs.FleetWindows
 	slos    []*obs.SLO
+
+	// cycle serializes scrapeOnce: the background loop, /fleetz?refresh=1
+	// and a /fleetz hit before the first cycle may all run one.
+	cycle sync.Mutex
 
 	mu         sync.Mutex
 	targets    []*fleetTarget
@@ -73,13 +76,12 @@ type fleetPlane struct {
 }
 
 // newFleetPlane builds the plane over normalized shard and worker base
-// URLs. The sampler may be nil (no adaptive control); clock nil means
-// time.Now (tests inject a fake clock to step the burn windows).
-func newFleetPlane(shards, workers []string, client *http.Client, timeout time.Duration, sampler *obs.AdaptiveSampler, clock obs.Clock) *fleetPlane {
+// URLs. A nil clock means time.Now (tests inject a fake clock to step
+// the burn windows).
+func newFleetPlane(shards, workers []string, client *http.Client, timeout time.Duration, clock obs.Clock) *fleetPlane {
 	p := &fleetPlane{
 		client:  client,
 		timeout: timeout,
-		sampler: sampler,
 		windows: obs.NewFleetWindows(clock),
 	}
 	for _, u := range shards {
@@ -153,9 +155,11 @@ func (p *fleetPlane) scrapeTarget(ctx context.Context, url string) (*obs.Report,
 
 // scrapeOnce runs one federation cycle: scrape every target in
 // parallel, merge with the router's own registry snapshot, ingest into
-// the fleet windows, evaluate the fleet SLOs, and tick the adaptive
-// sampler with the burn state. Returns the merged report.
+// the fleet windows, and evaluate the fleet SLOs. Returns the merged
+// report. A cycle waits for the one in progress to finish first.
 func (p *fleetPlane) scrapeOnce(ctx context.Context) *obs.Report {
+	p.cycle.Lock()
+	defer p.cycle.Unlock()
 	t0 := time.Now()
 	type result struct {
 		rep *obs.Report
@@ -203,13 +207,8 @@ func (p *fleetPlane) scrapeOnce(ctx context.Context) *obs.Report {
 	merged := obs.MergeReports(reps...)
 	p.windows.Ingest(merged)
 	states := make([]obs.SLOState, len(p.slos))
-	burning := false
 	for i, slo := range p.slos {
 		states[i] = slo.State()
-		burning = burning || states[i].Firing
-	}
-	if p.sampler != nil {
-		p.sampler.Tick(burning)
 	}
 
 	p.mu.Lock()

@@ -434,9 +434,9 @@ func TestFederatedTraceOnlyOnShard(t *testing.T) {
 }
 
 // TestRoutedBodiesIdenticalAcrossSamplingRates: sampling (off, always,
-// adaptive) changes only which traces are retained — response bodies
+// partial) changes only which traces are retained — response bodies
 // are byte-identical across configurations, and repeated requests
-// through an adaptive router agree with themselves.
+// through one router agree with themselves.
 func TestRoutedBodiesIdenticalAcrossSamplingRates(t *testing.T) {
 	f := newShardFarm(t, true) // default router: TraceSample 1
 	primary, _ := f.router.Ring().Lookup("synthetic")
@@ -448,7 +448,7 @@ func TestRoutedBodiesIdenticalAcrossSamplingRates(t *testing.T) {
 		opt  cluster.RouterOptions
 	}{
 		{"off", cluster.RouterOptions{TraceSample: -1}},
-		{"adaptive", cluster.RouterOptions{TraceSample: 0.25, TraceSampleMax: 1}},
+		{"partial", cluster.RouterOptions{TraceSample: 0.25}},
 	} {
 		tc.opt.Shards = []string{f.shards[0].URL, f.shards[1].URL}
 		tc.opt.SyncInterval = -1

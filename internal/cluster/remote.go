@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,14 +23,11 @@ import (
 )
 
 // Client-side farm observability: how often the pool asked a worker for
-// work, how often it had to retry or hedge, and the health transitions
-// of the worker set. Per-worker request latency feeds both /statusz and
-// the hedging policy's local tracker.
+// work, how often it had to retry, the health transitions of the worker
+// set, and per-worker request latency.
 var (
 	cPoolRequests     = obs.NewCounter("cluster.pool_requests")
 	cPoolRetries      = obs.NewCounter("cluster.retries")
-	cPoolHedges       = obs.NewCounter("cluster.hedges")
-	cPoolHedgeWins    = obs.NewCounter("cluster.hedge_wins")
 	cPoolEvictions    = obs.NewCounter("cluster.evictions")
 	cPoolReadmissions = obs.NewCounter("cluster.readmissions")
 	cPoolFailures     = obs.NewCounter("cluster.eval_failures")
@@ -58,15 +54,9 @@ type PoolOptions struct {
 	// capped at 2s).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// HedgeQuantile launches a duplicate request on a second worker
-	// when the first has been in flight longer than this quantile of
-	// recently observed latencies (default 0.95; negative disables
-	// hedging). The first response wins; the duplicate's simulation is
-	// memoized server-side, so waste is bounded.
+	// Deprecated: HedgeQuantile is ignored. The pool sends each attempt
+	// to one worker only.
 	HedgeQuantile float64
-	// HedgeMin is the floor for the hedge delay, so fast fleets do not
-	// hedge on scheduling noise (default 100ms).
-	HedgeMin time.Duration
 	// EvictAfter is the consecutive-failure count that evicts a worker
 	// from rotation (default 3).
 	EvictAfter int
@@ -100,12 +90,6 @@ func (o PoolOptions) withDefaults(workers int) PoolOptions {
 	}
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 2 * time.Second
-	}
-	if o.HedgeQuantile == 0 {
-		o.HedgeQuantile = 0.95
-	}
-	if o.HedgeMin <= 0 {
-		o.HedgeMin = 100 * time.Millisecond
 	}
 	if o.EvictAfter <= 0 {
 		o.EvictAfter = 3
@@ -157,27 +141,12 @@ func (w *workerConn) available(now time.Time, readmitAfter time.Duration) bool {
 
 // Pool is a health-gated set of sim workers. It owns worker selection
 // (round-robin over available workers), bounded in-flight slots,
-// retries with jittered exponential backoff, latency-quantile hedging,
-// and eviction/readmission.
+// retries with jittered exponential backoff, and eviction/readmission.
 type Pool struct {
 	opt     PoolOptions
 	workers []*workerConn
 	rr      atomic.Uint64
-
-	// latMu guards the sliding latency sample feeding the hedge delay.
-	latMu   sync.Mutex
-	lats    []float64 // seconds; ring buffer
-	latNext int
-	latFull bool
 }
-
-// hedgeSamples is how many recent latencies the hedge-delay quantile is
-// computed over, and hedgeWarmup how many must exist before hedging
-// arms at all.
-const (
-	hedgeSamples = 256
-	hedgeWarmup  = 16
-)
 
 // NewPool builds a pool over the given worker base URLs (scheme
 // optional; "host:port" is normalized to "http://host:port").
@@ -186,7 +155,7 @@ func NewPool(urls []string, opt PoolOptions) (*Pool, error) {
 		return nil, errors.New("cluster: a worker pool needs at least one worker URL")
 	}
 	opt = opt.withDefaults(len(urls))
-	p := &Pool{opt: opt, lats: make([]float64, hedgeSamples)}
+	p := &Pool{opt: opt}
 	seen := map[string]bool{}
 	for _, u := range urls {
 		if u = normalizeBaseURL(u); u == "" {
@@ -213,37 +182,23 @@ func (p *Pool) Workers() []string {
 	return out
 }
 
-// pick selects the next worker round-robin among available ones,
-// skipping exclude (the hedge's primary). When nothing is available it
-// falls back to the least-recently-evicted worker: a fully dark farm
-// should keep probing rather than deadlock.
-func (p *Pool) pick(exclude *workerConn) *workerConn {
+// pick selects the next worker round-robin among available ones. When
+// nothing is available it falls back to the least-recently-evicted
+// worker: a fully dark farm should keep probing rather than deadlock.
+func (p *Pool) pick() *workerConn {
 	now := time.Now()
 	n := len(p.workers)
 	start := int(p.rr.Add(1)-1) % n
 	for i := 0; i < n; i++ {
-		w := p.workers[(start+i)%n]
-		if w == exclude {
-			continue
-		}
-		if w.available(now, p.opt.ReadmitAfter) {
+		if w := p.workers[(start+i)%n]; w.available(now, p.opt.ReadmitAfter) {
 			return w
 		}
 	}
-	var oldest *workerConn
-	for _, w := range p.workers {
-		if w == exclude {
-			continue
-		}
-		w.mu.Lock()
-		at := w.evictedAt
-		w.mu.Unlock()
-		if oldest == nil || at.Before(oldestEvictedAt(oldest)) {
+	oldest := p.workers[0]
+	for _, w := range p.workers[1:] {
+		if oldestEvictedAt(w).Before(oldestEvictedAt(oldest)) {
 			oldest = w
 		}
-	}
-	if oldest == nil {
-		return exclude // single-worker pool hedging against itself
 	}
 	return oldest
 }
@@ -254,19 +209,12 @@ func oldestEvictedAt(w *workerConn) time.Time {
 	return w.evictedAt
 }
 
-// succeed records a successful request: latency lands in the hedge
-// tracker and the per-worker histogram, and an evicted worker that
-// answered a probe is readmitted.
+// succeed records a successful request: latency lands in the
+// per-worker histogram, and an evicted worker that answered a probe is
+// readmitted.
 func (p *Pool) succeed(w *workerConn, d time.Duration) {
 	w.ok.Add(1)
 	hPoolLatency.With(w.url).Observe(d.Seconds())
-	p.latMu.Lock()
-	p.lats[p.latNext] = d.Seconds()
-	p.latNext = (p.latNext + 1) % len(p.lats)
-	if p.latNext == 0 {
-		p.latFull = true
-	}
-	p.latMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.fails = 0
@@ -294,116 +242,30 @@ func (p *Pool) fail(w *workerConn) {
 	}
 }
 
-// hedgeDelay computes the current hedge trigger: the configured
-// quantile of recent request latencies, floored at HedgeMin. Returns
-// false while hedging is disabled or the sample is too small to trust.
-func (p *Pool) hedgeDelay() (time.Duration, bool) {
-	if p.opt.HedgeQuantile < 0 || len(p.workers) < 2 {
-		return 0, false
-	}
-	p.latMu.Lock()
-	n := p.latNext
-	if p.latFull {
-		n = len(p.lats)
-	}
-	if n < hedgeWarmup {
-		p.latMu.Unlock()
-		return 0, false
-	}
-	sample := make([]float64, n)
-	copy(sample, p.lats[:n])
-	p.latMu.Unlock()
-	sort.Float64s(sample)
-	idx := int(p.opt.HedgeQuantile * float64(n))
-	if idx >= n {
-		idx = n - 1
-	}
-	d := time.Duration(sample[idx] * float64(time.Second))
-	if d < p.opt.HedgeMin {
-		d = p.opt.HedgeMin
-	}
-	return d, true
-}
-
-// attemptResult carries one worker attempt's outcome back to the
-// hedging selector.
-type attemptResult struct {
-	res    *EvalResponse
-	err    error
-	worker *workerConn
-	hedge  bool
-}
-
-// hedgeLink shares the two racing attempts' span IDs so each attempt
-// span can carry a "link_span" annotation naming its sibling: a merged
-// trace then shows the duplicated work as two connected attempts
-// instead of orphan siblings. Slots are atomics because the attempts
-// run concurrently; a slot still zero when an attempt ends (the
-// primary finishing before the hedge launched) simply yields no link
-// on that side.
-type hedgeLink struct {
-	primary atomic.Int64
-	hedge   atomic.Int64
-}
-
-// sibling returns the other attempt's span ID, or 0 if it has not
-// started (or tracing is off).
-func (l *hedgeLink) sibling(hedge bool) int64 {
-	if l == nil {
-		return 0
-	}
-	if hedge {
-		return l.primary.Load()
-	}
-	return l.hedge.Load()
-}
-
-// store records this attempt's span ID in its slot.
-func (l *hedgeLink) store(hedge bool, id int64) {
-	if l == nil || id == 0 {
-		return
-	}
-	if hedge {
-		l.hedge.Store(id)
-	} else {
-		l.primary.Store(id)
-	}
-}
-
 // attempt runs one request against one worker: acquire an in-flight
-// slot, POST the body with the per-attempt deadline, parse the answer.
-// Each attempt is a "cluster.pool_attempt" span annotated with its
-// worker, whether it was a hedge, and the outcome — so a hedged eval's
-// duplicated work is attributable in the trace rather than appearing as
-// a mystery double eval. The request identity and sampling bit ride the
-// traceparent header; a sampled worker's span forest comes back in the
-// response body and is grafted under the attempt span.
-func (p *Pool) attempt(ctx context.Context, w *workerConn, body []byte, hedge bool, link *hedgeLink, out chan<- attemptResult) {
+// slot, POST the body with the per-attempt deadline, parse the answer,
+// and check that it holds one value per config. Each attempt is a
+// "cluster.pool_attempt" span annotated with its worker and outcome, so
+// a retried eval shows every worker it tried. The request identity and
+// sampling bit ride the traceparent header; a sampled worker's span
+// forest comes back in the response body and is grafted under the
+// attempt span.
+func (p *Pool) attempt(ctx context.Context, w *workerConn, body []byte, configs int) (*EvalResponse, error) {
 	tr := obs.TraceFrom(ctx)
-	spanCtx, endSpan := obs.StartSpanArgs(ctx, "cluster.pool_attempt",
-		"worker", w.url, "hedge", strconv.FormatBool(hedge))
-	link.store(hedge, obs.SpanIDFrom(spanCtx))
-	send := func(res *EvalResponse, err error, outcome string, extra ...string) {
-		args := append([]string{"outcome", outcome}, extra...)
-		if sib := link.sibling(hedge); sib != 0 {
-			args = append(args, "link_span", strconv.FormatInt(sib, 10))
-		}
-		endSpan(args...)
-		out <- attemptResult{res: res, err: err, worker: w, hedge: hedge}
-	}
+	spanCtx, endSpan := obs.StartSpanArgs(ctx, "cluster.pool_attempt", "worker", w.url)
 	select {
 	case w.sem <- struct{}{}:
 		defer func() { <-w.sem }()
 	case <-ctx.Done():
-		send(nil, ctx.Err(), "canceled")
-		return
+		endSpan("outcome", "canceled")
+		return nil, ctx.Err()
 	}
 	attemptCtx, cancel := context.WithTimeout(ctx, p.opt.RequestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, w.url+"/v1/eval", bytes.NewReader(body))
 	if err != nil {
-		send(nil, err, "bad_request")
-		return
+		endSpan("outcome", "bad_request")
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	id := obs.RequestIDFrom(ctx)
@@ -416,37 +278,44 @@ func (p *Pool) attempt(ctx context.Context, w *workerConn, body []byte, hedge bo
 			TraceID: id, ParentID: obs.SpanIDFrom(spanCtx), Sampled: tr != nil,
 		}))
 	}
+	// failed ends the span and counts the failure against the worker,
+	// unless the caller gave up: a cancelled caller does not indict the
+	// worker it was waiting on.
+	failed := func(outcome string, err error) (*EvalResponse, error) {
+		if ctx.Err() != nil {
+			endSpan("outcome", "canceled")
+			return nil, ctx.Err()
+		}
+		p.fail(w)
+		endSpan("outcome", outcome)
+		return nil, err
+	}
 	t0 := time.Now()
 	resp, err := p.opt.Client.Do(req)
 	if err != nil {
-		p.fail(w)
-		send(nil, fmt.Errorf("cluster: worker %s: %w", w.url, err), "transport_error")
-		return
+		return failed("transport_error", fmt.Errorf("cluster: worker %s: %w", w.url, err))
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		p.fail(w)
-		send(nil, fmt.Errorf("cluster: worker %s: reading response: %w", w.url, err), "read_error")
-		return
+		return failed("read_error", fmt.Errorf("cluster: worker %s: reading response: %w", w.url, err))
 	}
 	if resp.StatusCode != http.StatusOK {
 		err := fmt.Errorf("cluster: worker %s answered %d: %s", w.url, resp.StatusCode, truncate(raw, 200))
 		if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
 			// The request itself is wrong; no worker will accept it.
 			// 4xx does not indict the worker's health.
-			send(nil, permanentError{err}, "rejected")
-			return
+			endSpan("outcome", "rejected")
+			return nil, permanentError{err}
 		}
-		p.fail(w)
-		send(nil, err, "server_error")
-		return
+		return failed("server_error", err)
 	}
 	var er EvalResponse
 	if err := json.Unmarshal(raw, &er); err != nil {
-		p.fail(w)
-		send(nil, fmt.Errorf("cluster: worker %s: bad response body: %w", w.url, err), "bad_body")
-		return
+		return failed("bad_body", fmt.Errorf("cluster: worker %s: bad response body: %w", w.url, err))
+	}
+	if len(er.Values) != configs {
+		return failed("bad_body", fmt.Errorf("cluster: worker %s answered %d values for %d configs", w.url, len(er.Values), configs))
 	}
 	rtt := time.Since(t0)
 	p.succeed(w, rtt)
@@ -456,11 +325,12 @@ func (p *Pool) attempt(ctx context.Context, w *workerConn, body []byte, hedge bo
 		// means that worker's forest already rides in this trace.
 		off := obs.ClockOffset(t0, rtt, er.Spans)
 		tr.Graft(obs.SpanIDFrom(spanCtx), er.Spans, off)
-		send(&er, nil, "ok",
+		endSpan("outcome", "ok",
 			"clock_offset_ms", strconv.FormatFloat(float64(off)/float64(time.Millisecond), 'f', 3, 64))
-		return
+		return &er, nil
 	}
-	send(&er, nil, "ok")
+	endSpan("outcome", "ok")
+	return &er, nil
 }
 
 func truncate(b []byte, n int) string {
@@ -469,64 +339,6 @@ func truncate(b []byte, n int) string {
 		return s[:n] + "…"
 	}
 	return s
-}
-
-// tryOnce runs one logical attempt with hedging: the primary request
-// goes to the next available worker, and if it is still in flight past
-// the hedge delay a duplicate goes to a second worker; the first
-// response (or first permanent error) wins.
-func (p *Pool) tryOnce(ctx context.Context, body []byte) (*EvalResponse, error) {
-	primary := p.pick(nil)
-	results := make(chan attemptResult, 2)
-	link := &hedgeLink{}
-	go p.attempt(ctx, primary, body, false, link, results)
-	launched := 1
-
-	var hedgeC <-chan time.Time
-	if d, ok := p.hedgeDelay(); ok {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	var lastErr error
-	for received := 0; received < launched; {
-		select {
-		case r := <-results:
-			received++
-			if r.err == nil {
-				if r.hedge {
-					cPoolHedgeWins.Inc()
-				}
-				if launched > 1 {
-					// A zero-duration marker naming the race's winner; the
-					// per-attempt spans carry the worker and hedge flags.
-					winner := "primary"
-					if r.hedge {
-						winner = "hedge"
-					}
-					_, endRace := obs.StartSpanArgs(ctx, "cluster.hedge_race",
-						"winner", winner, "worker", r.worker.url)
-					endRace()
-				}
-				return r.res, nil
-			}
-			var perm permanentError
-			if errors.As(r.err, &perm) {
-				return nil, r.err
-			}
-			lastErr = r.err
-		case <-hedgeC:
-			hedgeC = nil
-			if second := p.pick(primary); second != nil && second != primary {
-				cPoolHedges.Inc()
-				go p.attempt(ctx, second, body, true, link, results)
-				launched++
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return nil, lastErr
 }
 
 // EvalChunk evaluates one chunk of configurations on the farm: retries
@@ -559,12 +371,8 @@ func (p *Pool) EvalChunk(ctx context.Context, req EvalRequest) ([]float64, int, 
 				backoff = p.opt.MaxBackoff
 			}
 		}
-		res, err := p.tryOnce(ctx, body)
+		res, err := p.attempt(ctx, p.pick(), body, len(req.Configs))
 		if err == nil {
-			if len(res.Values) != len(req.Configs) {
-				lastErr = fmt.Errorf("cluster: worker answered %d values for %d configs", len(res.Values), len(req.Configs))
-				continue
-			}
 			return res.Values, res.Sims, nil
 		}
 		var perm permanentError

@@ -65,11 +65,6 @@ type RouterOptions struct {
 	// disables tracing). The decision is made once here and propagated
 	// to shards and workers on the traceparent header.
 	TraceSample float64
-	// TraceSampleMax, when above TraceSample, enables SLO-burn-adaptive
-	// head sampling: the edge rate ramps toward this ceiling while any
-	// fleet SLO fires and decays back once the burn clears. 0 keeps the
-	// rate static.
-	TraceSampleMax float64
 	// FleetScrapeInterval is the fleet metrics-federation cadence
 	// (default 5s; <0 disables the background loop — tests call
 	// FleetScrapeOnce directly).
@@ -152,7 +147,7 @@ type Router struct {
 	ring    *Ring
 	start   time.Time
 	http    *role.Server
-	sampler *obs.AdaptiveSampler
+	sampler obs.Sampler
 	traces  *obs.TraceStore
 	fleet   *fleetPlane
 
@@ -190,7 +185,7 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 		opt:     opt,
 		ring:    ring,
 		start:   time.Now(),
-		sampler: obs.NewAdaptiveSampler(opt.TraceSample, opt.TraceSampleMax, 0),
+		sampler: obs.NewSampler(opt.TraceSample),
 		traces:  obs.NewTraceStore(opt.TraceStoreSize),
 		models:  map[string]*routerModel{},
 		shards:  map[string]*shardState{},
@@ -203,7 +198,7 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 			workers = append(workers, u)
 		}
 	}
-	rt.fleet = newFleetPlane(ring.Shards(), workers, opt.Client, opt.FleetScrapeTimeout, rt.sampler, nil)
+	rt.fleet = newFleetPlane(ring.Shards(), workers, opt.Client, opt.FleetScrapeTimeout, nil)
 	for _, u := range ring.Shards() {
 		rt.shards[u] = &shardState{URL: u}
 	}
@@ -212,15 +207,12 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 }
 
 // FleetScrapeOnce runs one metrics-federation cycle (scrape every
-// role, merge, evaluate fleet SLOs, tick the adaptive sampler) and
-// returns the merged fleet report. The background loop calls this on
+// role, merge, evaluate fleet SLOs) and returns the merged fleet
+// report. The background loop calls this on
 // RouterOptions.FleetScrapeInterval; tests call it directly.
 func (rt *Router) FleetScrapeOnce(ctx context.Context) *obs.Report {
 	return rt.fleet.scrapeOnce(ctx)
 }
-
-// SampleRate reports the edge head-sampling rate currently in effect.
-func (rt *Router) SampleRate() float64 { return rt.sampler.Rate() }
 
 // Ring exposes the router's placement ring (read-only use).
 func (rt *Router) Ring() *Ring { return rt.ring }

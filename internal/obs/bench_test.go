@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// benchSampled keeps the sampler benchmark's decision live.
+var benchSampled bool
+
 // BenchmarkObsOverhead measures the per-call cost of each instrumentation
 // primitive in both states the pipeline runs in: disabled (the default —
 // this is the overhead every simulation pays) and enabled/traced (the
@@ -43,6 +46,20 @@ func BenchmarkObsOverhead(b *testing.B) {
 				h.Observe(0.001)
 			}
 		})
+	})
+	b.Run("histogram/observe-exemplar", func(b *testing.B) {
+		h := NewHistogram("bench.hist_exemplar", DefLatencyBuckets)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.ObserveWithExemplar(0.001, "bench-trace")
+		}
+	})
+	b.Run("sampler/partial", func(b *testing.B) {
+		s := NewSampler(0.5)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSampled = s.Sample("req-0123456789abcdef")
+		}
 	})
 	b.Run("spanctx/no-trace-disabled", func(b *testing.B) {
 		Disable()

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -113,10 +114,12 @@ func ValidRequestID(s string) bool {
 	return true
 }
 
-// Sampler is the edge's head-sampling decision: a deterministic hash of
-// the request ID against a rate threshold, so the same request ID
-// samples identically on every replica and retries of one request are
-// all traced or all not.
+// Sampler is the edge's head-sampling decision: FNV-64a of the request
+// ID against a rate threshold, so the same request ID samples
+// identically on every replica and retries of one request are all
+// traced or all not. The hash is fixed and the threshold is monotone in
+// the rate, so any request sampled at rate r is also sampled at every
+// rate above r.
 type Sampler struct {
 	threshold uint64
 }
@@ -127,9 +130,35 @@ func NewSampler(rate float64) Sampler {
 	return Sampler{threshold: sampleThreshold(rate)}
 }
 
+// sampleThreshold maps a keep-fraction to the hash-space threshold.
+func sampleThreshold(rate float64) uint64 {
+	switch {
+	case rate >= 1:
+		return math.MaxUint64
+	case rate <= 0:
+		return 0
+	default:
+		return uint64(rate * float64(math.MaxUint64))
+	}
+}
+
 // Sample decides whether the request with this ID is traced.
 func (s Sampler) Sample(id string) bool {
 	return sampleHit(id, s.threshold)
+}
+
+// sampleHit is the sampling decision: FNV-64a of the request ID against
+// a threshold.
+func sampleHit(id string, threshold uint64) bool {
+	switch threshold {
+	case math.MaxUint64:
+		return true
+	case 0:
+		return false
+	}
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	return h.Sum64() < threshold
 }
 
 // Rate reports the fraction of requests this sampler keeps.
@@ -167,7 +196,7 @@ func SpanIDFrom(ctx context.Context) int64 {
 
 // StartSpanArgs is StartSpanCtx with late annotations: the returned end
 // function accepts extra key/value pairs determined only at completion
-// (outcome, winner of a hedge race, per-hop clock offset). The kv
+// (outcome, per-hop clock offset). The kv
 // arguments given up front are recorded too.
 func StartSpanArgs(ctx context.Context, name string, kv ...string) (context.Context, func(extra ...string)) {
 	tr := TraceFrom(ctx)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -77,6 +78,47 @@ func TestSamplerDeterministicAndBounded(t *testing.T) {
 	}
 	if kept < 350 || kept > 650 {
 		t.Errorf("rate-0.5 sampler kept %d/1000, want roughly half", kept)
+	}
+}
+
+// TestSamplerMonotoneInRate: each decision is deterministic, and
+// raising the rate only ever adds sampled requests.
+func TestSamplerMonotoneInRate(t *testing.T) {
+	ids := make([]string, 512)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("req-%04d", i)
+	}
+	prev := map[string]bool{}
+	for _, rate := range []float64{0.05, 0.1, 0.2, 0.4, 0.8, 1} {
+		s := NewSampler(rate)
+		cur := map[string]bool{}
+		for _, id := range ids {
+			got := s.Sample(id)
+			if got != NewSampler(rate).Sample(id) {
+				t.Fatalf("rate %v id %s: nondeterministic decision", rate, id)
+			}
+			cur[id] = got
+		}
+		for id, was := range prev {
+			if was && !cur[id] {
+				t.Fatalf("raising rate to %v dropped previously sampled id %s", rate, id)
+			}
+		}
+		prev = cur
+	}
+	for _, id := range ids {
+		if !prev[id] {
+			t.Fatalf("rate 1 did not sample %s", id)
+		}
+	}
+}
+
+func TestSamplerRate(t *testing.T) {
+	for _, r := range []float64{0, 0.25, 0.5, 1} {
+		got := NewSampler(r).Rate()
+		if diff := got - r; diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("Rate(%v) = %v", r, got)
+		}
 	}
 }
 
@@ -166,10 +208,10 @@ func TestEncodeDecodeSpans(t *testing.T) {
 func TestStartSpanArgsExtras(t *testing.T) {
 	tr := NewTrace("t")
 	ctx := WithTrace(context.Background(), tr)
-	_, end := StartSpanArgs(ctx, "cluster.pool_attempt", "hedge", "true")
+	_, end := StartSpanArgs(ctx, "cluster.pool_attempt", "worker", "w1")
 	end("outcome", "ok")
 	s := tr.Spans()[0]
-	want := []string{"hedge", "true", "outcome", "ok"}
+	want := []string{"worker", "w1", "outcome", "ok"}
 	if len(s.Args) != len(want) {
 		t.Fatalf("args = %v, want %v", s.Args, want)
 	}

@@ -25,7 +25,7 @@ type Edge struct {
 	// Role names the root span, "<Role>.request".
 	Role string
 	// Sampler decides requests that arrive without a traceparent.
-	Sampler obs.HeadSampler
+	Sampler obs.Sampler
 	// Traces receives every finished trace (nil keeps none).
 	Traces *obs.TraceStore
 	// SpanTrailer returns a remote-sampled hop's span forest on the

@@ -251,6 +251,15 @@ echo "== cluster smoke =="
 # shard fronted by the consistent-hash router.
 go build -o "$smoke_dir/simworker" ./cmd/simworker
 go build -o "$smoke_dir/predrouter" ./cmd/predrouter
+# Knob ratchets, as for predserve above: predrouter has exactly 11
+# flags and simworker 10.
+for r in predrouter:11 simworker:10; do
+    nflags=$("$smoke_dir/${r%:*}" -h 2>&1 | grep -c '^  -')
+    if [ "$nflags" != "${r#*:}" ]; then
+        echo "${r%:*} -h lists $nflags flags, want ${r#*:}" >&2
+        exit 1
+    fi
+done
 worker_pids=""
 cleanup_cluster() {
     for pid in $worker_pids; do kill "$pid" 2>/dev/null || true; done
@@ -334,8 +343,8 @@ echo "== fleet observability smoke =="
 # Fleet plane: 2 shards + 2 workers behind the router. /fleetz must
 # aggregate both shards' request counters, the router's /tracez?q= must
 # find a cross-role trace and export it as one merged Chrome timeline,
-# and an induced SLO burn must adaptively raise the trace-sampling rate
-# and decay it back once good traffic dilutes the burn.
+# and an induced latency burn must fire the fleet-latency SLO and clear
+# once good traffic dilutes it.
 predbody='{"model":"mcf","config":{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}}'
 "$smoke_dir/simworker" -addr 127.0.0.1:0 -id fw1 > "$smoke_dir/fworker1.log" 2>&1 &
 fw1_pid=$!
@@ -353,7 +362,7 @@ fw2=$(wait_addr "$smoke_dir/fworker2.log" simworker)
 fs1=$(wait_addr "$smoke_dir/fshard1.log" predserve)
 fs2=$(wait_addr "$smoke_dir/fshard2.log" predserve)
 "$smoke_dir/predrouter" -addr 127.0.0.1:0 -shards "$fs1,$fs2" -workers "$fw1,$fw2" \
-    -trace-sample 0.02 -trace-sample-max 1 -fleet-scrape-every 200ms \
+    -trace-sample 0.02 -fleet-scrape-every 200ms \
     > "$smoke_dir/frouter.log" 2>&1 &
 fr_pid=$!
 worker_pids="$worker_pids $fr_pid"
@@ -401,43 +410,42 @@ grep -q '"traceEvents"' "$smoke_dir/fleet-trace.json"
 # Induce an SLO burn: simulator-verified searches at 50k instructions
 # run well past the 250ms latency threshold, so with only a handful of
 # good requests in the windows both burn rates blow through the paging
-# threshold and the sampler must ramp above its 0.02 base.
-sample_rate() {
-    curl -fsS "http://$fr/metricz?format=prom" | awk '/^obs_trace_sample_rate/ {print $2}'
+# threshold and fleet-latency must fire.
+latency_firing() {
+    curl -fsS "http://$fr/fleetz?format=json&refresh=1" |
+        awk '/"name": "fleet-latency"/ { f = 1 } f && !done && /"firing":/ { print $2; done = 1 }'
 }
 for _ in 1 2 3; do
     curl -fsS -X POST "http://$fr/v1/search" -d '{"model":"mcf","verify":"sim"}' > /dev/null
 done
 burned=""
 for _ in $(seq 1 50); do
-    rate=$(sample_rate)
-    if awk -v r="$rate" 'BEGIN { exit !(r > 0.03) }'; then
+    if [ "$(latency_firing)" = true ]; then
         burned=1
         break
     fi
     sleep 0.3
 done
 if [ -z "$burned" ]; then
-    echo "trace sample rate never ramped above base under SLO burn (last: $(sample_rate))" >&2
+    echo "fleet-latency never fired after three slow searches" >&2
     curl -fsS "http://$fr/fleetz?format=json" >&2
     exit 1
 fi
 # Flood good traffic to dilute the windowed bad fraction below the burn
-# threshold; once the burn clears, the sampler must decay back to base.
+# threshold; fleet-latency must then clear.
 for _ in $(seq 1 300); do
     curl -fsS -X POST "http://$fr/v1/predict" -d "$predbody" > /dev/null
 done
-decayed=""
+cleared=""
 for _ in $(seq 1 60); do
-    rate=$(sample_rate)
-    if awk -v r="$rate" 'BEGIN { exit !(r <= 0.02) }'; then
-        decayed=1
+    if [ "$(latency_firing)" = false ]; then
+        cleared=1
         break
     fi
     sleep 0.3
 done
-if [ -z "$decayed" ]; then
-    echo "trace sample rate never decayed to base after the burn cleared (last: $(sample_rate))" >&2
+if [ -z "$cleared" ]; then
+    echo "fleet-latency still firing after 300 good predictions" >&2
     curl -fsS "http://$fr/fleetz?format=json" >&2
     exit 1
 fi
