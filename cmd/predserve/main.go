@@ -87,7 +87,7 @@ type config struct {
 func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	c := &config{}
 	o := &c.opt
-	c.role = role.Define(fs, "127.0.0.1:8080", 30*time.Second, "per-request deadline", 1<<20)
+	c.role = role.Define(fs, "127.0.0.1:8080", 30*time.Second, "per-request deadline: bounds a single prediction's wait in the coalescer and a whole /v1/search", 1<<20)
 	fs.BoolVar(&c.version, "version", false, "print build info (Go version, model format, VCS revision) and exit")
 	fs.StringVar(&o.ModelDir, "models", "", "directory of *.json models to load at startup (also anchors relative /v1/models/load paths)")
 	fs.StringVar(&c.modelFiles, "model", "", "comma-separated model files to load at startup")

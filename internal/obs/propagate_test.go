@@ -9,13 +9,28 @@ import (
 	"time"
 )
 
-func TestTraceparentRoundTrip(t *testing.T) {
-	cases := []SpanContext{
+// traceparentRoundTrips and malformedTraceparents also seed
+// FuzzTraceparent's corpus.
+var (
+	traceparentRoundTrips = []SpanContext{
 		{TraceID: "8f3a9b2c11aa00ff", ParentID: 42, Sampled: true},
 		{TraceID: "client-id-7", ParentID: 0, Sampled: false},
 		{TraceID: "a-b-c.d_e", ParentID: 1 << 40, Sampled: true},
 	}
-	for _, want := range cases {
+	malformedTraceparents = []string{
+		"",
+		"00-",
+		"01-abc-0000000000000001-01", // unsupported version
+		"00-abc-xyz-01",              // non-hex span ID
+		"00-abc-0000000000000001-zz", // non-hex flags
+		"00-abc-01",                  // missing field
+		"00-" + strings.Repeat("a", 65) + "-0000000000000001-01", // trace ID too long
+		"00-a b-0000000000000001-01",                             // bad charset
+	}
+)
+
+func TestTraceparentRoundTrip(t *testing.T) {
+	for _, want := range traceparentRoundTrips {
 		got, ok := ParseTraceparent(FormatTraceparent(want))
 		if !ok {
 			t.Fatalf("ParseTraceparent(%q) failed", FormatTraceparent(want))
@@ -27,17 +42,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 }
 
 func TestTraceparentRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00-",
-		"01-abc-0000000000000001-01", // unsupported version
-		"00-abc-xyz-01",              // non-hex span ID
-		"00-abc-0000000000000001-zz", // non-hex flags
-		"00-abc-01",                  // missing field
-		"00-" + strings.Repeat("a", 65) + "-0000000000000001-01", // trace ID too long
-		"00-a b-0000000000000001-01",                             // bad charset
-	}
-	for _, s := range bad {
+	for _, s := range malformedTraceparents {
 		if _, ok := ParseTraceparent(s); ok {
 			t.Errorf("ParseTraceparent(%q) accepted malformed input", s)
 		}

@@ -1,9 +1,10 @@
 // Package role is the scaffold the three HTTP roles share — predserve,
 // predrouter and simworker: the structured JSON error and body
 // helpers, the /metricz handler, the edge middleware that owns request
-// identity and the sampling decision, the per-request timeout wrapper,
-// the sparkline the dashboards draw, and the listen → serve → drain
-// lifecycle with its shared flags. It depends only on internal/obs, so
+// identity and the sampling decision, the timeout wrapper for routes
+// whose work does not watch its context, the sparkline the dashboards
+// draw, and the listen → serve → drain lifecycle with its shared flags.
+// API bodies are compact JSON. It depends only on internal/obs, so
 // serve and cluster can both build on it.
 package role
 
@@ -31,13 +32,11 @@ type APIError struct {
 	Message string `json:"message"`
 }
 
-// WriteJSON writes v as indented JSON with the given status.
+// WriteJSON writes v as compact JSON, one line, with the given status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // WriteErr writes a structured error with a formatted message.
@@ -136,10 +135,13 @@ func Metricz(w http.ResponseWriter, r *http.Request) {
 }
 
 // WithTimeout bounds h with a per-request deadline; who names the role
-// in the 503 timeout body ("server", "worker"). http.TimeoutHandler
-// writes that body without a Content-Type, which Go's sniffer would
-// label text/plain, so the JSON Content-Type is pre-set on the real
-// response writer; handlers on the non-timeout path set their own.
+// in the 503 timeout body ("server", "worker"). It runs h on a goroutine
+// of its own (http.TimeoutHandler), so it is for work that does not
+// watch its context, such as a simulation: predserve wraps only
+// /v1/search, simworker its whole mux. http.TimeoutHandler writes the
+// body without a Content-Type, which Go's sniffer would label
+// text/plain, so the JSON Content-Type is pre-set on the real response
+// writer; handlers on the non-timeout path set their own.
 func WithTimeout(h http.Handler, d time.Duration, who string) http.Handler {
 	th := http.TimeoutHandler(h, d,
 		`{"error":{"code":"timeout","message":"request exceeded the `+who+`'s per-request deadline"}}`)

@@ -6,9 +6,11 @@ import (
 )
 
 // lru is the bounded prediction cache: a mutex-guarded hash map over an
-// intrusive recency list. Keys are (model name, quantized config key)
-// strings, so two requests that clamp to the same machine share one
-// slot regardless of how their raw inputs differed. A single mutex is
+// intrusive recency list. Keys are the bytes cacheKey encodes (model,
+// generation, quantized config), so two requests that clamp to the same
+// machine share one slot regardless of how their raw inputs differed.
+// A lookup indexes the map with string(key), which Go does without
+// copying; only Put allocates the key string it stores. A single mutex is
 // enough here: the critical section is a map lookup plus a list splice,
 // orders of magnitude cheaper than the RBF evaluation it saves, and the
 // predict path only holds it per-point, never across a batch.
@@ -32,10 +34,10 @@ func newLRU(max int) *lru {
 
 // Get returns the cached prediction for key and marks it most recently
 // used.
-func (c *lru) Get(key string) (float64, bool) {
+func (c *lru) Get(key []byte) (float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	el, ok := c.items[string(key)]
 	if !ok {
 		return 0, false
 	}
@@ -45,15 +47,16 @@ func (c *lru) Get(key string) (float64, bool) {
 
 // Put inserts or refreshes a prediction, evicting the least recently
 // used entry when the cache is full.
-func (c *lru) Put(key string, val float64) {
+func (c *lru) Put(key []byte, val float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if el, ok := c.items[string(key)]; ok {
 		el.Value.(*lruEntry).val = val
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
+	k := string(key)
+	c.items[k] = c.ll.PushFront(&lruEntry{key: k, val: val})
 	if c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

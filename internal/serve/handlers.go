@@ -2,9 +2,9 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net/http"
-	"strconv"
 
 	"predperf/internal/cluster"
 	"predperf/internal/core"
@@ -198,14 +198,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	cPredicts.Inc()
-	cBatchPts.Add(int64(len(batch)))
-	cModelPredictions.With(req.Model).Add(int64(len(batch)))
 	var preds []prediction
 	if len(batch) == 1 {
 		// A single prediction never pays worker-pool dispatch: it goes
 		// through the coalescer, so concurrent singles share one
-		// vectorized evaluation.
-		p, err := s.coalesce.predict(r.Context(), entry, batch[0].Config())
+		// vectorized evaluation. Waiting there is the only step of a
+		// prediction that is not bounded in-process work, so the
+		// request deadline bounds just that wait.
+		ctx, cancel := context.WithTimeout(r.Context(), s.opt.Timeout)
+		p, err := s.coalesce.predict(ctx, entry, batch[0].Config())
+		cancel()
 		switch {
 		case errors.Is(err, ErrCoalesceQueueFull):
 			// The dispatcher never waits between flushes: a full queue
@@ -219,7 +221,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			role.WriteErr(w, http.StatusServiceUnavailable, "shutting_down",
 				"the server is draining and no longer accepts predictions")
 			return
-		case err != nil: // the request's own context died while queued
+		case errors.Is(err, context.DeadlineExceeded):
+			role.WriteErr(w, http.StatusServiceUnavailable, "timeout",
+				"request exceeded the server's per-request deadline")
+			return
+		case err != nil: // the client went away while queued
 			role.WriteErr(w, http.StatusServiceUnavailable, "request_canceled",
 				"request canceled while queued for coalescing: %v", err)
 			return
@@ -234,14 +240,28 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		preds = s.predictBatch(entry, cfgs)
 	}
+	// Counted once scored, so a rejected single is not a prediction.
+	cBatchPts.Add(int64(len(preds)))
+	cModelPredictions.With(req.Model).Add(int64(len(preds)))
 	role.WriteJSON(w, http.StatusOK, predictResponse{Model: req.Model, Predictions: preds})
 }
 
-// cacheKey is the LRU key for one quantized configuration: the entry
-// generation retires every cached value for a name when a hot-reload
-// replaces its model (stale entries stop matching and age out).
-func cacheKey(e *Entry, q design.Config) string {
-	return e.Name + "\x00" + strconv.FormatUint(e.gen, 10) + "\x00" + q.Key()
+// cacheKey appends the LRU key for one quantized configuration to dst:
+// the length-prefixed model name, the entry generation and the nine
+// quantized values, each a varint. Varints delimit themselves, so two
+// keys are equal exactly when all three parts are. The generation
+// retires every cached value for a name when a hot-reload replaces its
+// model (stale entries stop matching and age out). Callers pass a stack
+// buffer, so a lookup allocates nothing.
+func cacheKey(dst []byte, e *Entry, q design.Config) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(e.Name)))
+	dst = append(dst, e.Name...)
+	dst = binary.AppendUvarint(dst, e.gen)
+	for _, v := range [...]int{q.PipeDepth, q.ROBSize, q.IQSize, q.LSQSize,
+		q.L2SizeKB, q.L2Lat, q.IL1SizeKB, q.DL1SizeKB, q.DL1Lat} {
+		dst = binary.AppendVarint(dst, int64(v))
+	}
+	return dst
 }
 
 // predictBatchChunk is how many configurations one worker scores per
@@ -266,11 +286,12 @@ func (s *Server) predictBatch(e *Entry, cfgs []design.Config) []prediction {
 	missIdx := make([]int, 0, len(cfgs))
 	missXs := make([][]float64, 0, len(cfgs))
 	quant := make([]design.Config, len(cfgs))
+	var kb [64]byte
 	for i, cfg := range cfgs {
 		q := m.Space.Decode(m.Space.Encode(cfg), m.SampleSize)
 		quant[i] = q
 		preds[i] = prediction{Config: cluster.FromConfig(q), Clamped: q != cfg}
-		if v, ok := s.cache.Get(cacheKey(e, q)); ok {
+		if v, ok := s.cache.Get(cacheKey(kb[:0], e, q)); ok {
 			cCacheHits.Inc()
 			preds[i].Value, preds[i].Cached = v, true
 			s.shadow.offer(e, q, v)
@@ -297,7 +318,7 @@ func (s *Server) predictBatch(e *Entry, cfgs []design.Config) []prediction {
 	for a, i := range missIdx {
 		q := quant[i]
 		preds[i].Value = vals[a]
-		s.cache.Put(cacheKey(e, q), vals[a])
+		s.cache.Put(cacheKey(kb[:0], e, q), vals[a])
 		s.shadow.offer(e, q, vals[a])
 	}
 	return preds

@@ -100,8 +100,10 @@ func (l *accessLog) log(e accessEntry) {
 // returns, the per-route latency histogram (with a trace exemplar when
 // traced), the route × code response counter, the SLO aggregates, the
 // access-log line, and the slow-outlier flag that makes the edge keep
-// the trace. It wraps the timeout handler, so a timed-out request is
-// measured and logged with its real 503 and its full duration.
+// the trace. It wraps the mux, and with it both deadlines (a single
+// prediction's coalescer wait and /v1/search's timeout wrapper), so a
+// timed-out request is measured and logged with its real 503 and its
+// full duration.
 func (s *Server) withMetrics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gInflight.Inc()

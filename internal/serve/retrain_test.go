@@ -588,7 +588,14 @@ func TestRetrainLifecycle(t *testing.T) {
 		t.Fatalf("readyz after retrain = %d: %s", resp.StatusCode, body)
 	}
 	// The models listing carries the new generation.
-	if _, body := getBody(t, ts.URL+"/v1/models"); !strings.Contains(body, `"generation": 2`) {
+	_, body := getBody(t, ts.URL+"/v1/models")
+	var listing struct {
+		Models []modelInfo `json:"models"`
+	}
+	if err := json.Unmarshal([]byte(body), &listing); err != nil {
+		t.Fatalf("models listing: %v in %s", err, body)
+	}
+	if len(listing.Models) != 1 || listing.Models[0].Generation != 2 {
 		t.Fatalf("models listing lacks generation 2: %s", body)
 	}
 	// The retrained model was persisted atomically over the old file.

@@ -20,7 +20,7 @@
 // rbf.Compiled, chunked over the internal/par pool for large batches),
 // micro-batch coalescing of concurrent single predictions (flushed as
 // soon as the queue is empty, so a lone request never waits),
-// request-size limits, per-request timeouts, structured JSON errors,
+// request-size limits, per-request deadlines, structured JSON errors,
 // and graceful shutdown (drain with a deadline).
 //
 // Every incoming configuration is validated and then clamped/quantized
@@ -67,8 +67,10 @@ const (
 type Options struct {
 	// MaxBodyBytes bounds the size of a request body (default 1 MiB).
 	MaxBodyBytes int64
-	// Timeout bounds the handling of one request; requests that exceed
-	// it receive a structured 503 (default 30s).
+	// Timeout is the per-request deadline (default 30s). It bounds a
+	// single prediction's wait in the coalescer and a whole /v1/search;
+	// either answers a structured 503 timeout when it passes. The other
+	// routes do bounded in-process work and wait on nothing.
 	Timeout time.Duration
 	// SearchTraceLen is the trace length used when /v1/search verifies
 	// its shortlist with the simulator (default 50k instructions).
@@ -271,9 +273,12 @@ func (s *Server) Traces() *obs.TraceStore { return s.traces }
 // /tracez retention; a router-fronted hop returns its spans on the
 // X-Trace-Spans trailer), then serve's metrics layer (per-route
 // histograms, response counters, SLO aggregates, in-flight gauge,
-// access log), then the per-request timeout — so even timed-out
-// requests are logged and measured with their real 503. Request-size
-// limits are applied per route by the body reader.
+// access log), then the mux. Only /v1/search sits behind
+// role.WithTimeout, because a simulator-verified search does not watch
+// its context; a single prediction bounds its own coalescer wait, so
+// every other route runs on the connection's goroutine. Timed-out
+// requests are still logged and measured with their real 503.
+// Request-size limits are applied per route by the body reader.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -285,9 +290,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/models", s.handleModels)
 	mux.HandleFunc("/v1/models/load", s.handleModelsLoad)
 	mux.HandleFunc("/v1/predict", s.handlePredict)
-	mux.HandleFunc("/v1/search", s.handleSearch)
+	mux.Handle("/v1/search", role.WithTimeout(http.HandlerFunc(s.handleSearch), s.opt.Timeout, "server"))
 	edge := role.Edge{Role: "serve", Sampler: s.sampler, Traces: s.traces, SpanTrailer: true, Route: routeLabel}
-	return edge.Wrap(s.withMetrics(role.WithTimeout(mux, s.opt.Timeout, "server")))
+	return edge.Wrap(s.withMetrics(mux))
 }
 
 // Serve accepts connections on l until Shutdown. A server that was shut

@@ -500,35 +500,126 @@ func TestLoadDirAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestTimeoutResponseIsJSON: the one error shape http.TimeoutHandler
-// writes itself must still reach clients as application/json.
-func TestTimeoutResponseIsJSON(t *testing.T) {
-	s := New(Options{Timeout: 20 * time.Millisecond})
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done() // TimeoutHandler cancels this at the deadline
-	})
-	ts := httptest.NewServer(role.WithTimeout(slow, s.opt.Timeout, "server"))
-	defer ts.Close()
+// postRecorded posts body to path through h in-process and returns the
+// recorded response.
+func postRecorded(h http.Handler, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return rec
+}
 
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
+// requireTimeout fails t unless rec is the structured 503 timeout, as
+// application/json.
+func requireTimeout(t *testing.T, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %s", rec.Code, rec.Body)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("Content-Type %q, want application/json", ct)
 	}
 	var body struct {
 		Error role.APIError `json:"error"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("%v in %s", err, rec.Body)
 	}
 	if body.Error.Code != "timeout" {
 		t.Fatalf("error code %q, want %q", body.Error.Code, "timeout")
+	}
+}
+
+// TestTimeoutResponseIsJSON: the one error shape http.TimeoutHandler
+// writes itself must still reach clients as application/json, both
+// from role.WithTimeout alone and from /v1/search through the server's
+// own wiring, where a simulator-verified search must keep its bound.
+func TestTimeoutResponseIsJSON(t *testing.T) {
+	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // TimeoutHandler cancels this at the deadline
+	})
+	rec := httptest.NewRecorder()
+	role.WithTimeout(slow, 20*time.Millisecond, "server").ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+	requireTimeout(t, rec)
+
+	// The search's simulator is held until the test ends, so only the
+	// route's own deadline can answer.
+	gate := make(chan struct{})
+	defer close(gate)
+	srv := New(Options{Timeout: time.Millisecond})
+	defer srv.coalesce.stop()
+	srv.Registry().SetEvalFactory(func(string, int) (core.Evaluator, error) {
+		return core.FuncEvaluator(func(c design.Config) float64 {
+			<-gate
+			return syntheticCPI(c)
+		}), nil
+	})
+	if err := srv.Registry().Add("mcf", buildTestModel(t, "mcf"), ""); err != nil {
+		t.Fatal(err)
+	}
+	requireTimeout(t, postRecorded(srv.Handler(), "/v1/search",
+		`{"model":"mcf","verify":"sim","grid_levels":2,"shortlist":2}`))
+}
+
+// TestPredictDeadline: a single prediction stuck in the coalescer
+// answers the structured 503 timeout at the server's deadline, and the
+// server keeps serving once the dispatcher moves again.
+func TestPredictDeadline(t *testing.T) {
+	m := buildTestModel(t, "deadline")
+	s := New(Options{Timeout: 50 * time.Millisecond})
+	if err := s.Registry().Add("deadline", m, ""); err != nil {
+		t.Fatal(err)
+	}
+	// Registered first, so it runs after holdDispatcher's release.
+	t.Cleanup(func() { s.coalesce.stop() })
+	release, _ := holdDispatcher(t, s)
+	h := s.Handler()
+	body := fmt.Sprintf(`{"model":"deadline","config":%s}`, mustJSON(t, cluster.FromConfig(m.Configs[0])))
+
+	start := time.Now()
+	requireTimeout(t, postRecorded(h, "/v1/predict", body))
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("timeout answered after %v, want about 50ms", d)
+	}
+
+	release()
+	rec := postRecorded(h, "/v1/predict", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("after release: status %d: %s", rec.Code, rec.Body)
+	}
+	var pr predictResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil || len(pr.Predictions) != 1 {
+		t.Fatalf("after release: %v in %s", err, rec.Body)
+	}
+	if got, want := pr.Predictions[0].Value, m.PredictConfig(m.Configs[0]); got != want {
+		t.Fatalf("after release: value %v, want %v", got, want)
+	}
+}
+
+// TestRejectedSingleNotCounted: serve.batch_points and the per-model
+// prediction counter count scored configurations, so a single the
+// coalescer refuses adds to neither, while serve.predicts still counts
+// the request.
+func TestRejectedSingleNotCounted(t *testing.T) {
+	m := buildTestModel(t, "rejected")
+	s := New(Options{})
+	if err := s.Registry().Add("rejected", m, ""); err != nil {
+		t.Fatal(err)
+	}
+	s.coalesce.stop()
+	pts, model, reqs := cBatchPts.Value(), cModelPredictions.With("rejected").Value(), cPredicts.Value()
+	body := fmt.Sprintf(`{"model":"rejected","config":%s}`, mustJSON(t, cluster.FromConfig(m.Configs[0])))
+	rec := postRecorded(s.Handler(), "/v1/predict", body)
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), `"shutting_down"`) {
+		t.Fatalf("single after stop: %d %s, want 503 shutting_down", rec.Code, rec.Body)
+	}
+	if got := cBatchPts.Value() - pts; got != 0 {
+		t.Errorf("serve.batch_points rose by %d for a rejected single", got)
+	}
+	if got := cModelPredictions.With("rejected").Value() - model; got != 0 {
+		t.Errorf("serve.model_predictions{rejected} rose by %d for a rejected single", got)
+	}
+	if got := cPredicts.Value() - reqs; got != 1 {
+		t.Errorf("serve.predicts rose by %d, want 1 per request", got)
 	}
 }
 
@@ -639,24 +730,63 @@ func TestGracefulShutdown(t *testing.T) {
 
 func TestLRUCache(t *testing.T) {
 	c := newLRU(2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
+	c.Put([]byte("a"), 1)
+	c.Put([]byte("b"), 2)
+	if v, ok := c.Get([]byte("a")); !ok || v != 1 {
 		t.Fatalf("a = %v,%v", v, ok)
 	}
-	c.Put("c", 3) // evicts b (a was refreshed by the Get)
-	if _, ok := c.Get("b"); ok {
+	c.Put([]byte("c"), 3) // evicts b (a was refreshed by the Get)
+	if _, ok := c.Get([]byte("b")); ok {
 		t.Fatal("b survived eviction")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get([]byte("a")); !ok {
 		t.Fatal("a evicted despite being most recently used")
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len %d, want 2", c.Len())
 	}
-	c.Put("a", 10) // refresh value in place
-	if v, _ := c.Get("a"); v != 10 {
+	c.Put([]byte("a"), 10) // refresh value in place
+	if v, _ := c.Get([]byte("a")); v != 10 {
 		t.Fatalf("refreshed a = %v", v)
+	}
+}
+
+// TestCacheKeyExact: the LRU key tells apart every (name, generation,
+// config) triple, including ones whose parts would run together if
+// simply concatenated, and a lookup through it allocates nothing.
+func TestCacheKeyExact(t *testing.T) {
+	cfg := design.Config{PipeDepth: 12, ROBSize: 96, IQSize: 48, LSQSize: 48,
+		L2SizeKB: 2048, L2Lat: 10, IL1SizeKB: 32, DL1SizeKB: 32, DL1Lat: 2}
+	swapped := cfg
+	swapped.IQSize, swapped.LSQSize = 47, 49
+	wide := cfg
+	wide.PipeDepth = 1 << 20
+	keys := map[string]string{}
+	for _, k := range []struct {
+		name string
+		gen  uint64
+		cfg  design.Config
+	}{
+		{"a", 12, cfg}, {"a1", 2, cfg}, {"a", 1, cfg}, {"", 1, cfg},
+		{"a", 12, swapped}, {"a", 12, wide},
+	} {
+		key := string(cacheKey(nil, &Entry{Name: k.name, gen: k.gen}, k.cfg))
+		desc := fmt.Sprintf("%q gen %d %+v", k.name, k.gen, k.cfg)
+		if prev, dup := keys[key]; dup {
+			t.Fatalf("%s and %s share a cache key", prev, desc)
+		}
+		keys[key] = desc
+	}
+	e := &Entry{Name: "a", gen: 12}
+	c := newLRU(4)
+	var kb [64]byte
+	c.Put(cacheKey(kb[:0], e, cfg), 1)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := c.Get(cacheKey(kb[:0], e, cfg)); !ok {
+			t.Fatal("cached key missed")
+		}
+	}); n != 0 {
+		t.Fatalf("a cache lookup allocates %v times, want 0", n)
 	}
 }
 

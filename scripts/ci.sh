@@ -45,6 +45,9 @@ go test -race ./...
 echo "== fuzz /v1/predict bodies (10 s) =="
 go test -run '^$' -fuzz '^FuzzPredictBody$' -fuzztime 10s ./internal/serve
 
+echo "== fuzz traceparent and request-ID parsing (5 s) =="
+go test -run '^$' -fuzz '^FuzzTraceparent$' -fuzztime 5s ./internal/obs
+
 echo "== benchmark smoke (1 iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -97,7 +100,7 @@ mkdir "$smoke_dir/models"
     > "$smoke_dir/predserve.log" 2>&1 &
 smoke_pid=$!
 addr=$(wait_addr "$smoke_dir/predserve.log" predserve)
-curl -fsS "http://$addr/healthz" | grep -q '"status": "ok"'
+curl -fsS "http://$addr/healthz" | grep -q '"status":"ok"'
 # /healthz carries build info.
 curl -fsS "http://$addr/healthz" | grep -q '"go_version"'
 # Every response carries an X-Request-Id (generated here; echoed if sent).
@@ -167,8 +170,8 @@ single_b_pid=$!
 wait "$single_a_pid" "$single_b_pid"
 curl -fsS -X POST "http://$addr/v1/predict" \
     -d "{\"model\":\"mcf\",\"configs\":[$cfg_a,$cfg_b]}" > "$smoke_dir/batch.json"
-vals_single=$(grep -h -o '"value": [^,}]*' "$smoke_dir/single_a.json" "$smoke_dir/single_b.json")
-vals_batch=$(grep -h -o '"value": [^,}]*' "$smoke_dir/batch.json")
+vals_single=$(grep -h -o '"value":[^,}]*' "$smoke_dir/single_a.json" "$smoke_dir/single_b.json")
+vals_batch=$(grep -h -o '"value":[^,}]*' "$smoke_dir/batch.json")
 if [ -z "$vals_batch" ] || [ "$vals_single" != "$vals_batch" ]; then
     echo "coalesced singles and direct batch disagree:" >&2
     echo "singles: $vals_single" >&2
@@ -235,8 +238,8 @@ fi
 # the escalated sample size.
 curl -fsS "http://$addr/readyz" | grep -q '"ready"'
 curl -fsS "http://$addr/v1/models" > "$smoke_dir/retrain-models.json"
-grep -q '"generation": 2' "$smoke_dir/retrain-models.json"
-grep -q '"sample_size": 16' "$smoke_dir/retrain-models.json"
+grep -q '"generation":2[,}]' "$smoke_dir/retrain-models.json"
+grep -q '"sample_size":16[,}]' "$smoke_dir/retrain-models.json"
 # The retrained model was persisted back into the model directory.
 grep -q '"sample_size": 16' "$smoke_dir/models2/mcf.json" ||
     grep -q '"sample_size":16' "$smoke_dir/models2/mcf.json"
@@ -318,7 +321,7 @@ grep -q 'predrouter' "$smoke_dir/router-statusz.html"
 curl -fsS -X POST "http://$router/v1/search" \
     -d '{"model":"mcf","verify":"sim"}' > "$smoke_dir/routed-search.json"
 grep -q '"best"' "$smoke_dir/routed-search.json"
-grep -q '"verified_by": "simulator"' "$smoke_dir/routed-search.json"
+grep -q '"verified_by":"simulator"' "$smoke_dir/routed-search.json"
 curl -fsS "http://$router/tracez?format=json&route=/v1/search" > "$smoke_dir/tracez.json"
 tid=$(grep -o '"id":"[^"]*"' "$smoke_dir/tracez.json" | head -1 | cut -d'"' -f4)
 [ -n "$tid" ] || { echo "router /tracez holds no /v1/search trace" >&2; cat "$smoke_dir/tracez.json" >&2; exit 1; }
@@ -377,7 +380,8 @@ curl -fsS "http://$fr/fleetz?refresh=1&format=json" > "$smoke_dir/fleetz.json"
 grep -q '"fleet-latency"' "$smoke_dir/fleetz.json"
 grep -q '"fleet-availability"' "$smoke_dir/fleetz.json"
 # All four scraped roles (2 shards + 2 workers) healthy in the rollup.
-healthy=$(grep -c '"healthy": true' "$smoke_dir/fleetz.json")
+# The body is compact JSON on one line, so count matches, not lines.
+healthy=$(grep -o '"healthy":true' "$smoke_dir/fleetz.json" | wc -l || true)
 if [ "$healthy" != 4 ]; then
     echo "fleet rollup has $healthy healthy roles, want 4:" >&2
     cat "$smoke_dir/fleetz.json" >&2
@@ -386,7 +390,7 @@ fi
 # The merged aggregate covers at least the 4 direct predictions — the
 # shard processes don't share a registry, so this is a genuine
 # cross-process sum.
-merged_reqs=$(grep -o '"serve.requests_total": [0-9]*' "$smoke_dir/fleetz.json" | head -1 | awk '{print $2}')
+merged_reqs=$(grep -o '"serve.requests_total":[0-9]*' "$smoke_dir/fleetz.json" | head -1 | cut -d: -f2)
 if [ -z "$merged_reqs" ] || [ "$merged_reqs" -lt 4 ]; then
     echo "merged serve.requests_total = '$merged_reqs', want >= 4" >&2
     exit 1
@@ -411,9 +415,12 @@ grep -q '"traceEvents"' "$smoke_dir/fleet-trace.json"
 # run well past the 250ms latency threshold, so with only a handful of
 # good requests in the windows both burn rates blow through the paging
 # threshold and fleet-latency must fire.
+# latency_firing prints the "firing" value of the fleet-latency SLO:
+# the first "firing" key after its name in the compact body.
 latency_firing() {
     curl -fsS "http://$fr/fleetz?format=json&refresh=1" |
-        awk '/"name": "fleet-latency"/ { f = 1 } f && !done && /"firing":/ { print $2; done = 1 }'
+        grep -oE '"name":"fleet-latency"|"firing":[a-z]+' |
+        awk -F: '/fleet-latency/ { f = 1; next } f && !done { print $2; done = 1 }'
 }
 for _ in 1 2 3; do
     curl -fsS -X POST "http://$fr/v1/search" -d '{"model":"mcf","verify":"sim"}' > /dev/null
