@@ -235,13 +235,6 @@ func (rt *Router) Handler() http.Handler {
 	return role.Edge{Role: "router", Sampler: rt.sampler, Traces: rt.traces}.Wrap(mux)
 }
 
-// modelEnvelope peeks the model name out of a predict/search body
-// without constraining the rest of the request, which is forwarded
-// verbatim to the shard.
-type modelEnvelope struct {
-	Model string `json:"model"`
-}
-
 // proxyByModel forwards a POST body to the shard owning its model, with
 // failover to the secondary.
 func (rt *Router) proxyByModel(route string) http.HandlerFunc {
@@ -250,18 +243,19 @@ func (rt *Router) proxyByModel(route string) http.HandlerFunc {
 			return
 		}
 		cRouterRequests.With(route).Inc()
-		var env modelEnvelope
-		body, ok := role.PeekJSON(w, r, rt.opt.MaxBodyBytes, &env)
+		// Only the model is read; the rest of the body is the shard's to
+		// check, and is forwarded verbatim.
+		body, model, ok := role.PeekModel(w, r, rt.opt.MaxBodyBytes)
 		if !ok {
 			cRouterErrors.Inc()
 			return
 		}
-		if env.Model == "" {
+		if model == "" {
 			cRouterErrors.Inc()
 			role.WriteErr(w, http.StatusBadRequest, "bad_request", `"model" is required`)
 			return
 		}
-		primary, secondary := rt.ring.Lookup(env.Model)
+		primary, secondary := rt.ring.Lookup(model)
 		rt.forward(w, r, r.URL.Path, body, primary, secondary)
 	}
 }

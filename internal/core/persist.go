@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"predperf/internal/design"
 	"predperf/internal/rbf"
@@ -86,6 +87,14 @@ func LoadModel(r io.Reader) (*Model, error) {
 	for i := range f.Centers {
 		if len(f.Centers[i]) != len(f.Space) || len(f.Radii[i]) != len(f.Space) {
 			return nil, fmt.Errorf("core: malformed model: basis %d has wrong dimensionality", i)
+		}
+		// A fit floors every radius at its MinRadius, so a radius that is
+		// not positive and finite never came from one; a zero radius
+		// makes the basis 0/0, a NaN prediction.
+		for k, r := range f.Radii[i] {
+			if !(r > 0) || math.IsInf(r, 1) {
+				return nil, fmt.Errorf("core: malformed model: basis %d radius %d is %v, want positive and finite", i, k, r)
+			}
 		}
 		net.Bases = append(net.Bases, rbf.Basis{Center: f.Centers[i], Radius: f.Radii[i]})
 	}

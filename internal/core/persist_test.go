@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -168,5 +169,42 @@ func TestLoadedModelValidates(t *testing.T) {
 	a, b := m.Validate(ts), loaded.Validate(ts)
 	if a != b {
 		t.Fatalf("validation differs: %+v vs %+v", a, b)
+	}
+}
+
+// TestLoadModelRejectsBadRadii: a fit floors every radius at its
+// MinRadius, so a file with a radius that is not positive is malformed.
+// Loaded, a zero radius made every prediction NaN.
+func TestLoadModelRejectsBadRadii(t *testing.T) {
+	ev := FuncEvaluator(syntheticCPI)
+	m, err := BuildRBFModel(ev, 40, fastOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{0, -0.5} {
+		var f map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range f["radii"].([]any) {
+			radii := r.([]any)
+			for k := range radii {
+				radii[k] = bad
+			}
+		}
+		raw, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModel(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "radius") {
+			t.Errorf("radii of %v: want a malformed-radius error, got %v", bad, err)
+		}
+	}
+	if _, err := LoadModel(&buf); err != nil {
+		t.Fatalf("the fitted model itself must load: %v", err)
 	}
 }

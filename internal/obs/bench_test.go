@@ -89,4 +89,18 @@ func BenchmarkObsOverhead(b *testing.B) {
 			end()
 		}
 	})
+	b.Run("span-trailer/round-trip", func(b *testing.B) {
+		// The forest a shard returns on the X-Trace-Spans trailer for a
+		// routed single prediction: its encode on the shard, and the
+		// router's decode and graft.
+		forest := []WireSpan{{ID: 1, Name: "serve.predict", Start: 1760700000123456789, Dur: 41234}}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			spans, err := DecodeSpans(EncodeSpans(forest))
+			if err != nil {
+				b.Fatal(err)
+			}
+			NewTrace("bench").Graft(1, spans, 0)
+		}
+	})
 }

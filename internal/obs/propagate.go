@@ -1,15 +1,19 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
+
+	"predperf/internal/wirejson"
 )
 
 // Cross-process trace propagation, W3C trace-context style. A caller
@@ -263,28 +267,51 @@ func (t *Trace) Export(max int) []WireSpan {
 	return out
 }
 
-// Graft merges a remote span forest into the trace: remote IDs are
-// remapped onto this trace's ID space, remote roots (and spans whose
-// parent was truncated away) are parented under the given hop span, and
-// every start time is shifted by offset so the remote lane lines up
-// with the local timeline in one Chrome export.
+// Graft merges a remote span forest into the trace: each remote span
+// gets a local ID of its own, remote roots (and spans whose parent was
+// truncated away) are parented under the given hop span, and every start
+// time is shifted by offset so the remote lane lines up with the local
+// timeline in one Chrome export. At most MaxWireSpans spans are grafted.
+//
+// A trace allocates a span's ID when the span starts, so a parent's ID
+// is always below its children's. Graft keeps that order in the local
+// IDs it gives out, and keeps a remote parent link only when it points
+// to a lower remote ID (the first span with that ID, if the forest
+// repeats one); any other span hangs under the hop span. So a hostile
+// forest, with repeated IDs or a cycle, still grafts as a tree, and no
+// span becomes its own ancestor.
 func (t *Trace) Graft(parent int64, spans []WireSpan, offset time.Duration) {
+	if len(spans) > MaxWireSpans {
+		spans = spans[:MaxWireSpans]
+	}
 	if len(spans) == 0 {
 		return
 	}
-	ids := make(map[int64]int64, len(spans))
-	for _, s := range spans {
-		ids[s.ID] = t.nextID.Add(1)
+	// byID lists the spans' indices by remote ID; a span's local ID is
+	// base plus its rank there.
+	order := make([]int, 2*len(spans))
+	byID, rank := order[:len(spans)], order[len(spans):]
+	for i := range byID {
+		byID[i] = i
 	}
+	slices.SortStableFunc(byID, func(a, b int) int { return cmp.Compare(spans[a].ID, spans[b].ID) })
+	for r, i := range byID {
+		rank[i] = r
+	}
+	base := t.nextID.Add(int64(len(spans))) - int64(len(spans)) + 1
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, s := range spans {
-		p, ok := ids[s.Parent]
-		if !ok || s.Parent == 0 {
-			p = parent
+	for i, s := range spans {
+		p := parent
+		if s.Parent != 0 && s.Parent < s.ID {
+			if r, ok := slices.BinarySearchFunc(byID, s.Parent, func(i int, id int64) int {
+				return cmp.Compare(spans[i].ID, id)
+			}); ok {
+				p = base + int64(r)
+			}
 		}
 		t.spans = append(t.spans, traceSpan{
-			id:     ids[s.ID],
+			id:     base + int64(rank[i]),
 			parent: p,
 			name:   s.Name,
 			start:  time.Unix(0, s.Start).Add(offset),
@@ -325,20 +352,28 @@ func ClockOffset(sentAt time.Time, rtt time.Duration, spans []WireSpan) time.Dur
 const maxSpanHeaderBytes = 1 << 20
 
 // EncodeSpans renders a span forest as a single header-safe token
-// (base64 of JSON) for the X-Trace-Spans trailer.
+// (base64 of JSON) for the X-Trace-Spans trailer. The JSON is
+// appendWireSpans' hand-written copy of json.Marshal's bytes, or
+// json.Marshal itself for a forest with a string it would escape.
 func EncodeSpans(spans []WireSpan) string {
 	if len(spans) == 0 {
 		return ""
 	}
-	raw, err := json.Marshal(spans)
-	if err != nil {
-		return ""
+	var buf [512]byte // a routed prediction's forest fits, so the JSON stays on the stack
+	raw, ok := appendWireSpans(buf[:0], spans)
+	if !ok {
+		var err error
+		if raw, err = json.Marshal(spans); err != nil {
+			return ""
+		}
 	}
 	return base64.StdEncoding.EncodeToString(raw)
 }
 
 // DecodeSpans parses an EncodeSpans token, enforcing the size and span
-// bounds (oversized forests are truncated to MaxWireSpans).
+// bounds (oversized forests are truncated to MaxWireSpans). A forest in
+// the canonical shape EncodeSpans writes is decoded by hand, to what
+// json.Unmarshal decodes; anything else goes through json.Unmarshal.
 func DecodeSpans(s string) ([]WireSpan, error) {
 	if s == "" {
 		return nil, nil
@@ -350,12 +385,106 @@ func DecodeSpans(s string) ([]WireSpan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: decoding span header: %w", err)
 	}
-	var spans []WireSpan
-	if err := json.Unmarshal(raw, &spans); err != nil {
-		return nil, fmt.Errorf("obs: parsing span header: %w", err)
+	spans, ok := decodeWireSpans(raw)
+	if !ok {
+		spans = nil
+		if err := json.Unmarshal(raw, &spans); err != nil {
+			return nil, fmt.Errorf("obs: parsing span header: %w", err)
+		}
 	}
 	if len(spans) > MaxWireSpans {
 		spans = spans[:MaxWireSpans]
 	}
 	return spans, nil
+}
+
+// appendWireSpans appends spans exactly as json.Marshal writes them. A
+// name or argument that encoding/json would escape reports false.
+func appendWireSpans(dst []byte, spans []WireSpan) ([]byte, bool) {
+	dst = append(dst, '[')
+	for i, s := range spans {
+		if !wirejson.Plain(s.Name) {
+			return dst, false
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"i":`...)
+		dst = wirejson.AppendInt(dst, s.ID)
+		if s.Parent != 0 {
+			dst = append(dst, `,"p":`...)
+			dst = wirejson.AppendInt(dst, s.Parent)
+		}
+		dst = append(dst, `,"n":`...)
+		dst = wirejson.AppendString(dst, s.Name)
+		dst = append(dst, `,"s":`...)
+		dst = wirejson.AppendInt(dst, s.Start)
+		dst = append(dst, `,"d":`...)
+		dst = wirejson.AppendInt(dst, s.Dur)
+		if len(s.Args) > 0 {
+			dst = append(dst, `,"a":[`...)
+			for k, a := range s.Args {
+				if !wirejson.Plain(a) {
+					return dst, false
+				}
+				if k > 0 {
+					dst = append(dst, ',')
+				}
+				dst = wirejson.AppendString(dst, a)
+			}
+			dst = append(dst, ']')
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, ']'), true
+}
+
+// wireSpanKeys are WireSpan's JSON keys; a key's index is its bit in a
+// span's seen-set.
+const wireSpanKeys = "ipnsda"
+
+// decodeWireSpans decodes the canonical shape of a span forest: an
+// array of objects with WireSpan's exact keys, none repeated, integers
+// for "i", "p", "s" and "d", and plain strings for "n" and the "a"
+// array. It reports false for anything else.
+func decodeWireSpans(raw []byte) ([]WireSpan, bool) {
+	s := wirejson.Scan(raw)
+	spans := []WireSpan{} // as json.Unmarshal decodes [], empty and non-nil
+	s.Byte('[')
+	for n := 0; s.Next(']', n); n++ {
+		var w WireSpan
+		var seen uint8
+		s.Byte('{')
+		for m := 0; s.Next('}', m); m++ {
+			k := s.Key()
+			bit := -1
+			if len(k) == 1 {
+				bit = strings.IndexByte(wireSpanKeys, k[0])
+			}
+			if bit < 0 || seen&(1<<bit) != 0 {
+				return nil, false
+			}
+			seen |= 1 << bit
+			switch k[0] {
+			case 'i':
+				w.ID = s.Int64()
+			case 'p':
+				w.Parent = s.Int64()
+			case 'n':
+				w.Name = string(s.String())
+			case 's':
+				w.Start = s.Int64()
+			case 'd':
+				w.Dur = s.Int64()
+			case 'a':
+				w.Args = []string{}
+				s.Byte('[')
+				for a := 0; s.Next(']', a); a++ {
+					w.Args = append(w.Args, string(s.String()))
+				}
+			}
+		}
+		spans = append(spans, w)
+	}
+	return spans, s.End()
 }

@@ -1,6 +1,11 @@
 package obs
 
 import (
+	"context"
+	"encoding/base64"
+	"encoding/json"
+	"io"
+	"reflect"
 	"regexp"
 	"testing"
 )
@@ -36,6 +41,48 @@ func FuzzTraceparent(f *testing.F) {
 		back, ok := ParseTraceparent(FormatTraceparent(sc))
 		if !ok || back != sc {
 			t.Fatalf("ParseTraceparent(%q) = %+v, but its round trip gives %+v, %v", s, sc, back, ok)
+		}
+	})
+}
+
+// FuzzSpanTrailer feeds arbitrary JSON through the router's trailer
+// path: DecodeSpans, Graft under a hop span, then the two views that
+// walk the forest, spanTree (/tracez) and WriteChromeTrace. None may
+// panic or fail to terminate, and at most MaxWireSpans spans graft. A
+// forest the hand-written decoder accepts must decode as json.Unmarshal
+// decodes it.
+func FuzzSpanTrailer(f *testing.F) {
+	for _, seed := range []string{
+		`[{"i":1,"n":"serve.predict","s":1760700000123456789,"d":42,"a":["k","v"]}]`,
+		`[{"i":1,"n":"a","s":1,"d":1},{"i":1,"p":1,"n":"b","s":2,"d":1}]`,
+		`[{"i":5,"p":6,"n":"a"},{"i":6,"p":5,"n":"b"},{"i":7,"p":7,"n":"c"}]`,
+		`[{"I":1,"n":"x","n":"y"}]`,
+		`[]`,
+		`null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		spans, err := DecodeSpans(base64.StdEncoding.EncodeToString(raw))
+		if err != nil {
+			return
+		}
+		if fast, ok := decodeWireSpans(raw); ok {
+			var oracle []WireSpan
+			if err := json.Unmarshal(raw, &oracle); err != nil || !reflect.DeepEqual(fast, oracle) {
+				t.Fatalf("hand-written decode %+v, json.Unmarshal %+v (%v)", fast, oracle, err)
+			}
+		}
+		tr := NewTrace("fuzz")
+		ctx, endHop := StartSpanCtx(WithTrace(context.Background(), tr), "router.forward")
+		tr.Graft(SpanIDFrom(ctx), spans, 0)
+		endHop()
+		if n := tr.Len(); n > MaxWireSpans+1 {
+			t.Fatalf("grafted %d spans, want at most %d", n-1, MaxWireSpans)
+		}
+		spanTree(tr)
+		if err := tr.WriteChromeTrace(io.Discard); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

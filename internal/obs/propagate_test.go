@@ -2,8 +2,13 @@ package obs
 
 import (
 	"context"
+	"encoding/base64"
+	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -315,5 +320,130 @@ func TestHistogramExemplarExposition(t *testing.T) {
 	}
 	if ex, ok := h.LatestExemplar(); !ok || ex.TraceID != "trace-abc" {
 		t.Errorf("LatestExemplar = %+v, %v", ex, ok)
+	}
+}
+
+// TestGraftRepeatedSpanID: a forest that repeats a span ID, the second
+// copy parented on the first, used to graft both under one local ID, so
+// the span was its own parent and spanTree and WriteChromeTrace recursed
+// until the stack overflowed. Each copy now gets its own ID.
+func TestGraftRepeatedSpanID(t *testing.T) {
+	local := NewTrace("local")
+	ctx, endHop := StartSpanCtx(WithTrace(context.Background(), local), "router.forward")
+	hopID := SpanIDFrom(ctx)
+	local.Graft(hopID, []WireSpan{
+		{ID: 1, Name: "first", Start: 100, Dur: 10},
+		{ID: 1, Parent: 1, Name: "second", Start: 105, Dur: 1},
+	}, 0)
+	endHop()
+	rows := spanTree(local)
+	if len(rows) != 3 {
+		t.Fatalf("span tree has %d rows, want 3: %+v", len(rows), rows)
+	}
+	for _, r := range rows {
+		if r.ID == r.Parent {
+			t.Errorf("span %q is its own parent", r.Name)
+		}
+	}
+	if err := local.WriteChromeTrace(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGraftHostileForestIsATree: cycles, self-parents, repeated IDs
+// and dangling parents all graft as a tree under the hop span, every
+// span reachable from it, and no more than MaxWireSpans spans graft.
+func TestGraftHostileForestIsATree(t *testing.T) {
+	forest := []WireSpan{
+		{ID: 5, Parent: 6, Name: "cycle-a"},
+		{ID: 6, Parent: 5, Name: "cycle-b"},
+		{ID: 7, Parent: 7, Name: "self"},
+		{ID: 8, Parent: 99, Name: "dangling"},
+		{ID: 9, Parent: 8, Name: "child"},
+		{ID: 9, Parent: 9, Name: "repeat"},
+		{ID: 10, Parent: 9, Name: "grandchild"},
+	}
+	for len(forest) < MaxWireSpans+10 {
+		forest = append(forest, WireSpan{ID: int64(len(forest) + 100), Parent: 9, Name: "filler"})
+	}
+	local := NewTrace("local")
+	ctx, _ := StartSpanCtx(WithTrace(context.Background(), local), "router.forward")
+	hop := SpanIDFrom(ctx) // left open, so only the grafted spans are recorded
+	local.Graft(hop, forest, 0)
+	spans := local.Spans()
+	if len(spans) != MaxWireSpans {
+		t.Fatalf("grafted %d spans, want MaxWireSpans (%d)", len(spans), MaxWireSpans)
+	}
+	parent := map[int64]int64{}
+	for _, s := range spans {
+		if _, dup := parent[s.ID]; dup {
+			t.Fatalf("local ID %d given twice", s.ID)
+		}
+		parent[s.ID] = s.Parent
+	}
+	for _, s := range spans {
+		// Parents come before children in ID order, so every chain
+		// climbs to the hop span.
+		id := s.ID
+		for id != hop {
+			p, ok := parent[id]
+			if !ok || p >= id {
+				t.Fatalf("span %q (%d): chain breaks at %d, parent %d", s.Name, s.ID, id, p)
+			}
+			id = p
+		}
+	}
+	byName := map[string]SpanInfo{}
+	for _, s := range spans {
+		byName[s.Name] = s
+	}
+	if byName["child"].Parent != byName["dangling"].ID {
+		t.Errorf("child lost its parent: %+v", byName["child"])
+	}
+	for _, name := range []string{"cycle-a", "self", "dangling", "repeat"} {
+		if byName[name].Parent != hop {
+			t.Errorf("%q should hang under the hop span %d: %+v", name, hop, byName[name])
+		}
+	}
+	if byName["grandchild"].Parent != byName["child"].ID {
+		t.Errorf("a link to a repeated ID should reach the first span with it, %d: %+v",
+			byName["child"].ID, byName["grandchild"])
+	}
+}
+
+// TestEncodeSpansMatchesMarshal: the hand-written trailer JSON is
+// json.Marshal's bytes, and a forest with a string json.Marshal escapes
+// takes json.Marshal itself; both decode back through DecodeSpans.
+func TestEncodeSpansMatchesMarshal(t *testing.T) {
+	forests := [][]WireSpan{
+		{{ID: 1, Name: "serve.predict", Start: 1760700000123456789, Dur: 12345}},
+		{
+			{ID: 3, Parent: 2, Name: "serve.coalesce_wait", Start: -1, Dur: 0, Args: []string{"k", ""}},
+			{ID: 2, Parent: 1, Name: "a", Start: math.MaxInt64, Dur: math.MinInt64, Args: []string{}},
+			{ID: math.MinInt64, Name: "", Args: []string{"route", "/v1/predict"}},
+		},
+		{{ID: 1, Name: "<html> & \"quotes\"", Args: []string{"é", "\n"}}},
+	}
+	for _, spans := range forests {
+		want, err := json.Marshal(spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tok := EncodeSpans(spans)
+		raw, err := base64.StdEncoding.DecodeString(tok)
+		if err != nil || string(raw) != string(want) {
+			t.Errorf("EncodeSpans JSON = %s, json.Marshal writes %s", raw, want)
+		}
+		got, err := DecodeSpans(tok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var oracle []WireSpan
+		if err := json.Unmarshal(want, &oracle); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, oracle) {
+			t.Errorf("DecodeSpans = %+v, json.Unmarshal decodes %+v", got, oracle)
+		}
 	}
 }

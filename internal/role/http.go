@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"predperf/internal/obs"
+	"predperf/internal/wirejson"
 )
 
 // RequestIDHeader is the header every role reads, echoes, and forwards;
@@ -63,7 +64,12 @@ func RequireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 // rejected. An oversize body answers 413 body_too_large, a malformed one
 // 400 bad_json; ReadJSON returns false after writing the error.
 func ReadJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+	return readJSON(w, r.Body, maxBytes, v)
+}
+
+// readJSON is ReadJSON on body.
+func readJSON(w http.ResponseWriter, body io.ReadCloser, maxBytes int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxBytes))
 	dec.DisallowUnknownFields()
 	err := decodeOne(dec, v)
 	var tooLarge *http.MaxBytesError
@@ -75,17 +81,86 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) boo
 	return decoded(w, err)
 }
 
+// ReadJSONFast is ReadJSON with a hand-written decoder in front. When
+// the request declares a Content-Length within maxBytes, the body is
+// read whole and offered to fast, which decodes the canonical shape it
+// knows into v and reports true, or reports false and leaves v as it
+// was. Every other body goes through ReadJSON: one fast refuses, on the
+// same bytes; one whose read failed or fell short, on the bytes read and
+// then the same error; one without a declared length; and an oversize
+// one, whose malformed prefix still answers 400 bad_json. So the
+// statuses and error bodies are ReadJSON's.
+func ReadJSONFast(w http.ResponseWriter, r *http.Request, maxBytes int64, v any, fast func([]byte) bool) bool {
+	n := r.ContentLength
+	if n < 0 || n > maxBytes {
+		return ReadJSON(w, r, maxBytes, v)
+	}
+	// Past the first 16 KiB the buffer grows only as bytes arrive, so a
+	// client cannot make the server hold memory it has not sent.
+	body := make([]byte, 0, min(n, 16<<10))
+	var err error
+	for int64(len(body)) < n && err == nil {
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+		var m int
+		m, err = r.Body.Read(body[len(body):min(cap(body), int(n))])
+		body = body[:len(body)+m]
+	}
+	if int64(len(body)) == n && (err == nil || err == io.EOF) {
+		if fast(body) {
+			return true
+		}
+		err = io.EOF
+	}
+	return readJSON(w, io.NopCloser(io.MultiReader(bytes.NewReader(body), errReader{err})), maxBytes, v)
+}
+
+// errReader replays the error that ended a body read.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
 // PeekJSON is ReadJSON for a body the caller forwards verbatim: it
 // reads the whole body (any read error answers 413 body_too_large),
 // allows fields v does not declare, and returns the raw bytes.
 func PeekJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) ([]byte, bool) {
+	body, ok := readAll(w, r, maxBytes)
+	if !ok {
+		return nil, false
+	}
+	return body, decoded(w, decodeOne(json.NewDecoder(bytes.NewReader(body)), v))
+}
+
+// PeekModel is PeekJSON into a {"model"} envelope: it returns the raw
+// body and its top-level "model". One validating scan finds it when the
+// body has the canonical shape (wirejson.PeekString); every other body
+// is decoded as PeekJSON decodes it, with the same errors.
+func PeekModel(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, string, bool) {
+	body, ok := readAll(w, r, maxBytes)
+	if !ok {
+		return nil, "", false
+	}
+	if model, ok := wirejson.PeekString(body, "model"); ok {
+		return body, model, true
+	}
+	var env struct {
+		Model string `json:"model"`
+	}
+	ok = decoded(w, decodeOne(json.NewDecoder(bytes.NewReader(body)), &env))
+	return body, env.Model, ok
+}
+
+// readAll reads the whole body capped at maxBytes; any read error
+// answers 413 body_too_large.
+func readAll(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
 	if err != nil {
 		WriteErr(w, http.StatusRequestEntityTooLarge, "body_too_large",
 			"request body exceeds the %d-byte limit", maxBytes)
 		return nil, false
 	}
-	return body, decoded(w, decodeOne(json.NewDecoder(bytes.NewReader(body)), v))
+	return body, true
 }
 
 // decodeOne decodes exactly one JSON value: a second value (or any

@@ -230,3 +230,80 @@ func TestPeekJSONReadError(t *testing.T) {
 		t.Errorf("body read error = %d %s, want 413 body_too_large", rec.Code, rec.Body)
 	}
 }
+
+// FuzzPeekModel holds the router's model peek to the encoding/json
+// decode it replaced: for any body, PeekModel answers as PeekJSON into
+// a {"model"} envelope does, with the same model, status and error body,
+// and returns the body unchanged.
+func FuzzPeekModel(f *testing.F) {
+	for _, seed := range []string{
+		`{"model":"mcf","config":{"depth":12}}`,
+		` {"configs":[[{"a":"é"}],1.5e3,null,true],"model":"m"} `,
+		`{"model":"a","model":"b"}`,
+		`{"Model":"a"}`,
+		`{"model":1}`,
+		`{"model":null}`,
+		`{"model":"x"}`,
+		`{"model":"m"}`,
+		`{"model":"é"}`,
+		`{"model":"a"}{"junk":1}`,
+		`{"model":"a"} x`,
+		`[{"model":"a"}]`,
+		`null`,
+		``,
+		strings.Repeat(`{"a":`, 70) + `1` + strings.Repeat(`}`, 70),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		post := func() *http.Request {
+			return httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(string(body)))
+		}
+		fast, oracle := httptest.NewRecorder(), httptest.NewRecorder()
+		gotBody, model, gotOK := role.PeekModel(fast, post(), 1<<20)
+		var env struct {
+			Model string `json:"model"`
+		}
+		_, wantOK := role.PeekJSON(oracle, post(), 1<<20, &env)
+		if gotOK != wantOK || model != env.Model || fast.Code != oracle.Code || fast.Body.String() != oracle.Body.String() {
+			t.Fatalf("PeekModel = %q %v %d %q; PeekJSON = %q %v %d %q",
+				model, gotOK, fast.Code, fast.Body, env.Model, wantOK, oracle.Code, oracle.Body)
+		}
+		if string(gotBody) != string(body) {
+			t.Fatalf("PeekModel returned body %q, want %q", gotBody, body)
+		}
+	})
+}
+
+// TestReadJSONFastReadError: a body that fails mid-read, or ends short
+// of its declared length, reaches ReadJSON with the bytes read and then
+// the same error, so the answer is ReadJSON's, whether or not the
+// request declared its length.
+func TestReadJSONFastReadError(t *testing.T) {
+	bodies := map[string]func() io.Reader{
+		"read error": func() io.Reader { return errAfter{strings.NewReader(`{"model":`)} },
+		"short":      func() io.Reader { return strings.NewReader(`{"model":"m"}`) },
+	}
+	for name, body := range bodies {
+		for _, declared := range []int64{-1, 40} {
+			answer := func(fast bool) (*httptest.ResponseRecorder, string) {
+				req := httptest.NewRequest(http.MethodPost, "/v1/predict", body())
+				req.ContentLength = declared
+				rec := httptest.NewRecorder()
+				var v struct{ Model string }
+				if fast {
+					role.ReadJSONFast(rec, req, maxBody, &v, func([]byte) bool { t.Error("offered an incomplete body"); return true })
+				} else {
+					role.ReadJSON(rec, req, maxBody, &v)
+				}
+				return rec, v.Model
+			}
+			got, gotModel := answer(true)
+			want, wantModel := answer(false)
+			if got.Code != want.Code || got.Body.String() != want.Body.String() || gotModel != wantModel {
+				t.Errorf("%s, declared %d: ReadJSONFast = %d %s %q, ReadJSON = %d %s %q",
+					name, declared, got.Code, got.Body, gotModel, want.Code, want.Body, wantModel)
+			}
+		}
+	}
+}

@@ -121,16 +121,18 @@ func (c *coalescer) predict(ctx context.Context, e *Entry, cfg design.Config) (p
 // dispatch is the single consumer: it blocks for the first request of
 // a micro-batch, then takes only what is already queued, and flushes
 // when the queue is empty ("idle"), the batch is full ("size"), or the
-// queue closed during shutdown ("drain").
+// queue closed during shutdown ("drain"). Every flush reuses one batch
+// slice, cleared afterwards so an idle dispatcher holds no request's
+// context or entry.
 func (c *coalescer) dispatch() {
 	defer close(c.stopped)
+	batch := make([]coalesceReq, 0, c.maxSize)
 	for {
 		first, ok := <-c.queue
 		if !ok {
 			return
 		}
-		batch := make([]coalesceReq, 1, c.maxSize)
-		batch[0] = first
+		batch = append(batch[:0], first)
 		reason := "size"
 	collect:
 		for len(batch) < c.maxSize {
@@ -147,6 +149,7 @@ func (c *coalescer) dispatch() {
 			}
 		}
 		c.flush(batch, reason)
+		clear(batch)
 		if reason == "drain" {
 			return
 		}

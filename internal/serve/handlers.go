@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"net/http"
 
 	"predperf/internal/cluster"
@@ -160,7 +161,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	_, end := obs.StartSpanCtx(r.Context(), "serve.predict")
 	defer end()
 	var req predictRequest
-	if !role.ReadJSON(w, r, s.opt.MaxBodyBytes, &req) {
+	if !s.readPredict(w, r, &req) {
 		return
 	}
 	if req.Model == "" {
@@ -240,10 +241,28 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		preds = s.predictBatch(entry, cfgs)
 	}
+	// A model can overflow a sum even when every weight and radius is
+	// finite, and JSON has no NaN or infinity.
+	for i, p := range preds {
+		if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
+			role.WriteErr(w, http.StatusInternalServerError, "non_finite_prediction",
+				"model %q predicted %v for configs[%d]", req.Model, p.Value, i)
+			return
+		}
+	}
 	// Counted once scored, so a rejected single is not a prediction.
 	cBatchPts.Add(int64(len(preds)))
 	cModelPredictions.With(req.Model).Add(int64(len(preds)))
-	role.WriteJSON(w, http.StatusOK, predictResponse{Model: req.Model, Predictions: preds})
+	writePredict(w, &predictResponse{Model: req.Model, Predictions: preds})
+}
+
+// readPredict decodes a /v1/predict body into req: by hand when it has
+// the canonical shape (decodePredict), otherwise as role.ReadJSON does,
+// with its errors.
+func (s *Server) readPredict(w http.ResponseWriter, r *http.Request, req *predictRequest) bool {
+	return role.ReadJSONFast(w, r, s.opt.MaxBodyBytes, req, func(body []byte) bool {
+		return decodePredict(body, req)
+	})
 }
 
 // cacheKey appends the LRU key for one quantized configuration to dst:

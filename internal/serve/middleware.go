@@ -59,18 +59,21 @@ func routeLabel(path string) string {
 	return "other"
 }
 
-// accessLog serializes JSON-lines access entries to one writer. A mutex
-// keeps concurrent requests from interleaving partial lines.
+// accessLog serializes JSON-lines access entries to one writer, one
+// Write per line, so a crash loses no line already logged. A mutex keeps
+// concurrent requests from interleaving partial lines.
 type accessLog struct {
-	mu  sync.Mutex
-	enc *json.Encoder
+	mu   sync.Mutex
+	w    io.Writer
+	enc  *json.Encoder // lines appendAccessEntry refuses
+	line []byte        // appendAccessEntry's buffer, reused under mu
 }
 
 func newAccessLog(w io.Writer) *accessLog {
 	if w == nil {
 		return nil
 	}
-	return &accessLog{enc: json.NewEncoder(w)}
+	return &accessLog{w: w, enc: json.NewEncoder(w)}
 }
 
 // accessEntry is one access-log line.
@@ -92,7 +95,13 @@ func (l *accessLog) log(e accessEntry) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.enc.Encode(e)
+	line, ok := appendAccessEntry(l.line[:0], &e)
+	if !ok {
+		l.enc.Encode(e)
+		return
+	}
+	l.line = line
+	l.w.Write(line)
 }
 
 // withMetrics is serve's own layer inside the shared role.Edge (see

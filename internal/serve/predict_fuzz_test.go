@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"predperf/internal/cluster"
+	"predperf/internal/role"
 )
 
 // FuzzPredictBody sends arbitrary bytes as POST /v1/predict to a server
@@ -16,7 +18,10 @@ import (
 // panic and must answer one of the statuses the API documents: every
 // failure as a structured error with a code, every success with one
 // prediction per configuration, each bit-equal to the in-process model
-// on the quantized configuration.
+// on the quantized configuration, in the bytes encoding/json writes.
+// The body decoder must also agree with role.ReadJSON, the
+// encoding/json path it falls back to: the same status, error body and
+// decoded request, with or without a declared Content-Length.
 func FuzzPredictBody(f *testing.F) {
 	m := buildTestModel(f, "fz")
 	s := New(Options{})
@@ -35,11 +40,31 @@ func FuzzPredictBody(f *testing.F) {
 		`{"model":"nope","config":` + cfg(0) + `}`,
 		`{"model":"fz","config":` + cfg(0) + `}{"junk":1}`,
 		`{"model":"fz","configs":[` + strings.Repeat(`{},`, maxBatch) + `{}]}`,
+		`{"model":"fz","Config":` + cfg(0) + `}`,
+		`{"model":"fz","model":"fz","configs":[]}`,
+		`{"model":"f\u007a","config":{"depth":1e1,"rob":-0,"rob":01}} `,
+		` {"configs":[{"depth":9223372036854775807,"iq":-9223372036854775809}],"model":"<fz>"}`,
+		`null`,
 	} {
 		f.Add([]byte(body))
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, declared := range []bool{true, false} {
+			fast, oracle := httptest.NewRecorder(), httptest.NewRecorder()
+			var got, want predictRequest
+			r := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
+			if !declared {
+				r.ContentLength = -1
+			}
+			gotOK := s.readPredict(fast, r, &got)
+			wantOK := role.ReadJSON(oracle, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)), s.opt.MaxBodyBytes, &want)
+			if gotOK != wantOK || fast.Code != oracle.Code || fast.Body.String() != oracle.Body.String() || !reflect.DeepEqual(got, want) {
+				t.Fatalf("declared length %v: decoded %v %d %q %+v, role.ReadJSON %v %d %q %+v",
+					declared, gotOK, fast.Code, fast.Body, got, wantOK, oracle.Code, oracle.Body, want)
+			}
+		}
+
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
 		switch rec.Code {
@@ -68,6 +93,11 @@ func FuzzPredictBody(f *testing.F) {
 		var resp predictResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("200 body %q: %v", rec.Body.String(), err)
+		}
+		var enc bytes.Buffer
+		json.NewEncoder(&enc).Encode(resp)
+		if rec.Body.String() != enc.String() {
+			t.Fatalf("200 body %q, encoding/json writes %q", rec.Body, enc.String())
 		}
 		if len(resp.Predictions) != len(in) {
 			t.Fatalf("%d predictions for %d configs", len(resp.Predictions), len(in))

@@ -48,6 +48,12 @@ go test -run '^$' -fuzz '^FuzzPredictBody$' -fuzztime 10s ./internal/serve
 echo "== fuzz traceparent and request-ID parsing (5 s) =="
 go test -run '^$' -fuzz '^FuzzTraceparent$' -fuzztime 5s ./internal/obs
 
+echo "== fuzz the router's model peek against encoding/json (5 s) =="
+go test -run '^$' -fuzz '^FuzzPeekModel$' -fuzztime 5s ./internal/role
+
+echo "== fuzz the X-Trace-Spans decode and graft (5 s) =="
+go test -run '^$' -fuzz '^FuzzSpanTrailer$' -fuzztime 5s ./internal/obs
+
 echo "== benchmark smoke (1 iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
