@@ -21,9 +21,11 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"html/template"
+	"io"
 	"net/http"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -129,28 +131,48 @@ func (p *fleetPlane) roles() []fleetRole {
 	return out
 }
 
-// scrapeTarget pulls one role's metrics report, bounded by the plane's
-// per-target timeout.
-func (p *fleetPlane) scrapeTarget(ctx context.Context, url string) (*obs.Report, error) {
+// maxResponseBytes caps every response body read from another role.
+const maxResponseBytes = 64 << 20
+
+// get GETs url within the plane's per-role timeout and hands the body of
+// a 200 answer, cut off at maxResponseBytes, to decode. It returns the
+// status; any status but 200 is an error.
+func (p *fleetPlane) get(ctx context.Context, url string, decode func(io.Reader) error) (int, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/metricz?format=json", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer resp.Body.Close()
+	what, _, _ := strings.Cut(url, "?")
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s/metricz answered %d", url, resp.StatusCode)
+		return resp.StatusCode, fmt.Errorf("%s answered %d", what, resp.StatusCode)
 	}
-	rep, err := obs.ReadReport(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("%s/metricz: %w", url, err)
+	body := &io.LimitedReader{R: resp.Body, N: maxResponseBytes}
+	if resp.ContentLength > maxResponseBytes {
+		body.N = 0 // declared too long: read none of it
 	}
-	return rep, nil
+	if err := decode(body); err != nil {
+		if body.N == 0 {
+			return resp.StatusCode, fmt.Errorf("%s: body exceeds %d bytes", what, maxResponseBytes)
+		}
+		return resp.StatusCode, fmt.Errorf("%s: %w", what, err)
+	}
+	return resp.StatusCode, nil
+}
+
+// scrapeTarget pulls one role's metrics report.
+func (p *fleetPlane) scrapeTarget(ctx context.Context, url string) (rep *obs.Report, err error) {
+	_, err = p.get(ctx, url+"/metricz?format=json", func(r io.Reader) error {
+		rep, err = obs.ReadReport(r)
+		return err
+	})
+	return rep, err
 }
 
 // scrapeOnce runs one federation cycle: scrape every target in
@@ -347,140 +369,55 @@ func (rt *Router) handleFleetz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// fleetzRow is one pre-rendered table row for the HTML view.
-type fleetzRow struct {
-	Cols []string
-	Bad  bool
-}
-
-// fleetzHTML is the HTML template's root.
-type fleetzHTML struct {
-	Now        string
-	Up         string
-	SampleRate string
-	Scrapes    int64
-	AllHealthy bool
-	SLOs       []fleetzRow
-	Roles      []fleetzRow
-	Drill      []fleetzRow
-	Totals     []fleetzRow
-	ReqSpark   template.HTML
-	ErrSpark   template.HTML
-}
-
-var fleetzTmpl = template.Must(template.New("fleetz").Parse(`<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>predrouter /fleetz</title>
-<style>
-body { font: 13px/1.5 system-ui, sans-serif; margin: 2em; color: #222; }
-h1 { font-size: 1.3em; } h2 { font-size: 1.05em; margin-top: 1.6em; }
-table { border-collapse: collapse; margin: 0.5em 0; }
-th, td { border: 1px solid #ccc; padding: 3px 9px; text-align: left; }
-th { background: #f2f2f2; font-weight: 600; }
-.ok { color: #1a7f37; font-weight: 600; } .bad { color: #b42318; font-weight: 600; }
-.muted { color: #777; }
-svg.spark { vertical-align: middle; }
-</style>
-</head>
-<body>
-<h1>fleet status</h1>
-<p>
-{{if .AllHealthy}}<span class="ok">ALL ROLES HEALTHY</span>{{else}}<span class="bad">DEGRADED</span>{{end}}
-&middot; generated {{.Now}} &middot; router up {{.Up}}
-&middot; trace sample rate {{.SampleRate}} &middot; {{.Scrapes}} scrapes
-</p>
-
-<h2>Fleet SLOs (burn over merged windows)</h2>
-<table>
-<tr><th>SLO</th><th>objective</th><th>burn 5m</th><th>burn 1h</th><th>state</th></tr>
-{{range .SLOs}}<tr>{{range .Cols}}<td>{{.}}</td>{{end}}<td>{{if .Bad}}<span class="bad">burning</span>{{else}}<span class="ok">ok</span>{{end}}</td></tr>
-{{end}}</table>
-
-<h2>Traffic (fleet-wide, per 10s over 1h)</h2>
-<p>requests {{.ReqSpark}} &nbsp; 5xx {{.ErrSpark}}</p>
-
-<h2>Roles</h2>
-<table>
-<tr><th>role</th><th>url</th><th>health</th><th>last scrape</th><th>scrape ms</th><th>error</th></tr>
-{{range .Roles}}<tr{{if .Bad}} class="bad"{{end}}>{{range .Cols}}<td>{{.}}</td>{{end}}</tr>
-{{end}}</table>
-
-<h2>Per-role drill-down (cumulative, from each role's own report)</h2>
-<table>
-<tr><th>role</th><th>url</th><th>uptime s</th><th>requests</th><th>errors</th><th>sample rate</th></tr>
-{{range .Drill}}<tr>{{range .Cols}}<td>{{.}}</td>{{end}}</tr>
-{{end}}</table>
-
-<h2>Merged totals (exact bucket-wise sums)</h2>
-<table>
-<tr><th>series</th><th>value</th></tr>
-{{range .Totals}}<tr>{{range .Cols}}<td>{{.}}</td>{{end}}</tr>
-{{end}}</table>
-
-<p class="muted">JSON: <a href="/fleetz?format=json">/fleetz?format=json</a> &middot; <a href="/fleetz?refresh=1">refresh now</a> &middot; trace search: <a href="/tracez">/tracez</a> &middot; router <a href="/statusz">/statusz</a></p>
-</body>
-</html>
-`))
-
 func (rt *Router) renderFleetz(w http.ResponseWriter) {
 	v := rt.fleetzView()
-	d := fleetzHTML{
-		Now:        v.Generated,
-		Up:         time.Since(rt.start).Round(time.Second).String(),
-		SampleRate: fmt.Sprintf("%.4g", v.SampleRate),
-		Scrapes:    v.Scrapes,
-		AllHealthy: true,
-		ReqSpark:   role.Sparkline(rt.fleet.windows.CounterSeries("serve.requests_total", time.Hour)),
-		ErrSpark:   role.Sparkline(rt.fleet.windows.CounterSeries("serve.responses_5xx", time.Hour)),
-	}
+	slos := obs.Section{Title: "Fleet SLOs (burn over merged windows)",
+		Headers: []string{"SLO", "objective", "burn 5m", "burn 1h", "state"}}
 	for _, st := range v.SLOs {
-		d.SLOs = append(d.SLOs, fleetzRow{
-			Cols: []string{
-				st.Name,
-				fmt.Sprintf("%.4g%%", st.Objective*100),
-				fmt.Sprintf("%.2f", st.Fast.BurnRate),
-				fmt.Sprintf("%.2f", st.Slow.BurnRate),
-			},
-			Bad: st.Firing,
-		})
+		slos.Rows = append(slos.Rows, append(obs.Texts(st.Name, fmt.Sprintf("%.4g%%", st.Objective*100),
+			fmt.Sprintf("%.2f", st.Fast.BurnRate), fmt.Sprintf("%.2f", st.Slow.BurnRate)),
+			obs.Verdict(st.Firing, "burning", "ok")))
 	}
+	traffic := obs.Section{Title: "Traffic (fleet-wide, per 10s over 1h)", Headers: []string{"series", "traffic"},
+		Rows: [][]obs.Cell{
+			{{Text: "requests"}, obs.Sparkline(rt.fleet.windows.CounterSeries("serve.requests_total", time.Hour))},
+			{{Text: "5xx"}, obs.Sparkline(rt.fleet.windows.CounterSeries("serve.responses_5xx", time.Hour))},
+		}}
+	roles := obs.Section{Title: "Roles", Headers: []string{"role", "url", "health", "last scrape", "scrape ms", "error"}}
+	drill := obs.Section{Title: "Per-role drill-down (cumulative, from each role's own report)",
+		Headers: []string{"role", "url", "uptime s", "requests", "errors", "sample rate"}}
+	healthy := true
 	for _, t := range v.Roles {
-		health := "healthy"
-		if !t.Healthy {
-			health = "unhealthy"
-			d.AllHealthy = false
-		}
-		d.Roles = append(d.Roles, fleetzRow{
-			Cols: []string{t.Role, t.URL, health, t.LastScrape,
-				fmt.Sprintf("%.2f", t.ScrapeMS), t.LastErr},
-			Bad: !t.Healthy,
-		})
-		d.Drill = append(d.Drill, fleetzRow{
-			Cols: []string{t.Role, t.URL,
-				fmt.Sprintf("%.0f", t.UptimeSec),
-				fmt.Sprintf("%d", t.Requests),
-				fmt.Sprintf("%d", t.Errors),
-				fmt.Sprintf("%.4g", t.SampleRate)},
-		})
+		healthy = healthy && t.Healthy
+		roles.Rows = append(roles.Rows, []obs.Cell{{Text: t.Role}, {Text: t.URL},
+			obs.Verdict(!t.Healthy, "unhealthy", "healthy"), {Text: t.LastScrape},
+			{Text: fmt.Sprintf("%.2f", t.ScrapeMS)}, {Text: t.LastErr}})
+		drill.Rows = append(drill.Rows, obs.Texts(t.Role, t.URL, fmt.Sprintf("%.0f", t.UptimeSec),
+			strconv.FormatInt(t.Requests, 10), strconv.FormatInt(t.Errors, 10), fmt.Sprintf("%.4g", t.SampleRate)))
 	}
+	totals := obs.Section{Title: "Merged totals (exact bucket-wise sums)", Headers: []string{"series", "value"},
+		Empty: "nothing merged yet"}
 	if v.Merged != nil {
 		for _, name := range []string{
 			"serve.requests_total", "serve.responses_5xx", "serve.predicts",
 			"cluster.worker_eval_requests", "cluster.router_requests{route=\"predict\"}",
 		} {
 			if val, ok := v.Merged.Counters[name]; ok {
-				d.Totals = append(d.Totals, fleetzRow{Cols: []string{name, fmt.Sprintf("%d", val)}})
+				totals.Rows = append(totals.Rows, obs.Texts(name, strconv.FormatInt(val, 10)))
 			}
 		}
 		if hs, ok := v.Merged.Histograms["serve.request_seconds"]; ok && hs.Count > 0 {
-			d.Totals = append(d.Totals, fleetzRow{Cols: []string{
-				"serve.request_seconds p50/p90/p99 ms",
-				fmt.Sprintf("%.2f / %.2f / %.2f", hs.P50*1e3, hs.P90*1e3, hs.P99*1e3),
-			}})
+			totals.Rows = append(totals.Rows, obs.Texts("serve.request_seconds p50/p90/p99 ms",
+				fmt.Sprintf("%.2f / %.2f / %.2f", hs.P50*1e3, hs.P90*1e3, hs.P99*1e3)))
 		}
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_ = fleetzTmpl.Execute(w, d)
+	obs.Page{
+		Title: "fleet status",
+		Badge: obs.Verdict(!healthy, "DEGRADED", "ALL ROLES HEALTHY"),
+		Status: fmt.Sprintf("generated %s · router up %s · trace sample rate %.4g · %d scrapes",
+			v.Generated, time.Since(rt.start).Round(time.Second), v.SampleRate, v.Scrapes),
+		Sections: []obs.Section{slos, traffic, roles, drill, totals},
+		Links: []obs.Cell{{Href: "/fleetz?format=json"}, {Text: "refresh now", Href: "/fleetz?refresh=1"},
+			{Text: "trace search /tracez", Href: "/tracez"}, {Text: "router /statusz", Href: "/statusz"}},
+	}.Write(w)
 }

@@ -3,8 +3,11 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,5 +155,48 @@ func TestFleetScrapeCarryoverKeepsMergeMonotone(t *testing.T) {
 	views := p.targetViews()
 	if len(views) != 1 || views[0].Healthy {
 		t.Fatalf("target still healthy after %d consecutive failures: %+v", fleetFailAfter, views)
+	}
+}
+
+// TestFleetScrapeCapsReportSize: a role whose valid report is larger
+// than maxResponseBytes is a failed scrape, read no further than the
+// cap, and the router keeps serving.
+func TestFleetScrapeCapsReportSize(t *testing.T) {
+	head, tail := `{"format":3,"meta":{"pad":"`, `"}}`
+	size := maxResponseBytes + 1
+	big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(size))
+		io.WriteString(w, head)
+		chunk := strings.Repeat("x", 64<<10)
+		for left := size - len(head) - len(tail); left > 0; left -= len(chunk) {
+			if _, err := io.WriteString(w, chunk[:min(left, len(chunk))]); err != nil {
+				return // the router hung up, as it should
+			}
+		}
+		io.WriteString(w, tail)
+	}))
+	defer big.Close()
+	rt, err := NewRouter(RouterOptions{Shards: []string{big.URL}, SyncInterval: -1, FleetScrapeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := cFleetScrapeErrs.Value()
+	rt.FleetScrapeOnce(context.Background())
+	if got := cFleetScrapeErrs.Value() - before; got != 1 {
+		t.Fatalf("scrape errors = %d, want 1", got)
+	}
+	if views := rt.fleet.targetViews(); !strings.Contains(views[0].LastErr, "exceeds") {
+		t.Fatalf("last error = %q, want the size cap", views[0].LastErr)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after an oversize scrape = %d", resp.StatusCode)
 	}
 }

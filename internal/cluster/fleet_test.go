@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -219,6 +220,42 @@ func TestFleetzMarksDarkTargetUnhealthy(t *testing.T) {
 	}
 	if got := v.Merged.Counters["fleettest.dark_requests"]; got != 11 {
 		t.Fatalf("healthy role's counters lost: %d", got)
+	}
+}
+
+// TestFleetScrapeRejectsMalformedHistograms: a histogram layout no
+// Histogram could have written, reported by two roles, is a failed
+// scrape of each, and the router's merge, windows and /fleetz keep
+// working. Before reports were checked, the first two layouts panicked
+// in the merge (killing the process from the scrape loop) and the third
+// merged to an infinite p50 that /fleetz?format=json could not encode.
+func TestFleetScrapeRejectsMalformedHistograms(t *testing.T) {
+	for name, hs := range map[string]obs.HistStats{
+		"buckets without bounds": {Count: 5, Buckets: []int64{5}},
+		"one bucket too many":    {Count: 5, Bounds: []float64{1}, Buckets: []int64{0, 0, 5}},
+		"bounds not positive":    {Count: 5, Sum: 1, Bounds: []float64{-1e308, 1e308}, Buckets: []int64{0, 5, 0}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rep := &obs.Report{Format: 3, Histograms: map[string]obs.HistStats{"x.bad_seconds": hs}}
+			rt, err := cluster.NewRouter(cluster.RouterOptions{
+				Shards:              []string{fakeRole(t, rep).URL, fakeRole(t, rep).URL},
+				SyncInterval:        -1,
+				FleetScrapeInterval: -1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := obs.Counters()["cluster.fleet_scrape_errors"]
+			rt.FleetScrapeOnce(context.Background())
+			if got := obs.Counters()["cluster.fleet_scrape_errors"] - before; got != 2 {
+				t.Fatalf("scrape errors = %d, want 2", got)
+			}
+			ts := httptest.NewServer(rt.Handler())
+			defer ts.Close()
+			if v := getFleetz(t, ts.URL, ""); v.Merged == nil || len(v.Roles) != 2 {
+				t.Fatalf("/fleetz after a rejected scrape: %+v", v)
+			}
+		})
 	}
 }
 

@@ -296,7 +296,7 @@ func (p *Pool) attempt(ctx context.Context, w *workerConn, body []byte, configs 
 		return failed("transport_error", fmt.Errorf("cluster: worker %s: %w", w.url, err))
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
 		return failed("read_error", fmt.Errorf("cluster: worker %s: reading response: %w", w.url, err))
 	}

@@ -323,7 +323,7 @@ func (rt *Router) tryShard(ctx context.Context, shard, method, path string, body
 		return 0, nil, nil, fmt.Errorf("shard %s: %w", shard, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
 		rt.markShard(shard, false, err)
 		endHop("outcome", "read_error")
@@ -618,54 +618,45 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
-	var shardRows []statuszRow
+	shards := obs.Section{Title: "Shards", Headers: []string{"shard", "health", "models", "last sync"},
+		Empty: "no shards configured"}
 	for _, st := range rt.snapshotShards() {
-		health := "healthy"
-		if !st.Healthy {
-			health = "unhealthy: " + st.LastErr
+		shards.Rows = append(shards.Rows, []obs.Cell{{Text: st.URL},
+			obs.Verdict(!st.Healthy, "unhealthy: "+st.LastErr, "healthy"),
+			{Text: strconv.Itoa(st.Models)}, {Text: st.LastSync}})
+	}
+	models := rt.snapshotModels()
+	placement := obs.Section{Title: "Model placement", Headers: []string{"model", "primary", "secondary", "generation", "synced"},
+		Empty: "no models discovered yet — the sync loop polls every shard's /v1/models"}
+	for _, m := range models {
+		synced := obs.Cell{Text: strconv.FormatUint(m.SyncedGen, 10)}
+		if m.Secondary != m.Primary && m.SyncedGen < m.Generation {
+			synced.Class = "bad"
 		}
-		shardRows = append(shardRows, statuszRow{
-			Cols: []string{st.URL, health, strconv.Itoa(st.Models), st.LastSync},
-			Bad:  !st.Healthy,
-		})
+		placement.Rows = append(placement.Rows, append(obs.Texts(m.Name, m.Primary, m.Secondary,
+			strconv.FormatUint(m.Generation, 10)), synced))
 	}
-	var modelRows []statuszRow
-	for _, m := range rt.snapshotModels() {
-		modelRows = append(modelRows, statuszRow{
-			Cols: []string{
-				m.Name, m.Primary, m.Secondary,
-				strconv.FormatUint(m.Generation, 10), strconv.FormatUint(m.SyncedGen, 10),
-			},
-			Bad: m.Secondary != m.Primary && m.SyncedGen < m.Generation,
-		})
+	statusPage("predrouter", "predrouter", rt.start, [][2]string{
+		{"shards", strconv.Itoa(len(rt.ring.Shards()))},
+		{"models placed", strconv.Itoa(len(models))},
+		{"failovers", strconv.FormatInt(cRouterFailovers.Value(), 10)},
+		{"replica re-syncs", strconv.FormatInt(cRouterResyncs.Value(), 10)},
+		{"trace sample rate", strconv.FormatFloat(rt.sampler.Rate(), 'g', 4, 64)},
+		{"fleet targets", strconv.Itoa(len(rt.fleet.roleURLs("")))},
+	}, shards, placement).Write(w)
+}
+
+// statusPage is the /statusz of the router and the worker: the role and
+// its uptime, a summary, its tables, and links to the JSON views.
+func statusPage(title, role string, start time.Time, summary [][2]string, sections ...obs.Section) obs.Page {
+	return obs.Page{
+		Title:    title,
+		Badge:    obs.Cell{Text: role, Class: "ok"},
+		Status:   "up " + time.Since(start).Round(time.Second).String(),
+		Summary:  summary,
+		Sections: sections,
+		Links:    []obs.Cell{{Href: "/healthz"}, {Href: "/metricz"}, {Href: "/metricz?format=prom"}},
 	}
-	renderStatusz(w, statuszPage{
-		Title: "predrouter",
-		Role:  "predrouter",
-		Up:    time.Since(rt.start),
-		Summary: []statuszKV{
-			{"shards", strconv.Itoa(len(rt.ring.Shards()))},
-			{"models placed", strconv.Itoa(len(rt.snapshotModels()))},
-			{"failovers", strconv.FormatInt(cRouterFailovers.Value(), 10)},
-			{"replica re-syncs", strconv.FormatInt(cRouterResyncs.Value(), 10)},
-			{"trace sample rate", strconv.FormatFloat(rt.sampler.Rate(), 'g', 4, 64)},
-			{"fleet targets", strconv.Itoa(len(rt.fleet.roleURLs("")))},
-		},
-		Sections: []statuszSection{
-			{
-				Title:   "Shards",
-				Headers: []string{"shard", "health", "models", "last sync"},
-				Rows:    shardRows,
-				Empty:   "no shards configured",
-			},
-			{
-				Title:   "Model placement",
-				Headers: []string{"model", "primary", "secondary", "generation", "synced"},
-				Rows:    modelRows,
-				Empty:   "no models discovered yet — the sync loop polls every shard's /v1/models",
-			},
-		},
-	})
 }
 
 // Serve accepts connections on l until Shutdown, running the

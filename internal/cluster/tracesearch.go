@@ -23,8 +23,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"html/template"
+	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -76,12 +75,16 @@ func (rt *Router) handleTracez(w http.ResponseWriter, r *http.Request) {
 		}{rt.federatedSearch(r.Context(), query, route)})
 	case "", "html":
 		rows := rt.federatedSearch(r.Context(), query, route)
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_ = fedTracezTmpl.Execute(w, struct {
-			Traces []fedTraceRow
-			Query  string
-			Now    string
-		}{rows, query, time.Now().UTC().Format(time.RFC3339)})
+		sums := make([]obs.TraceSummary, len(rows))
+		roles := make([][]string, len(rows))
+		for i, row := range rows {
+			sums[i], roles[i] = row.TraceSummary, row.Roles
+		}
+		page := obs.TraceList(query, sums, roles)
+		page.Title = "fleet tracez"
+		page.Status = "federated across router, shards, and workers · " + time.Now().UTC().Format(time.RFC3339)
+		page.Links = append(page.Links, obs.Cell{Text: "fleetz", Href: "/fleetz"})
+		page.Write(w)
 	default:
 		role.WriteErr(w, http.StatusBadRequest, "bad_request",
 			`unknown format %q (want "html", "json", or "wire")`, q.Get("format"))
@@ -89,33 +92,15 @@ func (rt *Router) handleTracez(w http.ResponseWriter, r *http.Request) {
 }
 
 // fetchSummaries asks one role's trace store for its matching list
-// rows, bounded by the fleet fan-out timeout. Both list parameters are
-// forwarded; the role's own handler applies the same q-over-route
-// precedence as the router's local store.
+// rows. Both list parameters are forwarded; the role's own handler
+// applies the same q-over-route precedence as the router's local store.
 func (rt *Router) fetchSummaries(ctx context.Context, base, query, route string) ([]obs.TraceSummary, error) {
-	ctx, cancel := context.WithTimeout(ctx, rt.opt.FleetScrapeTimeout)
-	defer cancel()
-	u := base + "/tracez?format=json&q=" + url.QueryEscape(query) +
-		"&route=" + url.QueryEscape(route)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rt.opt.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s/tracez answered %d", base, resp.StatusCode)
-	}
 	var out struct {
 		Traces []obs.TraceSummary `json:"traces"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Traces, nil
+	_, err := rt.fleet.get(ctx, base+"/tracez?format=json&q="+url.QueryEscape(query)+"&route="+url.QueryEscape(route),
+		func(r io.Reader) error { return json.NewDecoder(r).Decode(&out) })
+	return out.Traces, err
 }
 
 // federatedSearch merges the router's own matches with every role's,
@@ -190,28 +175,17 @@ type remoteForest struct {
 // exporter's reported clock. A 404 returns (nil forest, nil error):
 // the role simply did not retain the trace.
 func (rt *Router) fetchForest(ctx context.Context, fr fleetRole, id string) (*remoteForest, error) {
-	ctx, cancel := context.WithTimeout(ctx, rt.opt.FleetScrapeTimeout)
-	defer cancel()
-	u := fr.URL + "/tracez?format=wire&id=" + url.QueryEscape(id)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
+	var exp obs.WireExport
+	var rtt time.Duration
 	t0 := time.Now()
-	resp, err := rt.opt.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	rtt := time.Since(t0)
-	if resp.StatusCode == http.StatusNotFound {
+	status, err := rt.fleet.get(ctx, fr.URL+"/tracez?format=wire&id="+url.QueryEscape(id), func(r io.Reader) error {
+		rtt = time.Since(t0) // the answer's headers are in
+		return json.NewDecoder(r).Decode(&exp)
+	})
+	if status == http.StatusNotFound {
 		return nil, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s/tracez answered %d", fr.URL, resp.StatusCode)
-	}
-	var exp obs.WireExport
-	if err := json.NewDecoder(resp.Body).Decode(&exp); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	if len(exp.Traces) == 0 {
@@ -329,32 +303,3 @@ func (rt *Router) serveFederatedTrace(w http.ResponseWriter, r *http.Request, id
 	tmp.Add(merged, meta)
 	tmp.Handler().ServeHTTP(w, r)
 }
-
-var fedTracezTmpl = template.Must(template.New("fedtracez").Parse(`<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>fleet tracez</title>
-<style>
-body{font-family:ui-monospace,SFMono-Regular,Menlo,monospace;font-size:13px;margin:24px;color:#222}
-h1{font-size:18px}
-table{border-collapse:collapse;margin-top:8px}
-td,th{border:1px solid #ccc;padding:3px 8px;text-align:left}
-th{background:#f2f2f2}
-.ok{color:#0a0} .bad{color:#c00;font-weight:bold} .muted{color:#888}
-a{color:#06c;text-decoration:none} a:hover{text-decoration:underline}
-</style></head><body>
-<h1>fleet tracez</h1>
-<p class="muted">federated across router, shards, and workers · {{.Now}} · <a href="/tracez?format=json">json</a> · <a href="/fleetz">fleetz</a></p>
-<form method="get" action="/tracez"><input name="q" value="{{.Query}}" size="40" placeholder="trace id | error | min_ms:25 | route substring"> <input type="submit" value="search"></form>
-<table>
-<tr><th>trace</th><th>class</th><th>kind</th><th>route</th><th>status</th><th>start</th><th>ms</th><th>spans</th><th>roles</th><th></th></tr>
-{{range .Traces}}<tr>
-<td><a href="/tracez?id={{.ID}}">{{.ID}}</a></td>
-<td>{{if eq .Class "error"}}<span class="bad">{{.Class}}</span>{{else}}{{.Class}}{{end}}</td>
-<td>{{.Kind}}</td><td>{{.Route}}</td>
-<td>{{if .Status}}{{if ge .Status 500}}<span class="bad">{{.Status}}</span>{{else}}<span class="ok">{{.Status}}</span>{{end}}{{else}}<span class="muted">-</span>{{end}}</td>
-<td class="muted">{{.Start}}</td><td>{{printf "%.2f" .DurMS}}</td><td>{{.Spans}}</td>
-<td class="muted">{{range $i, $r := .Roles}}{{if $i}}, {{end}}{{$r}}{{end}}</td>
-<td><a href="/tracez?id={{.ID}}&amp;format=chrome">chrome</a></td>
-</tr>{{else}}<tr><td colspan="10" class="muted">no traces retained anywhere yet</td></tr>{{end}}
-</table>
-</body></html>
-`))

@@ -305,30 +305,18 @@ func (w *Worker) handleStatusz(rw http.ResponseWriter, r *http.Request) {
 	if !role.RequireMethod(rw, r, http.MethodGet) {
 		return
 	}
-	var rows []statuszRow
+	evals := obs.Section{Title: "Loaded evaluators", Headers: []string{"benchmark", "trace insts", "sims"},
+		Empty: "no evaluators loaded yet — the first /v1/eval builds one"}
 	for _, ev := range w.loaded() {
-		rows = append(rows, statuszRow{
-			Cols: []string{ev.Benchmark, strconv.Itoa(ev.TraceLen), strconv.Itoa(ev.Sims)},
-		})
+		evals.Rows = append(evals.Rows, obs.Texts(ev.Benchmark, strconv.Itoa(ev.TraceLen), strconv.Itoa(ev.Sims)))
 	}
-	renderStatusz(rw, statuszPage{
-		Title: "simworker " + w.ID(),
-		Role:  "simworker",
-		Up:    time.Since(w.start),
-		Summary: []statuszKV{
-			{"eval requests", strconv.FormatInt(cWorkerEvals.Value(), 10)},
-			{"configs scored", strconv.FormatInt(cWorkerConfigs.Value(), 10)},
-			{"simulations run", strconv.FormatInt(cWorkerSims.Value(), 10)},
-			{"in flight", strconv.FormatInt(gWorkerInflt.Value(), 10)},
-			{"trace sample rate", strconv.FormatFloat(w.sampler.Rate(), 'g', 4, 64)},
-		},
-		Sections: []statuszSection{{
-			Title:   "Loaded evaluators",
-			Headers: []string{"benchmark", "trace insts", "sims"},
-			Rows:    rows,
-			Empty:   "no evaluators loaded yet — the first /v1/eval builds one",
-		}},
-	})
+	statusPage("simworker "+w.ID(), "simworker", w.start, [][2]string{
+		{"eval requests", strconv.FormatInt(cWorkerEvals.Value(), 10)},
+		{"configs scored", strconv.FormatInt(cWorkerConfigs.Value(), 10)},
+		{"simulations run", strconv.FormatInt(cWorkerSims.Value(), 10)},
+		{"in flight", strconv.FormatInt(gWorkerInflt.Value(), 10)},
+		{"trace sample rate", strconv.FormatFloat(w.sampler.Rate(), 'g', 4, 64)},
+	}, evals).Write(rw)
 }
 
 // Serve accepts connections on l until Shutdown. When no explicit ID

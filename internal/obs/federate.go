@@ -58,7 +58,7 @@ func MergeReports(reports ...*Report) *Report {
 			prev := out.Stages[name]
 			out.Stages[name] = StageStats{
 				Count:    prev.Count + st.Count,
-				TotalSec: prev.TotalSec + st.TotalSec,
+				TotalSec: addFinite(prev.TotalSec, st.TotalSec),
 				MaxSec:   math.Max(prev.MaxSec, st.MaxSec),
 			}
 		}
@@ -69,7 +69,7 @@ func MergeReports(reports ...*Report) *Report {
 			if out.Gauges == nil {
 				out.Gauges = map[string]float64{}
 			}
-			out.Gauges[name] += v
+			out.Gauges[name] = addFinite(out.Gauges[name], v)
 		}
 		for name, st := range r.Histograms {
 			if out.Histograms == nil {
@@ -95,7 +95,7 @@ func mergeHistStats(a, b HistStats) HistStats {
 	if b.Count == 0 && len(b.Buckets) == 0 {
 		return cloneHistStats(a)
 	}
-	m := HistStats{Count: a.Count + b.Count, Sum: a.Sum + b.Sum}
+	m := HistStats{Count: a.Count + b.Count, Sum: addFinite(a.Sum, b.Sum)}
 	if len(a.Buckets) > 0 && len(a.Buckets) == len(b.Buckets) && slices.Equal(a.Bounds, b.Bounds) {
 		m.Bounds = append([]float64(nil), a.Bounds...)
 		m.Buckets = make([]int64, len(a.Buckets))
@@ -115,6 +115,12 @@ func mergeHistStats(a, b HistStats) HistStats {
 	m.P99 = math.Max(a.P99, b.P99)
 	m.Max = math.Max(a.Max, b.Max)
 	return m
+}
+
+// addFinite adds two finite values, saturating at ±math.MaxFloat64: a
+// merge of reports, however large their values, stays JSON-encodable.
+func addFinite(a, b float64) float64 {
+	return max(-math.MaxFloat64, min(a+b, math.MaxFloat64))
 }
 
 func cloneHistStats(s HistStats) HistStats {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"time"
 )
@@ -129,17 +130,20 @@ func Snapshot() *Report {
 // histStats summarizes one histogram, mapping the NaN of an empty
 // histogram's quantiles to zero so the JSON stays plain numbers. The
 // raw bucket layout rides along so the summary stays exactly mergeable.
+// Count and the quantiles come from the one read of the buckets, so
+// they agree even while other goroutines observe.
 func histStats(h *Histogram) HistStats {
-	st := HistStats{Count: h.Count(), Sum: h.Sum()}
-	st.Bounds = h.Bounds()
-	st.Buckets = h.bucketCounts()
+	st := HistStats{Sum: h.Sum(), Bounds: h.Bounds(), Buckets: h.bucketCounts()}
+	for _, c := range st.Buckets {
+		st.Count += c
+	}
 	if st.Count == 0 {
 		return st
 	}
-	st.P50 = h.Quantile(0.50)
-	st.P90 = h.Quantile(0.90)
-	st.P99 = h.Quantile(0.99)
-	st.Max = h.Quantile(1)
+	st.P50 = quantile(0.50, st.Bounds, st.Buckets)
+	st.P90 = quantile(0.90, st.Bounds, st.Buckets)
+	st.P99 = quantile(0.99, st.Bounds, st.Buckets)
+	st.Max = quantile(1, st.Bounds, st.Buckets)
 	return st
 }
 
@@ -154,7 +158,8 @@ func (r *Report) Write(w io.Writer) error {
 }
 
 // ReadReport parses a report written by Write, rejecting unknown
-// schema versions. Every format up to the current one is accepted:
+// schema versions and histograms no Histogram could have written (see
+// HistStats.check). Every format up to the current one is accepted:
 // format 1 predates Windows and SLOs, which simply stay empty.
 func ReadReport(r io.Reader) (*Report, error) {
 	var rep Report
@@ -164,5 +169,48 @@ func ReadReport(r io.Reader) (*Report, error) {
 	if rep.Format < 1 || rep.Format > reportFormat {
 		return nil, fmt.Errorf("obs: unsupported report format %d (this build reads formats 1 through %d)", rep.Format, reportFormat)
 	}
+	for name, st := range rep.Histograms {
+		if err := st.check(); err != nil {
+			return nil, fmt.Errorf("obs: reading report: histogram %q: %w", name, err)
+		}
+	}
 	return &rep, nil
+}
+
+// maxHistCount bounds a histogram's count in a report: far more than a
+// process observes, and few enough that a fleet's merged counts stay
+// exact as float64.
+const maxHistCount = 1 << 53
+
+// check rejects a raw layout no Histogram writes, which merging or
+// windowing could index past or interpolate to a non-finite quantile. A
+// layout has at least one bound, the bounds finite, positive and
+// strictly increasing, and one bucket more than bounds; the bucket counts
+// are not negative and add up to Count, at most maxHistCount; the sum is
+// not negative. A histogram without buckets (format < 3) has no layout.
+func (st HistStats) check() error {
+	if len(st.Buckets) == 0 {
+		return nil
+	}
+	if len(st.Bounds) == 0 || len(st.Buckets) != len(st.Bounds)+1 {
+		return fmt.Errorf("%d buckets for %d bounds", len(st.Buckets), len(st.Bounds))
+	}
+	prev := 0.0
+	for _, b := range st.Bounds {
+		if !(b > prev) || math.IsInf(b, 1) {
+			return fmt.Errorf("bounds are not finite, positive and strictly increasing")
+		}
+		prev = b
+	}
+	var total int64
+	for _, c := range st.Buckets {
+		if c < 0 || c > maxHistCount-total {
+			return fmt.Errorf("bucket counts are negative or add up past %d", int64(maxHistCount))
+		}
+		total += c
+	}
+	if total != st.Count || st.Sum < 0 {
+		return fmt.Errorf("buckets add up to %d and sum to %g, for a count of %d", total, st.Sum, st.Count)
+	}
+	return nil
 }

@@ -3,9 +3,9 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"html/template"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -259,12 +259,7 @@ func (s *TraceStore) Handler() http.Handler {
 				Traces []TraceSummary `json:"traces"`
 			}{sums})
 		default:
-			w.Header().Set("Content-Type", "text/html; charset=utf-8")
-			tracezTmpl.Execute(w, struct {
-				Traces []TraceSummary
-				Query  string
-				Now    string
-			}{sums, query, time.Now().UTC().Format(time.RFC3339)})
+			TraceList(query, sums, nil).Write(w)
 		}
 	})
 }
@@ -317,13 +312,7 @@ func (s *TraceStore) serveTrace(w http.ResponseWriter, id, format string) {
 			Spans: spanTree(tr),
 		})
 	default:
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		tracezDetailTmpl.Execute(w, struct {
-			Meta  TraceMeta
-			Start string
-			DurMS float64
-			Spans []spanRow
-		}{meta, meta.Start.UTC().Format(time.RFC3339Nano), float64(meta.Dur) / float64(time.Millisecond), spanTree(tr)})
+		tracePage(meta, tr).Write(w)
 	}
 }
 
@@ -379,82 +368,79 @@ func spanTree(tr *Trace) []spanRow {
 	return out
 }
 
-var tracezFuncs = template.FuncMap{
-	"indent": func(depth int) template.CSS {
-		return template.CSS(fmt.Sprintf("padding-left:%dpx", 8+depth*18))
-	},
-	"join": func(args []string) string {
-		if len(args) == 0 {
-			return ""
+// TraceList is the /tracez list view of sums, with the search box
+// holding query. A non-nil roles adds a roles column: roles[i] lists the
+// roles that retained sums[i].
+func TraceList(query string, sums []TraceSummary, roles [][]string) Page {
+	headers := []string{"trace", "class", "kind", "route", "status", "start", "ms", "spans"}
+	if roles != nil {
+		headers = append(headers, "roles")
+	}
+	rows := make([][]Cell, len(sums))
+	for i, s := range sums {
+		href := TraceHref(s.ID)
+		class := Cell{Text: s.Class}
+		if s.Class == "error" {
+			class.Class = "bad"
 		}
-		var b strings.Builder
-		for i := 0; i+1 < len(args); i += 2 {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%s=%s", args[i], args[i+1])
+		status := Cell{Text: "-", Class: "muted"}
+		if s.Status != 0 {
+			code := strconv.Itoa(s.Status)
+			status = Verdict(s.Status >= 500, code, code)
 		}
-		if len(args)%2 == 1 {
-			if b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(args[len(args)-1])
+		row := []Cell{{Text: s.ID, Href: href}, class, {Text: s.Kind}, {Text: s.Route}, status,
+			{Text: s.Start, Class: "muted"}, {Text: strconv.FormatFloat(s.DurMS, 'f', 2, 64)}, {Text: strconv.Itoa(s.Spans)}}
+		if roles != nil {
+			row = append(row, Cell{Text: strings.Join(roles[i], ", "), Class: "muted"})
 		}
-		return b.String()
-	},
+		rows[i] = append(row, Cell{Text: "chrome", Href: href + "&format=chrome"})
+	}
+	return Page{
+		Title:    "tracez",
+		Status:   "retained traces, tail-sampled · " + time.Now().UTC().Format(time.RFC3339),
+		Search:   true,
+		Query:    query,
+		Sections: []Section{{Title: "Traces", Headers: append(headers, ""), Rows: rows, Empty: "no traces retained yet"}},
+		Links:    []Cell{{Text: "json", Href: "/tracez?format=json"}, {Text: "statusz", Href: "/statusz"}},
+	}
 }
 
-var tracezTmpl = template.Must(template.New("tracez").Funcs(tracezFuncs).Parse(`<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>tracez</title>
-<style>
-body{font-family:ui-monospace,SFMono-Regular,Menlo,monospace;font-size:13px;margin:24px;color:#222}
-h1{font-size:18px} h2{font-size:15px;margin-top:24px}
-table{border-collapse:collapse;margin-top:8px}
-td,th{border:1px solid #ccc;padding:3px 8px;text-align:left}
-th{background:#f2f2f2}
-.ok{color:#0a0} .bad{color:#c00;font-weight:bold} .muted{color:#888}
-a{color:#06c;text-decoration:none} a:hover{text-decoration:underline}
-</style></head><body>
-<h1>tracez</h1>
-<p class="muted">retained traces, tail-sampled · {{.Now}} · <a href="/tracez?format=json">json</a> · <a href="/statusz">statusz</a></p>
-<form method="get" action="/tracez"><input name="q" value="{{.Query}}" size="40" placeholder="trace id | error | min_ms:25 | route substring"> <input type="submit" value="search"></form>
-<table>
-<tr><th>trace</th><th>class</th><th>kind</th><th>route</th><th>status</th><th>start</th><th>ms</th><th>spans</th><th></th></tr>
-{{range .Traces}}<tr>
-<td><a href="/tracez?id={{.ID}}">{{.ID}}</a></td>
-<td>{{if eq .Class "error"}}<span class="bad">{{.Class}}</span>{{else}}{{.Class}}{{end}}</td>
-<td>{{.Kind}}</td><td>{{.Route}}</td>
-<td>{{if .Status}}{{if ge .Status 500}}<span class="bad">{{.Status}}</span>{{else}}<span class="ok">{{.Status}}</span>{{end}}{{else}}<span class="muted">-</span>{{end}}</td>
-<td class="muted">{{.Start}}</td><td>{{printf "%.2f" .DurMS}}</td><td>{{.Spans}}</td>
-<td><a href="/tracez?id={{.ID}}&amp;format=chrome">chrome</a></td>
-</tr>{{else}}<tr><td colspan="9" class="muted">no traces retained yet</td></tr>{{end}}
-</table>
-</body></html>
-`))
+// TraceHref links to one trace's /tracez view. The ID is query-escaped:
+// a federated list shows IDs that remote roles sent.
+func TraceHref(id string) string { return "/tracez?id=" + url.QueryEscape(id) }
 
-var tracezDetailTmpl = template.Must(template.New("tracezDetail").Funcs(tracezFuncs).Parse(`<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>trace {{.Meta.ID}}</title>
-<style>
-body{font-family:ui-monospace,SFMono-Regular,Menlo,monospace;font-size:13px;margin:24px;color:#222}
-h1{font-size:18px}
-table{border-collapse:collapse;margin-top:8px}
-td,th{border:1px solid #ccc;padding:3px 8px;text-align:left}
-th{background:#f2f2f2}
-.muted{color:#888}
-a{color:#06c;text-decoration:none} a:hover{text-decoration:underline}
-</style></head><body>
-<h1>trace {{.Meta.ID}}</h1>
-<p class="muted">{{.Meta.Kind}} {{.Meta.Route}}{{if .Meta.Status}} · status {{.Meta.Status}}{{end}} · {{.Start}} · {{printf "%.2f" .DurMS}} ms ·
-<a href="/tracez?id={{.Meta.ID}}&amp;format=json">json</a> ·
-<a href="/tracez?id={{.Meta.ID}}&amp;format=chrome">chrome export</a> ·
-<a href="/tracez">back</a></p>
-<table>
-<tr><th>span</th><th>offset µs</th><th>dur µs</th><th>args</th></tr>
-{{range .Spans}}<tr>
-<td style="{{indent .Depth}}">{{.Name}}</td>
-<td>{{.OffsetUS}}</td><td>{{.DurUS}}</td>
-<td class="muted">{{join .Args}}</td>
-</tr>{{end}}
-</table>
-</body></html>
-`))
+// tracePage is the detail view of one trace: its span tree, indented by
+// depth.
+func tracePage(meta TraceMeta, tr *Trace) Page {
+	status := meta.Kind + " " + meta.Route
+	if meta.Status != 0 {
+		status += " · status " + strconv.Itoa(meta.Status)
+	}
+	status += fmt.Sprintf(" · %s · %.2f ms", meta.Start.UTC().Format(time.RFC3339Nano), float64(meta.Dur)/float64(time.Millisecond))
+	var rows [][]Cell
+	for _, s := range spanTree(tr) {
+		rows = append(rows, []Cell{{Text: s.Name, Depth: s.Depth}, {Text: strconv.FormatInt(s.OffsetUS, 10)},
+			{Text: strconv.FormatInt(s.DurUS, 10)}, {Text: joinArgs(s.Args), Class: "muted"}})
+	}
+	href := TraceHref(meta.ID)
+	return Page{
+		Title:    "trace " + meta.ID,
+		Status:   status,
+		Sections: []Section{{Title: "Spans", Headers: []string{"span", "offset µs", "dur µs", "args"}, Rows: rows, Empty: "no spans"}},
+		Links: []Cell{{Text: "json", Href: href + "&format=json"}, {Text: "chrome export", Href: href + "&format=chrome"},
+			{Text: "back", Href: "/tracez"}},
+	}
+}
+
+// joinArgs renders span args as "k=v k=v", an odd trailing key alone.
+func joinArgs(args []string) string {
+	parts := make([]string, 0, (len(args)+1)/2)
+	for i := 0; i < len(args); i += 2 {
+		if i+1 < len(args) {
+			parts = append(parts, args[i]+"="+args[i+1])
+		} else {
+			parts = append(parts, args[i])
+		}
+	}
+	return strings.Join(parts, " ")
+}

@@ -2,9 +2,8 @@
 // predrouter and simworker: the structured JSON error and body
 // helpers, the /metricz handler, the edge middleware that owns request
 // identity and the sampling decision, the timeout wrapper for routes
-// whose work does not watch its context, the sparkline the dashboards
-// draw, and the listen → serve → drain lifecycle with its shared flags.
-// API bodies are compact JSON. It depends only on internal/obs, so
+// whose work does not watch its context, and the listen → serve → drain
+// lifecycle with its shared flags. API bodies are compact JSON. It depends only on internal/obs, so
 // serve and cluster can both build on it.
 package role
 
@@ -13,10 +12,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"html/template"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"predperf/internal/obs"
@@ -224,37 +221,4 @@ func WithTimeout(h http.Handler, d time.Duration, who string) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		th.ServeHTTP(w, r)
 	})
-}
-
-// Sparkline renders a per-bucket series as a 150×24 inline SVG
-// polyline scaled to the series max. An all-zero series renders a flat
-// baseline, an empty one nothing.
-func Sparkline(series []float64) template.HTML {
-	const w, h = 150, 24
-	if len(series) == 0 {
-		return ""
-	}
-	maxV := 0.0
-	for _, v := range series {
-		maxV = max(maxV, v)
-	}
-	var pts strings.Builder
-	n := len(series)
-	for i, v := range series {
-		x := float64(w)
-		if n > 1 {
-			x = float64(i) / float64(n-1) * w
-		}
-		y := float64(h - 1)
-		if maxV > 0 {
-			y = float64(h-1) - v/maxV*float64(h-2)
-		}
-		if i > 0 {
-			pts.WriteByte(' ')
-		}
-		fmt.Fprintf(&pts, "%.1f,%.1f", x, y)
-	}
-	return template.HTML(fmt.Sprintf(
-		`<svg class="spark" width="%d" height="%d" viewBox="0 0 %d %d"><polyline fill="none" stroke="#4a7dcf" stroke-width="1.2" points="%s"/></svg>`,
-		w, h, w, h, pts.String()))
 }

@@ -54,6 +54,21 @@ go test -run '^$' -fuzz '^FuzzPeekModel$' -fuzztime 5s ./internal/role
 echo "== fuzz the X-Trace-Spans decode and graft (5 s) =="
 go test -run '^$' -fuzz '^FuzzSpanTrailer$' -fuzztime 5s ./internal/obs
 
+echo "== fuzz scraped /metricz reports through merge and fleet windows (5 s) =="
+go test -run '^$' -fuzz '^FuzzReport$' -fuzztime 5s ./internal/obs
+
+echo "== fuzz the /tracez handler's query parameters (5 s) =="
+go test -run '^$' -fuzz '^FuzzTracez$' -fuzztime 5s ./internal/obs
+
+echo "== one HTML page template =="
+# Every HTML view renders through the one template in internal/obs/page.go,
+# so a second template.Must( in non-test code is a visible diff here.
+ntmpl=$(grep -r --include='*.go' --exclude='*_test.go' -o 'template\.Must(' internal cmd | grep -vc '^cmd/bench/' || true)
+if [ "$ntmpl" != 1 ]; then
+    echo "non-test code holds $ntmpl template.Must( calls, want 1 (internal/obs/page.go)" >&2
+    exit 1
+fi
+
 echo "== benchmark smoke (1 iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -321,6 +336,17 @@ grep -q '"value"' "$smoke_dir/routed.json"
 curl -fsS "http://$router/v1/models" | grep -q '"mcf"'
 curl -fsS "http://$router/statusz" > "$smoke_dir/router-statusz.html"
 grep -q 'predrouter' "$smoke_dir/router-statusz.html"
+# The HTML views come out whole: simworker's /statusz and the router's
+# federated /tracez list end with the page's closing tag.
+curl -fsS "http://$w2/statusz" > "$smoke_dir/worker-statusz.html"
+curl -fsS "http://$router/tracez" > "$smoke_dir/router-tracez.html"
+for page in worker-statusz router-tracez; do
+    if [ "$(tail -n 1 "$smoke_dir/$page.html")" != "</html>" ]; then
+        echo "$page.html does not end with </html>:" >&2
+        tail -5 "$smoke_dir/$page.html" >&2
+        exit 1
+    fi
+done
 # A simulator-verified search through the router crosses every role
 # (router → shard → worker); the router's /tracez must hold ONE merged
 # trace whose span forest spans all three.
