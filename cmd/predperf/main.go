@@ -121,7 +121,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("-sim-workers: %v", err)
 		}
-		remote := cluster.NewRemoteEvaluator(pool, *bench, *insts, cluster.RemoteOptions{Metric: metric})
+		remote := cluster.NewRemoteEvaluator(pool, *bench, *insts, metric)
 		ev, sims, evalErr = remote, remote.Simulations, remote.Err
 		fmt.Printf("evaluation farm: %s\n", strings.Join(pool.Workers(), ", "))
 	} else {

@@ -19,9 +19,9 @@ package cluster
 // role's own cumulative values instead, which the window clamp absorbs.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -131,45 +131,29 @@ func (p *fleetPlane) roles() []fleetRole {
 	return out
 }
 
-// maxResponseBytes caps every response body read from another role.
-const maxResponseBytes = 64 << 20
-
-// get GETs url within the plane's per-role timeout and hands the body of
-// a 200 answer, cut off at maxResponseBytes, to decode. It returns the
-// status; any status but 200 is an error.
-func (p *fleetPlane) get(ctx context.Context, url string, decode func(io.Reader) error) (int, error) {
-	ctx, cancel := context.WithTimeout(ctx, p.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// get GETs url from a role through role.Call within the plane's per-role
+// timeout, untraced (role.Untraced): the plane's own traffic must not
+// fill the roles' /tracez. It hands the body of a 200 answer to decode
+// and returns the status; any status but 200 is an error.
+func (p *fleetPlane) get(ctx context.Context, url string, decode func([]byte) error) (int, error) {
+	a, err := role.Call(role.Untraced(ctx), p.client, http.MethodGet, url, nil, p.timeout)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
 	what, _, _ := strings.Cut(url, "?")
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, fmt.Errorf("%s answered %d", what, resp.StatusCode)
+	if a.Status != http.StatusOK {
+		return a.Status, fmt.Errorf("%s answered %d", what, a.Status)
 	}
-	body := &io.LimitedReader{R: resp.Body, N: maxResponseBytes}
-	if resp.ContentLength > maxResponseBytes {
-		body.N = 0 // declared too long: read none of it
+	if err := decode(a.Body); err != nil {
+		return a.Status, fmt.Errorf("%s: %w", what, err)
 	}
-	if err := decode(body); err != nil {
-		if body.N == 0 {
-			return resp.StatusCode, fmt.Errorf("%s: body exceeds %d bytes", what, maxResponseBytes)
-		}
-		return resp.StatusCode, fmt.Errorf("%s: %w", what, err)
-	}
-	return resp.StatusCode, nil
+	return a.Status, nil
 }
 
 // scrapeTarget pulls one role's metrics report.
 func (p *fleetPlane) scrapeTarget(ctx context.Context, url string) (rep *obs.Report, err error) {
-	_, err = p.get(ctx, url+"/metricz?format=json", func(r io.Reader) error {
-		rep, err = obs.ReadReport(r)
+	_, err = p.get(ctx, url+"/metricz?format=json", func(body []byte) error {
+		rep, err = obs.ReadReport(bytes.NewReader(body))
 		return err
 	})
 	return rep, err

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"predperf/internal/obs"
+	"predperf/internal/role"
 )
 
 // firing reports whether the named SLO fired on the plane's last cycle.
@@ -159,11 +160,11 @@ func TestFleetScrapeCarryoverKeepsMergeMonotone(t *testing.T) {
 }
 
 // TestFleetScrapeCapsReportSize: a role whose valid report is larger
-// than maxResponseBytes is a failed scrape, read no further than the
+// than role.MaxAnswerBytes is a failed scrape, read no further than the
 // cap, and the router keeps serving.
 func TestFleetScrapeCapsReportSize(t *testing.T) {
 	head, tail := `{"format":3,"meta":{"pad":"`, `"}}`
-	size := maxResponseBytes + 1
+	size := role.MaxAnswerBytes + 1
 	big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Length", strconv.Itoa(size))

@@ -15,6 +15,7 @@ import (
 	"predperf/internal/cluster"
 	"predperf/internal/obs"
 	"predperf/internal/role"
+	"predperf/internal/serve"
 )
 
 // fakeRole serves a fixed obs.Report on /metricz and an empty trace
@@ -504,5 +505,59 @@ func TestRoutedBodiesIdenticalAcrossSamplingRates(t *testing.T) {
 		if !bytes.Equal(body1, body2) {
 			t.Fatalf("%s-sampling body not stable across repeats", tc.name)
 		}
+	}
+}
+
+// TestRouterOwnTrafficIsUntraced: the router's own calls — SyncOnce's
+// /v1/models poll, the /metricz scrape and the federated /tracez fan-out
+// — carry an unsampled traceparent, so neither the shard nor the worker
+// records them, even when a traced page view starts the fan-out. A
+// routed predict is still traced on the shard.
+func TestRouterOwnTrafficIsUntraced(t *testing.T) {
+	dir := t.TempDir()
+	saveSyntheticModel(t, dir, "synthetic")
+	s := serve.New(serve.Options{ModelDir: dir})
+	if _, err := s.Registry().LoadDir(""); err != nil {
+		t.Fatal(err)
+	}
+	shard := httptest.NewServer(s.Handler())
+	defer shard.Close()
+	wk := cluster.NewWorker(cluster.WorkerOptions{})
+	worker := httptest.NewServer(wk.Handler())
+	defer worker.Close()
+	rt, err := cluster.NewRouter(cluster.RouterOptions{
+		Shards: []string{shard.URL}, Workers: []string{worker.URL},
+		SyncInterval: -1, FleetScrapeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	for i := 0; i < 3; i++ {
+		rt.SyncOnce(context.Background())
+		rt.FleetScrapeOnce(context.Background())
+	}
+	searchTracez(t, ts.URL, "")
+	for name, store := range map[string]*obs.TraceStore{"shard": s.Traces(), "worker": wk.Traces()} {
+		if got := store.Snapshot(""); len(got) != 0 {
+			t.Errorf("the %s traced the router's own traffic: %+v", name, got)
+		}
+	}
+
+	const id = "own-traffic-1"
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict", strings.NewReader(predictBody))
+	req.Header.Set(role.RequestIDHeader, id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed predict = %d", resp.StatusCode)
+	}
+	if _, _, ok := s.Traces().Get(id); !ok {
+		t.Fatal("the shard did not store the routed predict's trace")
 	}
 }

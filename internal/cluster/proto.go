@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"predperf/internal/design"
-	"predperf/internal/obs"
 )
 
 // WireConfig is the JSON shape of a processor configuration on every
@@ -72,19 +71,26 @@ func (w WireConfig) Config() design.Config {
 // every field must be positive (IQ/LSQ sizes are re-expressed as ROB
 // fractions, so a zero ROB would divide by zero).
 func (w WireConfig) Validate() error {
-	fields := []struct {
-		name string
-		v    int
-	}{
-		{"depth", w.Depth}, {"rob", w.ROB}, {"iq", w.IQ}, {"lsq", w.LSQ},
-		{"l2kb", w.L2KB}, {"l2lat", w.L2Lat}, {"il1kb", w.IL1KB}, {"dl1kb", w.DL1KB}, {"dl1lat", w.DL1Lat},
-	}
-	for _, f := range fields {
+	for _, f := range w.fields() {
 		if f.v <= 0 {
 			return fmt.Errorf("field %q must be positive, got %d", f.name, f.v)
 		}
 	}
 	return nil
+}
+
+// wireField is one WireConfig field and its JSON name.
+type wireField struct {
+	name string
+	v    int
+}
+
+// fields lists the config's fields in declaration order.
+func (w WireConfig) fields() [9]wireField {
+	return [9]wireField{
+		{"depth", w.Depth}, {"rob", w.ROB}, {"iq", w.IQ}, {"lsq", w.LSQ},
+		{"l2kb", w.L2KB}, {"l2lat", w.L2Lat}, {"il1kb", w.IL1KB}, {"dl1kb", w.DL1KB}, {"dl1lat", w.DL1Lat},
+	}
 }
 
 // EvalRequest is the body of POST /v1/eval: evaluate every config on
@@ -112,11 +118,6 @@ type EvalResponse struct {
 	Sims int `json:"sims"`
 	// Worker identifies the responding worker for tracing.
 	Worker string `json:"worker,omitempty"`
-	// Spans is the worker's span forest for this request, returned only
-	// when the caller's traceparent header carried the sampling bit
-	// (bounded by obs.MaxWireSpans). The pool grafts it into the live
-	// trace so worker-side work shows up in the caller's timeline.
-	Spans []obs.WireSpan `json:"spans,omitempty"`
 }
 
 // RetryAfterSeconds renders a backoff hint as a Retry-After header

@@ -1,16 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -243,15 +240,12 @@ func (p *Pool) fail(w *workerConn) {
 }
 
 // attempt runs one request against one worker: acquire an in-flight
-// slot, POST the body with the per-attempt deadline, parse the answer,
-// and check that it holds one value per config. Each attempt is a
-// "cluster.pool_attempt" span annotated with its worker and outcome, so
-// a retried eval shows every worker it tried. The request identity and
-// sampling bit ride the traceparent header; a sampled worker's span
-// forest comes back in the response body and is grafted under the
-// attempt span.
+// slot, POST the body through role.Call with the per-attempt deadline,
+// parse the answer, and check that it holds one value per config. Each
+// attempt is a "cluster.pool_attempt" span annotated with its worker and
+// outcome, so a retried eval shows every worker it tried; a sampled
+// worker's span forest is grafted under it.
 func (p *Pool) attempt(ctx context.Context, w *workerConn, body []byte, configs int) (*EvalResponse, error) {
-	tr := obs.TraceFrom(ctx)
 	spanCtx, endSpan := obs.StartSpanArgs(ctx, "cluster.pool_attempt", "worker", w.url)
 	select {
 	case w.sem <- struct{}{}:
@@ -260,76 +254,41 @@ func (p *Pool) attempt(ctx context.Context, w *workerConn, body []byte, configs 
 		endSpan("outcome", "canceled")
 		return nil, ctx.Err()
 	}
-	attemptCtx, cancel := context.WithTimeout(ctx, p.opt.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, w.url+"/v1/eval", bytes.NewReader(body))
-	if err != nil {
-		endSpan("outcome", "bad_request")
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	id := obs.RequestIDFrom(ctx)
-	if tr != nil {
-		id = tr.ID()
-	}
-	if id != "" {
-		req.Header.Set(role.RequestIDHeader, id)
-		req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(obs.SpanContext{
-			TraceID: id, ParentID: obs.SpanIDFrom(spanCtx), Sampled: tr != nil,
-		}))
-	}
+	a, err := role.Call(spanCtx, p.opt.Client, http.MethodPost, w.url+"/v1/eval", body, p.opt.RequestTimeout)
 	// failed ends the span and counts the failure against the worker,
 	// unless the caller gave up: a cancelled caller does not indict the
 	// worker it was waiting on.
 	failed := func(outcome string, err error) (*EvalResponse, error) {
 		if ctx.Err() != nil {
-			endSpan("outcome", "canceled")
+			endSpan(a.SpanArgs("outcome", "canceled")...)
 			return nil, ctx.Err()
 		}
 		p.fail(w)
-		endSpan("outcome", outcome)
+		endSpan(a.SpanArgs("outcome", outcome)...)
 		return nil, err
 	}
-	t0 := time.Now()
-	resp, err := p.opt.Client.Do(req)
 	if err != nil {
-		return failed("transport_error", fmt.Errorf("cluster: worker %s: %w", w.url, err))
+		return failed("no_answer", fmt.Errorf("cluster: worker %s: %w", w.url, err))
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	if err != nil {
-		return failed("read_error", fmt.Errorf("cluster: worker %s: reading response: %w", w.url, err))
-	}
-	if resp.StatusCode != http.StatusOK {
-		err := fmt.Errorf("cluster: worker %s answered %d: %s", w.url, resp.StatusCode, truncate(raw, 200))
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
+	if a.Status != http.StatusOK {
+		err := fmt.Errorf("cluster: worker %s answered %d: %s", w.url, a.Status, truncate(a.Body, 200))
+		if a.Status >= 400 && a.Status < 500 && a.Status != http.StatusTooManyRequests {
 			// The request itself is wrong; no worker will accept it.
 			// 4xx does not indict the worker's health.
-			endSpan("outcome", "rejected")
+			endSpan(a.SpanArgs("outcome", "rejected")...)
 			return nil, permanentError{err}
 		}
 		return failed("server_error", err)
 	}
 	var er EvalResponse
-	if err := json.Unmarshal(raw, &er); err != nil {
+	if err := json.Unmarshal(a.Body, &er); err != nil {
 		return failed("bad_body", fmt.Errorf("cluster: worker %s: bad response body: %w", w.url, err))
 	}
 	if len(er.Values) != configs {
 		return failed("bad_body", fmt.Errorf("cluster: worker %s answered %d values for %d configs", w.url, len(er.Values), configs))
 	}
-	rtt := time.Since(t0)
-	p.succeed(w, rtt)
-	if tr != nil && len(er.Spans) > 0 {
-		// The clock_offset_ms arg doubles as the graft marker federated
-		// trace search keys on: a span naming a worker plus this arg
-		// means that worker's forest already rides in this trace.
-		off := obs.ClockOffset(t0, rtt, er.Spans)
-		tr.Graft(obs.SpanIDFrom(spanCtx), er.Spans, off)
-		endSpan("outcome", "ok",
-			"clock_offset_ms", strconv.FormatFloat(float64(off)/float64(time.Millisecond), 'f', 3, 64))
-		return &er, nil
-	}
-	endSpan("outcome", "ok")
+	p.succeed(w, a.RTT)
+	endSpan(a.SpanArgs("outcome", "ok")...)
 	return &er, nil
 }
 
@@ -426,18 +385,6 @@ type remoteEntry struct {
 	ok   bool
 }
 
-// RemoteOptions configures a RemoteEvaluator view.
-type RemoteOptions struct {
-	// Metric selects the response, as on core.SimEvaluator.
-	Metric core.Metric
-	// Ctx bounds every remote call the evaluator makes (default
-	// context.Background()); cancel it to stop a build mid-flight.
-	Ctx context.Context
-	// Fallback, when non-nil, evaluates locally after the farm
-	// exhausts its attempts — availability over offload.
-	Fallback core.Evaluator
-}
-
 // RemoteEvaluator implements core.Evaluator over a worker pool: the
 // scale-out seam the ROADMAP names. Results are memoized with the same
 // single-flight discipline as core.SimEvaluator, and since workers run
@@ -445,16 +392,14 @@ type RemoteOptions struct {
 // RemoteEvaluator is bit-identical to one built in-process.
 //
 // Eval cannot return an error (the interface stands in for a local
-// simulator); when the farm is exhausted and no Fallback is configured
-// it returns NaN and records the failure — check Err after a build.
+// simulator); when the farm is exhausted it returns NaN and records the
+// failure — check Err after a build.
 type RemoteEvaluator struct {
 	Benchmark string
 	TraceLen  int
 
-	pool     *Pool
-	metric   core.Metric
-	ctx      context.Context
-	fallback core.Evaluator
+	pool   *Pool
+	metric core.Metric
 
 	mu    sync.Mutex
 	cache map[string]*remoteEntry
@@ -464,20 +409,14 @@ type RemoteEvaluator struct {
 	firstErr error
 }
 
-// NewRemoteEvaluator builds a farm-backed evaluator for one benchmark
-// and trace length.
-func NewRemoteEvaluator(pool *Pool, benchmark string, traceLen int, opt RemoteOptions) *RemoteEvaluator {
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// NewRemoteEvaluator builds a farm-backed evaluator of metric for one
+// benchmark and trace length.
+func NewRemoteEvaluator(pool *Pool, benchmark string, traceLen int, metric core.Metric) *RemoteEvaluator {
 	return &RemoteEvaluator{
 		Benchmark: benchmark,
 		TraceLen:  traceLen,
 		pool:      pool,
-		metric:    opt.Metric,
-		ctx:       ctx,
-		fallback:  opt.Fallback,
+		metric:    metric,
 		cache:     map[string]*remoteEntry{},
 	}
 }
@@ -487,7 +426,9 @@ var _ core.Evaluator = (*RemoteEvaluator)(nil)
 // Eval returns the metric for cfg, asking the farm on a cache miss.
 // Concurrent misses on the same configuration single-flight: the losers
 // wait for the winner's network round trip instead of duplicating it.
-func (e *RemoteEvaluator) Eval(cfg design.Config) float64 { return e.evalCtx(e.ctx, cfg) }
+func (e *RemoteEvaluator) Eval(cfg design.Config) float64 {
+	return e.evalCtx(context.Background(), cfg)
+}
 
 // Bind returns a view of this evaluator whose remote calls carry ctx —
 // the request-scoped trace (so pool attempts and worker spans land in
@@ -549,8 +490,7 @@ func (e *RemoteEvaluator) evalCtx(ctx context.Context, cfg design.Config) float6
 
 // fetch resolves one cache miss. On success the value is published; on
 // failure the entry is removed so a later Eval can retry, the error is
-// recorded, and NaN (or the fallback's answer) is published to current
-// waiters.
+// recorded, and NaN is published to current waiters.
 func (e *RemoteEvaluator) fetch(ctx context.Context, key string, ent *remoteEntry, cfg design.Config) {
 	defer close(ent.done)
 	cRemoteEvals.Inc()
@@ -568,13 +508,6 @@ func (e *RemoteEvaluator) fetch(ctx context.Context, key string, ent *remoteEntr
 		return
 	}
 	e.recordErr(err)
-	if e.fallback != nil {
-		ent.val, ent.ok = e.fallback.Eval(cfg), true
-		e.mu.Lock()
-		e.evals++
-		e.mu.Unlock()
-		return
-	}
 	ent.val = math.NaN()
 	e.mu.Lock()
 	delete(e.cache, key)
@@ -585,7 +518,7 @@ func (e *RemoteEvaluator) fetch(ctx context.Context, key string, ent *remoteEntr
 // across the farm in BatchChunk-sized concurrent requests. Results are
 // positionally stable and bit-identical to per-config Eval calls.
 func (e *RemoteEvaluator) EvalBatch(cfgs []design.Config) ([]float64, error) {
-	return e.evalBatchCtx(e.ctx, cfgs)
+	return e.evalBatchCtx(context.Background(), cfgs)
 }
 
 func (e *RemoteEvaluator) evalBatchCtx(ctx context.Context, cfgs []design.Config) ([]float64, error) {
@@ -665,7 +598,7 @@ func (e *RemoteEvaluator) recordErr(err error) {
 }
 
 // Err reports the first remote failure the evaluator swallowed into a
-// NaN (or served from the fallback). A build driver should check it:
+// NaN. Code that builds a model on it should check it:
 // a non-nil error means the built model may rest on incomplete data.
 func (e *RemoteEvaluator) Err() error {
 	e.errMu.Lock()
@@ -674,7 +607,7 @@ func (e *RemoteEvaluator) Err() error {
 }
 
 // Simulations reports how many distinct configurations were resolved
-// through the farm (or fallback) — the remote analogue of
+// through the farm — the remote analogue of
 // core.SimEvaluator.Simulations.
 func (e *RemoteEvaluator) Simulations() int {
 	e.mu.Lock()

@@ -115,6 +115,40 @@ func TestWorkerEvalValidation(t *testing.T) {
 	}
 }
 
+// TestWorkerEvalRejectsConfigsPastCeilings: the simulator sizes its
+// structures from the config, so a worker answers 400 invalid_config,
+// naming the field, for any field past its ceiling. Two configs with a
+// ROB of 2^62 used to panic a par.For goroutine in makeslice, which
+// killed the process. A config at every ceiling is still simulated.
+func TestWorkerEvalRejectsConfigsPastCeilings(t *testing.T) {
+	srv := newWorkerServer(t, cluster.WorkerOptions{})
+	eval := func(cfgs ...string) (*http.Response, []byte) {
+		return postEval(t, srv.URL, `{"benchmark":"mcf","trace_len":1000,"configs":[`+strings.Join(cfgs, ",")+`]}`)
+	}
+	huge := `{"depth":12,"rob":4611686018427387904,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}`
+	resp, body := eval(huge, huge)
+	if resp.StatusCode != http.StatusBadRequest || errCode(t, body) != "invalid_config" || !strings.Contains(string(body), `\"rob\"`) {
+		t.Fatalf("ROB 2^62 = %d %s, want 400 invalid_config naming rob", resp.StatusCode, body)
+	}
+
+	top := map[string]int{"depth": 96, "rob": 512, "iq": 512, "lsq": 512,
+		"l2kb": 32768, "l2lat": 80, "il1kb": 256, "dl1kb": 256, "dl1lat": 16}
+	js, _ := json.Marshal(top)
+	if resp, body := eval(string(js)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("config at every ceiling = %d %s, want 200", resp.StatusCode, body)
+	}
+	for field := range top {
+		top[field]++
+		js, _ := json.Marshal(top)
+		top[field]--
+		resp, body := eval(string(js))
+		if resp.StatusCode != http.StatusBadRequest || errCode(t, body) != "invalid_config" ||
+			!strings.Contains(string(body), `\"`+field+`\"`) {
+			t.Errorf("%s one past its ceiling = %d %s, want 400 invalid_config naming it", field, resp.StatusCode, body)
+		}
+	}
+}
+
 func TestWorkerEvalBitIdentical(t *testing.T) {
 	srv := newWorkerServer(t, cluster.WorkerOptions{})
 	cfgs := evaltest.Configs(6)
@@ -184,7 +218,7 @@ func TestRemoteEvaluatorConformance(t *testing.T) {
 	pool := newFarm(t, 2, cluster.PoolOptions{})
 	evaltest.Run(t, evaltest.Harness{
 		New: func(t *testing.T) core.Evaluator {
-			return cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{})
+			return cluster.NewRemoteEvaluator(pool, testBench, testInsts, core.MetricCPI)
 		},
 		Sims: func(ev core.Evaluator) int {
 			return ev.(*cluster.RemoteEvaluator).Simulations()
@@ -192,8 +226,8 @@ func TestRemoteEvaluatorConformance(t *testing.T) {
 		Canceled: func(t *testing.T) (core.Evaluator, func() error) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			re := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{Ctx: ctx})
-			return re, re.Err
+			re := cluster.NewRemoteEvaluator(pool, testBench, testInsts, core.MetricCPI)
+			return re.Bind(ctx), re.Err
 		},
 	})
 }
@@ -206,7 +240,7 @@ func TestRemoteEvaluatorMatchesLocalAcrossMetrics(t *testing.T) {
 	}
 	cfgs := evaltest.Configs(4)
 	for _, metric := range []core.Metric{core.MetricCPI, core.MetricEPI, core.MetricEDP, core.MetricPower} {
-		remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{Metric: metric})
+		remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, metric)
 		local := base.WithMetric(metric)
 		for i, c := range cfgs {
 			if r, l := remote.Eval(c), local.Eval(c); r != l {
@@ -218,7 +252,7 @@ func TestRemoteEvaluatorMatchesLocalAcrossMetrics(t *testing.T) {
 
 func TestRemoteEvaluatorBatchFansOut(t *testing.T) {
 	pool := newFarm(t, 2, cluster.PoolOptions{BatchChunk: 4})
-	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{})
+	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, core.MetricCPI)
 	cfgs := evaltest.Configs(10)
 	vals, err := remote.EvalBatch(cfgs)
 	if err != nil {
@@ -251,31 +285,12 @@ func TestRemoteEvaluatorFarmDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{})
+	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, core.MetricCPI)
 	if v := remote.Eval(evaltest.Configs(1)[0]); !math.IsNaN(v) {
 		t.Fatalf("dead farm answered %v, want NaN", v)
 	}
 	if remote.Err() == nil {
 		t.Fatal("dead farm reported no error")
-	}
-}
-
-func TestRemoteEvaluatorFallback(t *testing.T) {
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close()
-	pool, err := cluster.NewPool([]string{dead.URL}, cluster.PoolOptions{
-		MaxAttempts: 2, BaseBackoff: time.Millisecond, ReadmitAfter: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fallback := core.FuncEvaluator(func(design.Config) float64 { return 42 })
-	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{Fallback: fallback})
-	if v := remote.Eval(evaltest.Configs(1)[0]); v != 42 {
-		t.Fatalf("fallback not used: got %v", v)
-	}
-	if remote.Err() == nil {
-		t.Fatal("fallback served but the farm failure went unreported")
 	}
 }
 
@@ -327,7 +342,7 @@ func TestRemoteBuildBitIdenticalAndSurvivesWorkerLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{})
+	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, core.MetricCPI)
 	killed := make(chan struct{})
 	ev := &killAfter{ev: remote, after: 8, kill: func() {
 		doomed.CloseClientConnections()

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -260,17 +258,18 @@ func (rt *Router) proxyByModel(route string) http.HandlerFunc {
 	}
 }
 
-// forward tries the primary shard, then — on a transport error, a
-// timeout, or a 5xx — the secondary. 4xx answers are authoritative and
-// returned as-is: the shard understood the request and rejected it.
+// forward tries the primary shard, then — on a failed call (a
+// transport error, a timeout, or an answer past role.MaxAnswerBytes) or
+// a 5xx — the secondary. 4xx answers are authoritative and returned
+// as-is: the shard understood the request and rejected it.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path string, body []byte, primary, secondary string) {
-	status, hdr, respBody, err := rt.tryShard(r.Context(), primary, r.Method, path, body)
-	if err != nil || status >= 500 {
+	a, err := rt.tryShard(r.Context(), primary, r.Method, path, body)
+	if err != nil || a.Status >= 500 {
 		if secondary != primary {
 			cRouterFailovers.Inc()
-			s2, h2, b2, err2 := rt.tryShard(r.Context(), secondary, r.Method, path, body)
-			if err2 == nil && s2 < 500 {
-				relay(w, s2, h2, b2)
+			a2, err2 := rt.tryShard(r.Context(), secondary, r.Method, path, body)
+			if err2 == nil && a2.Status < 500 {
+				relay(w, a2)
 				return
 			}
 		}
@@ -282,84 +281,38 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path string, b
 			return
 		}
 	}
-	relay(w, status, hdr, respBody)
+	relay(w, a)
 }
 
-// tryShard runs one proxied attempt. A non-nil error means the shard
-// never answered (transport failure or timeout). The hop carries the
-// request identity and the edge's sampling bit on the traceparent
-// header — an unsampled header actively suppresses trace allocation on
-// the shard — and a sampled shard returns its span forest on the
-// X-Trace-Spans trailer, which is grafted under this hop's span.
-func (rt *Router) tryShard(ctx context.Context, shard, method, path string, body []byte) (int, http.Header, []byte, error) {
-	tr := obs.TraceFrom(ctx)
-	spanCtx, endHop := obs.StartSpanArgs(ctx, "router.forward", "shard", shard, "path", path)
-	hopID := obs.SpanIDFrom(spanCtx)
-	ctx, cancel := context.WithTimeout(spanCtx, rt.opt.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, shard+path, bytes.NewReader(body))
-	if err != nil {
-		endHop("outcome", "bad_request")
-		return 0, nil, nil, err
-	}
-	if len(body) > 0 {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	id := obs.RequestIDFrom(ctx)
-	if tr != nil {
-		id = tr.ID()
-	}
-	if id != "" {
-		req.Header.Set(role.RequestIDHeader, id)
-		req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(obs.SpanContext{
-			TraceID: id, ParentID: hopID, Sampled: tr != nil,
-		}))
-	}
-	t0 := time.Now()
-	resp, err := rt.opt.Client.Do(req)
+// tryShard runs one proxied attempt through role.Call, under a
+// "router.forward" span that the shard's grafted forest hangs from. A
+// non-nil error means the shard gave no usable answer, and marks it
+// unhealthy.
+func (rt *Router) tryShard(ctx context.Context, shard, method, path string, body []byte) (role.Answer, error) {
+	ctx, endHop := obs.StartSpanArgs(ctx, "router.forward", "shard", shard, "path", path)
+	a, err := role.Call(ctx, rt.opt.Client, method, shard+path, body, rt.opt.RequestTimeout)
 	if err != nil {
 		rt.markShard(shard, false, err)
-		endHop("outcome", "transport_error")
-		return 0, nil, nil, fmt.Errorf("shard %s: %w", shard, err)
+		endHop("outcome", "no_answer")
+		return role.Answer{}, fmt.Errorf("shard %s: %w", shard, err)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	if err != nil {
-		rt.markShard(shard, false, err)
-		endHop("outcome", "read_error")
-		return 0, nil, nil, fmt.Errorf("shard %s: reading response: %w", shard, err)
-	}
-	rtt := time.Since(t0)
-	var offsetMS string
-	if tr != nil {
-		// Trailers are readable only after the body is fully consumed.
-		if spans, derr := obs.DecodeSpans(resp.Trailer.Get(obs.SpanTrailerHeader)); derr == nil && len(spans) > 0 {
-			off := obs.ClockOffset(t0, rtt, spans)
-			tr.Graft(hopID, spans, off)
-			offsetMS = strconv.FormatFloat(float64(off)/float64(time.Millisecond), 'f', 3, 64)
-		}
-	}
-	hRouterProxy.With(shard).Observe(rtt.Seconds())
-	rt.markShard(shard, resp.StatusCode < 500, nil)
-	if offsetMS != "" {
-		endHop("status", strconv.Itoa(resp.StatusCode), "clock_offset_ms", offsetMS)
-	} else {
-		endHop("status", strconv.Itoa(resp.StatusCode))
-	}
-	return resp.StatusCode, resp.Header, raw, nil
+	hRouterProxy.With(shard).Observe(a.RTT.Seconds())
+	rt.markShard(shard, a.Status < 500, nil)
+	endHop(a.SpanArgs("status", strconv.Itoa(a.Status))...)
+	return a, nil
 }
 
 // relay copies a shard's answer to the client, preserving status and
 // content type (the request ID header is already set by middleware).
-func relay(w http.ResponseWriter, status int, hdr http.Header, body []byte) {
-	if ct := hdr.Get("Content-Type"); ct != "" {
+func relay(w http.ResponseWriter, a role.Answer) {
+	if ct := a.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	if ra := hdr.Get("Retry-After"); ra != "" {
+	if ra := a.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
-	w.WriteHeader(status)
-	w.Write(body)
+	w.WriteHeader(a.Status)
+	w.Write(a.Body)
 }
 
 func (rt *Router) markShard(url string, healthy bool, err error) {
@@ -390,17 +343,17 @@ type shardModel struct {
 
 // fetchModels asks one shard for its model listing.
 func (rt *Router) fetchModels(ctx context.Context, shard string) ([]shardModel, error) {
-	status, _, body, err := rt.tryShard(ctx, shard, http.MethodGet, "/v1/models", nil)
+	a, err := rt.tryShard(ctx, shard, http.MethodGet, "/v1/models", nil)
 	if err != nil {
 		return nil, err
 	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("shard %s: /v1/models answered %d", shard, status)
+	if a.Status != http.StatusOK {
+		return nil, fmt.Errorf("shard %s: /v1/models answered %d", shard, a.Status)
 	}
 	var out struct {
 		Models []shardModel `json:"models"`
 	}
-	if err := json.Unmarshal(body, &out); err != nil {
+	if err := json.Unmarshal(a.Body, &out); err != nil {
 		return nil, fmt.Errorf("shard %s: bad /v1/models body: %w", shard, err)
 	}
 	return out.Models, nil
@@ -410,8 +363,11 @@ func (rt *Router) fetchModels(ctx context.Context, shard string) ([]shardModel, 
 // map, and pushes re-syncs: any model whose primary generation moved
 // past what its secondary was last given gets a POST /v1/models/load on
 // the secondary (shards share the models directory, so the base file
-// name resolves on both). Returns the number of re-syncs issued.
+// name resolves on both). Returns the number of re-syncs issued. Its
+// calls are the router's own traffic, so no shard traces them, even
+// when a traced /v1/models request started the pass.
 func (rt *Router) SyncOnce(ctx context.Context) int {
+	ctx = role.Untraced(ctx)
 	type shardList struct {
 		shard  string
 		models []shardModel
@@ -467,8 +423,8 @@ func (rt *Router) SyncOnce(ctx context.Context) int {
 			"path": filepath.Base(m.Path),
 			"name": m.Name,
 		})
-		status, _, _, err := rt.tryShard(ctx, m.Secondary, http.MethodPost, "/v1/models/load", body)
-		if err != nil || status != http.StatusOK {
+		a, err := rt.tryShard(ctx, m.Secondary, http.MethodPost, "/v1/models/load", body)
+		if err != nil || a.Status != http.StatusOK {
 			cRouterSyncErrs.Inc()
 			continue
 		}
@@ -556,25 +512,21 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 		role.WriteErr(w, http.StatusBadRequest, "bad_request", `"path" or "dir" is required`)
 		return
 	}
-	var (
-		lastStatus int
-		lastHdr    http.Header
-		lastBody   []byte
-	)
+	var last role.Answer
 	for _, shard := range targets {
-		status, hdr, respBody, err := rt.tryShard(r.Context(), shard, http.MethodPost, "/v1/models/load", body)
+		a, err := rt.tryShard(r.Context(), shard, http.MethodPost, "/v1/models/load", body)
 		if err != nil {
 			cRouterErrors.Inc()
 			w.Header().Set("Retry-After", RetryAfterSeconds(rt.opt.RequestTimeout/10))
 			role.WriteErr(w, http.StatusServiceUnavailable, "no_shard", "shard load failed: %v", err)
 			return
 		}
-		lastStatus, lastHdr, lastBody = status, hdr, respBody
-		if status != http.StatusOK {
+		last = a
+		if a.Status != http.StatusOK {
 			break // surface the first rejection verbatim
 		}
 	}
-	relay(w, lastStatus, lastHdr, lastBody)
+	relay(w, last)
 }
 
 // ---- health + status ----

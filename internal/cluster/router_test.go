@@ -212,6 +212,38 @@ func TestRouterFailsOverWhenPrimaryDies(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesOversizeShardAnswer: a shard answer past
+// role.MaxAnswerBytes is a failed attempt, not a body to relay cut
+// short. With no other shard to fail over to, the router answers 503
+// no_shard; it used to relay the first 64 MiB as a 200.
+func TestRouterRefusesOversizeShardAnswer(t *testing.T) {
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		chunk := bytes.Repeat([]byte("x"), 64<<10)
+		for left := role.MaxAnswerBytes + 10; left > 0; left -= len(chunk) {
+			if _, err := w.Write(chunk[:min(left, len(chunk))]); err != nil {
+				return // the router hung up, as it should
+			}
+		}
+	}))
+	defer shard.Close()
+	rt, err := cluster.NewRouter(cluster.RouterOptions{
+		Shards: []string{shard.URL}, SyncInterval: -1, FleetScrapeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts.URL+"/v1/predict", `{"model":"synthetic"}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("oversize shard answer = %d with %d body bytes, want 503", resp.StatusCode, len(body))
+	}
+	if code := errCode(t, body); code != "no_shard" {
+		t.Fatalf("error code %q, want no_shard", code)
+	}
+}
+
 // routerModels decodes the router's merged /v1/models listing.
 func routerModels(t *testing.T, url string) map[string]struct {
 	Primary    string `json:"primary"`

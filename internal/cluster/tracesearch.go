@@ -23,7 +23,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -99,7 +98,7 @@ func (rt *Router) fetchSummaries(ctx context.Context, base, query, route string)
 		Traces []obs.TraceSummary `json:"traces"`
 	}
 	_, err := rt.fleet.get(ctx, base+"/tracez?format=json&q="+url.QueryEscape(query)+"&route="+url.QueryEscape(route),
-		func(r io.Reader) error { return json.NewDecoder(r).Decode(&out) })
+		func(body []byte) error { return json.Unmarshal(body, &out) })
 	return out.Traces, err
 }
 
@@ -178,9 +177,9 @@ func (rt *Router) fetchForest(ctx context.Context, fr fleetRole, id string) (*re
 	var exp obs.WireExport
 	var rtt time.Duration
 	t0 := time.Now()
-	status, err := rt.fleet.get(ctx, fr.URL+"/tracez?format=wire&id="+url.QueryEscape(id), func(r io.Reader) error {
-		rtt = time.Since(t0) // the answer's headers are in
-		return json.NewDecoder(r).Decode(&exp)
+	status, err := rt.fleet.get(ctx, fr.URL+"/tracez?format=wire&id="+url.QueryEscape(id), func(body []byte) error {
+		rtt = time.Since(t0) // the answer is in
+		return json.Unmarshal(body, &exp)
 	})
 	if status == http.StatusNotFound {
 		return nil, nil

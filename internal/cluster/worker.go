@@ -85,6 +85,30 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	return o
 }
 
+// evalCeilings is the largest value of each config field a worker
+// simulates: 4× the top of the field's Table 1 range, and the ROB's for
+// IQ and LSQ, which the paper sizes as fractions of it. The simulator
+// sizes its structures from these fields, so a larger one is an
+// allocation a caller chooses, or a machine that cannot commit within
+// the simulator's no-progress limit, which panics.
+var evalCeilings = WireConfig{Depth: 96, ROB: 512, IQ: 512, LSQ: 512,
+	L2KB: 32768, L2Lat: 80, IL1KB: 256, DL1KB: 256, DL1Lat: 16}
+
+// simulable is Validate, and rejects a field past its evalCeilings
+// value too.
+func simulable(wc WireConfig) error {
+	if err := wc.Validate(); err != nil {
+		return err
+	}
+	top := evalCeilings.fields()
+	for i, f := range wc.fields() {
+		if f.v > top[i].v {
+			return fmt.Errorf("field %q must be at most %d, got %d", f.name, top[i].v, f.v)
+		}
+	}
+	return nil
+}
+
 // Worker serves the cycle-level simulator over HTTP. Evaluators are
 // memoized per (benchmark, trace length) — the same single-flight
 // simulation cache a local build enjoys, so repeated requests for hot
@@ -162,14 +186,7 @@ func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 	if !role.RequireMethod(rw, r, http.MethodPost) {
 		return
 	}
-	spanCtx, end := obs.StartSpanCtx(r.Context(), "cluster.worker_eval")
-	ended := false
-	endEval := func() {
-		if !ended {
-			ended = true
-			end()
-		}
-	}
+	_, endEval := obs.StartSpanCtx(r.Context(), "cluster.worker_eval")
 	defer endEval()
 	gWorkerInflt.Inc()
 	defer gWorkerInflt.Dec()
@@ -213,7 +230,7 @@ func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 	}
 	cfgs := make([]design.Config, len(req.Configs))
 	for i, wc := range req.Configs {
-		if err := wc.Validate(); err != nil {
+		if err := simulable(wc); err != nil {
 			cWorkerErrors.Inc()
 			role.WriteErr(rw, http.StatusBadRequest, "invalid_config", "configs[%d]: %v", i, err)
 			return
@@ -249,14 +266,7 @@ func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 	sims := base.Simulations() - simsBefore
 	cWorkerSims.Add(int64(sims))
 	hWorkerEval.With(req.Benchmark).Observe(time.Since(t0).Seconds())
-	resp := EvalResponse{Values: values, Sims: sims, Worker: w.ID()}
-	// A traced caller gets this request's span forest back in the body;
-	// the eval span must end before the export so it is included.
-	if tr := obs.TraceFrom(spanCtx); tr != nil && role.SpanReturnWanted(r.Context()) {
-		endEval()
-		resp.Spans = tr.Export(obs.MaxWireSpans)
-	}
-	role.WriteJSON(rw, http.StatusOK, resp)
+	role.WriteJSON(rw, http.StatusOK, EvalResponse{Values: values, Sims: sims, Worker: w.ID()})
 }
 
 // workerLoadedEvaluator is one row of the worker's /healthz and

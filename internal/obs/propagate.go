@@ -32,10 +32,11 @@ import (
 // so the span-ID and flags fields are parsed from the right.
 const TraceparentHeader = "Traceparent"
 
-// SpanTrailerHeader is the HTTP trailer on which a predserve shard
-// returns its span forest to the router: a trailer (not a body field)
-// so the relayed response body stays byte-identical with tracing on or
-// off.
+// SpanTrailerHeader is the HTTP trailer on which every role — a
+// predserve shard, a simworker, the router — returns its span forest to
+// a caller that sampled the hop: a trailer, not a body field, so the
+// body stays byte-identical with tracing on or off, and a router relays
+// it as is.
 const SpanTrailerHeader = "X-Trace-Spans"
 
 // MaxWireSpans bounds the span forest one hop may return; deeper traces
@@ -234,10 +235,11 @@ func StartSpanArgs(ctx context.Context, name string, kv ...string) (context.Cont
 	}
 }
 
-// WireSpan is one completed span on the wire: the JSON shape a callee
-// returns its forest in (EvalResponse.Spans, the X-Trace-Spans
-// trailer). IDs are trace-local; Graft remaps them into the caller's
-// trace. Field names are short because hundreds ride on one response.
+// WireSpan is one completed span on the wire: the JSON shape of the
+// forest a callee returns on the X-Trace-Spans trailer (EncodeSpans),
+// and of a /tracez wire export. IDs are trace-local; Graft remaps them
+// into the caller's trace. Field names are short because hundreds ride
+// on one response.
 type WireSpan struct {
 	ID     int64    `json:"i"`
 	Parent int64    `json:"p,omitempty"`

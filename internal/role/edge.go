@@ -1,7 +1,6 @@
 package role
 
 import (
-	"context"
 	"net/http"
 	"time"
 
@@ -17,8 +16,9 @@ import (
 //     otherwise the role's own sampler decides;
 //   - opens the "<Role>.request" root span for a locally sampled
 //     request; a remote-sampled hop records no root, so its forest
-//     grafts under the caller's hop span, and owes the caller that
-//     forest (see SpanTrailer);
+//     grafts under the caller's hop span, and returns that forest on
+//     the X-Trace-Spans trailer, which Call reads. A trailer leaves the
+//     body the same with tracing on or off, so a router relays it as is;
 //   - records the response status and size (ExchangeOf), and
 //   - offers the finished trace to the role's /tracez store.
 type Edge struct {
@@ -28,11 +28,6 @@ type Edge struct {
 	Sampler obs.Sampler
 	// Traces receives every finished trace (nil keeps none).
 	Traces *obs.TraceStore
-	// SpanTrailer returns a remote-sampled hop's span forest on the
-	// X-Trace-Spans trailer, so the body a router relays is the same with
-	// tracing on or off. Without it the handler returns the forest in its
-	// own response body, and SpanReturnWanted tells it when.
-	SpanTrailer bool
 	// Route maps a request path to the bounded label the trace store and
 	// the root span's "route" attribute carry. Without it both carry the
 	// path itself, the span as its "path" attribute.
@@ -76,16 +71,6 @@ func ExchangeOf(w http.ResponseWriter) *Exchange {
 	return &w.(*recorder).x
 }
 
-type spanReturnKey struct{}
-
-// SpanReturnWanted reports whether the request is a remote-sampled hop
-// whose caller expects the span forest back in the response body (an
-// Edge without SpanTrailer).
-func SpanReturnWanted(ctx context.Context) bool {
-	b, _ := ctx.Value(spanReturnKey{}).(bool)
-	return b
-}
-
 // Wrap returns next behind the edge middleware.
 func (e Edge) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -115,15 +100,12 @@ func (e Edge) Wrap(next http.Handler) http.Handler {
 			}
 			tr = obs.NewTrace(tid)
 			ctx = obs.WithTrace(ctx, tr)
-			switch {
-			case !remote:
-				ctx, endRoot = obs.StartSpanCtx(ctx, e.Role+".request", attr, route)
-			case e.SpanTrailer:
+			if remote {
 				// Declared before any write; the value is set once the
 				// chain has finished.
 				w.Header().Add("Trailer", obs.SpanTrailerHeader)
-			default:
-				ctx = context.WithValue(ctx, spanReturnKey{}, true)
+			} else {
+				ctx, endRoot = obs.StartSpanCtx(ctx, e.Role+".request", attr, route)
 			}
 		}
 		next.ServeHTTP(rec, r.WithContext(ctx))
@@ -131,7 +113,7 @@ func (e Edge) Wrap(next http.Handler) http.Handler {
 		if tr == nil {
 			return
 		}
-		if remote && e.SpanTrailer {
+		if remote {
 			w.Header().Set(obs.SpanTrailerHeader, obs.EncodeSpans(tr.Export(obs.MaxWireSpans)))
 		}
 		x := rec.x

@@ -1,10 +1,12 @@
 // Package role is the scaffold the three HTTP roles share — predserve,
 // predrouter and simworker: the structured JSON error and body
 // helpers, the /metricz handler, the edge middleware that owns request
-// identity and the sampling decision, the timeout wrapper for routes
-// whose work does not watch its context, and the listen → serve → drain
-// lifecycle with its shared flags. API bodies are compact JSON. It depends only on internal/obs, so
-// serve and cluster can both build on it.
+// identity and the sampling decision, Call, its outbound half and the
+// only way one role sends a request to another, the timeout wrapper for
+// routes whose work does not watch its context, and the listen → serve
+// → drain lifecycle with its shared flags. API bodies are compact JSON.
+// It depends only on internal/obs and internal/wirejson, so serve and
+// cluster can both build on it.
 package role
 
 import (

@@ -225,7 +225,7 @@ func New(opt Options) *Server {
 	obs.NewGaugeFunc("obs.trace_sample_rate", s.sampler.Rate)
 	if opt.SimPool != nil {
 		s.reg.SetEvalFactory(func(benchmark string, traceLen int) (core.Evaluator, error) {
-			return cluster.NewRemoteEvaluator(opt.SimPool, benchmark, traceLen, cluster.RemoteOptions{}), nil
+			return cluster.NewRemoteEvaluator(opt.SimPool, benchmark, traceLen, core.MetricCPI), nil
 		})
 	}
 	s.start = s.clock()
@@ -291,7 +291,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/models/load", s.handleModelsLoad)
 	mux.HandleFunc("/v1/predict", s.handlePredict)
 	mux.Handle("/v1/search", role.WithTimeout(http.HandlerFunc(s.handleSearch), s.opt.Timeout, "server"))
-	edge := role.Edge{Role: "serve", Sampler: s.sampler, Traces: s.traces, SpanTrailer: true, Route: routeLabel}
+	edge := role.Edge{Role: "serve", Sampler: s.sampler, Traces: s.traces, Route: routeLabel}
 	return edge.Wrap(s.withMetrics(mux))
 }
 

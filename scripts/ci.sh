@@ -69,6 +69,30 @@ if [ "$ntmpl" != 1 ]; then
     exit 1
 fi
 
+echo "== one outbound hop =="
+# Every role-to-role request goes through role.Call (internal/role/call.go),
+# so the hop protocol has one copy: internal/role holds the only
+# http.Client call, the only code that sets Traceparent and the only code
+# that reads the X-Trace-Spans trailer, in non-test Go under internal/ and
+# cmd/ outside cmd/bench. A second copy anywhere else fails here.
+hop_lines() {
+    grep -rnE --include='*.go' --exclude='*_test.go' "$1" internal cmd | grep -v '^cmd/bench/' || true
+}
+only_in_role() {
+    if ! grep -q '^internal/role/' <<<"$2"; then
+        echo "internal/role holds no $1" >&2
+        exit 1
+    fi
+    if grep -v '^internal/role/' <<<"$2" | grep -q .; then
+        echo "$1 outside internal/role; send role-to-role requests through role.Call:" >&2
+        grep -v '^internal/role/' <<<"$2" >&2
+        exit 1
+    fi
+}
+only_in_role "http.Client Do call" "$(hop_lines '\.Do\(|http\.(Get|Head|Post|PostForm)\(' | grep -vE '[Oo]nce\.Do\(' || true)"
+only_in_role "code that sets Traceparent" "$(hop_lines '(Set|Add)\((obs\.)?TraceparentHeader|(Set|Add)\("Traceparent"')"
+only_in_role "read of the X-Trace-Spans trailer" "$(hop_lines '\.Trailer\b')"
+
 echo "== benchmark smoke (1 iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
