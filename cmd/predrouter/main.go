@@ -14,10 +14,10 @@
 //	curl localhost:9300/v1/models            # merged listing across shards
 //	curl localhost:9300/statusz              # topology: shard health + model placement
 //	curl localhost:9300/fleetz               # fleet-wide merged metrics + SLO burn
-//	curl "localhost:9300/tracez?q=error"     # federated trace search across roles
+//	curl "localhost:9300/tracez?q=error"     # routed requests' traces, every hop's spans
 //
 // With -workers, the router also scrapes the evaluation farm's
-// simworkers into /fleetz and includes them in /tracez search fan-out.
+// simworkers into /fleetz.
 // /fleetz merges every role's /metricz report into one fleet aggregate
 // (exact bucket-wise histogram sums) on the -fleet-scrape-every cadence
 // and evaluates fleet SLO burn over the merged windows. The router
@@ -57,7 +57,7 @@ func main() {
 
 	rf := role.Define(flag.CommandLine, "127.0.0.1:9300", 30*time.Second, "per-attempt deadline against one shard", 1<<20)
 	shards := flag.String("shards", "", "comma-separated predserve shard base URLs (required)")
-	workers := flag.String("workers", "", "comma-separated simworker base URLs scraped into /fleetz and searched by /tracez (the router routes no traffic to them)")
+	workers := flag.String("workers", "", "comma-separated simworker base URLs scraped into /fleetz (the router routes no traffic to them)")
 	replicas := flag.Int("replicas", cluster.DefaultReplicas, "virtual nodes per shard on the consistent-hash ring")
 	syncEvery := flag.Duration("sync-every", 5*time.Second, "cadence of the /v1/models topology poll driving replica re-sync")
 	fleetScrapeEvery := flag.Duration("fleet-scrape-every", 5*time.Second, "cadence of the /fleetz metrics federation across shards and workers (0 disables the background loop; /fleetz?refresh=1 still scrapes on demand)")

@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -102,61 +101,24 @@ func newFleetPlane(shards, workers []string, client *http.Client, timeout time.D
 	return p
 }
 
-// roleURLs returns the targets' base URLs, optionally filtered by role
-// ("" means all), for trace-search fan-out.
-func (p *fleetPlane) roleURLs(role string) []string {
-	var out []string
-	for _, t := range p.targets {
-		if role == "" || t.Role == role {
-			out = append(out, t.URL)
-		}
-	}
-	return out
-}
-
-// fleetRole is one (url, role) fan-out target.
-type fleetRole struct {
-	URL  string
-	Role string
-}
-
-// roles lists the fan-out targets, shards before workers — the order
-// federated trace assembly relies on, since a shard's forest may
-// already carry its workers' spans.
-func (p *fleetPlane) roles() []fleetRole {
-	out := make([]fleetRole, len(p.targets))
-	for i, t := range p.targets {
-		out[i] = fleetRole{URL: t.URL, Role: t.Role}
-	}
-	return out
-}
-
-// get GETs url from a role through role.Call within the plane's per-role
-// timeout, untraced (role.Untraced): the plane's own traffic must not
-// fill the roles' /tracez. It hands the body of a 200 answer to decode
-// and returns the status; any status but 200 is an error.
-func (p *fleetPlane) get(ctx context.Context, url string, decode func([]byte) error) (int, error) {
-	a, err := role.Call(role.Untraced(ctx), p.client, http.MethodGet, url, nil, p.timeout)
+// scrapeTarget pulls one role's metrics report through role.Call within
+// the plane's per-role timeout, untraced (role.Untraced): the plane's
+// own traffic must not fill the roles' /tracez. Any status but 200 is an
+// error.
+func (p *fleetPlane) scrapeTarget(ctx context.Context, url string) (*obs.Report, error) {
+	url += "/metricz"
+	a, err := role.Call(role.Untraced(ctx), p.client, http.MethodGet, url+"?format=json", nil, p.timeout)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	what, _, _ := strings.Cut(url, "?")
 	if a.Status != http.StatusOK {
-		return a.Status, fmt.Errorf("%s answered %d", what, a.Status)
+		return nil, fmt.Errorf("%s answered %d", url, a.Status)
 	}
-	if err := decode(a.Body); err != nil {
-		return a.Status, fmt.Errorf("%s: %w", what, err)
+	rep, err := obs.ReadReport(bytes.NewReader(a.Body))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", url, err)
 	}
-	return a.Status, nil
-}
-
-// scrapeTarget pulls one role's metrics report.
-func (p *fleetPlane) scrapeTarget(ctx context.Context, url string) (rep *obs.Report, err error) {
-	_, err = p.get(ctx, url+"/metricz?format=json", func(body []byte) error {
-		rep, err = obs.ReadReport(bytes.NewReader(body))
-		return err
-	})
-	return rep, err
+	return rep, nil
 }
 
 // scrapeOnce runs one federation cycle: scrape every target in
@@ -402,6 +364,6 @@ func (rt *Router) renderFleetz(w http.ResponseWriter) {
 			v.Generated, time.Since(rt.start).Round(time.Second), v.SampleRate, v.Scrapes),
 		Sections: []obs.Section{slos, traffic, roles, drill, totals},
 		Links: []obs.Cell{{Href: "/fleetz?format=json"}, {Text: "refresh now", Href: "/fleetz?refresh=1"},
-			{Text: "trace search /tracez", Href: "/tracez"}, {Text: "router /statusz", Href: "/statusz"}},
+			{Text: "router /tracez", Href: "/tracez"}, {Text: "router /statusz", Href: "/statusz"}},
 	}.Write(w)
 }

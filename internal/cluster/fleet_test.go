@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -18,18 +17,14 @@ import (
 	"predperf/internal/serve"
 )
 
-// fakeRole serves a fixed obs.Report on /metricz and an empty trace
-// list on /tracez, standing in for a remote shard or worker process.
+// fakeRole serves a fixed obs.Report on /metricz, standing in for a
+// remote shard or worker process.
 func fakeRole(t *testing.T, rep *obs.Report) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metricz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(rep)
-	})
-	mux.HandleFunc("/tracez", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"traces":[]}`)
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -260,13 +255,8 @@ func TestFleetScrapeRejectsMalformedHistograms(t *testing.T) {
 	}
 }
 
-// tracezRows decodes the router's federated /tracez list view.
-type tracezRow struct {
-	obs.TraceSummary
-	Roles []string `json:"roles"`
-}
-
-func searchTracez(t *testing.T, base, q string) []tracezRow {
+// searchTracez decodes the router's /tracez list view for query q.
+func searchTracez(t *testing.T, base, q string) []obs.TraceSummary {
 	t.Helper()
 	resp, err := http.Get(base + "/tracez?format=json&q=" + q)
 	if err != nil {
@@ -277,7 +267,7 @@ func searchTracez(t *testing.T, base, q string) []tracezRow {
 		t.Fatalf("/tracez?q=%s = %d", q, resp.StatusCode)
 	}
 	var out struct {
-		Traces []tracezRow `json:"traces"`
+		Traces []obs.TraceSummary `json:"traces"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
@@ -285,41 +275,38 @@ func searchTracez(t *testing.T, base, q string) []tracezRow {
 	return out.Traces
 }
 
-// fedTrace decodes the router's merged single-trace view.
-type fedTrace struct {
-	ID    string `json:"id"`
+// traceSpans decodes the spans of the router's single-trace JSON view.
+type traceSpans struct {
 	Spans []struct {
-		ID     int64  `json:"id"`
-		Parent int64  `json:"parent,omitempty"`
-		Name   string `json:"name"`
-		Depth  int    `json:"depth"`
+		Name  string `json:"name"`
+		Depth int    `json:"depth"`
 	} `json:"spans"`
 }
 
-func getFedTrace(t *testing.T, base, id string) (int, fedTrace) {
+func getTrace(t *testing.T, base, id string) (int, traceSpans) {
 	t.Helper()
 	resp, err := http.Get(base + "/tracez?id=" + id + "&format=json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var ft fedTrace
+	var tr traceSpans
 	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&ft); err != nil {
+		if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return resp.StatusCode, ft
+	return resp.StatusCode, tr
 }
 
-// TestFederatedTraceSearchAndJoin: a routed predict leaves partial
-// traces on the router and the owning shard under one ID; the router's
-// /tracez search view joins them into a single row, and the detail view
-// serves one merged forest with every span parented — without
-// double-grafting the shard subtree the router already holds.
-func TestFederatedTraceSearchAndJoin(t *testing.T) {
+// TestRouterTracezSearchAndDetail: a routed predict is retained on the
+// router with the shard's spans grafted under its hop, so the router's
+// own /tracez finds it by ID, filters it by route in compact JSON,
+// serves it as one rooted tree holding the shard's serve.predict span,
+// and exports it to chrome://tracing.
+func TestRouterTracezSearchAndDetail(t *testing.T) {
 	f := newShardFarm(t, true)
-	const id = "fed-join-0001"
+	const id = "routed-trace-0001"
 
 	req, _ := http.NewRequest(http.MethodPost, f.routeTS.URL+"/v1/predict", strings.NewReader(predictBody))
 	req.Header.Set("Content-Type", "application/json")
@@ -333,23 +320,12 @@ func TestFederatedTraceSearchAndJoin(t *testing.T) {
 		t.Fatalf("routed predict = %d", resp.StatusCode)
 	}
 
-	// The list view groups the per-role partial retentions into one row.
-	rows := searchTracez(t, f.routeTS.URL, id)
-	if len(rows) != 1 {
-		t.Fatalf("federated search returned %d rows for one trace ID, want 1: %+v", len(rows), rows)
-	}
-	var hasRouter, hasShard bool
-	for _, role := range rows[0].Roles {
-		hasRouter = hasRouter || role == "router"
-		hasShard = hasShard || strings.HasPrefix(role, "shard ")
-	}
-	if !hasRouter || !hasShard {
-		t.Fatalf("joined row roles = %v, want router and a shard", rows[0].Roles)
+	if rows := searchTracez(t, f.routeTS.URL, id); len(rows) != 1 || rows[0].ID != id {
+		t.Fatalf("search for one trace ID returned %+v, want one row", rows)
 	}
 
-	// The single-role list contract carries over: ?route= exact-filters
-	// the federated view, and the JSON stays compact (no indentation) so
-	// scrape tooling written against a role's own /tracez keeps parsing.
+	// ?route= exact-filters, and the JSON is compact (no indentation) so
+	// scrape tooling can grep it.
 	lresp, err := http.Get(f.routeTS.URL + "/tracez?format=json&route=/v1/predict")
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +339,7 @@ func TestFederatedTraceSearchAndJoin(t *testing.T) {
 		t.Fatalf("route-filtered list missing compact %q row: %s", id, raw)
 	}
 	var filtered struct {
-		Traces []tracezRow `json:"traces"`
+		Traces []obs.TraceSummary `json:"traces"`
 	}
 	if err := json.Unmarshal(raw, &filtered); err != nil {
 		t.Fatal(err)
@@ -374,49 +350,24 @@ func TestFederatedTraceSearchAndJoin(t *testing.T) {
 		}
 	}
 
-	// The detail view serves one merged forest: a single root, every
-	// other span parented inside the forest, and the shard's handler
-	// spans present (they rode back on the trailer graft).
-	status, ft := getFedTrace(t, f.routeTS.URL, id)
+	// The detail view is one tree: a single root, every other span
+	// parented inside it, and the shard's serve.predict span present (it
+	// rode back on the trailer and was grafted under router.forward).
+	status, tr := getTrace(t, f.routeTS.URL, id)
 	if status != http.StatusOK {
-		t.Fatalf("federated trace detail = %d", status)
+		t.Fatalf("trace detail = %d", status)
 	}
-	roots, shardSpans := 0, 0
-	for _, s := range ft.Spans {
+	roots, predict := 0, false
+	for _, s := range tr.Spans {
 		if s.Depth == 0 {
 			roots++
 		}
-		if strings.HasPrefix(s.Name, "serve.") {
-			shardSpans++
-		}
+		predict = predict || s.Name == "serve.predict"
 	}
-	if roots != 1 {
-		t.Fatalf("merged forest has %d roots, want 1 correctly-parented tree: %+v", roots, ft.Spans)
-	}
-	if shardSpans == 0 {
-		t.Fatalf("merged forest has no shard-side spans: %+v", ft.Spans)
+	if roots != 1 || !predict {
+		t.Fatalf("trace has %d roots and serve.predict %v, want one rooted tree holding it: %+v", roots, predict, tr.Spans)
 	}
 
-	// Coverage dedup: the router's local trace already contains the
-	// grafted shard forest, so re-assembly must not duplicate it — the
-	// merged span count equals the router's own retained forest.
-	var local obs.WireExport
-	resp, err = http.Get(f.routeTS.URL + "/tracez?id=" + id + "&format=wire")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&local); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(local.Traces) != 1 {
-		t.Fatalf("router wire export has %d traces, want 1", len(local.Traces))
-	}
-	if got, want := len(ft.Spans), len(local.Traces[0].Spans); got != want {
-		t.Fatalf("merged forest has %d spans, local router forest %d — shard subtree duplicated or dropped", got, want)
-	}
-
-	// The merged trace exports to chrome://tracing through the router.
 	cresp, err := http.Get(f.routeTS.URL + "/tracez?id=" + id + "&format=chrome")
 	if err != nil {
 		t.Fatal(err)
@@ -424,50 +375,6 @@ func TestFederatedTraceSearchAndJoin(t *testing.T) {
 	cresp.Body.Close()
 	if cresp.StatusCode != http.StatusOK || !strings.Contains(cresp.Header.Get("Content-Disposition"), "attachment") {
 		t.Fatalf("chrome export = %d disposition %q", cresp.StatusCode, cresp.Header.Get("Content-Disposition"))
-	}
-}
-
-// TestFederatedTraceOnlyOnShard: a trace tail-retained only on a shard
-// (the router never saw the request) is still findable and exportable
-// through the router's federated /tracez.
-func TestFederatedTraceOnlyOnShard(t *testing.T) {
-	f := newShardFarm(t, true)
-	const id = "fed-shard-only-1"
-
-	req, _ := http.NewRequest(http.MethodPost, f.shards[0].URL+"/v1/predict", strings.NewReader(predictBody))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(obs.SpanContext{
-		TraceID: id, ParentID: 7, Sampled: true,
-	}))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("direct shard predict = %d", resp.StatusCode)
-	}
-
-	rows := searchTracez(t, f.routeTS.URL, id)
-	if len(rows) != 1 || len(rows[0].Roles) != 1 || !strings.HasPrefix(rows[0].Roles[0], "shard ") {
-		t.Fatalf("shard-only trace rows = %+v, want one row held by one shard", rows)
-	}
-	status, ft := getFedTrace(t, f.routeTS.URL, id)
-	if status != http.StatusOK || len(ft.Spans) == 0 {
-		t.Fatalf("federated detail for a shard-only trace = %d with %d spans", status, len(ft.Spans))
-	}
-	cresp, err := http.Get(f.routeTS.URL + "/tracez?id=" + id + "&format=chrome")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cresp.Body.Close()
-	if cresp.StatusCode != http.StatusOK {
-		t.Fatalf("chrome export of a shard-only trace = %d", cresp.StatusCode)
-	}
-
-	// A trace retained nowhere is a clean 404.
-	if status, _ := getFedTrace(t, f.routeTS.URL, "no-such-trace-id"); status != http.StatusNotFound {
-		t.Fatalf("unknown trace = %d, want 404", status)
 	}
 }
 
@@ -509,9 +416,8 @@ func TestRoutedBodiesIdenticalAcrossSamplingRates(t *testing.T) {
 }
 
 // TestRouterOwnTrafficIsUntraced: the router's own calls — SyncOnce's
-// /v1/models poll, the /metricz scrape and the federated /tracez fan-out
-// — carry an unsampled traceparent, so neither the shard nor the worker
-// records them, even when a traced page view starts the fan-out. A
+// /v1/models poll and the /metricz scrape — carry an unsampled
+// traceparent, so neither the shard nor the worker records them. A
 // routed predict is still traced on the shard.
 func TestRouterOwnTrafficIsUntraced(t *testing.T) {
 	dir := t.TempDir()
@@ -539,7 +445,6 @@ func TestRouterOwnTrafficIsUntraced(t *testing.T) {
 		rt.SyncOnce(context.Background())
 		rt.FleetScrapeOnce(context.Background())
 	}
-	searchTracez(t, ts.URL, "")
 	for name, store := range map[string]*obs.TraceStore{"shard": s.Traces(), "worker": wk.Traces()} {
 		if got := store.Snapshot(""); len(got) != 0 {
 			t.Errorf("the %s traced the router's own traffic: %+v", name, got)

@@ -52,10 +52,9 @@ type RouterOptions struct {
 	SyncInterval time.Duration
 	// Client overrides the HTTP client.
 	Client *http.Client
-	// Workers are sim-worker base URLs joined to the fleet
-	// observability plane (metrics federation on /fleetz and trace
-	// search fan-out on /tracez); the router does not route client
-	// traffic to them.
+	// Workers are sim-worker base URLs joined to the fleet metrics
+	// federation on /fleetz; the router does not route client traffic
+	// to them.
 	Workers []string
 	// TraceSample is the edge head-sampling rate: the fraction of
 	// client requests that record a distributed trace (0 means sample
@@ -67,8 +66,8 @@ type RouterOptions struct {
 	// (default 5s; <0 disables the background loop — tests call
 	// FleetScrapeOnce directly).
 	FleetScrapeInterval time.Duration
-	// FleetScrapeTimeout bounds one role's /metricz scrape or /tracez
-	// fan-out query (default 2s).
+	// FleetScrapeTimeout bounds one role's /metricz scrape (default
+	// 2s).
 	FleetScrapeTimeout time.Duration
 	// TraceStoreSize caps each retention class of the /tracez store
 	// (default 64).
@@ -227,7 +226,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/v1/models/load", rt.handleLoad)
 	mux.HandleFunc("/healthz", rt.handleHealthz)
 	mux.HandleFunc("/metricz", role.Metricz)
-	mux.HandleFunc("/tracez", rt.handleTracez)
+	mux.Handle("/tracez", rt.traces.Handler())
 	mux.HandleFunc("/fleetz", rt.handleFleetz)
 	mux.HandleFunc("/statusz", rt.handleStatusz)
 	return role.Edge{Role: "router", Sampler: rt.sampler, Traces: rt.traces}.Wrap(mux)
@@ -261,12 +260,15 @@ func (rt *Router) proxyByModel(route string) http.HandlerFunc {
 // forward tries the primary shard, then — on a failed call (a
 // transport error, a timeout, or an answer past role.MaxAnswerBytes) or
 // a 5xx — the secondary. 4xx answers are authoritative and returned
-// as-is: the shard understood the request and rejected it.
+// as-is: the shard understood the request and rejected it. A failover
+// keeps the request's trace past the reservoir sample, so the router's
+// /tracez holds every failed-over request with both hops.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path string, body []byte, primary, secondary string) {
 	a, err := rt.tryShard(r.Context(), primary, r.Method, path, body)
 	if err != nil || a.Status >= 500 {
 		if secondary != primary {
 			cRouterFailovers.Inc()
+			role.ExchangeOf(w).Keep = true
 			a2, err2 := rt.tryShard(r.Context(), secondary, r.Method, path, body)
 			if err2 == nil && a2.Status < 500 {
 				relay(w, a2)
@@ -594,7 +596,7 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		{"failovers", strconv.FormatInt(cRouterFailovers.Value(), 10)},
 		{"replica re-syncs", strconv.FormatInt(cRouterResyncs.Value(), 10)},
 		{"trace sample rate", strconv.FormatFloat(rt.sampler.Rate(), 'g', 4, 64)},
-		{"fleet targets", strconv.Itoa(len(rt.fleet.roleURLs("")))},
+		{"fleet targets", strconv.Itoa(len(rt.fleet.targets))},
 	}, shards, placement).Write(w)
 }
 

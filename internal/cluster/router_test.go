@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"predperf/internal/cluster"
 	"predperf/internal/core"
 	"predperf/internal/design"
+	"predperf/internal/obs"
 	"predperf/internal/rbf"
 	"predperf/internal/role"
 	"predperf/internal/serve"
@@ -172,6 +174,51 @@ func TestRouterValidation(t *testing.T) {
 	}
 }
 
+// TestRouterTracedLongModelName: a shard's span forest rides back on a
+// trailer, and Go's client refuses a trailer past its 4 KiB read
+// buffer, so no span may carry a client string of unbounded length. A
+// traced predict for a 4 KB unknown model name is the shard's 404, and
+// both shards stay healthy.
+func TestRouterTracedLongModelName(t *testing.T) {
+	f := newShardFarm(t, true)
+	f.router.SyncOnce(context.Background()) // marks both shards healthy
+	req, _ := http.NewRequest(http.MethodPost, f.routeTS.URL+"/v1/predict", strings.NewReader(
+		`{"model":"`+strings.Repeat("m", 4096)+`","configs":[{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}]}`))
+	req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(obs.SpanContext{TraceID: "long-model-1", ParentID: 1, Sampled: true}))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || errCode(t, buf.Bytes()) != "unknown_model" {
+		t.Fatalf("traced predict for a 4 KB model name = %d %s, want 404 unknown_model", resp.StatusCode, buf.Bytes())
+	}
+	resp, err = http.Get(f.routeTS.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health struct {
+		Shards []struct {
+			URL     string `json:"url"`
+			Healthy bool   `json:"healthy"`
+		} `json:"shards"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if len(health.Shards) != 2 {
+		t.Fatalf("router reports %d shards, want 2", len(health.Shards))
+	}
+	for _, s := range health.Shards {
+		if !s.Healthy {
+			t.Errorf("shard %s marked unhealthy", s.URL)
+		}
+	}
+}
+
 func TestRouterFailsOverWhenPrimaryDies(t *testing.T) {
 	f := newShardFarm(t, true)
 	primary, secondary := f.router.Ring().Lookup("synthetic")
@@ -194,6 +241,27 @@ func TestRouterFailsOverWhenPrimaryDies(t *testing.T) {
 	}
 	if !bytes.Equal(body, wantBody) {
 		t.Fatalf("failover answer differs from the secondary shard's own:\nwant: %s\ngot:  %s", wantBody, body)
+	}
+
+	// The router keeps the failed-over request past its reservoir, with
+	// both hops: the primary's that got no answer and the secondary's.
+	id := resp.Header.Get(role.RequestIDHeader)
+	if rows := f.router.Traces().Search(id); len(rows) != 1 || rows[0].Class != "kept" {
+		t.Fatalf("router lists the failed-over request %q as %+v, want one kept row", id, rows)
+	}
+	tr, _, _ := f.router.Traces().Get(id)
+	hops, noAnswer := 0, 0
+	for _, sp := range tr.Spans() {
+		if sp.Name != "router.forward" {
+			continue
+		}
+		hops++
+		if strings.Contains(strings.Join(sp.Args, " "), "outcome no_answer") {
+			noAnswer++
+		}
+	}
+	if hops != 2 || noAnswer != 1 {
+		t.Fatalf("failed-over trace has %d router.forward spans, %d without an answer; want 2 and 1", hops, noAnswer)
 	}
 
 	// Both shards down: a structured 503 with a Retry-After hint.

@@ -236,10 +236,9 @@ func StartSpanArgs(ctx context.Context, name string, kv ...string) (context.Cont
 }
 
 // WireSpan is one completed span on the wire: the JSON shape of the
-// forest a callee returns on the X-Trace-Spans trailer (EncodeSpans),
-// and of a /tracez wire export. IDs are trace-local; Graft remaps them
-// into the caller's trace. Field names are short because hundreds ride
-// on one response.
+// forest a callee returns on the X-Trace-Spans trailer (EncodeSpans).
+// IDs are trace-local; Graft remaps them into the caller's trace. Field
+// names are short because hundreds ride on one response.
 type WireSpan struct {
 	ID     int64    `json:"i"`
 	Parent int64    `json:"p,omitempty"`
@@ -249,13 +248,13 @@ type WireSpan struct {
 	Args   []string `json:"a,omitempty"`
 }
 
-// Export snapshots up to max completed spans (earliest-completed first;
-// max <= 0 means all) as wire spans for the return hop.
+// Export snapshots up to max completed spans (earliest-completed first)
+// as wire spans for the return hop.
 func (t *Trace) Export(max int) []WireSpan {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := len(t.spans)
-	if max > 0 && n > max {
+	if n > max {
 		n = max
 	}
 	out := make([]WireSpan, n)

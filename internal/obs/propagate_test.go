@@ -302,6 +302,29 @@ func TestTraceStoreHandler(t *testing.T) {
 	if rec := get("/tracez?id=nope"); rec.Code != 404 {
 		t.Errorf("missing trace: code %d, want 404", rec.Code)
 	}
+
+	// A retrain's trace is named after its model, and a model name may
+	// hold any character: the list links it query-escaped and both views
+	// show it, and the span's args, HTML-escaped.
+	const id = "retrain-a<b>&c-1"
+	tr = NewTrace(id)
+	_, end = StartSpanCtx(WithTrace(context.Background(), tr), "serve.retrain", "model", "a<b>&c")
+	end()
+	st.Add(tr, TraceMeta{ID: id, Kind: "retrain", Route: "a<b>&c", Start: time.Now(), Dur: time.Millisecond, Keep: true})
+	for url, wants := range map[string][]string{
+		"/tracez":                           {`href="/tracez?id=retrain-a%3Cb%3E%26c-1"`, "retrain-a&lt;b&gt;&amp;c-1"},
+		"/tracez?id=retrain-a%3Cb%3E%26c-1": {"retrain-a&lt;b&gt;&amp;c-1", "model=a&lt;b&gt;&amp;c"},
+	} {
+		body := get(url).Body.String()
+		for _, want := range wants {
+			if !strings.Contains(body, want) {
+				t.Errorf("%s lacks %q:\n%s", url, want, body)
+			}
+		}
+		if strings.Contains(body, "a<b>&c") {
+			t.Errorf("%s carries a<b>&c unescaped", url)
+		}
+	}
 }
 
 func TestHistogramExemplarExposition(t *testing.T) {

@@ -197,39 +197,11 @@ func matchTrace(m TraceMeta, q string) bool {
 	}
 }
 
-// WireTrace is one retained trace exported for cross-role federation:
-// its list-view summary plus its full span forest in wire form, span
-// IDs preserved so a federating reader can re-graft it.
-type WireTrace struct {
-	Summary TraceSummary `json:"summary"`
-	Spans   []WireSpan   `json:"spans"`
-}
-
-// WireExport is the /tracez?format=wire payload: the matching traces
-// plus the exporter's clock at export time, so the reader can estimate
-// one clock offset for the whole batch.
-type WireExport struct {
-	NowUnixNS int64       `json:"now_unix_ns"`
-	Traces    []WireTrace `json:"traces"`
-}
-
-// WireTraces exports every retained trace matching q (Search's query
-// language) in wire form.
-func (s *TraceStore) WireTraces(q string) WireExport {
-	list := s.collect(func(m TraceMeta) bool { return matchTrace(m, q) })
-	out := WireExport{NowUnixNS: time.Now().UnixNano(), Traces: make([]WireTrace, len(list))}
-	for i, c := range list {
-		out.Traces[i] = WireTrace{Summary: c.summary(), Spans: c.tr.Export(0)}
-	}
-	return out
-}
-
 // Handler serves the store: HTML list by default, ?format=json for the
 // machine view (&route= exact-filters, &q= searches: trace ID |
-// "error" | min_ms:<n> | route substring), ?format=wire for the
-// federation export (full span forests), ?id= for one trace (HTML span
-// tree, &format=json, &format=chrome for a chrome://tracing download,
-// or &format=wire for its raw span forest).
+// "error" | min_ms:<n> | route substring), ?id= for one trace (HTML span
+// tree, &format=json, or &format=chrome for a chrome://tracing
+// download). An unknown format gets the HTML view.
 func (s *TraceStore) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -249,18 +221,14 @@ func (s *TraceStore) Handler() http.Handler {
 		} else {
 			sums = s.Snapshot(q.Get("route"))
 		}
-		switch q.Get("format") {
-		case "wire":
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(s.WireTraces(query))
-		case "json":
+		if q.Get("format") == "json" {
 			w.Header().Set("Content-Type", "application/json")
 			json.NewEncoder(w).Encode(struct {
 				Traces []TraceSummary `json:"traces"`
 			}{sums})
-		default:
-			TraceList(query, sums, nil).Write(w)
+			return
 		}
+		traceList(query, sums).Write(w)
 	})
 }
 
@@ -286,15 +254,6 @@ func (s *TraceStore) serveTrace(w http.ResponseWriter, id, format string) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", "trace-"+id+".json"))
 		tr.WriteChromeTrace(w)
-	case "wire":
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(WireExport{
-			NowUnixNS: time.Now().UnixNano(),
-			Traces: []WireTrace{{
-				Summary: classedTrace{storedTrace{meta: meta, tr: tr}, ""}.summary(),
-				Spans:   tr.Export(0),
-			}},
-		})
 	case "json":
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct {
@@ -368,14 +327,10 @@ func spanTree(tr *Trace) []spanRow {
 	return out
 }
 
-// TraceList is the /tracez list view of sums, with the search box
-// holding query. A non-nil roles adds a roles column: roles[i] lists the
-// roles that retained sums[i].
-func TraceList(query string, sums []TraceSummary, roles [][]string) Page {
-	headers := []string{"trace", "class", "kind", "route", "status", "start", "ms", "spans"}
-	if roles != nil {
-		headers = append(headers, "roles")
-	}
+// traceList is the /tracez list view of sums, with the search box
+// holding query.
+func traceList(query string, sums []TraceSummary) Page {
+	headers := []string{"trace", "class", "kind", "route", "status", "start", "ms", "spans", ""}
 	rows := make([][]Cell, len(sums))
 	for i, s := range sums {
 		href := TraceHref(s.ID)
@@ -388,25 +343,24 @@ func TraceList(query string, sums []TraceSummary, roles [][]string) Page {
 			code := strconv.Itoa(s.Status)
 			status = Verdict(s.Status >= 500, code, code)
 		}
-		row := []Cell{{Text: s.ID, Href: href}, class, {Text: s.Kind}, {Text: s.Route}, status,
-			{Text: s.Start, Class: "muted"}, {Text: strconv.FormatFloat(s.DurMS, 'f', 2, 64)}, {Text: strconv.Itoa(s.Spans)}}
-		if roles != nil {
-			row = append(row, Cell{Text: strings.Join(roles[i], ", "), Class: "muted"})
-		}
-		rows[i] = append(row, Cell{Text: "chrome", Href: href + "&format=chrome"})
+		rows[i] = []Cell{{Text: s.ID, Href: href}, class, {Text: s.Kind}, {Text: s.Route}, status,
+			{Text: s.Start, Class: "muted"}, {Text: strconv.FormatFloat(s.DurMS, 'f', 2, 64)}, {Text: strconv.Itoa(s.Spans)},
+			{Text: "chrome", Href: href + "&format=chrome"}}
 	}
 	return Page{
 		Title:    "tracez",
 		Status:   "retained traces, tail-sampled · " + time.Now().UTC().Format(time.RFC3339),
 		Search:   true,
 		Query:    query,
-		Sections: []Section{{Title: "Traces", Headers: append(headers, ""), Rows: rows, Empty: "no traces retained yet"}},
+		Sections: []Section{{Title: "Traces", Headers: headers, Rows: rows, Empty: "no traces retained yet"}},
 		Links:    []Cell{{Text: "json", Href: "/tracez?format=json"}, {Text: "statusz", Href: "/statusz"}},
 	}
 }
 
 // TraceHref links to one trace's /tracez view. The ID is query-escaped:
-// a federated list shows IDs that remote roles sent.
+// the edge admits only IDs that need no escaping (ValidRequestID), but
+// a retrain's trace is named after its model, which may hold any
+// character.
 func TraceHref(id string) string { return "/tracez?id=" + url.QueryEscape(id) }
 
 // tracePage is the detail view of one trace: its span tree, indented by

@@ -31,9 +31,9 @@ type Answer struct {
 
 // SpanArgs returns kv, followed by "clock_offset_ms" and its value when
 // the callee's span forest was grafted. The caller ends its hop span
-// with these arguments: federated trace assembly reads a span that
-// names a callee and carries clock_offset_ms as "this callee's spans
-// already ride in this trace".
+// with these arguments, so the shift Call applied to the callee's spans
+// stays on the trace: a skewed clock shows as a large offset rather
+// than hiding in the timeline.
 func (a Answer) SpanArgs(kv ...string) []string {
 	if a.offsetMS == "" {
 		return kv
@@ -114,8 +114,8 @@ func tooLong(url string) error {
 // Untraced returns ctx without its trace and with a request ID, minted
 // when ctx has none. A Call on it sends an unsampled traceparent, so
 // the callee records nothing: it is for a role's own background
-// traffic, such as polls, scrapes and fan-out queries, which would
-// otherwise fill every role's /tracez with plumbing.
+// traffic, such as polls and scrapes, which would otherwise fill every
+// role's /tracez with plumbing.
 func Untraced(ctx context.Context) context.Context {
 	if obs.RequestIDFrom(ctx) == "" {
 		ctx = obs.WithRequestID(ctx, obs.NewTraceID())

@@ -11,9 +11,10 @@ import (
 //
 //   - validates the inbound X-Request-Id (obs.ValidRequestID), replaces
 //     anything else with a generated ID, and echoes the result;
-//   - decides whether the request records a trace: an inbound
-//     traceparent carries the edge's decision and is authoritative,
-//     otherwise the role's own sampler decides;
+//   - decides whether the request records a trace: a request to the ops
+//     surface (IsOps) never does, whatever its traceparent says; for any
+//     other, an inbound traceparent carries the edge's decision and is
+//     authoritative, otherwise the role's own sampler decides;
 //   - opens the "<Role>.request" root span for a locally sampled
 //     request; a remote-sampled hop records no root, so its forest
 //     grafts under the caller's hop span, and returns that forest on
@@ -32,6 +33,18 @@ type Edge struct {
 	// the root span's "route" attribute carry. Without it both carry the
 	// path itself, the span as its "path" attribute.
 	Route func(path string) string
+}
+
+// IsOps reports whether path is on the ops surface the roles share:
+// the probes, metrics, trace and status pages. Probes and scrapes arrive
+// every few seconds, so Edge never traces them, and predserve leaves
+// them out of its SLOs.
+func IsOps(path string) bool {
+	switch path {
+	case "/healthz", "/readyz", "/alertz", "/metricz", "/tracez", "/statusz", "/fleetz":
+		return true
+	}
+	return false
 }
 
 // Exchange is what the edge records about one response. An inner layer
@@ -93,7 +106,7 @@ func (e Edge) Wrap(next http.Handler) http.Handler {
 		}
 		var tr *obs.Trace
 		endRoot := func() {}
-		if sampled {
+		if sampled && !IsOps(r.URL.Path) {
 			tid := id
 			if remote && sc.TraceID != "" {
 				tid = sc.TraceID

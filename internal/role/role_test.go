@@ -2,6 +2,7 @@ package role_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -127,6 +128,10 @@ func TestRoleConformance(t *testing.T) {
 	for _, rl := range newRoles(t) {
 		t.Run(rl.name, func(t *testing.T) {
 			healthz := rl.url + "/healthz"
+			post := func(hdr map[string]string) *http.Response {
+				resp, _ := call(t, http.MethodPost, rl.url+rl.post, rl.body, hdr)
+				return resp
+			}
 
 			// An invalid X-Request-Id is replaced, never echoed.
 			resp, _ := call(t, http.MethodGet, healthz, "", map[string]string{role.RequestIDHeader: "not valid!"})
@@ -137,22 +142,20 @@ func TestRoleConformance(t *testing.T) {
 			// A valid one is echoed, and at sample rate 1 the edge request
 			// is traced under a "<role>.request" root.
 			id := "conf-edge-" + rl.name
-			resp, _ = call(t, http.MethodGet, healthz, "", map[string]string{role.RequestIDHeader: id})
+			resp = post(map[string]string{role.RequestIDHeader: id})
 			if got := resp.Header.Get(role.RequestIDHeader); got != id {
 				t.Errorf("valid request ID echoed as %q, want %q", got, id)
 			}
 			if tr, _, ok := rl.traces.Get(id); !ok || !hasSpan(tr, rl.name+".request") {
 				t.Errorf("edge request not traced under a %s.request root (stored: %v)", rl.name, ok)
-			} else if root, _ := span(tr, rl.name+".request"); strings.Join(root.Args, " ") != rl.attr+" /healthz" {
-				t.Errorf("root span args %q, want [%s /healthz]", root.Args, rl.attr)
+			} else if root, _ := span(tr, rl.name+".request"); strings.Join(root.Args, " ") != rl.attr+" "+rl.post {
+				t.Errorf("root span args %q, want [%s %s]", root.Args, rl.attr, rl.post)
 			}
 
 			// An unsampled traceparent: no trace is stored, and the ID is
 			// still echoed.
 			id = "conf-unsampled-" + rl.name
-			resp, _ = call(t, http.MethodGet, healthz, "", map[string]string{
-				role.RequestIDHeader: id, obs.TraceparentHeader: traceparent(id, false),
-			})
+			resp = post(map[string]string{role.RequestIDHeader: id, obs.TraceparentHeader: traceparent(id, false)})
 			if got := resp.Header.Get(role.RequestIDHeader); got != id {
 				t.Errorf("unsampled hop echoed %q, want %q", got, id)
 			}
@@ -161,15 +164,38 @@ func TestRoleConformance(t *testing.T) {
 			}
 
 			// A sampled remote traceparent: the hop is traced, without a
-			// local root span.
+			// local root span, and its spans go back on the trailer.
 			id = "conf-remote-" + rl.name
-			call(t, http.MethodGet, healthz, "", map[string]string{
-				role.RequestIDHeader: id, obs.TraceparentHeader: traceparent(id, true),
-			})
+			resp = post(map[string]string{role.RequestIDHeader: id, obs.TraceparentHeader: traceparent(id, true)})
 			if tr, _, ok := rl.traces.Get(id); !ok {
 				t.Error("sampled remote hop stored no trace")
 			} else if hasSpan(tr, rl.name+".request") {
 				t.Error("sampled remote hop opened a local root span")
+			}
+			if resp.Trailer.Get(obs.SpanTrailerHeader) == "" {
+				t.Error("sampled remote hop returned no span trailer")
+			}
+
+			// The ops surface is never traced, whatever the traceparent
+			// says, and returns no trailer; the ID is still echoed.
+			for _, path := range []string{"/metricz", "/healthz"} {
+				for _, sampled := range []bool{false, true} {
+					id := fmt.Sprintf("conf-ops-%s%s-%v", rl.name, strings.TrimPrefix(path, "/"), sampled)
+					hdr := map[string]string{role.RequestIDHeader: id}
+					if sampled {
+						hdr[obs.TraceparentHeader] = traceparent(id, true)
+					}
+					resp, _ := call(t, http.MethodGet, rl.url+path, "", hdr)
+					if got := resp.Header.Get(role.RequestIDHeader); got != id {
+						t.Errorf("%s echoed %q, want %q", path, got, id)
+					}
+					if _, _, ok := rl.traces.Get(id); ok {
+						t.Errorf("%s (sampled traceparent: %v) stored a trace", path, sampled)
+					}
+					if len(resp.Trailer) != 0 {
+						t.Errorf("%s (sampled traceparent: %v) returned trailers %v", path, sampled, resp.Trailer)
+					}
+				}
 			}
 
 			// A wrong method: 405 with Allow and a structured body.

@@ -30,25 +30,25 @@ var (
 	cResponses5xx  = obs.NewCounter("serve.responses_5xx")
 )
 
-// routes is the fixed label set for per-route metrics. The value marks
-// the probe/ops surface, which is exempt from the SLO aggregates: a
-// /readyz 503 is readiness signal, not a served-traffic failure.
-// Counting it would let an unready server burn its own availability
-// budget with every probe and never report ready again — and counting
-// /healthz probes or /metricz scrapes (the router's fleet plane polls
-// every role on a sub-second cadence) would dilute the bad fraction with
-// synthetic good traffic.
-var routes = map[string]bool{
-	"/healthz":        true,
-	"/readyz":         true,
-	"/alertz":         true,
-	"/statusz":        true,
-	"/metricz":        true,
-	"/tracez":         true,
-	"/v1/models":      false,
-	"/v1/models/load": false,
-	"/v1/predict":     false,
-	"/v1/search":      false,
+// routes is the fixed label set for per-route metrics. The ops surface
+// among them (role.IsOps) is exempt from the SLO aggregates: a /readyz
+// 503 is readiness signal, not a served-traffic failure. Counting it
+// would let an unready server burn its own availability budget with
+// every probe and never report ready again — and counting /healthz
+// probes or /metricz scrapes (the router's fleet plane polls every role
+// on a sub-second cadence) would dilute the bad fraction with synthetic
+// good traffic.
+var routes = map[string]struct{}{
+	"/healthz":        {},
+	"/readyz":         {},
+	"/alertz":         {},
+	"/statusz":        {},
+	"/metricz":        {},
+	"/tracez":         {},
+	"/v1/models":      {},
+	"/v1/models/load": {},
+	"/v1/predict":     {},
+	"/v1/search":      {},
 }
 
 // routeLabel normalizes a request path to a bounded label value.
@@ -128,7 +128,7 @@ func (s *Server) withMetrics(next http.Handler) http.Handler {
 		} else {
 			hRequests.With(route).Observe(d.Seconds())
 		}
-		if exempt := routes[route]; !exempt {
+		if !role.IsOps(route) {
 			hAllRequests.Observe(d.Seconds())
 			cRequestsTotal.Inc()
 			if x.Status >= 500 {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,15 +12,16 @@ import (
 	"predperf/internal/role"
 )
 
-// TestHTMLViews fetches all seven HTML views — the /statusz of each
-// role, the router's /fleetz, a role's /tracez list and trace, and the
-// router's federated /tracez list — from one router fronting a predserve
-// shard, a simworker and a stand-in role. Each must be a complete page
-// with its sections, and a model name and a remote trace ID carrying
-// markup must appear only escaped.
+// TestHTMLViews fetches all six HTML views — the /statusz of each role,
+// the router's /fleetz, and a role's /tracez list and trace — from one
+// router fronting a predserve shard and a simworker; the trace view
+// twice, on the shard and on the router, whose trace of a routed
+// predict holds the shard's grafted spans. Each must be a complete page
+// with its sections, and a model name carrying markup must appear only
+// escaped.
 func TestHTMLViews(t *testing.T) {
 	obs.Reset()
-	const model, remoteID = "a<b>&c", "remote<script>1"
+	const model = "a<b>&c"
 	s := New(Options{})
 	if err := s.Registry().Add(model, buildTestModel(t, model), ""); err != nil {
 		t.Fatal(err)
@@ -30,20 +30,9 @@ func TestHTMLViews(t *testing.T) {
 	defer shard.Close()
 	worker := httptest.NewServer(cluster.NewWorker(cluster.WorkerOptions{}).Handler())
 	defer worker.Close()
-	// The stand-in role reports a trace whose ID no real role would
-	// accept: the router shows what remote roles send.
-	remote := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if r.URL.Path == "/tracez" {
-			fmt.Fprintf(w, `{"traces":[{"id":%q,"kind":"request","route":"/v1/predict","status":200,"class":"kept","start":"2026-01-02T03:04:05Z","dur_ms":1.5,"spans":2}]}`, remoteID)
-			return
-		}
-		fmt.Fprint(w, `{"format":3,"counters":{}}`)
-	}))
-	defer remote.Close()
 	rt, err := cluster.NewRouter(cluster.RouterOptions{
 		Shards:              []string{shard.URL},
-		Workers:             []string{worker.URL, remote.URL},
+		Workers:             []string{worker.URL},
 		SyncInterval:        -1,
 		FleetScrapeInterval: -1,
 	})
@@ -54,16 +43,20 @@ func TestHTMLViews(t *testing.T) {
 	defer router.Close()
 	rt.SyncOnce(context.Background())
 
-	req, _ := http.NewRequest(http.MethodPost, shard.URL+"/v1/predict", strings.NewReader(
-		`{"model":"a<b>&c","config":{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}}`))
-	req.Header.Set(role.RequestIDHeader, "views-1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict = %d", resp.StatusCode)
+	// views-2 goes through the router, then views-1 to the shard directly,
+	// so views-1 is the shard's latest trace.
+	for _, p := range []struct{ id, base string }{{"views-2", router.URL}, {"views-1", shard.URL}} {
+		req, _ := http.NewRequest(http.MethodPost, p.base+"/v1/predict", strings.NewReader(
+			`{"model":"a<b>&c","config":{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}}`))
+		req.Header.Set(role.RequestIDHeader, p.id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("predict %s = %d", p.id, resp.StatusCode)
+		}
 	}
 
 	escapedModel := "a&lt;b&gt;&amp;c"
@@ -81,8 +74,7 @@ func TestHTMLViews(t *testing.T) {
 			[]string{"Fleet SLOs", "Traffic", "Roles", "Per-role drill-down", "Merged totals"}, nil},
 		{"/tracez list", shard.URL + "/tracez", []string{"Traces"}, []string{`href="/tracez?id=views-1&amp;format=chrome"`}},
 		{"/tracez trace", shard.URL + "/tracez?id=views-1", []string{"Spans"}, []string{"serve.predict"}},
-		{"federated /tracez", router.URL + "/tracez", []string{"Traces"},
-			[]string{"remote&lt;script&gt;1", `href="/tracez?id=remote%3Cscript%3E1"`, "views-1", "roles"}},
+		{"router /tracez trace", router.URL + "/tracez?id=views-2", []string{"Spans"}, []string{"router.forward", "serve.predict"}},
 	} {
 		resp, body := getBody(t, v.url)
 		if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/html") {
@@ -104,10 +96,8 @@ func TestHTMLViews(t *testing.T) {
 				t.Errorf("%s lacks %q", v.name, want)
 			}
 		}
-		for _, raw := range []string{model, remoteID} {
-			if strings.Contains(body, raw) {
-				t.Errorf("%s carries %q unescaped", v.name, raw)
-			}
+		if strings.Contains(body, model) {
+			t.Errorf("%s carries %q unescaped", v.name, model)
 		}
 	}
 }

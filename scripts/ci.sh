@@ -93,6 +93,23 @@ only_in_role "http.Client Do call" "$(hop_lines '\.Do\(|http\.(Get|Head|Post|Pos
 only_in_role "code that sets Traceparent" "$(hop_lines '(Set|Add)\((obs\.)?TraceparentHeader|(Set|Add)\("Traceparent"')"
 only_in_role "read of the X-Trace-Spans trailer" "$(hop_lines '\.Trailer\b')"
 
+echo "== one /tracez handler =="
+# Every role serves its own trace store and nothing else on /tracez: each
+# /tracez mount in non-test Go under internal/ and cmd/, outside
+# cmd/bench, is an obs.TraceStore's Handler(). A role that grows a trace
+# view of its own fails here.
+tracez_store='Handle\("/tracez", [A-Za-z_.]*[Tt]races(\(\))?\.Handler\(\)\)'
+tracez_mounts=$(grep -rnE --include='*.go' --exclude='*_test.go' 'Handle(Func)?\("/tracez"' internal cmd | grep -v '^cmd/bench/' || true)
+if ! grep -q . <<<"$tracez_mounts"; then
+    echo "no /tracez mount in non-test code" >&2
+    exit 1
+fi
+if grep -vE "$tracez_store" <<<"$tracez_mounts" | grep -q .; then
+    echo "/tracez mounted on something other than a TraceStore's Handler():" >&2
+    grep -vE "$tracez_store" <<<"$tracez_mounts" >&2
+    exit 1
+fi
+
 echo "== benchmark smoke (1 iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -199,6 +216,15 @@ grep -q 'mcf' "$smoke_dir/statusz.html"
 # resolved above).
 curl -fsS "http://$addr/alertz" | grep -q '"alerts"'
 curl -fsS "http://$addr/alertz" | grep -q '"no_models"'
+# The ops surface is never traced: the /metricz and /statusz fetches
+# above left no row in /tracez, which holds the traced predict.
+curl -fsS "http://$addr/tracez?format=json" > "$smoke_dir/tracez-ops.json"
+grep -q '"route":"/v1/predict"' "$smoke_dir/tracez-ops.json"
+if grep -qE '"route":"/(metricz|statusz)"' "$smoke_dir/tracez-ops.json"; then
+    echo "/tracez holds traces of the ops surface:" >&2
+    cat "$smoke_dir/tracez-ops.json" >&2
+    exit 1
+fi
 # Coalescing: concurrent single predictions (admitted through the
 # micro-batch coalescer) and one direct batch over the same fresh
 # configurations must produce byte-for-byte identical values. The batch
@@ -361,7 +387,7 @@ curl -fsS "http://$router/v1/models" | grep -q '"mcf"'
 curl -fsS "http://$router/statusz" > "$smoke_dir/router-statusz.html"
 grep -q 'predrouter' "$smoke_dir/router-statusz.html"
 # The HTML views come out whole: simworker's /statusz and the router's
-# federated /tracez list end with the page's closing tag.
+# /tracez list end with the page's closing tag.
 curl -fsS "http://$w2/statusz" > "$smoke_dir/worker-statusz.html"
 curl -fsS "http://$router/tracez" > "$smoke_dir/router-tracez.html"
 for page in worker-statusz router-tracez; do
@@ -401,9 +427,9 @@ grep -q "shut down cleanly" "$smoke_dir/worker2.log"
 echo "== fleet observability smoke =="
 # Fleet plane: 2 shards + 2 workers behind the router. /fleetz must
 # aggregate both shards' request counters, the router's /tracez?q= must
-# find a cross-role trace and export it as one merged Chrome timeline,
-# and an induced latency burn must fire the fleet-latency SLO and clear
-# once good traffic dilutes it.
+# find a routed trace holding the shard's spans and export it as one
+# Chrome timeline, and an induced latency burn must fire the
+# fleet-latency SLO and clear once good traffic dilutes it.
 predbody='{"model":"mcf","config":{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}}'
 "$smoke_dir/simworker" -addr 127.0.0.1:0 -id fw1 > "$smoke_dir/fworker1.log" 2>&1 &
 fw1_pid=$!
@@ -456,15 +482,16 @@ fi
 curl -fsS "http://$fr/fleetz" > "$smoke_dir/fleetz.html"
 grep -q 'fleet status' "$smoke_dir/fleetz.html"
 # Cross-role trace: a routed predict carrying a sampled traceparent is
-# retained on router and shard under one ID; the router's federated
-# search must find it and export one merged Chrome timeline.
+# retained on the router with the shard's spans grafted under its hop;
+# the router's own /tracez must find it, hold the shard's serve.predict
+# span, and export it as one Chrome timeline.
 curl -fsS -X POST "http://$fr/v1/predict" \
     -H 'Traceparent: 00-fleettrace01-0000000000000007-01' \
     -H 'X-Request-Id: fleettrace01' -d "$predbody" > /dev/null
 curl -fsS "http://$fr/tracez?format=json&q=fleettrace01" > "$smoke_dir/fleet-tracez.json"
 grep -q 'fleettrace01' "$smoke_dir/fleet-tracez.json"
-grep -q '"router"' "$smoke_dir/fleet-tracez.json"
-grep -q '"shard ' "$smoke_dir/fleet-tracez.json"
+curl -fsS "http://$fr/tracez?id=fleettrace01&format=json" > "$smoke_dir/fleet-trace-spans.json"
+grep -q '"serve.predict"' "$smoke_dir/fleet-trace-spans.json"
 curl -fsS "http://$fr/tracez?id=fleettrace01&format=chrome" > "$smoke_dir/fleet-trace.json"
 grep -q '"traceEvents"' "$smoke_dir/fleet-trace.json"
 # Induce an SLO burn: simulator-verified searches at 50k instructions
