@@ -282,6 +282,35 @@ func BenchmarkSimulatorRun(b *testing.B) {
 	b.ReportMetric(float64(len(tr))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
+// BenchmarkSimulatorFarm runs the simulator on sim_farm's inputs: each
+// of the farm's benchmarks at 30k instructions with a 6k warm-up,
+// cycling through 32 fixed LHS points of the paper space, one run per
+// iteration, so allocs/op is the allocation of one run.
+func BenchmarkSimulatorFarm(b *testing.B) {
+	space := design.PaperSpace()
+	const points = 32
+	var cfgs []sim.Config
+	for _, pt := range sample.LHS(space, points, rand.New(rand.NewSource(1))) {
+		cfg := sim.FromDesign(space.Decode(pt, points))
+		cfg.WarmupInsts = 6_000
+		cfgs = append(cfgs, cfg)
+	}
+	for _, name := range []string{"mcf", "equake", "crafty", "vortex"} {
+		b.Run(name, func(b *testing.B) {
+			tr, err := trace.Cached(name, 30_000)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.Run(cfgs[i%points], tr)
+			}
+			b.ReportMetric(float64(len(tr))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
+		})
+	}
+}
+
 func BenchmarkRBFFitSize90(b *testing.B) {
 	ev, err := core.NewSimEvaluator("crafty", 20_000)
 	if err != nil {

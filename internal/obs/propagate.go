@@ -39,9 +39,16 @@ const TraceparentHeader = "Traceparent"
 // it as is.
 const SpanTrailerHeader = "X-Trace-Spans"
 
-// MaxWireSpans bounds the span forest one hop may return; deeper traces
-// are truncated to the earliest-completed spans.
-const MaxWireSpans = 512
+// MaxSpanTrailerBytes bounds the X-Trace-Spans value, an EncodeSpans
+// token. Go's HTTP client refuses a whole response whose trailer
+// section does not fit its read buffer (Transport.ReadBufferSize, 4 KiB
+// by default), and that section is the field name, ": ", the value, the
+// line end and the blank line that ends it.
+const MaxSpanTrailerBytes = 4<<10 - len(SpanTrailerHeader+": \r\n\r\n")
+
+// DroppedSpans names the zero-length span that ends a forest cut to fit
+// MaxSpanTrailerBytes; its "dropped" arg counts the spans left out.
+const DroppedSpans = "obs.spans_dropped"
 
 // traceparentSampled is the flags bit marking a sampled trace.
 const traceparentSampled = 0x01
@@ -248,18 +255,13 @@ type WireSpan struct {
 	Args   []string `json:"a,omitempty"`
 }
 
-// Export snapshots up to max completed spans (earliest-completed first)
-// as wire spans for the return hop.
-func (t *Trace) Export(max int) []WireSpan {
+// Export snapshots the completed spans (earliest-completed first) as
+// wire spans for the return hop.
+func (t *Trace) Export() []WireSpan {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := len(t.spans)
-	if n > max {
-		n = max
-	}
-	out := make([]WireSpan, n)
-	for i := 0; i < n; i++ {
-		s := t.spans[i]
+	out := make([]WireSpan, len(t.spans))
+	for i, s := range t.spans {
 		out[i] = WireSpan{
 			ID: s.id, Parent: s.parent, Name: s.name,
 			Start: s.start.UnixNano(), Dur: int64(s.dur), Args: s.args,
@@ -272,7 +274,7 @@ func (t *Trace) Export(max int) []WireSpan {
 // gets a local ID of its own, remote roots (and spans whose parent was
 // truncated away) are parented under the given hop span, and every start
 // time is shifted by offset so the remote lane lines up with the local
-// timeline in one Chrome export. At most MaxWireSpans spans are grafted.
+// timeline in one Chrome export.
 //
 // A trace allocates a span's ID when the span starts, so a parent's ID
 // is always below its children's. Graft keeps that order in the local
@@ -282,9 +284,6 @@ func (t *Trace) Export(max int) []WireSpan {
 // forest, with repeated IDs or a cycle, still grafts as a tree, and no
 // span becomes its own ancestor.
 func (t *Trace) Graft(parent int64, spans []WireSpan, offset time.Duration) {
-	if len(spans) > MaxWireSpans {
-		spans = spans[:MaxWireSpans]
-	}
 	if len(spans) == 0 {
 		return
 	}
@@ -348,39 +347,73 @@ func ClockOffset(sentAt time.Time, rtt time.Duration, spans []WireSpan) time.Dur
 	return sentAt.Add((rtt - remote) / 2).Sub(time.Unix(0, minStart))
 }
 
-// maxSpanHeaderBytes bounds a decoded span trailer; a value past this
-// is dropped rather than parsed.
-const maxSpanHeaderBytes = 1 << 20
-
 // EncodeSpans renders a span forest as a single header-safe token
-// (base64 of JSON) for the X-Trace-Spans trailer. The JSON is
-// appendWireSpans' hand-written copy of json.Marshal's bytes, or
-// json.Marshal itself for a forest with a string it would escape.
+// (base64 of JSON) for the X-Trace-Spans trailer, at most
+// MaxSpanTrailerBytes long. A forest past the bound is cut to its
+// longest prefix that fits with a last DroppedSpans span, which starts
+// where the first span left out did and counts those spans. The JSON
+// is json.Marshal's bytes: appendWireSpan's hand-written copy, or
+// json.Marshal itself for a span with a string it would escape.
 func EncodeSpans(spans []WireSpan) string {
 	if len(spans) == 0 {
 		return ""
 	}
+	limit := base64.StdEncoding.DecodedLen(MaxSpanTrailerBytes)
 	var buf [512]byte // a routed prediction's forest fits, so the JSON stays on the stack
-	raw, ok := appendWireSpans(buf[:0], spans)
-	if !ok {
-		var err error
-		if raw, err = json.Marshal(spans); err != nil {
-			return ""
+	raw := append(buf[:0], '[')
+	n := 0
+	for ; n < len(spans); n++ {
+		mark := len(raw)
+		if n > 0 {
+			raw = append(raw, ',')
+		}
+		if raw = appendWireSpan(raw, spans[n]); len(raw)+1 > limit {
+			raw = raw[:mark]
+			break
 		}
 	}
-	return base64.StdEncoding.EncodeToString(raw)
+	// Cut spans off the end until the drop marker fits after the rest.
+	for n < len(spans) {
+		marker := droppedMarker(spans, n)
+		if m := appendWireSpan(nil, marker); len(raw)+min(n, 1)+len(m)+1 <= limit {
+			if n > 0 {
+				raw = append(raw, ',')
+			}
+			raw = append(raw, m...)
+			break
+		}
+		n--
+		raw = raw[:len(raw)-len(appendWireSpan(nil, spans[n]))]
+		if n > 0 {
+			raw = raw[:len(raw)-1] // the comma before the span cut
+		}
+	}
+	return base64.StdEncoding.EncodeToString(append(raw, ']'))
 }
 
-// DecodeSpans parses an EncodeSpans token, enforcing the size and span
-// bounds (oversized forests are truncated to MaxWireSpans). A forest in
-// the canonical shape EncodeSpans writes is decoded by hand, to what
-// json.Unmarshal decodes; anything else goes through json.Unmarshal.
+// droppedMarker is the DroppedSpans span that ends spans cut to its
+// first n: its ID follows theirs, and it starts where spans[n] did.
+func droppedMarker(spans []WireSpan, n int) WireSpan {
+	var id int64
+	for _, s := range spans[:n] {
+		id = max(id, s.ID)
+	}
+	return WireSpan{
+		ID: id + 1, Name: DroppedSpans, Start: spans[n].Start,
+		Args: []string{"dropped", strconv.Itoa(len(spans) - n)},
+	}
+}
+
+// DecodeSpans parses an EncodeSpans token, refusing one longer than
+// MaxSpanTrailerBytes. A forest in the canonical shape EncodeSpans
+// writes is decoded by hand, to what json.Unmarshal decodes; anything
+// else goes through json.Unmarshal.
 func DecodeSpans(s string) ([]WireSpan, error) {
 	if s == "" {
 		return nil, nil
 	}
-	if len(s) > maxSpanHeaderBytes {
-		return nil, fmt.Errorf("obs: span header exceeds %d bytes", maxSpanHeaderBytes)
+	if len(s) > MaxSpanTrailerBytes {
+		return nil, fmt.Errorf("obs: span trailer exceeds %d bytes", MaxSpanTrailerBytes)
 	}
 	raw, err := base64.StdEncoding.DecodeString(s)
 	if err != nil {
@@ -393,51 +426,40 @@ func DecodeSpans(s string) ([]WireSpan, error) {
 			return nil, fmt.Errorf("obs: parsing span header: %w", err)
 		}
 	}
-	if len(spans) > MaxWireSpans {
-		spans = spans[:MaxWireSpans]
-	}
 	return spans, nil
 }
 
-// appendWireSpans appends spans exactly as json.Marshal writes them. A
-// name or argument that encoding/json would escape reports false.
-func appendWireSpans(dst []byte, spans []WireSpan) ([]byte, bool) {
-	dst = append(dst, '[')
-	for i, s := range spans {
-		if !wirejson.Plain(s.Name) {
-			return dst, false
-		}
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"i":`...)
-		dst = wirejson.AppendInt(dst, s.ID)
-		if s.Parent != 0 {
-			dst = append(dst, `,"p":`...)
-			dst = wirejson.AppendInt(dst, s.Parent)
-		}
-		dst = append(dst, `,"n":`...)
-		dst = wirejson.AppendString(dst, s.Name)
-		dst = append(dst, `,"s":`...)
-		dst = wirejson.AppendInt(dst, s.Start)
-		dst = append(dst, `,"d":`...)
-		dst = wirejson.AppendInt(dst, s.Dur)
-		if len(s.Args) > 0 {
-			dst = append(dst, `,"a":[`...)
-			for k, a := range s.Args {
-				if !wirejson.Plain(a) {
-					return dst, false
-				}
-				if k > 0 {
-					dst = append(dst, ',')
-				}
-				dst = wirejson.AppendString(dst, a)
-			}
-			dst = append(dst, ']')
-		}
-		dst = append(dst, '}')
+// appendWireSpan appends s exactly as json.Marshal writes it.
+func appendWireSpan(dst []byte, s WireSpan) []byte {
+	if !wirejson.Plain(s.Name) || slices.ContainsFunc(s.Args, func(a string) bool { return !wirejson.Plain(a) }) {
+		// A WireSpan holds only integers and strings, so it always
+		// marshals.
+		b, _ := json.Marshal(s)
+		return append(dst, b...)
 	}
-	return append(dst, ']'), true
+	dst = append(dst, `{"i":`...)
+	dst = wirejson.AppendInt(dst, s.ID)
+	if s.Parent != 0 {
+		dst = append(dst, `,"p":`...)
+		dst = wirejson.AppendInt(dst, s.Parent)
+	}
+	dst = append(dst, `,"n":`...)
+	dst = wirejson.AppendString(dst, s.Name)
+	dst = append(dst, `,"s":`...)
+	dst = wirejson.AppendInt(dst, s.Start)
+	dst = append(dst, `,"d":`...)
+	dst = wirejson.AppendInt(dst, s.Dur)
+	if len(s.Args) > 0 {
+		dst = append(dst, `,"a":[`...)
+		for k, a := range s.Args {
+			if k > 0 {
+				dst = append(dst, ',')
+			}
+			dst = wirejson.AppendString(dst, a)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
 }
 
 // wireSpanKeys are WireSpan's JSON keys; a key's index is its bit in a

@@ -48,9 +48,10 @@ func FuzzTraceparent(f *testing.F) {
 // FuzzSpanTrailer feeds arbitrary JSON through the router's trailer
 // path: DecodeSpans, Graft under a hop span, then the two views that
 // walk the forest, spanTree (/tracez) and WriteChromeTrace. None may
-// panic or fail to terminate, and at most MaxWireSpans spans graft. A
-// forest the hand-written decoder accepts must decode as json.Unmarshal
-// decodes it.
+// panic or fail to terminate. A forest the hand-written decoder accepts
+// must decode as json.Unmarshal decodes it. The decoded forest, and the
+// forest of its spans repeated past the bound, must encode within
+// MaxSpanTrailerBytes, whole or cut as checkSpanTrailer requires.
 func FuzzSpanTrailer(f *testing.F) {
 	for _, seed := range []string{
 		`[{"i":1,"n":"serve.predict","s":1760700000123456789,"d":42,"a":["k","v"]}]`,
@@ -77,12 +78,20 @@ func FuzzSpanTrailer(f *testing.F) {
 		ctx, endHop := StartSpanCtx(WithTrace(context.Background(), tr), "router.forward")
 		tr.Graft(SpanIDFrom(ctx), spans, 0)
 		endHop()
-		if n := tr.Len(); n > MaxWireSpans+1 {
-			t.Fatalf("grafted %d spans, want at most %d", n-1, MaxWireSpans)
+		if n := tr.Len(); n != len(spans)+1 {
+			t.Fatalf("grafted %d spans, want %d", n-1, len(spans))
 		}
 		spanTree(tr)
 		if err := tr.WriteChromeTrace(io.Discard); err != nil {
 			t.Fatal(err)
+		}
+		checkSpanTrailer(t, spans, EncodeSpans(spans))
+		if len(spans) > 0 {
+			var long []WireSpan
+			for len(long) <= MaxSpanTrailerBytes/16 {
+				long = append(long, spans...)
+			}
+			checkSpanTrailer(t, long, EncodeSpans(long))
 		}
 	})
 }

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -140,7 +142,7 @@ func TestExportGraftParentage(t *testing.T) {
 	_, endChild := StartSpanCtx(rctx, "worker.eval")
 	endChild()
 	endRoot()
-	wire := remote.Export(MaxWireSpans)
+	wire := remote.Export()
 	if len(wire) != 2 {
 		t.Fatalf("exported %d spans, want 2", len(wire))
 	}
@@ -212,6 +214,93 @@ func TestEncodeDecodeSpans(t *testing.T) {
 	}
 	if _, err := DecodeSpans("not base64!!"); err == nil {
 		t.Error("want error for invalid base64")
+	}
+}
+
+// checkSpanTrailer requires tok, EncodeSpans(forest), to fit
+// MaxSpanTrailerBytes and to decode to the whole forest, as a
+// json.Marshal round trip gives it, or to its longest prefix that fits
+// followed by a DroppedSpans span counting the rest.
+func checkSpanTrailer(t *testing.T, forest []WireSpan, tok string) {
+	t.Helper()
+	if len(forest) == 0 {
+		if tok != "" {
+			t.Fatalf("an empty forest encodes to %q", tok)
+		}
+		return
+	}
+	if len(tok) > MaxSpanTrailerBytes {
+		t.Fatalf("%d spans encode to %d bytes, past the %d-byte bound", len(forest), len(tok), MaxSpanTrailerBytes)
+	}
+	got, err := DecodeSpans(tok)
+	if err != nil {
+		t.Fatalf("decoding an encoded forest: %v", err)
+	}
+	raw, err := json.Marshal(forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []WireSpan
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if base64.StdEncoding.EncodedLen(len(raw)) <= MaxSpanTrailerBytes {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("a forest that fits came back as %+v, want %+v", got, want)
+		}
+		return
+	}
+	k := len(got) - 1
+	if k < 0 || k >= len(forest) {
+		t.Fatalf("a cut forest of %d spans came back with %d", len(forest), len(got))
+	}
+	marker := got[k]
+	if dropped := fmt.Sprint(len(forest) - k); marker.Name != DroppedSpans || marker.Dur != 0 ||
+		!reflect.DeepEqual(marker.Args, []string{"dropped", dropped}) {
+		t.Fatalf("cut to %d of %d spans, but the last span is %+v, want %s with dropped %s", k, len(forest), marker, DroppedSpans, dropped)
+	}
+	if !reflect.DeepEqual(got[:k], want[:k]) {
+		t.Fatalf("the kept spans %+v are not the forest's first %d, %+v", got[:k], k, want[:k])
+	}
+	next := forest
+	if k+1 < len(forest) {
+		next = append(slices.Clone(forest[:k+1]), droppedMarker(forest, k+1))
+	}
+	if raw, _ := json.Marshal(next); base64.StdEncoding.EncodedLen(len(raw)) <= MaxSpanTrailerBytes {
+		t.Fatalf("cut to %d spans, but %d fit with the marker", k, k+1)
+	}
+}
+
+// TestEncodeSpansCutsToBound: a forest past MaxSpanTrailerBytes is cut
+// to its longest prefix that fits beside a DroppedSpans span, whatever
+// its spans hold; one that fits is sent whole.
+func TestEncodeSpansCutsToBound(t *testing.T) {
+	many := func(n int, name string, args ...string) []WireSpan {
+		var f []WireSpan
+		for i := 1; i <= n; i++ {
+			f = append(f, WireSpan{ID: int64(i), Parent: int64(i / 2), Name: name, Start: 1760700000123456789 + int64(i), Dur: 41234, Args: args})
+		}
+		return f
+	}
+	var extreme []WireSpan
+	for i := range 200 {
+		extreme = append(extreme, WireSpan{ID: math.MaxInt64 - int64(i), Parent: math.MinInt64, Start: math.MinInt64, Dur: math.MaxInt64})
+	}
+	forests := map[string][]WireSpan{
+		"fits":             many(20, "cluster.worker_eval", "worker", "w1"),
+		"search":           many(129, "cluster.pool_attempt", "worker", "http://127.0.0.1:41234", "outcome", "ok"),
+		"escaped":          many(100, "<escaped> & \"quoted\"", "k", "\n"),
+		"one huge span":    {{ID: 7, Name: "big", Args: []string{"k", strings.Repeat("x", 8<<10)}}},
+		"huge last span":   append(many(5, "a"), WireSpan{ID: 9, Name: strings.Repeat("y", 5000)}),
+		"extreme integers": extreme,
+	}
+	for name, forest := range forests {
+		t.Run(name, func(t *testing.T) {
+			checkSpanTrailer(t, forest, EncodeSpans(forest))
+		})
+	}
+	if _, err := DecodeSpans(strings.Repeat("A", MaxSpanTrailerBytes+3)); err == nil {
+		t.Error("DecodeSpans accepted a token past MaxSpanTrailerBytes")
 	}
 }
 
@@ -299,8 +388,21 @@ func TestTraceStoreHandler(t *testing.T) {
 	if rec := get("/tracez"); !strings.Contains(rec.Body.String(), "handler-trace") {
 		t.Error("html list missing trace")
 	}
-	if rec := get("/tracez?id=nope"); rec.Code != 404 {
-		t.Errorf("missing trace: code %d, want 404", rec.Code)
+	// Errors take the structured JSON shape every role answers with.
+	var e struct {
+		Error APIError `json:"error"`
+	}
+	rec := get("/tracez?id=nope")
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusNotFound || err != nil ||
+		e.Error.Code != "trace_not_found" || rec.Header().Get("Content-Type") != "application/json" {
+		t.Errorf("missing trace: %d %q %s, want 404 trace_not_found in JSON", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tracez", nil))
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusMethodNotAllowed || err != nil ||
+		e.Error.Code != "method_not_allowed" || rec.Header().Get("Allow") != http.MethodGet ||
+		rec.Header().Get("Content-Type") != "application/json" {
+		t.Errorf("POST /tracez: %d %v %s, want 405 method_not_allowed in JSON with Allow: GET", rec.Code, rec.Header(), rec.Body)
 	}
 
 	// A retrain's trace is named after its model, and a model name may
@@ -375,7 +477,7 @@ func TestGraftRepeatedSpanID(t *testing.T) {
 
 // TestGraftHostileForestIsATree: cycles, self-parents, repeated IDs
 // and dangling parents all graft as a tree under the hop span, every
-// span reachable from it, and no more than MaxWireSpans spans graft.
+// span reachable from it.
 func TestGraftHostileForestIsATree(t *testing.T) {
 	forest := []WireSpan{
 		{ID: 5, Parent: 6, Name: "cycle-a"},
@@ -386,16 +488,13 @@ func TestGraftHostileForestIsATree(t *testing.T) {
 		{ID: 9, Parent: 9, Name: "repeat"},
 		{ID: 10, Parent: 9, Name: "grandchild"},
 	}
-	for len(forest) < MaxWireSpans+10 {
-		forest = append(forest, WireSpan{ID: int64(len(forest) + 100), Parent: 9, Name: "filler"})
-	}
 	local := NewTrace("local")
 	ctx, _ := StartSpanCtx(WithTrace(context.Background(), local), "router.forward")
 	hop := SpanIDFrom(ctx) // left open, so only the grafted spans are recorded
 	local.Graft(hop, forest, 0)
 	spans := local.Spans()
-	if len(spans) != MaxWireSpans {
-		t.Fatalf("grafted %d spans, want MaxWireSpans (%d)", len(spans), MaxWireSpans)
+	if len(spans) != len(forest) {
+		t.Fatalf("grafted %d spans, want %d", len(spans), len(forest))
 	}
 	parent := map[int64]int64{}
 	for _, s := range spans {

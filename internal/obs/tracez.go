@@ -206,7 +206,8 @@ func (s *TraceStore) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
+				fmt.Sprintf("%s requires GET, got %s", r.URL.Path, r.Method))
 			return
 		}
 		q := r.URL.Query()
@@ -246,7 +247,7 @@ type spanRow struct {
 func (s *TraceStore) serveTrace(w http.ResponseWriter, id, format string) {
 	tr, meta, ok := s.Get(id)
 	if !ok {
-		http.Error(w, "trace not found", http.StatusNotFound)
+		WriteError(w, http.StatusNotFound, "trace_not_found", fmt.Sprintf("no trace %q is held (GET /tracez lists them)", id))
 		return
 	}
 	switch format {

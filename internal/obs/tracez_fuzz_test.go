@@ -13,9 +13,10 @@ import (
 
 // FuzzTracez sends arbitrary q, route, id and format values to a
 // TraceStore's handler holding a few traces. Every answer must be 200,
-// 400 or 404 without a panic; a JSON answer must parse; an HTML answer
-// must be a complete page that shows no input holding "<" verbatim,
-// unless the same text is on the store's own pages anyway.
+// 400 or 404 without a panic; any other answer must be the structured
+// JSON error every role answers with; a JSON answer must parse; an HTML
+// answer must be a complete page that shows no input holding "<"
+// verbatim, unless the same text is on the store's own pages anyway.
 func FuzzTracez(f *testing.F) {
 	store := NewTraceStore(4)
 	start := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
@@ -69,6 +70,15 @@ func FuzzTracez(f *testing.F) {
 			t.Fatalf("status %d", rec.Code)
 		}
 		body := rec.Body.String()
+		if rec.Code != http.StatusOK {
+			var e struct {
+				Error APIError `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code == "" ||
+				rec.Header().Get("Content-Type") != "application/json" {
+				t.Fatalf("status %d, Content-Type %q, body %q is not a structured error", rec.Code, rec.Header().Get("Content-Type"), body)
+			}
+		}
 		switch ct := rec.Header().Get("Content-Type"); {
 		case strings.HasPrefix(ct, "application/json"):
 			if !json.Valid([]byte(body)) {

@@ -19,7 +19,9 @@ import (
 //     request; a remote-sampled hop records no root, so its forest
 //     grafts under the caller's hop span, and returns that forest on
 //     the X-Trace-Spans trailer, which Call reads. A trailer leaves the
-//     body the same with tracing on or off, so a router relays it as is;
+//     body the same with tracing on or off, so a router relays it as is.
+//     A forest past obs.MaxSpanTrailerBytes is cut, ending in a span
+//     that counts what was dropped, so tracing never fails the hop;
 //   - records the response status and size (ExchangeOf), and
 //   - offers the finished trace to the role's /tracez store.
 type Edge struct {
@@ -127,7 +129,7 @@ func (e Edge) Wrap(next http.Handler) http.Handler {
 			return
 		}
 		if remote {
-			w.Header().Set(obs.SpanTrailerHeader, obs.EncodeSpans(tr.Export(obs.MaxWireSpans)))
+			w.Header().Set(obs.SpanTrailerHeader, obs.EncodeSpans(tr.Export()))
 		}
 		x := rec.x
 		e.Traces.Add(tr, obs.TraceMeta{

@@ -26,12 +26,6 @@ import (
 // it doubles as the request's trace ID.
 const RequestIDHeader = "X-Request-Id"
 
-// APIError is the structured error body: {"error":{"code","message"}}.
-type APIError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
 // WriteJSON writes v as compact JSON, one line, with the given status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -39,11 +33,10 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// WriteErr writes a structured error with a formatted message.
+// WriteErr writes a structured error (obs.WriteError) with a formatted
+// message.
 func WriteErr(w http.ResponseWriter, status int, code, format string, args ...any) {
-	WriteJSON(w, status, map[string]APIError{
-		"error": {Code: code, Message: fmt.Sprintf(format, args...)},
-	})
+	obs.WriteError(w, status, code, fmt.Sprintf(format, args...))
 }
 
 // RequireMethod answers 405 method_not_allowed, with an Allow header,

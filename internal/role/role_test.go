@@ -91,7 +91,7 @@ func call(t *testing.T, method, url, body string, hdr map[string]string) (*http.
 func errorCode(t *testing.T, body []byte) string {
 	t.Helper()
 	var e struct {
-		Error role.APIError `json:"error"`
+		Error obs.APIError `json:"error"`
 	}
 	if err := json.Unmarshal(body, &e); err != nil {
 		t.Fatalf("not a structured error body: %s", body)
@@ -198,16 +198,20 @@ func TestRoleConformance(t *testing.T) {
 				}
 			}
 
-			// A wrong method: 405 with Allow and a structured body.
-			resp, body := call(t, http.MethodDelete, healthz, "", nil)
-			if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodGet ||
-				errorCode(t, body) != "method_not_allowed" {
-				t.Errorf("DELETE /healthz = %d, Allow %q: %s", resp.StatusCode, resp.Header.Get("Allow"), body)
+			// A wrong method: 405 with Allow and a structured body, on
+			// the role's own routes and on its trace store alike.
+			for _, path := range []string{"/healthz", "/tracez"} {
+				resp, body := call(t, http.MethodDelete, rl.url+path, "", nil)
+				if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodGet ||
+					resp.Header.Get("Content-Type") != "application/json" || errorCode(t, body) != "method_not_allowed" {
+					t.Errorf("DELETE %s = %d, Allow %q, Content-Type %q: %s", path, resp.StatusCode,
+						resp.Header.Get("Allow"), resp.Header.Get("Content-Type"), body)
+				}
 			}
 
 			// An oversize body: 413 body_too_large.
 			big := `{"model":"` + strings.Repeat("x", maxBody) + `"}`
-			resp, body = call(t, http.MethodPost, rl.url+rl.post, big, nil)
+			resp, body := call(t, http.MethodPost, rl.url+rl.post, big, nil)
 			if resp.StatusCode != http.StatusRequestEntityTooLarge || errorCode(t, body) != "body_too_large" {
 				t.Errorf("oversize POST %s = %d: %s", rl.post, resp.StatusCode, body)
 			}

@@ -137,23 +137,15 @@ func Minimize(model Predictor, ev core.Evaluator, opt Options) (*Result, error) 
 // (missing paper parameters) yields an empty enumeration rather than a
 // panic.
 func EnumerateGrid(space *design.Space, gridLevels int) []design.Config {
-	if space == nil {
-		space = design.PaperSpace()
-	}
+	space, gridLevels = gridDefaults(space, gridLevels)
 	if space.CheckDecodable() != nil {
 		return nil
 	}
-	if gridLevels < 2 {
-		gridLevels = 4
-	}
+	total, _ := GridPoints(space, gridLevels)
 	// Per-dimension normalized level coordinates.
 	levels := make([][]float64, space.N())
-	total := 1
 	for i, p := range space.Params {
-		L := p.Levels
-		if L == design.SampleSizeLevels || L > gridLevels {
-			L = gridLevels
-		}
+		L := dimLevels(p, gridLevels)
 		ls := make([]float64, L)
 		for k := 0; k < L; k++ {
 			if L > 1 {
@@ -163,7 +155,6 @@ func EnumerateGrid(space *design.Space, gridLevels int) []design.Config {
 			}
 		}
 		levels[i] = ls
-		total *= L
 	}
 	out := make([]design.Config, 0, total)
 	pt := make(design.Point, space.N())
@@ -186,4 +177,43 @@ func EnumerateGrid(space *design.Space, gridLevels int) []design.Config {
 	}
 	walk(0)
 	return out
+}
+
+// GridPoints returns how many raw points EnumerateGrid walks for space
+// and gridLevels, before deduplication: the product of the per-parameter
+// level counts. ok is false when a parameter has no levels or the
+// product overflows an int.
+func GridPoints(space *design.Space, gridLevels int) (n int, ok bool) {
+	space, gridLevels = gridDefaults(space, gridLevels)
+	n = 1
+	for _, p := range space.Params {
+		L := dimLevels(p, gridLevels)
+		if L < 1 || n > math.MaxInt/L {
+			return 0, false
+		}
+		n *= L
+	}
+	return n, true
+}
+
+// gridDefaults applies EnumerateGrid's defaults: the paper space, and a
+// resolution of 4 for gridLevels <= 1.
+func gridDefaults(space *design.Space, gridLevels int) (*design.Space, int) {
+	if space == nil {
+		space = design.PaperSpace()
+	}
+	if gridLevels < 2 {
+		gridLevels = 4
+	}
+	return space, gridLevels
+}
+
+// dimLevels is how many settings the grid gives parameter p: its own
+// level count, capped at gridLevels, and gridLevels for a parameter whose
+// levels follow the sample size.
+func dimLevels(p design.Param, gridLevels int) int {
+	if p.Levels == design.SampleSizeLevels || p.Levels > gridLevels {
+		return gridLevels
+	}
+	return p.Levels
 }

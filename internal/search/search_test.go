@@ -185,3 +185,23 @@ func TestEnumerateGridDegenerate(t *testing.T) {
 		t.Fatalf("degenerate space enumerated %d configs", len(cfgs))
 	}
 }
+
+// TestGridPoints pins the raw grid sizes of the paper space that
+// /v1/search bounds: grid_levels 5, which examples/dse uses, walks
+// 1,000,000 points and 6 walks 2,985,984; a level count that overflows
+// is reported, not wrapped.
+func TestGridPoints(t *testing.T) {
+	for _, tc := range []struct {
+		levels, want int
+	}{{0, 262_144}, {3, 19_683}, {4, 262_144}, {5, 1_000_000}, {6, 2_985_984}} {
+		if n, ok := GridPoints(nil, tc.levels); !ok || n != tc.want {
+			t.Errorf("GridPoints(paper, %d) = %d, %v; want %d", tc.levels, n, ok, tc.want)
+		}
+	}
+	if n, ok := GridPoints(nil, 1<<62); ok {
+		t.Errorf("GridPoints(paper, 2^62) = %d, want an overflow", n)
+	}
+	if n, _ := GridPoints(nil, 3); len(EnumerateGrid(nil, 3)) > n {
+		t.Errorf("EnumerateGrid(paper, 3) holds more than its %d raw points", n)
+	}
+}

@@ -345,6 +345,14 @@ func (s *Server) predictBatch(e *Entry, cfgs []design.Config) []prediction {
 
 // ---- /v1/search ----
 
+// A search sizes its shortlist and its candidate grid from the request,
+// so both are bounded before anything is allocated. The grid cap admits
+// the paper space at grid_levels 5, 1,000,000 raw points.
+const (
+	maxSearchShortlist  = 64
+	maxSearchGridPoints = 1_000_000
+)
+
 type searchRequest struct {
 	Model string `json:"model"`
 	// GridLevels caps the per-parameter enumeration resolution
@@ -389,10 +397,20 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		role.WriteErr(w, http.StatusBadRequest, "bad_request", `"model" is required`)
 		return
 	}
+	if req.Shortlist > maxSearchShortlist {
+		role.WriteErr(w, http.StatusBadRequest, "bad_request",
+			`"shortlist" must be at most %d, got %d`, maxSearchShortlist, req.Shortlist)
+		return
+	}
 	entry, ok := s.reg.Get(req.Model)
 	if !ok {
 		role.WriteErr(w, http.StatusNotFound, "unknown_model",
 			"no model %q is loaded (GET /v1/models lists the registry)", req.Model)
+		return
+	}
+	if n, ok := search.GridPoints(entry.Model.Space, req.GridLevels); !ok || n > maxSearchGridPoints {
+		role.WriteErr(w, http.StatusBadRequest, "bad_request",
+			`"grid_levels" %d makes a grid past %d points`, req.GridLevels, maxSearchGridPoints)
 		return
 	}
 	var (

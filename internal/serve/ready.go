@@ -17,7 +17,7 @@ import (
 
 // unreadyReason is one structured cause in a 503 /readyz body, in the
 // same {code, message} shape as an error.
-type unreadyReason = role.APIError
+type unreadyReason = obs.APIError
 
 // evaluate re-checks every readiness condition, records transitions in
 // the alert set, and returns the currently-failing reasons (nil when

@@ -519,7 +519,7 @@ func requireTimeout(t *testing.T, rec *httptest.ResponseRecorder) {
 		t.Fatalf("Content-Type %q, want application/json", ct)
 	}
 	var body struct {
-		Error role.APIError `json:"error"`
+		Error obs.APIError `json:"error"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatalf("%v in %s", err, rec.Body)
@@ -651,6 +651,10 @@ func TestStructuredErrors(t *testing.T) {
 		{"search unknown model", "/v1/search", `{"model":"nope"}`, http.StatusNotFound, "unknown_model"},
 		{"search bad verify", "/v1/search", `{"model":"errs","verify":"psychic"}`, http.StatusBadRequest, "bad_request"},
 		{"search needs sim", "/v1/search", `{"model":"errs","verify":"sim"}`, http.StatusBadRequest, "no_simulator"},
+		{"search shortlist past the ceiling", "/v1/search", `{"model":"errs","shortlist":65}`, http.StatusBadRequest, "bad_request"},
+		{"search shortlist 2^62", "/v1/search", `{"model":"errs","shortlist":4611686018427387904}`, http.StatusBadRequest, "bad_request"},
+		{"search grid past the cap", "/v1/search", `{"model":"errs","grid_levels":6}`, http.StatusBadRequest, "bad_request"},
+		{"search grid 2^62", "/v1/search", `{"model":"errs","grid_levels":4611686018427387904}`, http.StatusBadRequest, "bad_request"},
 		{"load without path", "/v1/models/load", `{}`, http.StatusBadRequest, "bad_request"},
 		// This server has no -models directory, so hot-loading anything
 		// is refused outright.

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -174,6 +177,54 @@ func TestTraceE2EMergedAcrossRoles(t *testing.T) {
 		if !strings.Contains(sb.String(), n) {
 			t.Errorf("chrome export is missing span %q", n)
 		}
+	}
+}
+
+// TestTraceE2ELongForestIsCut drives traced, routed, simulator-verified
+// searches whose long shortlists give the shard a span forest past
+// obs.MaxSpanTrailerBytes. The shard cuts the forest to fit its
+// trailer, so each search answers 200, the router keeps the shard
+// healthy, and the router's trace ends the shard's spans with the count
+// of those dropped.
+func TestTraceE2ELongForestIsCut(t *testing.T) {
+	obs.Reset()
+	st := newTraceStack(t, 1)
+	for _, shortlist := range []int{16, 64} {
+		resp, body := postJSON(t, st.routeTS.URL+"/v1/search",
+			fmt.Sprintf(`{"model":"mcf","verify":"sim","shortlist":%d}`, shortlist))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("traced search with shortlist %d through the router = %d: %s", shortlist, resp.StatusCode, body)
+		}
+		id := resp.Header.Get("X-Request-Id")
+		tr, _, ok := st.router.Traces().Get(id)
+		if !ok {
+			t.Fatalf("shortlist %d: router holds no trace %q", shortlist, id)
+		}
+		dropped := 0
+		for _, s := range tr.Spans() {
+			if s.Name == obs.DroppedSpans && len(s.Args) == 2 && s.Args[0] == "dropped" {
+				dropped, _ = strconv.Atoi(s.Args[1])
+			}
+		}
+		if dropped <= 0 {
+			t.Errorf("shortlist %d: the router's trace shows no %s span with a drop count", shortlist, obs.DroppedSpans)
+		}
+	}
+	resp, body := getBody(t, st.routeTS.URL+"/healthz")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("router /healthz = %d: %s", resp.StatusCode, body)
+	}
+	var health struct {
+		Shards []struct {
+			URL     string `json:"url"`
+			Healthy bool   `json:"healthy"`
+		} `json:"shards"`
+	}
+	if err := json.Unmarshal([]byte(body), &health); err != nil {
+		t.Fatal(err)
+	}
+	if len(health.Shards) != 1 || !health.Shards[0].Healthy {
+		t.Errorf("router reports shards %+v, want the one shard healthy", health.Shards)
 	}
 }
 

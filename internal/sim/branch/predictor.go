@@ -9,6 +9,8 @@
 // branch.
 package branch
 
+import "slices"
+
 // Config sizes the predictor.
 type Config struct {
 	BimodalBits   int // log2(bimodal table entries)
@@ -57,7 +59,7 @@ type btbEntry struct {
 
 // Predictor is the tournament branch predictor. The local history is
 // updated speculatively at prediction time; Restore repairs it on a
-// flush.
+// flush. The zero Predictor is ready for Reset.
 type Predictor struct {
 	cfg Config
 
@@ -83,6 +85,15 @@ type Predictor struct {
 
 // New builds a predictor; zero config fields take defaults.
 func New(cfg Config) *Predictor {
+	p := new(Predictor)
+	p.Reset(cfg)
+	return p
+}
+
+// Reset makes p the untrained predictor New(cfg) builds, with zero
+// statistics. It reuses p's tables where they are large enough,
+// reinitializing only the entries cfg uses.
+func (p *Predictor) Reset(cfg Config) {
 	d := DefaultConfig()
 	if cfg.BimodalBits <= 0 {
 		cfg.BimodalBits = d.BimodalBits
@@ -105,33 +116,35 @@ func New(cfg Config) *Predictor {
 	if cfg.RASEntries <= 0 {
 		cfg.RASEntries = d.RASEntries
 	}
-	p := &Predictor{cfg: cfg}
 	b := 1 << cfg.BimodalBits
-	p.bim = make([]uint8, b)
-	for i := range p.bim {
-		p.bim[i] = 1 // weakly not-taken
-	}
-	p.bimMask = uint64(b - 1)
 	rows := pow2(cfg.LocalRows)
-	p.lht = make([]uint16, rows)
-	p.lhtMask = uint64(rows - 1)
-	p.histMask = uint16(1<<cfg.LocalHistBits) - 1
 	l := 1 << cfg.LocalBits
-	p.lpht = make([]uint8, l)
-	for i := range p.lpht {
-		p.lpht[i] = 1
-	}
-	p.lmask = uint64(l - 1)
-	p.choice = make([]uint8, b)
-	for i := range p.choice {
-		p.choice[i] = 1 // weakly prefer bimodal until local proves itself
-	}
-	p.chMask = uint64(b - 1)
 	nb := pow2(cfg.BTBEntries)
-	p.btb = make([]btbEntry, nb)
-	p.btbMask = uint64(nb - 1)
-	p.ras = make([]uint64, cfg.RASEntries)
-	return p
+	*p = Predictor{
+		cfg:      cfg,
+		bim:      table(p.bim, b, 1), // weakly not-taken
+		bimMask:  uint64(b - 1),
+		lht:      table(p.lht, rows, 0),
+		lhtMask:  uint64(rows - 1),
+		histMask: uint16(1<<cfg.LocalHistBits) - 1,
+		lpht:     table(p.lpht, l, 1),
+		lmask:    uint64(l - 1),
+		choice:   table(p.choice, b, 1), // weakly prefer bimodal until local proves itself
+		chMask:   uint64(b - 1),
+		btb:      table(p.btb, nb, btbEntry{}),
+		btbMask:  uint64(nb - 1),
+		ras:      table(p.ras, cfg.RASEntries, 0),
+	}
+}
+
+// table returns s resliced to n entries, each set to v, reusing s's
+// backing array when it holds n.
+func table[T any](s []T, n int, v T) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 func pow2(n int) int {

@@ -5,7 +5,10 @@
 // concern of the enclosing memory hierarchy, not of this package.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config sizes one cache.
 type Config struct {
@@ -30,15 +33,30 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
+// line is one way of a set in 16 bytes: the full tag, and lastUse, the
+// tick of the access that last touched the line shifted left over its
+// dirty bit. Ticks start at 1, so lastUse is non-zero exactly when the
+// line is valid; no two accesses share a tick, so comparing lastUse
+// orders lines by recency whatever their dirty bits.
 type line struct {
 	tag     uint64
 	lastUse uint64
-	valid   bool
-	dirty   bool
+}
+
+func (l line) valid() bool { return l.lastUse != 0 }
+func (l line) dirty() bool { return l.lastUse&1 != 0 }
+
+// use stamps l with tick, marking it dirty when dirty is set and keeping
+// it dirty if it already was.
+func (l *line) use(tick uint64, dirty bool) {
+	l.lastUse = tick<<1 | l.lastUse&1
+	if dirty {
+		l.lastUse |= 1
+	}
 }
 
 // Cache is a set-associative, write-back, write-allocate cache tag store
-// with true-LRU replacement.
+// with true-LRU replacement. The zero Cache is ready for Reset.
 type Cache struct {
 	cfg       Config
 	lines     []line // way w of set s at s*Assoc+w
@@ -53,6 +71,15 @@ type Cache struct {
 // Assoc must describe at least one set; the set count is rounded down to
 // a power of two so addresses index with masks.
 func New(cfg Config) *Cache {
+	c := new(Cache)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset makes c the empty cache New(cfg) builds, with zero statistics.
+// It reuses c's tag store when that holds enough lines, clearing only
+// the lines cfg uses.
+func (c *Cache) Reset(cfg Config) {
 	if cfg.LineBytes <= 0 {
 		cfg.LineBytes = 64
 	}
@@ -70,7 +97,9 @@ func New(cfg Config) *Cache {
 		p *= 2
 	}
 	nsets = p
-	c := &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Assoc)}
+	lines := slices.Grow(c.lines[:0], nsets*cfg.Assoc)[:nsets*cfg.Assoc]
+	clear(lines)
+	*c = Cache{cfg: cfg, lines: lines}
 	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
 	}
@@ -79,7 +108,6 @@ func New(cfg Config) *Cache {
 	for s := nsets; s > 1; s >>= 1 {
 		c.tagShift++
 	}
-	return c
 }
 
 // Config returns the cache's configuration.
@@ -108,11 +136,8 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, writeb
 	set, tag := c.index(addr)
 	lines := c.ways(set)
 	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			lines[i].lastUse = c.tick
-			if write {
-				lines[i].dirty = true
-			}
+		if lines[i].valid() && lines[i].tag == tag {
+			lines[i].use(c.tick, write)
 			return true, 0, false
 		}
 	}
@@ -120,7 +145,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, writeb
 	// Choose the LRU victim (prefer invalid ways).
 	vi := 0
 	for i := range lines {
-		if !lines[i].valid {
+		if !lines[i].valid() {
 			vi = i
 			break
 		}
@@ -128,12 +153,13 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, writeb
 			vi = i
 		}
 	}
-	if lines[vi].valid && lines[vi].dirty {
+	if lines[vi].dirty() {
 		writeback = true
 		victim = c.lineAddr(set, lines[vi].tag)
 		c.Stats.Writebacks++
 	}
-	lines[vi] = line{tag: tag, lastUse: c.tick, valid: true, dirty: write}
+	lines[vi] = line{tag: tag}
+	lines[vi].use(c.tick, write)
 	return false, victim, writeback
 }
 
@@ -146,14 +172,14 @@ func (c *Cache) Fill(addr uint64) (victim uint64, writeback bool) {
 	set, tag := c.index(addr)
 	lines := c.ways(set)
 	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			lines[i].lastUse = c.tick
+		if lines[i].valid() && lines[i].tag == tag {
+			lines[i].use(c.tick, false)
 			return 0, false
 		}
 	}
 	vi := 0
 	for i := range lines {
-		if !lines[i].valid {
+		if !lines[i].valid() {
 			vi = i
 			break
 		}
@@ -161,12 +187,13 @@ func (c *Cache) Fill(addr uint64) (victim uint64, writeback bool) {
 			vi = i
 		}
 	}
-	if lines[vi].valid && lines[vi].dirty {
+	if lines[vi].dirty() {
 		writeback = true
 		victim = c.lineAddr(set, lines[vi].tag)
 		c.Stats.Writebacks++
 	}
-	lines[vi] = line{tag: tag, lastUse: c.tick, valid: true}
+	lines[vi] = line{tag: tag}
+	lines[vi].use(c.tick, false)
 	return victim, writeback
 }
 
@@ -175,7 +202,7 @@ func (c *Cache) Fill(addr uint64) (victim uint64, writeback bool) {
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
 	for _, l := range c.ways(set) {
-		if l.valid && l.tag == tag {
+		if l.valid() && l.tag == tag {
 			return true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestColdMissThenHit(t *testing.T) {
@@ -45,6 +46,36 @@ func TestLRUReplacement(t *testing.T) {
 	}
 	if !c.Probe(d) {
 		t.Fatal("d not resident after fill")
+	}
+}
+
+// TestDirtyBitKeepsRecency: lastUse packs the dirty bit under the tick,
+// and a line 16 bytes long holds a full tag. An older dirty line is
+// still the LRU victim of a younger clean one, a write-hit keeps a line
+// dirty through later clean hits, and the tag bits no address can
+// spare still tell lines apart.
+func TestDirtyBitKeepsRecency(t *testing.T) {
+	if n := unsafe.Sizeof(line{}); n != 16 {
+		t.Fatalf("a tag-store line is %d bytes, want 16", n)
+	}
+	c := New(Config{SizeKB: 1, LineBytes: 64, Assoc: 2}) // 8 sets
+	setStride := uint64(64 * 8)
+	a, b, d := uint64(0), setStride, 2*setStride
+	c.Access(a, true)  // dirty, older
+	c.Access(b, false) // clean, younger
+	if _, victim, wb := c.Access(d, false); !wb || victim != a || c.Probe(a) || !c.Probe(b) {
+		t.Fatalf("miss evicted writeback=%v victim %#x; want the older dirty line %#x", wb, victim, a)
+	}
+	c.Access(b, true)
+	c.Access(b, false) // a clean hit keeps b dirty
+	c.Access(d, false) // b is now LRU
+	if _, victim, wb := c.Access(a, false); !wb || victim != b {
+		t.Fatalf("evicting b: writeback=%v victim %#x, want b %#x written back", wb, victim, b)
+	}
+	top := ^uint64(0) &^ 63 // the highest line: every tag bit set
+	c.Access(top, false)
+	if !c.Probe(top) || c.Probe(top&^(1<<63)) {
+		t.Fatal("the top tag bit does not tell lines apart")
 	}
 }
 

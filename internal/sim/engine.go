@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"predperf/internal/sim/branch"
 	"predperf/internal/sim/cache"
@@ -66,7 +68,8 @@ type storeRef struct {
 // stallCounts are the Result counters an idle cycle charges.
 type stallCounts struct{ rob, iq, lsq, fetch uint64 }
 
-// cpu is the complete microarchitectural state of one run.
+// cpu is the complete microarchitectural state of one run: a machine,
+// which reset readies for each run it makes.
 type cpu struct {
 	cfg Config
 	tr  trace.Trace
@@ -74,9 +77,9 @@ type cpu struct {
 	now uint64
 
 	// Memory hierarchy.
-	il1, dl1, l2 *cache.Cache
-	memc         *mem.Controller
-	bp           *branch.Predictor
+	il1, dl1, l2 cache.Cache
+	memc         mem.Controller
+	bp           branch.Predictor
 	mshrs        []inflightFill
 	rpt          [rptSize]rptEntry // stride-prefetch reference prediction table
 
@@ -114,6 +117,14 @@ type cpu struct {
 	res       Result
 }
 
+// machines holds the idle machines between runs. Each Run takes its own,
+// so concurrent runs never share one, and puts it back once it has
+// finished: in steady state a run allocates nothing. A pooled machine
+// keeps the largest structures any of its runs needed, so it costs its
+// peak run's memory, chiefly the L2 tag store: 2 MiB for an 8 MB L2 of
+// 64-byte lines.
+var machines = sync.Pool{New: func() any { return new(cpu) }}
+
 // Run simulates the trace to completion on the configured machine and
 // returns the run statistics.
 func Run(cfg Config, tr trace.Trace) Result {
@@ -121,25 +132,18 @@ func Run(cfg Config, tr trace.Trace) Result {
 	if len(tr) == 0 {
 		return Result{}
 	}
-	c := &cpu{
-		cfg:           cfg,
-		tr:            tr,
-		il1:           cache.New(cfg.IL1),
-		dl1:           cache.New(cfg.DL1),
-		l2:            cache.New(cfg.L2),
-		memc:          mem.New(cfg.Mem),
-		bp:            branch.New(cfg.Branch),
-		rob:           make([]robEntry, cfg.ROBSize),
-		fq:            newRing[fqEntry](cfg.FetchWidth * (cfg.PipeDepth + 2)),
-		storeQ:        newRing[storeRef](cfg.LSQSize),
-		lastFetchLine: ^uint64(0),
-		seqGen:        1,
-	}
-	warm := cfg.WarmupInsts
-	if warm >= len(tr) {
-		warm = len(tr) / 2
-	}
-	c.warmup = warm
+	c := machines.Get().(*cpu)
+	res := c.simulate(cfg, tr)
+	// Not deferred: a run that panics, such as a wedged one, drops its
+	// machine, whose state the panic left mid-run.
+	machines.Put(c)
+	return res
+}
+
+// simulate resets c and runs tr on cfg, a sanitized configuration, and
+// returns the run statistics. c keeps no reference to tr afterwards.
+func (c *cpu) simulate(cfg Config, tr trace.Trace) Result {
+	c.reset(cfg, tr)
 	c.run()
 	// c.warmup now holds the exact commit count at which statistics were
 	// reset (commit bursts can overshoot the requested boundary).
@@ -150,7 +154,49 @@ func Run(cfg Config, tr trace.Trace) Result {
 	c.res.L2Stats = c.l2.Stats
 	c.res.BPStats = c.bp.Stats
 	c.res.MemStats = c.memc.Stats
+	c.tr = nil
 	return c.res
+}
+
+// reset readies c, new or from the pool, to run tr on cfg. It starts
+// from a zeroed cpu and carries over only backing arrays, each resliced
+// to this run's size and cleared: the caches' tag stores, the predictor
+// tables and the DRAM bank state (each package's Reset), the ROB with
+// each slot's dependents array, the front-end and store rings, both
+// heaps and the MSHR list. An array grows only when this run needs more
+// than the machine holds. The RPT is an array inside cpu, so the zeroed
+// value clears it.
+func (c *cpu) reset(cfg Config, tr trace.Trace) {
+	*c = cpu{
+		cfg:           cfg,
+		tr:            tr,
+		il1:           c.il1,
+		dl1:           c.dl1,
+		l2:            c.l2,
+		memc:          c.memc,
+		bp:            c.bp,
+		mshrs:         c.mshrs[:0],
+		fq:            ring[fqEntry]{buf: zeroed(c.fq.buf, cfg.FetchWidth*(cfg.PipeDepth+2))},
+		rob:           slices.Grow(c.rob[:0], cfg.ROBSize)[:cfg.ROBSize],
+		ready:         c.ready[:0],
+		stash:         c.stash[:0],
+		events:        c.events[:0],
+		storeQ:        ring[storeRef]{buf: zeroed(c.storeQ.buf, cfg.LSQSize)},
+		lastFetchLine: ^uint64(0),
+		seqGen:        1,
+	}
+	c.il1.Reset(cfg.IL1)
+	c.dl1.Reset(cfg.DL1)
+	c.l2.Reset(cfg.L2)
+	c.memc.Reset(cfg.Mem)
+	c.bp.Reset(cfg.Branch)
+	for i := range c.rob {
+		c.rob[i] = robEntry{dependents: c.rob[i].dependents[:0]}
+	}
+	c.warmup = cfg.WarmupInsts
+	if c.warmup >= len(tr) {
+		c.warmup = len(tr) / 2
+	}
 }
 
 // stallLimit is how many cycles the machine may go without a commit

@@ -5,6 +5,8 @@
 // explicitly modeled. All times are in CPU cycles.
 package mem
 
+import "slices"
+
 // Config fixes the memory subsystem's timing. These are held constant
 // across the design space; only the cache/queue parameters of Table 1
 // vary in the study.
@@ -44,7 +46,8 @@ type Stats struct {
 
 // Controller is the memory controller + DRAM + bus timing model. It is
 // driven with Access calls carrying the current cycle and returns the
-// cycle at which the requested line's data is fully delivered.
+// cycle at which the requested line's data is fully delivered. The zero
+// Controller is ready for Reset.
 type Controller struct {
 	cfg      Config
 	bankFree []uint64 // earliest cycle each bank can start a new command
@@ -57,6 +60,15 @@ type Controller struct {
 
 // New builds a controller; zero config fields take defaults.
 func New(cfg Config) *Controller {
+	c := new(Controller)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset makes c the idle controller New(cfg) builds, every bank closed
+// and free, with zero statistics. It reuses c's bank and queue arrays
+// where they are large enough.
+func (c *Controller) Reset(cfg Config) {
 	d := DefaultConfig()
 	if cfg.Banks <= 0 {
 		cfg.Banks = d.Banks
@@ -79,12 +91,21 @@ func New(cfg Config) *Controller {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = d.QueueDepth
 	}
-	return &Controller{
+	*c = Controller{
 		cfg:      cfg,
-		bankFree: make([]uint64, cfg.Banks),
-		openRow:  make([]uint64, cfg.Banks),
-		rowValid: make([]bool, cfg.Banks),
+		bankFree: zeroed(c.bankFree, cfg.Banks),
+		openRow:  zeroed(c.openRow, cfg.Banks),
+		rowValid: zeroed(c.rowValid, cfg.Banks),
+		inflight: c.inflight[:0],
 	}
+}
+
+// zeroed returns s resliced to n zero elements, reusing s's backing
+// array when it holds n.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // Config returns the controller's configuration.

@@ -1,8 +1,10 @@
 package sim
 
-// The engine's queues. Each is allocated once per run, grows to its
-// high-water mark early on and is then reused, so a steady-state cycle
-// allocates nothing.
+import "slices"
+
+// The engine's queues. Each keeps its backing array across cycles and,
+// on a pooled machine, across runs (see reset), so a steady-state cycle
+// and a steady-state run allocate nothing.
 
 // farHorizon is the schedule distance, in cycles, at or beyond which an
 // event counts as far. farBit marks such an event's order.
@@ -126,7 +128,13 @@ type ring[T any] struct {
 	n    int
 }
 
-func newRing[T any](capacity int) ring[T] { return ring[T]{buf: make([]T, capacity)} }
+// zeroed returns s resliced to n zero elements, reusing s's backing
+// array when it holds n.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
 
 // at returns the i-th oldest element.
 func (r *ring[T]) at(i int) *T {

@@ -60,6 +60,9 @@ go test -run '^$' -fuzz '^FuzzReport$' -fuzztime 5s ./internal/obs
 echo "== fuzz the /tracez handler's query parameters (5 s) =="
 go test -run '^$' -fuzz '^FuzzTracez$' -fuzztime 5s ./internal/obs
 
+echo "== fuzz /v1/search bodies (5 s) =="
+go test -run '^$' -fuzz '^FuzzSearchBody$' -fuzztime 5s ./internal/serve
+
 echo "== one HTML page template =="
 # Every HTML view renders through the one template in internal/obs/page.go,
 # so a second template.Must( in non-test code is a visible diff here.
@@ -126,6 +129,19 @@ if [ "$(go env GOARCH)" = amd64 ]; then
         diff -u cmd/experiments/testdata/quick.golden -
 else
     echo "skipped on $(go env GOARCH): the golden is pinned on amd64"
+fi
+
+echo "== paper-scale paper results =="
+# The results EXPERIMENTS.md reports: the paper-scale suite must still
+# print experiments_paper.txt byte for byte, timings masked on both
+# sides, so no change moves Table 3, Table 4 or Figure 7 unseen. It
+# takes minutes (about 200 s on two CPUs) and is pinned on amd64, as
+# above.
+if [ "$(go env GOARCH)" = amd64 ]; then
+    go run ./cmd/experiments -scale paper | sed -E "$mask_timings" |
+        diff -u <(sed -E "$mask_timings" experiments_paper.txt) -
+else
+    echo "skipped on $(go env GOARCH): the results are pinned on amd64"
 fi
 
 echo "== predserve smoke =="
