@@ -12,17 +12,18 @@
 //	curl -X POST localhost:9300/v1/predict -d \
 //	  '{"model":"mcf","config":{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}}'
 //	curl localhost:9300/v1/models            # merged listing across shards
-//	curl localhost:9300/statusz              # topology: shard health + model placement
-//	curl localhost:9300/fleetz               # fleet-wide merged metrics + SLO burn
+//	curl localhost:9300/statusz              # SLO burn, shard health, model placement
+//	curl localhost:9300/metricz              # the router's own metrics and SLO states
 //	curl "localhost:9300/tracez?q=error"     # routed requests' traces, every hop's spans
 //
-// With -workers, the router also scrapes the evaluation farm's
-// simworkers into /fleetz.
-// /fleetz merges every role's /metricz report into one fleet aggregate
-// (exact bucket-wise histogram sums) on the -fleet-scrape-every cadence
-// and evaluates fleet SLO burn over the merged windows. The router
-// samples traces at the fixed -trace-sample rate and carries its
-// decision to every shard and worker a request reaches.
+// The router declares the request SLO pair predserve declares, over its
+// own edge: "router-latency" (99.9% of requests within 250ms) and
+// "router-availability" (99.9% non-5xx), counted as its clients saw
+// them, so its own 503 no_shard counts, a failover the secondary served
+// does not, and the latency is the whole routed request. /statusz shows
+// their burn, and /metricz carries them in slos, slo_burn_rate and
+// slo_firing. The router samples traces at the fixed -trace-sample rate
+// and carries its decision to every shard and worker a request reaches.
 //
 // The router polls every shard's /v1/models on -sync-every; the model
 // generation vector piggybacked on those responses detects hot swaps
@@ -57,42 +58,34 @@ func main() {
 
 	rf := role.Define(flag.CommandLine, "127.0.0.1:9300", 30*time.Second, "per-attempt deadline against one shard", 1<<20)
 	shards := flag.String("shards", "", "comma-separated predserve shard base URLs (required)")
-	workers := flag.String("workers", "", "comma-separated simworker base URLs scraped into /fleetz (the router routes no traffic to them)")
 	replicas := flag.Int("replicas", cluster.DefaultReplicas, "virtual nodes per shard on the consistent-hash ring")
 	syncEvery := flag.Duration("sync-every", 5*time.Second, "cadence of the /v1/models topology poll driving replica re-sync")
-	fleetScrapeEvery := flag.Duration("fleet-scrape-every", 5*time.Second, "cadence of the /fleetz metrics federation across shards and workers (0 disables the background loop; /fleetz?refresh=1 still scrapes on demand)")
 	flag.Parse()
 
-	splitURLs := func(s string) []string {
-		var out []string
-		for _, u := range strings.Split(s, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				out = append(out, u)
-			}
+	var urls []string
+	for _, u := range strings.Split(*shards, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, u)
 		}
-		return out
 	}
-	urls := splitURLs(*shards)
 	if len(urls) == 0 {
 		log.Fatal("-shards is required (comma-separated predserve base URLs)")
 	}
 
+	// The window-rotation ticker keeps the SLO burn rates current even
+	// when no requests arrive to drive lazy rotation.
 	obs.Enable()
+	stopRotation := obs.StartWindowRotation(obs.DefWindowBucket)
+	defer stopRotation()
 
-	scrape := *fleetScrapeEvery
-	if scrape <= 0 {
-		scrape = -1 // the Options zero value means "default", not "off"
-	}
 	rt, err := cluster.NewRouter(cluster.RouterOptions{
-		Shards:              urls,
-		Workers:             splitURLs(*workers),
-		Replicas:            *replicas,
-		RequestTimeout:      rf.Timeout,
-		MaxBodyBytes:        rf.MaxBody,
-		SyncInterval:        *syncEvery,
-		TraceSample:         rf.SampleRate(),
-		TraceStoreSize:      rf.TraceStore,
-		FleetScrapeInterval: scrape,
+		Shards:         urls,
+		Replicas:       *replicas,
+		RequestTimeout: rf.Timeout,
+		MaxBodyBytes:   rf.MaxBody,
+		SyncInterval:   *syncEvery,
+		TraceSample:    rf.SampleRate(),
+		TraceStoreSize: rf.TraceStore,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -109,8 +109,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	o.MaxBodyBytes, o.Timeout = c.role.MaxBody, c.role.Timeout
 	o.TraceSample, o.TraceStoreSize = c.role.SampleRate(), c.role.TraceStore
 	// The Options zero value means "default", not "none": an explicit 0
-	// becomes the negative sentinel, as predrouter does for
-	// -fleet-scrape-every.
+	// becomes the negative sentinel.
 	if o.RetrainAfter <= 0 {
 		o.RetrainAfter = -1
 	}

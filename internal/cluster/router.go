@@ -52,23 +52,12 @@ type RouterOptions struct {
 	SyncInterval time.Duration
 	// Client overrides the HTTP client.
 	Client *http.Client
-	// Workers are sim-worker base URLs joined to the fleet metrics
-	// federation on /fleetz; the router does not route client traffic
-	// to them.
-	Workers []string
 	// TraceSample is the edge head-sampling rate: the fraction of
 	// client requests that record a distributed trace (0 means sample
 	// everything, matching the old always-trace behaviour; negative
 	// disables tracing). The decision is made once here and propagated
 	// to shards and workers on the traceparent header.
 	TraceSample float64
-	// FleetScrapeInterval is the fleet metrics-federation cadence
-	// (default 5s; <0 disables the background loop — tests call
-	// FleetScrapeOnce directly).
-	FleetScrapeInterval time.Duration
-	// FleetScrapeTimeout bounds one role's /metricz scrape (default
-	// 2s).
-	FleetScrapeTimeout time.Duration
 	// TraceStoreSize caps each retention class of the /tracez store
 	// (default 64).
 	TraceStoreSize int
@@ -92,12 +81,6 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	}
 	if o.TraceSample == 0 {
 		o.TraceSample = 1
-	}
-	if o.FleetScrapeInterval == 0 {
-		o.FleetScrapeInterval = 5 * time.Second
-	}
-	if o.FleetScrapeTimeout <= 0 {
-		o.FleetScrapeTimeout = 2 * time.Second
 	}
 	if o.TraceStoreSize <= 0 {
 		o.TraceStoreSize = 64
@@ -138,7 +121,11 @@ type shardState struct {
 // piggybacked on those responses drives replica re-sync: when a model's
 // primary generation bumps (hot load or retrain swap), the router asks
 // the secondary shard to reload the model file so failover keeps
-// serving current coefficients.
+// serving current coefficients. The router declares the request SLO
+// pair ("router-latency", "router-availability") over its own edge, so
+// it counts what its clients got: a failover the secondary served is
+// one good request, a 503 no_shard one bad request, and the latency is
+// the whole routed request.
 type Router struct {
 	opt     RouterOptions
 	ring    *Ring
@@ -146,7 +133,7 @@ type Router struct {
 	http    *role.Server
 	sampler obs.Sampler
 	traces  *obs.TraceStore
-	fleet   *fleetPlane
+	slo     *role.RequestSLO
 
 	mu     sync.Mutex
 	models map[string]*routerModel // name → placement + generations
@@ -157,7 +144,7 @@ type Router struct {
 	loopDone   chan struct{}
 }
 
-// normalizeBaseURL canonicalizes a shard/worker base URL: trimmed, no
+// normalizeBaseURL canonicalizes a shard base URL: trimmed, no
 // trailing slash, http:// assumed when no scheme is given.
 func normalizeBaseURL(s string) string {
 	s = strings.TrimRight(strings.TrimSpace(s), "/")
@@ -168,7 +155,11 @@ func normalizeBaseURL(s string) string {
 }
 
 // NewRouter builds a router over RouterOptions.Shards.
-func NewRouter(opt RouterOptions) (*Router, error) {
+func NewRouter(opt RouterOptions) (*Router, error) { return newRouter(opt, nil) }
+
+// newRouter is NewRouter with the clock its SLO windows run on (nil
+// means time.Now); tests step a fake one.
+func newRouter(opt RouterOptions, clock obs.Clock) (*Router, error) {
 	opt = opt.withDefaults()
 	urls := make([]string, 0, len(opt.Shards))
 	for _, s := range opt.Shards {
@@ -184,31 +175,17 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 		start:   time.Now(),
 		sampler: obs.NewSampler(opt.TraceSample),
 		traces:  obs.NewTraceStore(opt.TraceStoreSize),
+		slo:     role.NewRequestSLO("router", "router", clock),
 		models:  map[string]*routerModel{},
 		shards:  map[string]*shardState{},
 		synced:  map[string]uint64{},
 	}
 	obs.NewGaugeFunc("obs.trace_sample_rate", rt.sampler.Rate)
-	var workers []string
-	for _, s := range opt.Workers {
-		if u := normalizeBaseURL(s); u != "" {
-			workers = append(workers, u)
-		}
-	}
-	rt.fleet = newFleetPlane(ring.Shards(), workers, opt.Client, opt.FleetScrapeTimeout, nil)
 	for _, u := range ring.Shards() {
 		rt.shards[u] = &shardState{URL: u}
 	}
 	rt.http = role.NewServer(rt.Handler())
 	return rt, nil
-}
-
-// FleetScrapeOnce runs one metrics-federation cycle (scrape every
-// role, merge, evaluate fleet SLOs) and returns the merged fleet
-// report. The background loop calls this on
-// RouterOptions.FleetScrapeInterval; tests call it directly.
-func (rt *Router) FleetScrapeOnce(ctx context.Context) *obs.Report {
-	return rt.fleet.scrapeOnce(ctx)
 }
 
 // Ring exposes the router's placement ring (read-only use).
@@ -227,9 +204,8 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/healthz", rt.handleHealthz)
 	mux.HandleFunc("/metricz", role.Metricz)
 	mux.Handle("/tracez", rt.traces.Handler())
-	mux.HandleFunc("/fleetz", rt.handleFleetz)
 	mux.HandleFunc("/statusz", rt.handleStatusz)
-	return role.Edge{Role: "router", Sampler: rt.sampler, Traces: rt.traces}.Wrap(mux)
+	return role.Edge{Role: "router", Sampler: rt.sampler, Traces: rt.traces, SLO: rt.slo}.Wrap(mux)
 }
 
 // proxyByModel forwards a POST body to the shard owning its model, with
@@ -442,18 +418,18 @@ func (rt *Router) SyncOnce(ctx context.Context) int {
 	return done
 }
 
-// loops runs the topology-sync and fleet-scrape tickers until ctx
-// ends. A nil channel never fires, so a disabled loop costs nothing.
-func (rt *Router) loops(ctx context.Context, syncC, fleetC <-chan time.Time) {
+// syncLoop polls the shards every RouterOptions.SyncInterval until ctx
+// ends.
+func (rt *Router) syncLoop(ctx context.Context) {
 	defer close(rt.loopDone)
+	t := time.NewTicker(rt.opt.SyncInterval)
+	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-syncC:
+		case <-t.C:
 			rt.SyncOnce(ctx)
-		case <-fleetC:
-			rt.fleet.scrapeOnce(ctx)
 		}
 	}
 }
@@ -596,8 +572,7 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		{"failovers", strconv.FormatInt(cRouterFailovers.Value(), 10)},
 		{"replica re-syncs", strconv.FormatInt(cRouterResyncs.Value(), 10)},
 		{"trace sample rate", strconv.FormatFloat(rt.sampler.Rate(), 'g', 4, 64)},
-		{"fleet targets", strconv.Itoa(len(rt.fleet.targets))},
-	}, shards, placement).Write(w)
+	}, rt.slo.Section(), shards, placement).Write(w)
 }
 
 // statusPage is the /statusz of the router and the worker: the role and
@@ -614,33 +589,18 @@ func statusPage(title, role string, start time.Time, summary [][2]string, sectio
 }
 
 // Serve accepts connections on l until Shutdown, running the
-// background sync and fleet-scrape loops when their intervals are
-// positive.
+// background sync loop when its interval is positive.
 func (rt *Router) Serve(l net.Listener) error {
-	needSync := rt.opt.SyncInterval > 0
-	needFleet := rt.opt.FleetScrapeInterval > 0
-	if needSync || needFleet {
+	if rt.opt.SyncInterval > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
 		rt.mu.Lock()
 		rt.loopCancel = cancel
 		rt.loopDone = make(chan struct{})
 		rt.mu.Unlock()
-		var syncC, fleetC <-chan time.Time
-		if needSync {
-			// Prime the topology before serving traffic so the first
-			// /statusz is not empty.
-			rt.SyncOnce(ctx)
-			t := time.NewTicker(rt.opt.SyncInterval)
-			defer t.Stop()
-			syncC = t.C
-		}
-		if needFleet {
-			rt.fleet.scrapeOnce(ctx)
-			t := time.NewTicker(rt.opt.FleetScrapeInterval)
-			defer t.Stop()
-			fleetC = t.C
-		}
-		go rt.loops(ctx, syncC, fleetC)
+		// Prime the topology before serving traffic so the first
+		// /statusz is not empty.
+		rt.SyncOnce(ctx)
+		go rt.syncLoop(ctx)
 	}
 	return rt.http.Serve(l)
 }

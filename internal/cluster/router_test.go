@@ -296,7 +296,7 @@ func TestRouterRefusesOversizeShardAnswer(t *testing.T) {
 	}))
 	defer shard.Close()
 	rt, err := cluster.NewRouter(cluster.RouterOptions{
-		Shards: []string{shard.URL}, SyncInterval: -1, FleetScrapeInterval: -1,
+		Shards: []string{shard.URL}, SyncInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"container/list"
 	"fmt"
 	"net"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"predperf/internal/obs"
 	"predperf/internal/par"
 	"predperf/internal/role"
+	"predperf/internal/trace"
 )
 
 // Worker-side observability: request and configuration counts, the
@@ -113,7 +115,9 @@ func simulable(wc WireConfig) error {
 // memoized per (benchmark, trace length) — the same single-flight
 // simulation cache a local build enjoys, so repeated requests for hot
 // configurations cost one simulation total — and every response is
-// bit-identical to evaluating locally.
+// bit-identical to evaluating locally. Each evaluator owns its trace,
+// and the worker keeps evaluators, least recently used evicted first,
+// only while their traces total at most 2 × MaxTraceLen instructions.
 type Worker struct {
 	opt     WorkerOptions
 	start   time.Time
@@ -121,16 +125,18 @@ type Worker struct {
 	sampler obs.Sampler
 	traces  *obs.TraceStore
 
-	mu  sync.Mutex
-	id  string
-	evs map[string]*core.SimEvaluator // benchmark \x00 traceLen
+	mu    sync.Mutex
+	id    string
+	evs   map[string]*list.Element // benchmark \x00 traceLen → element of lru
+	lru   list.List                // *core.SimEvaluator, most recently used first
+	insts int                      // trace instructions the kept evaluators hold
 }
 
 // NewWorker builds a Worker; it serves nothing until Serve.
 func NewWorker(opt WorkerOptions) *Worker {
 	w := &Worker{opt: opt.withDefaults(), start: time.Now()}
 	w.id = w.opt.ID
-	w.evs = map[string]*core.SimEvaluator{}
+	w.evs = map[string]*list.Element{}
 	w.sampler = obs.NewSampler(w.opt.TraceSample)
 	obs.NewGaugeFunc("obs.trace_sample_rate", w.sampler.Rate)
 	w.traces = obs.NewTraceStore(w.opt.TraceStoreSize)
@@ -141,22 +147,36 @@ func NewWorker(opt WorkerOptions) *Worker {
 // Traces exposes the worker's /tracez store.
 func (w *Worker) Traces() *obs.TraceStore { return w.traces }
 
+// evaluatorKey names an evaluator in Worker.evs.
+func evaluatorKey(benchmark string, traceLen int) string {
+	return benchmark + "\x00" + strconv.Itoa(traceLen)
+}
+
 // evaluator returns (building and memoizing on first use) the evaluator
-// for one benchmark and trace length. Construction errors are returned
-// to the client rather than cached: a worker outliving a transient
-// failure keeps serving.
+// for one benchmark and trace length, on a trace generated for it, so
+// evicting the evaluator frees its trace. Construction errors are
+// returned to the client rather than cached: a worker outliving a
+// transient failure keeps serving.
 func (w *Worker) evaluator(benchmark string, traceLen int) (*core.SimEvaluator, error) {
-	key := benchmark + "\x00" + strconv.Itoa(traceLen)
+	key := evaluatorKey(benchmark, traceLen)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if ev, ok := w.evs[key]; ok {
-		return ev, nil
+	if e, ok := w.evs[key]; ok {
+		w.lru.MoveToFront(e)
+		return e.Value.(*core.SimEvaluator), nil
 	}
-	ev, err := core.NewSimEvaluator(benchmark, traceLen)
+	tr, err := trace.Named(benchmark, traceLen)
 	if err != nil {
 		return nil, err
 	}
-	w.evs[key] = ev
+	for w.insts+traceLen > 2*w.opt.MaxTraceLen {
+		old := w.lru.Remove(w.lru.Back()).(*core.SimEvaluator)
+		delete(w.evs, evaluatorKey(old.Benchmark, old.TraceLen))
+		w.insts -= old.TraceLen
+	}
+	ev := core.NewTraceEvaluator(benchmark, tr)
+	w.evs[key] = w.lru.PushFront(ev)
+	w.insts += traceLen
 	return ev, nil
 }
 
@@ -281,7 +301,8 @@ func (w *Worker) loaded() []workerLoadedEvaluator {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	out := make([]workerLoadedEvaluator, 0, len(w.evs))
-	for _, ev := range w.evs {
+	for e := w.lru.Front(); e != nil; e = e.Next() {
+		ev := e.Value.(*core.SimEvaluator)
 		out = append(out, workerLoadedEvaluator{
 			Benchmark: ev.Benchmark, TraceLen: ev.TraceLen, Sims: ev.Simulations(),
 		})

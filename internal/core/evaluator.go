@@ -119,18 +119,24 @@ type simEntry struct {
 }
 
 // NewSimEvaluator builds a CPI evaluator for one of the benchmark
-// profiles.
+// profiles, on its process-wide cached trace (trace.Cached).
 func NewSimEvaluator(benchmark string, traceLen int) (*SimEvaluator, error) {
 	tr, err := trace.Cached(benchmark, traceLen)
 	if err != nil {
 		return nil, err
 	}
+	return NewTraceEvaluator(benchmark, tr), nil
+}
+
+// NewTraceEvaluator builds a CPI evaluator on tr, a trace of the named
+// benchmark, which the evaluator keeps as long as it lives.
+func NewTraceEvaluator(benchmark string, tr trace.Trace) *SimEvaluator {
 	return &SimEvaluator{
 		Benchmark: benchmark,
-		TraceLen:  traceLen,
+		TraceLen:  len(tr),
 		tr:        tr,
 		state:     &simCache{cache: map[string]*simEntry{}},
-	}, nil
+	}
 }
 
 // WithMetric returns a view of the evaluator reporting a different

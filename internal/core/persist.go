@@ -83,6 +83,10 @@ func LoadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("core: malformed model: %d configs but %d responses",
 			len(f.Configs), len(f.Responses))
 	}
+	space := &design.Space{Params: f.Space}
+	if err := space.CheckDecodable(); err != nil {
+		return nil, fmt.Errorf("core: malformed model: %w", err)
+	}
 	net := &rbf.Network{Weights: f.Weights}
 	for i := range f.Centers {
 		if len(f.Centers[i]) != len(f.Space) || len(f.Radii[i]) != len(f.Space) {
@@ -104,7 +108,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 	net.Precompute()
 	m := &Model{
 		Name:       f.Name,
-		Space:      &design.Space{Params: f.Space},
+		Space:      space,
 		SampleSize: f.SampleSize,
 		Fit: &rbf.FitResult{
 			Net:   net,

@@ -14,15 +14,30 @@ func CholFactor(a *Matrix) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		panic("mat: CholFactor of non-square matrix")
 	}
+	l := New(a.Rows, a.Rows)
+	if err := CholFactorTo(l, a); err != nil {
+		return nil, err
+	}
+	return &Cholesky{l: l}, nil
+}
+
+// CholFactorTo writes the Cholesky factor L of the symmetric positive-
+// definite matrix a into the lower triangle of l, which has a's shape,
+// without allocating. Only the lower triangle of a is read, and the
+// strict upper triangle of l is neither written nor read by
+// CholSolveTo.
+func CholFactorTo(l, a *Matrix) error {
 	n := a.Rows
-	l := New(n, n)
+	if a.Cols != n || l.Rows != n || l.Cols != n {
+		panic("mat: CholFactorTo shape mismatch")
+	}
 	for j := 0; j < n; j++ {
 		d := a.At(j, j)
 		for k := 0; k < j; k++ {
 			d -= l.At(j, k) * l.At(j, k)
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		ljj := math.Sqrt(d)
 		l.Set(j, j, ljj)
@@ -34,34 +49,42 @@ func CholFactor(a *Matrix) (*Cholesky, error) {
 			l.Set(i, j, s/ljj)
 		}
 	}
-	return &Cholesky{l: l}, nil
+	return nil
 }
 
 // Solve solves A·x = b using the factorization.
 func (c *Cholesky) Solve(b []float64) []float64 {
 	n := c.l.Rows
-	if len(b) != n {
-		panic("mat: Cholesky.Solve rhs length mismatch")
+	x := make([]float64, n)
+	CholSolveTo(x, make([]float64, n), c.l, b)
+	return x
+}
+
+// CholSolveTo solves L·Lᵀ·x = b into x for the factor l CholFactorTo
+// wrote, using y for the intermediate vector, without allocating. x, y
+// and b each have l.Rows elements; x and y must not share storage with
+// each other or with b.
+func CholSolveTo(x, y []float64, l *Matrix, b []float64) {
+	n := l.Rows
+	if len(b) != n || len(x) != n || len(y) != n {
+		panic("mat: Cholesky solve length mismatch")
 	}
 	// Forward substitution L·y = b.
-	y := make([]float64, n)
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= c.l.At(i, k) * y[k]
+			s -= l.At(i, k) * y[k]
 		}
-		y[i] = s / c.l.At(i, i)
+		y[i] = s / l.At(i, i)
 	}
 	// Back substitution Lᵀ·x = y.
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= c.l.At(k, i) * x[k]
+			s -= l.At(k, i) * x[k]
 		}
-		x[i] = s / c.l.At(i, i)
+		x[i] = s / l.At(i, i)
 	}
-	return x
 }
 
 // RidgeLeastSquares solves min ‖A·x − b‖² + λ‖x‖² via the normal

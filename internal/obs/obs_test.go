@@ -145,6 +145,25 @@ func TestReadReportRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestReadReportRejectsMalformedHistograms: a histogram layout no
+// Histogram could have written is an error, naming the histogram, so a
+// reader of scraped reports (cmd/bench) never indexes past its bounds
+// or interpolates an infinite quantile.
+func TestReadReportRejectsMalformedHistograms(t *testing.T) {
+	for name, body := range map[string]string{
+		"buckets without bounds": `{"count":5,"buckets":[5]}`,
+		"one bucket too many":    `{"count":5,"bounds":[1],"buckets":[0,0,5]}`,
+		"bounds not positive":    `{"count":5,"sum":1,"bounds":[-1e308,1e308],"buckets":[0,5,0]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			raw := `{"format":3,"histograms":{"x.bad_seconds":` + body + `}}`
+			if _, err := ReadReport(strings.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "x.bad_seconds") {
+				t.Fatalf("ReadReport(%s) = %v, want an error naming x.bad_seconds", raw, err)
+			}
+		})
+	}
+}
+
 func TestSnapshotIncludesZeroCounters(t *testing.T) {
 	Reset()
 	NewCounter("test.zero")

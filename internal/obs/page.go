@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// Every HTML view the roles serve — each role's /statusz, the router's
-// /fleetz, and every /tracez list and trace — is one Page rendered by
+// Every HTML view the roles serve — each role's /statusz and every
+// /tracez list and trace — is one Page rendered by
 // pageTmpl. html/template escapes every string a page carries, by the
 // context it lands in. The only markup drawn unescaped is what this file
 // builds itself (Sparkline, Bar), carried in a Cell's unexported markup.

@@ -33,10 +33,10 @@ type StageStats struct {
 //
 // Bounds and Buckets (format >= 3) carry the raw log-spaced bucket
 // layout and per-bucket counts (len(Bounds)+1 entries, the last being
-// the overflow bucket). They exist so a federating reader can merge
-// histograms from many processes *exactly* — bucket-wise integer sums,
-// quantiles re-derived from the merged counts — instead of
-// approximating from pre-computed percentiles.
+// the overflow bucket). They carry the histogram whole, so a reader can
+// combine or subtract reports *exactly* — bucket-wise integer sums,
+// quantiles re-derived from the counts — instead of approximating from
+// pre-computed percentiles.
 type HistStats struct {
 	Count   int64     `json:"count"`
 	Sum     float64   `json:"sum"`
@@ -178,12 +178,12 @@ func ReadReport(r io.Reader) (*Report, error) {
 }
 
 // maxHistCount bounds a histogram's count in a report: far more than a
-// process observes, and few enough that a fleet's merged counts stay
-// exact as float64.
+// process observes, and few enough that counts summed across reports
+// stay exact as float64.
 const maxHistCount = 1 << 53
 
-// check rejects a raw layout no Histogram writes, which merging or
-// windowing could index past or interpolate to a non-finite quantile. A
+// check rejects a raw layout no Histogram writes, which a reader of the
+// buckets could index past or interpolate to a non-finite quantile. A
 // layout has at least one bound, the bounds finite, positive and
 // strictly increasing, and one bucket more than bounds; the bucket counts
 // are not negative and add up to Count, at most maxHistCount; the sum is

@@ -58,9 +58,8 @@ type SLO struct {
 // RequestSLOs declares and registers the request SLO pair over one
 // role's request windows: the latency objective over latency, and the
 // availability objective over errors out of total. scope names whose
-// requests they count: "" for a serving process ("latency",
-// "availability"), "fleet" for the router's merged fleet view
-// ("fleet-latency", "fleet-availability").
+// requests they count: "" for predserve ("latency", "availability"),
+// "router" for predrouter ("router-latency", "router-availability").
 func RequestSLOs(scope string, latency *WindowedHistogram, errors, total *WindowedCounter) []*SLO {
 	name, of := "", ""
 	if scope != "" {

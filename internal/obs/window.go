@@ -14,8 +14,7 @@ import (
 // windows from snapshots (instead of intercepting every Add/Observe)
 // keeps the hot-path cost of an instrumented metric exactly what it was
 // — one atomic add — and lets any existing Counter or Histogram gain
-// 1m/5m/1h views after the fact. The source need not be a local metric:
-// FleetWindows feeds the same views from merged fleet reports.
+// 1m/5m/1h views after the fact.
 //
 // Rotation is lazy: every read (and every Tick) advances the ring to the
 // current bucket boundary, stamping the live cumulative state into each
@@ -180,7 +179,7 @@ type window struct {
 	r     *ring
 }
 
-// windowView is a registered or fleet view: a *WindowedCounter or a
+// windowView is a registered view: a *WindowedCounter or a
 // *WindowedHistogram.
 type windowView interface {
 	Tick()
@@ -255,8 +254,7 @@ func (w *window) Series(d time.Duration) []float64 {
 }
 
 // WindowedCounter is a sliding-window view over a cumulative count: a
-// Counter, or any source whose value only grows, such as a merged fleet
-// counter.
+// Counter, or any source whose value only grows.
 type WindowedCounter struct{ window }
 
 // newWindowedCounter builds an unregistered view over src, baselined at
@@ -287,8 +285,7 @@ func (w *WindowedCounter) Stats(d time.Duration) WindowStats {
 }
 
 // WindowedHistogram is a sliding-window view over a cumulative histogram
-// (a Histogram, one child of a HistogramVec, or a merged fleet
-// histogram): windowed count, rate, mean, and interpolated quantiles
+// (a Histogram or one child of a HistogramVec): windowed count, rate, mean, and interpolated quantiles
 // computed from per-bucket count deltas.
 type WindowedHistogram struct {
 	window

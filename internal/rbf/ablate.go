@@ -27,7 +27,7 @@ func FitTreeAllCenters(tr *rtree.Tree, x [][]float64, y []float64, alpha, minRad
 	if !ok {
 		return &Network{}, math.Inf(1), 0
 	}
-	net := &Network{Bases: bases, Weights: w}
+	net := &Network{Bases: bases, Weights: append([]float64(nil), w...)}
 	return net, aicc, sse
 }
 
@@ -90,18 +90,22 @@ func FitTreeForwardSelection(tr *rtree.Tree, x [][]float64, y []float64, alpha, 
 	if !ok {
 		return &Network{}, math.Inf(1), 0
 	}
+	// The winning trial's weights are copied out of the gram's scratch,
+	// which the next trial overwrites.
+	trial := make([]int, 0, len(bases))
+	var bestW []float64
 	for {
 		bestIdx := -1
 		bestAICc, bestSSE := cur, curSSE
-		var bestW []float64
 		for c := range bases {
 			if in[c] {
 				continue
 			}
-			trial := append(append([]int(nil), sel...), c)
+			trial = append(append(trial[:0], sel...), c)
 			a, s, w, ok := gr.aiccOf(trial)
 			if ok && a < bestAICc {
-				bestAICc, bestSSE, bestW, bestIdx = a, s, w, c
+				bestAICc, bestSSE, bestIdx = a, s, c
+				bestW = append(bestW[:0], w...)
 			}
 		}
 		if bestIdx < 0 {
@@ -109,7 +113,8 @@ func FitTreeForwardSelection(tr *rtree.Tree, x [][]float64, y []float64, alpha, 
 		}
 		sel = append(sel, bestIdx)
 		in[bestIdx] = true
-		cur, curSSE, curW = bestAICc, bestSSE, bestW
+		cur, curSSE = bestAICc, bestSSE
+		curW, bestW = bestW, curW
 	}
 	net := &Network{}
 	for i, bi := range sel {

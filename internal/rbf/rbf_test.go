@@ -413,3 +413,41 @@ func TestFitIdenticalAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestFitTreeAllocsIndependentOfTrials pins the allocations of subset
+// selection: past building the candidates and their Gram system,
+// FitTree allocates a fixed number of times however many trial subsets
+// it fits, because every trial reuses the gram's scratch and one index
+// slice. Tree-ordered selection tries up to seven subsets per internal
+// node, so one allocation per trial would exceed the bound many times.
+func TestFitTreeAllocsIndependentOfTrials(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var xs [][]float64
+	var ys []float64
+	for i := 0; i < 60; i++ {
+		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		xs = append(xs, x)
+		ys = append(ys, math.Sin(3*x[0])+x[1]*x[2])
+	}
+	tr := rtree.Build(xs, ys, 2)
+	const alpha, minR = 6.0, 0.02
+	internal := 0
+	for _, n := range tr.Nodes() {
+		if !n.Leaf() {
+			internal++
+		}
+	}
+	const bound = 48
+	if trials := 7 * internal; trials < 4*bound {
+		t.Fatalf("%d internal nodes give at most %d trials, too few to tell per-trial allocations from the bound %d", internal, trials, bound)
+	}
+	setup := testing.AllocsPerRun(10, func() {
+		bases, _ := candidateBases(tr, alpha, minR)
+		newGram(bases, xs, ys)
+	})
+	fit := testing.AllocsPerRun(10, func() { FitTree(tr, xs, ys, alpha, minR) })
+	t.Logf("%d internal nodes; setup %v allocations, FitTree %v", internal, setup, fit)
+	if extra := fit - setup; extra > bound {
+		t.Fatalf("FitTree allocates %v times past its setup's %v, want at most %d whatever the trial count", extra, setup, bound)
+	}
+}

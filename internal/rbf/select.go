@@ -32,19 +32,41 @@ func candidateBases(tr *rtree.Tree, alpha, minRadius float64) ([]Basis, []*rtree
 // non-terminal node it tries all 8 include/exclude combinations of the
 // node's center and its two children's centers (all other selected
 // centers held fixed) and keeps the combination with the lowest AICc.
-// It returns the selected candidate indices and the final fit.
+// It returns the selected candidate indices, ascending, and the final
+// fit. The selection is a membership slice, and each trial's index list
+// is built in one reused slice, so a trial allocates nothing.
 func selectTreeOrdered(gr *gram, nodes []*rtree.Node) (sel []int, aicc, sse float64, w []float64) {
 	index := make(map[*rtree.Node]int, len(nodes))
 	for i, n := range nodes {
 		index[n] = i
 	}
-	selected := make(map[int]bool)
-	selected[0] = true // the root's center: the center of the design space
-	cur, curSSE, curW, ok := gr.aiccOf(keys(selected))
-	if !ok {
-		selected = map[int]bool{}
-		cur, curSSE, curW, _ = gr.aiccOf(nil)
+	in := make([]bool, len(nodes))
+	list := make([]int, 0, len(nodes))
+	// members lists the selection with the three trial memberships at
+	// idx overridden by combo's bits, in ascending order.
+	members := func(idx [3]int, combo int) []int {
+		list = list[:0]
+		for i, ok := range in {
+			for b, j := range idx {
+				if i == j {
+					ok = combo&(1<<b) != 0
+				}
+			}
+			if ok {
+				list = append(list, i)
+			}
+		}
+		return list
 	}
+	in[0] = true // the root's center: the center of the design space
+	none := [3]int{-1, -1, -1}
+	cur, curSSE, tw, ok := gr.aiccOf(members(none, 0))
+	if !ok {
+		in[0] = false
+		cur, curSSE, tw, _ = gr.aiccOf(nil)
+	}
+	curW := append(make([]float64, 0, len(nodes)), tw...)
+	bestW := make([]float64, 0, len(nodes))
 
 	queue := []*rtree.Node{nodes[0]}
 	for len(queue) > 0 {
@@ -53,81 +75,32 @@ func selectTreeOrdered(gr *gram, nodes []*rtree.Node) (sel []int, aicc, sse floa
 		if n.Leaf() {
 			continue
 		}
-		ni, li, ri := index[n], index[n.Left], index[n.Right]
+		idx := [3]int{index[n], index[n.Left], index[n.Right]}
 		bestCombo := -1
 		bestAICc, bestSSE := cur, curSSE
-		bestW := curW
-		var bestSel []int
 		for combo := 0; combo < 8; combo++ {
-			trial := cloneSet(selected)
-			setMembership(trial, ni, combo&1 != 0)
-			setMembership(trial, li, combo&2 != 0)
-			setMembership(trial, ri, combo&4 != 0)
-			if equalSets(trial, selected) {
-				continue
+			if in[idx[0]] == (combo&1 != 0) && in[idx[1]] == (combo&2 != 0) && in[idx[2]] == (combo&4 != 0) {
+				continue // the current selection
 			}
-			a, s, tw, ok := gr.aiccOf(keys(trial))
+			a, s, tw, ok := gr.aiccOf(members(idx, combo))
 			if !ok {
 				continue
 			}
 			if a < bestAICc {
-				bestAICc, bestSSE, bestW, bestCombo = a, s, tw, combo
-				bestSel = keys(trial)
+				bestAICc, bestSSE, bestCombo = a, s, combo
+				bestW = append(bestW[:0], tw...)
 			}
 		}
 		if bestCombo >= 0 {
-			selected = map[int]bool{}
-			for _, i := range bestSel {
-				selected[i] = true
+			for b, j := range idx {
+				in[j] = bestCombo&(1<<b) != 0
 			}
-			cur, curSSE, curW = bestAICc, bestSSE, bestW
+			cur, curSSE = bestAICc, bestSSE
+			curW, bestW = bestW, curW
 		}
 		queue = append(queue, n.Left, n.Right)
 	}
-	return keys(selected), cur, curSSE, curW
-}
-
-func cloneSet(s map[int]bool) map[int]bool {
-	c := make(map[int]bool, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
-}
-
-func setMembership(s map[int]bool, i int, in bool) {
-	if in {
-		s[i] = true
-	} else {
-		delete(s, i)
-	}
-}
-
-func equalSets(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// keys returns the set's members in ascending order.
-func keys(s map[int]bool) []int {
-	out := make([]int, 0, len(s))
-	for k := range s {
-		out = append(out, k)
-	}
-	// insertion sort: sets are small
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return members(none, 0), cur, curSSE, curW
 }
 
 // FitTree builds the candidate set from a fitted regression tree at a

@@ -22,7 +22,8 @@ import (
 //     body the same with tracing on or off, so a router relays it as is.
 //     A forest past obs.MaxSpanTrailerBytes is cut, ending in a span
 //     that counts what was dropped, so tracing never fails the hop;
-//   - records the response status and size (ExchangeOf), and
+//   - records the response status and size (ExchangeOf);
+//   - feeds the role's request SLO pair (RequestSLO), and
 //   - offers the finished trace to the role's /tracez store.
 type Edge struct {
 	// Role names the root span, "<Role>.request".
@@ -31,6 +32,9 @@ type Edge struct {
 	Sampler obs.Sampler
 	// Traces receives every finished trace (nil keeps none).
 	Traces *obs.TraceStore
+	// SLO receives every answered request (nil for a role that declares
+	// no request SLO).
+	SLO *RequestSLO
 	// Route maps a request path to the bounded label the trace store and
 	// the root span's "route" attribute carry. Without it both carry the
 	// path itself, the span as its "path" attribute.
@@ -39,11 +43,11 @@ type Edge struct {
 
 // IsOps reports whether path is on the ops surface the roles share:
 // the probes, metrics, trace and status pages. Probes and scrapes arrive
-// every few seconds, so Edge never traces them, and predserve leaves
-// them out of its SLOs.
+// every few seconds, so Edge never traces them, and RequestSLO leaves
+// them out.
 func IsOps(path string) bool {
 	switch path {
-	case "/healthz", "/readyz", "/alertz", "/metricz", "/tracez", "/statusz", "/fleetz":
+	case "/healthz", "/readyz", "/alertz", "/metricz", "/tracez", "/statusz":
 		return true
 	}
 	return false
@@ -125,16 +129,18 @@ func (e Edge) Wrap(next http.Handler) http.Handler {
 		}
 		next.ServeHTTP(rec, r.WithContext(ctx))
 		endRoot()
-		if tr == nil {
-			return
-		}
-		if remote {
+		if tr != nil && remote {
 			w.Header().Set(obs.SpanTrailerHeader, obs.EncodeSpans(tr.Export()))
 		}
 		x := rec.x
+		d := time.Since(x.Start)
+		e.SLO.observe(r.URL.Path, x.Status, d)
+		if tr == nil {
+			return
+		}
 		e.Traces.Add(tr, obs.TraceMeta{
 			ID: tr.ID(), Kind: "request", Route: route, Status: x.Status,
-			Start: x.Start, Dur: time.Since(x.Start), Err: x.Status >= 500, Keep: x.Keep,
+			Start: x.Start, Dur: d, Err: x.Status >= 500, Keep: x.Keep,
 		})
 	})
 }

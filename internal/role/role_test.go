@@ -44,10 +44,9 @@ func newRoles(t *testing.T) []roleUnderTest {
 	t.Cleanup(workerTS.Close)
 
 	rt, err := cluster.NewRouter(cluster.RouterOptions{
-		Shards:              []string{serveTS.URL},
-		MaxBodyBytes:        maxBody,
-		SyncInterval:        -1,
-		FleetScrapeInterval: -1,
+		Shards:       []string{serveTS.URL},
+		MaxBodyBytes: maxBody,
+		SyncInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

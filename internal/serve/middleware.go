@@ -20,24 +20,9 @@ var (
 	hRequests  = obs.NewHistogramVec("serve.http_request_seconds", obs.DefLatencyBuckets, "route")
 	cResponses = obs.NewCounterVec("serve.http_responses", "route", "code")
 	gInflight  = obs.NewGauge("serve.inflight_requests")
-
-	// Route-agnostic aggregates backing the SLOs: one latency histogram
-	// over every request, a total-response counter, and a 5xx counter.
-	// Their sliding-window views (Server.wLatency and friends) feed the
-	// latency and availability burn rates.
-	hAllRequests   = obs.NewHistogram("serve.request_seconds", obs.DefLatencyBuckets)
-	cRequestsTotal = obs.NewCounter("serve.requests_total")
-	cResponses5xx  = obs.NewCounter("serve.responses_5xx")
 )
 
-// routes is the fixed label set for per-route metrics. The ops surface
-// among them (role.IsOps) is exempt from the SLO aggregates: a /readyz
-// 503 is readiness signal, not a served-traffic failure. Counting it
-// would let an unready server burn its own availability budget with
-// every probe and never report ready again — and counting /healthz
-// probes or /metricz scrapes (the router's fleet plane polls every role
-// on a sub-second cadence) would dilute the bad fraction with synthetic
-// good traffic.
+// routes is the fixed label set for per-route metrics.
 var routes = map[string]struct{}{
 	"/healthz":        {},
 	"/readyz":         {},
@@ -107,12 +92,11 @@ func (l *accessLog) log(e accessEntry) {
 // withMetrics is serve's own layer inside the shared role.Edge (see
 // Server.Handler): the in-flight gauge and, once the inner chain
 // returns, the per-route latency histogram (with a trace exemplar when
-// traced), the route × code response counter, the SLO aggregates, the
-// access-log line, and the slow-outlier flag that makes the edge keep
-// the trace. It wraps the mux, and with it both deadlines (a single
-// prediction's coalescer wait and /v1/search's timeout wrapper), so a
-// timed-out request is measured and logged with its real 503 and its
-// full duration.
+// traced), the route × code response counter, the access-log line, and
+// the slow-outlier flag that makes the edge keep the trace. It wraps
+// the mux, and with it both deadlines (a single prediction's coalescer
+// wait and /v1/search's timeout wrapper), so a timed-out request is
+// measured and logged with its real 503 and its full duration.
 func (s *Server) withMetrics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gInflight.Inc()
@@ -127,13 +111,6 @@ func (s *Server) withMetrics(next http.Handler) http.Handler {
 			x.Keep = s.slowOutlier(route, d)
 		} else {
 			hRequests.With(route).Observe(d.Seconds())
-		}
-		if !role.IsOps(route) {
-			hAllRequests.Observe(d.Seconds())
-			cRequestsTotal.Inc()
-			if x.Status >= 500 {
-				cResponses5xx.Inc()
-			}
 		}
 		cResponses.With(route, strconv.Itoa(x.Status)).Inc()
 		s.access.log(accessEntry{

@@ -36,7 +36,7 @@ func (s *Server) evaluate() []unreadyReason {
 		})
 	}
 
-	for _, slo := range s.slos {
+	for _, slo := range s.slo.SLOs() {
 		st := slo.State()
 		msg := sloBurnMessage(st)
 		s.alerts.Set("slo_burn:"+st.Name, st.Firing, "%s", msg)

@@ -185,15 +185,12 @@ type Server struct {
 	http   *role.Server
 
 	// Time-aware observability: the clock every window/SLO/alert runs
-	// on, sliding-window views over the request metrics, the declared
-	// SLOs, the alert log, and the shadow drift monitor.
+	// on, per-route sliding-window views, the request SLO pair the edge
+	// feeds, the alert log, and the shadow drift monitor.
 	clock    obs.Clock
 	start    time.Time
-	wLatency *obs.WindowedHistogram
-	wTotal   *obs.WindowedCounter
-	w5xx     *obs.WindowedCounter
 	wRoutes  map[string]*obs.WindowedHistogram
-	slos     []*obs.SLO
+	slo      *role.RequestSLO
 	alerts   *obs.AlertSet
 	shadow   *shadowMonitor
 	coalesce *coalescer
@@ -233,12 +230,9 @@ func New(opt Options) *Server {
 	obs.NewGaugeFunc("serve.cache_capacity", func() float64 { return float64(s.cache.Cap()) })
 	obs.NewGaugeFunc("serve.registry_models", func() float64 { return float64(s.reg.Len()) })
 
-	// Sliding-window views over the request metrics (latest-wins, like
-	// the gauges above: the most recent Server owns the clock), plus
-	// per-route views for the /statusz latency tables.
-	s.wLatency = obs.WindowHistogram(hAllRequests, s.clock)
-	s.wTotal = obs.WindowCounter(cRequestsTotal, s.clock)
-	s.w5xx = obs.WindowCounter(cResponses5xx, s.clock)
+	// Per-route sliding-window views for the /statusz latency tables
+	// (latest-wins, like the gauges above: the most recent Server owns
+	// the clock).
 	s.wRoutes = map[string]*obs.WindowedHistogram{}
 	for route := range routes {
 		s.wRoutes[route] = obs.WindowHistogramIn(hRequests, s.clock, route)
@@ -247,7 +241,7 @@ func New(opt Options) *Server {
 
 	// The request SLO pair, Google SRE multi-window burn style,
 	// registered globally so run reports carry their states.
-	s.slos = obs.RequestSLOs("", s.wLatency, s.w5xx, s.wTotal)
+	s.slo = role.NewRequestSLO("serve", "", s.clock)
 	s.alerts = obs.NewAlertSet(s.clock)
 	s.shadow = newShadowMonitor(opt, s.clock)
 	s.coalesce = newCoalescer(coalesceMax, coalesceQueue, s.predictBatch)
@@ -270,10 +264,10 @@ func (s *Server) Traces() *obs.TraceStore { return s.traces }
 
 // Handler returns the full API handler. Outermost is the shared
 // role.Edge (request ID, sampling decision, request-scoped trace,
-// /tracez retention; a router-fronted hop returns its spans on the
-// X-Trace-Spans trailer), then serve's metrics layer (per-route
-// histograms, response counters, SLO aggregates, in-flight gauge,
-// access log), then the mux. Only /v1/search sits behind
+// /tracez retention, the request SLO pair; a router-fronted hop returns
+// its spans on the X-Trace-Spans trailer), then serve's metrics layer
+// (per-route histograms, response counters, in-flight gauge, access
+// log), then the mux. Only /v1/search sits behind
 // role.WithTimeout, because a simulator-verified search does not watch
 // its context; a single prediction bounds its own coalescer wait, so
 // every other route runs on the connection's goroutine. Timed-out
@@ -291,7 +285,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/models/load", s.handleModelsLoad)
 	mux.HandleFunc("/v1/predict", s.handlePredict)
 	mux.Handle("/v1/search", role.WithTimeout(http.HandlerFunc(s.handleSearch), s.opt.Timeout, "server"))
-	edge := role.Edge{Role: "serve", Sampler: s.sampler, Traces: s.traces, Route: routeLabel}
+	edge := role.Edge{Role: "serve", Sampler: s.sampler, Traces: s.traces, SLO: s.slo, Route: routeLabel}
 	return edge.Wrap(s.withMetrics(mux))
 }
 

@@ -79,9 +79,10 @@ func TestReadyzLifecycle(t *testing.T) {
 	// An SLO-violating burst: every request blows the latency objective,
 	// so the latency SLO burns at ~1000× (bad fraction ~1 against a 0.1%
 	// budget) on both windows. The observations go straight into the
-	// request histogram — the same path the middleware feeds.
+	// request histogram — the one the edge feeds.
+	reqSeconds := obs.NewHistogram("serve.request_seconds", obs.DefLatencyBuckets)
 	for i := 0; i < 200; i++ {
-		hAllRequests.Observe(10)
+		reqSeconds.Observe(10)
 	}
 	resp, body = getBody(t, ts.URL+"/readyz")
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, "slo_burn") {
@@ -205,8 +206,8 @@ func TestHealthzCarriesBuildInfo(t *testing.T) {
 }
 
 // TestRequestSLODeclarations pins the four request SLOs — this server's
-// and the router fleet plane's — as /alertz, /statusz, /fleetz and run
-// reports show them.
+// and the router's, each over its own edge — as /alertz, /statusz,
+// /metricz and run reports show them.
 func TestRequestSLODeclarations(t *testing.T) {
 	New(Options{})
 	if _, err := cluster.NewRouter(cluster.RouterOptions{Shards: []string{"127.0.0.1:1"}}); err != nil {
@@ -215,8 +216,8 @@ func TestRequestSLODeclarations(t *testing.T) {
 	want := []struct{ name, desc string }{
 		{"latency", "99.9% of requests complete within 250ms"},
 		{"availability", "99.9% of responses are non-5xx"},
-		{"fleet-latency", "99.9% of fleet requests complete within 250ms"},
-		{"fleet-availability", "99.9% of fleet responses are non-5xx"},
+		{"router-latency", "99.9% of router requests complete within 250ms"},
+		{"router-availability", "99.9% of router responses are non-5xx"},
 	}
 	states := map[string]obs.SLOState{}
 	for _, st := range obs.SLOStates() {

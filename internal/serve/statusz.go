@@ -50,16 +50,6 @@ func (s *Server) statuszPage() obs.Page {
 		p.Problems = append(p.Problems, r.Code+": "+r.Message)
 	}
 
-	slos := obs.Section{Title: "SLOs (error budget at current 1h burn)",
-		Headers: []string{"SLO", "description", "objective", "burn 5m", "burn 1h", "budget consumption", "state"}}
-	for _, slo := range s.slos {
-		st := slo.State()
-		slos.Rows = append(slos.Rows, append(obs.Texts(st.Name, st.Description,
-			fmt.Sprintf("%.4g%%", st.Objective*100), fmt.Sprintf("%.2f", st.Fast.BurnRate), fmt.Sprintf("%.2f", st.Slow.BurnRate)),
-			obs.Bar(st.BudgetSpent, st.Firing, fmt.Sprintf("%.0f%%×budget", st.BudgetSpent*100)),
-			obs.Verdict(st.Firing, "burning", "ok")))
-	}
-
 	drift := map[string]driftState{}
 	for _, ds := range s.shadow.driftStates() {
 		drift[ds.Model] = ds
@@ -137,7 +127,7 @@ func (s *Server) statuszPage() obs.Page {
 		alerts.Rows = append(alerts.Rows, []obs.Cell{{Text: a.Name}, obs.Verdict(a.Firing, "firing", "resolved"),
 			{Text: a.Since}, {Text: a.ResolvedAt}, {Text: strconv.Itoa(a.Count)}, {Text: a.Reason}})
 	}
-	p.Sections = []obs.Section{slos, models, retrains, routes, pool, alerts}
+	p.Sections = []obs.Section{s.slo.Section(), models, retrains, routes, pool, alerts}
 	return p
 }
 

@@ -12,9 +12,9 @@ import (
 	"predperf/internal/role"
 )
 
-// TestHTMLViews fetches all six HTML views — the /statusz of each role,
-// the router's /fleetz, and a role's /tracez list and trace — from one
-// router fronting a predserve shard and a simworker; the trace view
+// TestHTMLViews fetches all five HTML views — the /statusz of each role,
+// and a role's /tracez list and trace — from one router fronting a
+// predserve shard, and from a simworker; the trace view
 // twice, on the shard and on the router, whose trace of a routed
 // predict holds the shard's grafted spans. Each must be a complete page
 // with its sections, and a model name carrying markup must appear only
@@ -30,12 +30,7 @@ func TestHTMLViews(t *testing.T) {
 	defer shard.Close()
 	worker := httptest.NewServer(cluster.NewWorker(cluster.WorkerOptions{}).Handler())
 	defer worker.Close()
-	rt, err := cluster.NewRouter(cluster.RouterOptions{
-		Shards:              []string{shard.URL},
-		Workers:             []string{worker.URL},
-		SyncInterval:        -1,
-		FleetScrapeInterval: -1,
-	})
+	rt, err := cluster.NewRouter(cluster.RouterOptions{Shards: []string{shard.URL}, SyncInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +63,8 @@ func TestHTMLViews(t *testing.T) {
 		{"predserve /statusz", shard.URL + "/statusz",
 			[]string{"SLOs", "Models", "Routes", "Alerts"}, []string{escapedModel, `href="/tracez?id=views-1"`}},
 		{"predrouter /statusz", router.URL + "/statusz",
-			[]string{"Shards", "Model placement"}, []string{escapedModel}},
+			[]string{"SLOs", "Shards", "Model placement"}, []string{escapedModel, "router-availability"}},
 		{"simworker /statusz", worker.URL + "/statusz", []string{"Loaded evaluators"}, nil},
-		{"/fleetz", router.URL + "/fleetz",
-			[]string{"Fleet SLOs", "Traffic", "Roles", "Per-role drill-down", "Merged totals"}, nil},
 		{"/tracez list", shard.URL + "/tracez", []string{"Traces"}, []string{`href="/tracez?id=views-1&amp;format=chrome"`}},
 		{"/tracez trace", shard.URL + "/tracez?id=views-1", []string{"Spans"}, []string{"serve.predict"}},
 		{"router /tracez trace", router.URL + "/tracez?id=views-2", []string{"Spans"}, []string{"router.forward", "serve.predict"}},

@@ -319,20 +319,29 @@ var (
 	cached  = map[string]Trace{}
 )
 
-// Cached returns the deterministic trace for a named benchmark profile at
-// the given length, generating it on first use and memoizing it.
-func Cached(name string, n int) (Trace, error) {
+// Named generates the deterministic trace for a named benchmark profile
+// at the given length. Nothing keeps it but the caller.
+func Named(name string, n int) (Trace, error) {
 	p, ok := ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("trace: unknown benchmark %q", name)
 	}
+	return Generate(p, n, 1), nil
+}
+
+// Cached returns Named's trace, generating it on first use and keeping
+// it for the life of the process.
+func Cached(name string, n int) (Trace, error) {
 	key := fmt.Sprintf("%s/%d", name, n)
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	if t, ok := cached[key]; ok {
 		return t, nil
 	}
-	t := Generate(p, n, 1)
+	t, err := Named(name, n)
+	if err != nil {
+		return nil, err
+	}
 	cached[key] = t
 	return t, nil
 }

@@ -54,7 +54,7 @@ go test -run '^$' -fuzz '^FuzzPeekModel$' -fuzztime 5s ./internal/role
 echo "== fuzz the X-Trace-Spans decode and graft (5 s) =="
 go test -run '^$' -fuzz '^FuzzSpanTrailer$' -fuzztime 5s ./internal/obs
 
-echo "== fuzz scraped /metricz reports through merge and fleet windows (5 s) =="
+echo "== fuzz scraped /metricz reports (5 s) =="
 go test -run '^$' -fuzz '^FuzzReport$' -fuzztime 5s ./internal/obs
 
 echo "== fuzz the /tracez handler's query parameters (5 s) =="
@@ -62,6 +62,18 @@ go test -run '^$' -fuzz '^FuzzTracez$' -fuzztime 5s ./internal/obs
 
 echo "== fuzz /v1/search bodies (5 s) =="
 go test -run '^$' -fuzz '^FuzzSearchBody$' -fuzztime 5s ./internal/serve
+
+echo "== fuzz model files through LoadModel (5 s) =="
+go test -run '^$' -fuzz '^FuzzLoadModel$' -fuzztime 5s ./internal/core
+
+echo "== fuzz /v1/eval bodies (5 s) =="
+go test -run '^$' -fuzz '^FuzzEvalRequest$' -fuzztime 5s ./internal/cluster
+
+echo "== fuzz admitted configs through the simulator (5 s) =="
+go test -run '^$' -fuzz '^FuzzSimRun$' -fuzztime 5s ./internal/cluster
+
+echo "== fuzz the JSON value skipper (5 s) =="
+go test -run '^$' -fuzz '^FuzzSkip$' -fuzztime 5s ./internal/wirejson
 
 echo "== one HTML page template =="
 # Every HTML view renders through the one template in internal/obs/page.go,
@@ -341,9 +353,9 @@ echo "== cluster smoke =="
 # shard fronted by the consistent-hash router.
 go build -o "$smoke_dir/simworker" ./cmd/simworker
 go build -o "$smoke_dir/predrouter" ./cmd/predrouter
-# Knob ratchets, as for predserve above: predrouter has exactly 11
+# Knob ratchets, as for predserve above: predrouter has exactly 9
 # flags and simworker 10.
-for r in predrouter:11 simworker:10; do
+for r in predrouter:9 simworker:10; do
     nflags=$("$smoke_dir/${r%:*}" -h 2>&1 | grep -c '^  -')
     if [ "$nflags" != "${r#*:}" ]; then
         echo "${r%:*} -h lists $nflags flags, want ${r#*:}" >&2
@@ -440,63 +452,34 @@ grep -q "shut down cleanly" "$smoke_dir/router.log"
 grep -q "shut down cleanly" "$smoke_dir/shard.log"
 grep -q "shut down cleanly" "$smoke_dir/worker2.log"
 
-echo "== fleet observability smoke =="
-# Fleet plane: 2 shards + 2 workers behind the router. /fleetz must
-# aggregate both shards' request counters, the router's /tracez?q= must
-# find a routed trace holding the shard's spans and export it as one
-# Chrome timeline, and an induced latency burn must fire the
-# fleet-latency SLO and clear once good traffic dilutes it.
+echo "== front-door SLO smoke =="
+# The router's own request SLO pair, over 2 shards: the router's
+# /tracez?q= must find a routed trace holding the shard's spans and
+# export it as one Chrome timeline, an induced latency burn must fire
+# router-latency on the router's own /metricz and clear once good
+# traffic dilutes it, and once both shards have drained, routed
+# predicts answer 503 and router-availability fires.
 predbody='{"model":"mcf","config":{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}}'
-"$smoke_dir/simworker" -addr 127.0.0.1:0 -id fw1 > "$smoke_dir/fworker1.log" 2>&1 &
-fw1_pid=$!
-"$smoke_dir/simworker" -addr 127.0.0.1:0 -id fw2 > "$smoke_dir/fworker2.log" 2>&1 &
-fw2_pid=$!
 "$smoke_dir/predserve" -addr 127.0.0.1:0 -models "$smoke_dir/models3" \
     -search-insts 50000 -access-log off > "$smoke_dir/fshard1.log" 2>&1 &
 fs1_pid=$!
 "$smoke_dir/predserve" -addr 127.0.0.1:0 -models "$smoke_dir/models3" \
     -search-insts 50000 -access-log off > "$smoke_dir/fshard2.log" 2>&1 &
 fs2_pid=$!
-worker_pids="$fw1_pid $fw2_pid $fs1_pid $fs2_pid"
-fw1=$(wait_addr "$smoke_dir/fworker1.log" simworker)
-fw2=$(wait_addr "$smoke_dir/fworker2.log" simworker)
+worker_pids="$fs1_pid $fs2_pid"
 fs1=$(wait_addr "$smoke_dir/fshard1.log" predserve)
 fs2=$(wait_addr "$smoke_dir/fshard2.log" predserve)
-"$smoke_dir/predrouter" -addr 127.0.0.1:0 -shards "$fs1,$fs2" -workers "$fw1,$fw2" \
-    -trace-sample 0.02 -fleet-scrape-every 200ms \
+"$smoke_dir/predrouter" -addr 127.0.0.1:0 -shards "$fs1,$fs2" -trace-sample 0.02 \
     > "$smoke_dir/frouter.log" 2>&1 &
 fr_pid=$!
 worker_pids="$worker_pids $fr_pid"
 fr=$(wait_addr "$smoke_dir/frouter.log" predrouter)
-# Two predictions against each shard directly, so each shard's own
-# request counter is non-zero and the merged total must cover both.
-for s in "$fs1" "$fs2"; do
-    curl -fsS -X POST "http://$s/v1/predict" -d "$predbody" > /dev/null
-    curl -fsS -X POST "http://$s/v1/predict" -d "$predbody" > /dev/null
-done
-curl -fsS "http://$fr/fleetz?refresh=1&format=json" > "$smoke_dir/fleetz.json"
-grep -q '"fleet-latency"' "$smoke_dir/fleetz.json"
-grep -q '"fleet-availability"' "$smoke_dir/fleetz.json"
-# All four scraped roles (2 shards + 2 workers) healthy in the rollup.
-# The body is compact JSON on one line, so count matches, not lines.
-healthy=$(grep -o '"healthy":true' "$smoke_dir/fleetz.json" | wc -l || true)
-if [ "$healthy" != 4 ]; then
-    echo "fleet rollup has $healthy healthy roles, want 4:" >&2
-    cat "$smoke_dir/fleetz.json" >&2
-    exit 1
-fi
-# The merged aggregate covers at least the 4 direct predictions — the
-# shard processes don't share a registry, so this is a genuine
-# cross-process sum.
-merged_reqs=$(grep -o '"serve.requests_total":[0-9]*' "$smoke_dir/fleetz.json" | head -1 | cut -d: -f2)
-if [ -z "$merged_reqs" ] || [ "$merged_reqs" -lt 4 ]; then
-    echo "merged serve.requests_total = '$merged_reqs', want >= 4" >&2
-    exit 1
-fi
-# The HTML view renders the same plane (fetched to a file: grep -q on a
-# pipe + pipefail trips curl EPIPE).
-curl -fsS "http://$fr/fleetz" > "$smoke_dir/fleetz.html"
-grep -q 'fleet status' "$smoke_dir/fleetz.html"
+# Both SLOs are declared on the router's /metricz and /statusz.
+curl -fsS "http://$fr/metricz?format=json" > "$smoke_dir/router-metricz.json"
+grep -q '"router-latency"' "$smoke_dir/router-metricz.json"
+grep -q '"router-availability"' "$smoke_dir/router-metricz.json"
+curl -fsS "http://$fr/statusz" > "$smoke_dir/router-slo-statusz.html"
+grep -q 'router-availability' "$smoke_dir/router-slo-statusz.html"
 # Cross-role trace: a routed predict carrying a sampled traceparent is
 # retained on the router with the shard's spans grafted under its hop;
 # the router's own /tracez must find it, hold the shard's serve.predict
@@ -513,57 +496,58 @@ grep -q '"traceEvents"' "$smoke_dir/fleet-trace.json"
 # Induce an SLO burn: simulator-verified searches at 50k instructions
 # run well past the 250ms latency threshold, so with only a handful of
 # good requests in the windows both burn rates blow through the paging
-# threshold and fleet-latency must fire.
-# latency_firing prints the "firing" value of the fleet-latency SLO:
-# the first "firing" key after its name in the compact body.
-latency_firing() {
-    curl -fsS "http://$fr/fleetz?format=json&refresh=1" |
-        grep -oE '"name":"fleet-latency"|"firing":[a-z]+' |
-        awk -F: '/fleet-latency/ { f = 1; next } f && !done { print $2; done = 1 }'
+# threshold and router-latency must fire.
+# slo_firing <name> prints the "firing" value of the router's SLO of
+# that name: the first "firing" key after its name in /metricz's JSON.
+slo_firing() {
+    curl -fsS "http://$fr/metricz?format=json" > "$smoke_dir/router-slos.json"
+    grep -oE "\"name\": *\"$1\"|\"firing\": *[a-z]+" "$smoke_dir/router-slos.json" |
+        awk -F: -v n="$1" '$0 ~ n { f = 1; next } f && !done { gsub(/ /, "", $2); print $2; done = 1 }'
 }
 for _ in 1 2 3; do
     curl -fsS -X POST "http://$fr/v1/search" -d '{"model":"mcf","verify":"sim"}' > /dev/null
 done
-burned=""
-for _ in $(seq 1 50); do
-    if [ "$(latency_firing)" = true ]; then
-        burned=1
-        break
-    fi
-    sleep 0.3
-done
-if [ -z "$burned" ]; then
-    echo "fleet-latency never fired after three slow searches" >&2
-    curl -fsS "http://$fr/fleetz?format=json" >&2
+if [ "$(slo_firing router-latency)" != true ]; then
+    echo "router-latency did not fire after three slow searches" >&2
+    cat "$smoke_dir/router-slos.json" >&2
     exit 1
 fi
 # Flood good traffic to dilute the windowed bad fraction below the burn
-# threshold; fleet-latency must then clear.
+# threshold; router-latency must then clear.
 for _ in $(seq 1 300); do
     curl -fsS -X POST "http://$fr/v1/predict" -d "$predbody" > /dev/null
 done
-cleared=""
-for _ in $(seq 1 60); do
-    if [ "$(latency_firing)" = false ]; then
-        cleared=1
-        break
-    fi
-    sleep 0.3
-done
-if [ -z "$cleared" ]; then
-    echo "fleet-latency still firing after 300 good predictions" >&2
-    curl -fsS "http://$fr/fleetz?format=json" >&2
+if [ "$(slo_firing router-latency)" != false ]; then
+    echo "router-latency still firing after 300 good predictions" >&2
+    cat "$smoke_dir/router-slos.json" >&2
     exit 1
 fi
-# Clean SIGTERM drain of every fleet role.
-for pid in $fr_pid $fs1_pid $fs2_pid $fw1_pid $fw2_pid; do
+# Clean SIGTERM drain of both shards; the router then has no shard to
+# serve from, answers every routed predict 503 no_shard, and counts
+# each against router-availability, which must fire.
+for pid in $fs1_pid $fs2_pid; do
     kill -TERM "$pid"
     wait "$pid"
 done
-worker_pids=""
-grep -q "shut down cleanly" "$smoke_dir/frouter.log"
+worker_pids="$fr_pid"
 grep -q "shut down cleanly" "$smoke_dir/fshard1.log"
 grep -q "shut down cleanly" "$smoke_dir/fshard2.log"
+for _ in $(seq 1 20); do
+    code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$fr/v1/predict" -d "$predbody")
+    if [ "$code" != 503 ]; then
+        echo "routed predict with both shards down answered $code, want 503" >&2
+        exit 1
+    fi
+done
+if [ "$(slo_firing router-availability)" != true ]; then
+    echo "router-availability did not fire after 20 routed 503s" >&2
+    cat "$smoke_dir/router-slos.json" >&2
+    exit 1
+fi
+kill -TERM "$fr_pid"
+wait "$fr_pid"
+worker_pids=""
+grep -q "shut down cleanly" "$smoke_dir/frouter.log"
 
 echo "== benchmark module (cmd/bench) =="
 # The benchmark is its own Go module, outside `go test ./...`. Its smoke
