@@ -180,6 +180,12 @@ func main() {
 		// header names the benchmark for predserve's registry.
 		m.Name = *bench
 	}
+	if *loadFile == "" {
+		// And with the simulation they were built on, so predserve
+		// re-simulates a served prediction on exactly that trace and
+		// metric.
+		m.TraceLen, m.Metric = *insts, metric
+	}
 	fmt.Printf("  method parameters  : p_min=%d alpha=%.0f\n", m.Fit.PMin, m.Fit.Alpha)
 	fmt.Printf("  RBF centers        : %d\n", m.Fit.NumCenters())
 

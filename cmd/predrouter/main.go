@@ -27,9 +27,9 @@
 //
 // The router polls every shard's /v1/models on -sync-every; the model
 // generation vector piggybacked on those responses detects hot swaps
-// (a load or retrain bumps the generation), and the router re-syncs the
-// model's secondary shard with POST /v1/models/load so failover keeps
-// serving current coefficients. This assumes the shards share the
+// (a load bumps the generation), and the router re-syncs the model's
+// secondary shard with POST /v1/models/load so failover keeps serving
+// current coefficients. This assumes the shards share the
 // -models directory (bind mount, NFS, or same host).
 //
 // POST /v1/models/load through the router fans the load to the model's

@@ -39,15 +39,13 @@
 // firing and resolved alerts with timestamps; /statusz is a
 // self-contained HTML dashboard.
 //
-// With -retrain, drift closes the loop instead of only flipping
-// readiness: a model whose drift alert fires for -retrain-after is
-// rebuilt in the background at 2×, 3× and 4× its sample size (stopping
-// at -retrain-target-pct mean test error), hot-swapped into the
-// registry under a new generation, and persisted atomically back into
-// -models. Retrains are single-flight per model, one at a time
-// process-wide, and cooled down for 10 minutes after success and
-// failure alike; progress shows up in serve_retrains counters,
-// /statusz, /alertz, and as non-failing notes in /readyz.
+// Shadow sampling re-simulates a served prediction on the trace and
+// metric its model file names (predperf stamps both), so a model
+// drifts only when it disagrees with the simulation it was built on.
+// The remedy is to rebuild it with predperf and hot-load the result
+// (POST /v1/models/load), which starts the name on a clean drift
+// window. A model file that names no trace length is served but never
+// re-simulated.
 //
 // SIGINT/SIGTERM triggers a graceful drain: the listener closes
 // immediately, in-flight requests get -drain to finish, and the process
@@ -91,18 +89,11 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.BoolVar(&c.version, "version", false, "print build info (Go version, model format, VCS revision) and exit")
 	fs.StringVar(&o.ModelDir, "models", "", "directory of *.json models to load at startup (also anchors relative /v1/models/load paths)")
 	fs.StringVar(&c.modelFiles, "model", "", "comma-separated model files to load at startup")
-	fs.IntVar(&o.SearchTraceLen, "search-insts", 50_000, "trace length for simulator-verified /v1/search")
 	fs.StringVar(&c.accessLog, "access-log", "stderr", `JSON-lines access log destination: "stderr", "off", or a file path (appended)`)
 	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off by default")
-	fs.Float64Var(&o.ShadowFraction, "shadow-frac", 0, "fraction of served predictions re-checked on the cycle-level simulator (0 disables, 1 checks everything)")
+	fs.Float64Var(&o.ShadowFraction, "shadow-frac", 0, "fraction of served predictions re-simulated on the trace and metric their model was built on (0 disables, 1 checks everything)")
 	fs.Float64Var(&o.ShadowErrPct, "shadow-err-pct", 25, "windowed mean shadow error (percent) above which a model counts as drifting (0 or negative never trips)")
-	fs.BoolVar(&o.Retrain, "retrain", false, "rebuild drifting models at 2x/3x/4x their sample size and hot-swap the winner (requires -shadow-frac > 0 to ever trigger)")
-	fs.Float64Var(&o.RetrainTargetPct, "retrain-target-pct", 5, "stop the retrain escalation once mean test error drops to this percentage")
-	fs.DurationVar(&o.RetrainAfter, "retrain-after", 30*time.Second, "how long a model's drift alert must fire continuously before a retrain starts (0 starts at once)")
-	fs.DurationVar(&o.RetrainPoll, "retrain-poll", 10*time.Second, "drift-state poll cadence of the retrain controller")
-	fs.IntVar(&o.RetrainTestPoints, "retrain-test-points", 24, "simulator-backed test points driving the retrain stopping rule")
-	fs.IntVar(&o.RetrainWorkers, "retrain-workers", 1, "worker goroutines for one background retrain build")
-	fs.StringVar(&c.simWorkers, "sim-workers", "", "comma-separated simworker base URLs; when set, search verification, shadow re-simulation, and retrain builds fan out to the evaluation farm instead of simulating in-process")
+	fs.StringVar(&c.simWorkers, "sim-workers", "", "comma-separated simworker base URLs; when set, search verification and shadow re-simulation fan out to the evaluation farm instead of simulating in-process")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -110,9 +101,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	o.TraceSample, o.TraceStoreSize = c.role.SampleRate(), c.role.TraceStore
 	// The Options zero value means "default", not "none": an explicit 0
 	// becomes the negative sentinel.
-	if o.RetrainAfter <= 0 {
-		o.RetrainAfter = -1
-	}
 	if o.ShadowErrPct <= 0 {
 		o.ShadowErrPct = -1
 	}
@@ -181,9 +169,6 @@ func main() {
 	}
 
 	srv := serve.New(c.opt)
-	if c.opt.Retrain && c.opt.ShadowFraction <= 0 {
-		log.Print("warning: -retrain has no trigger without shadow monitoring; set -shadow-frac > 0")
-	}
 	if c.opt.ModelDir != "" {
 		names, err := srv.Registry().LoadDir("")
 		if err != nil {

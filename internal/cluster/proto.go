@@ -9,10 +9,9 @@
 //     configurations on a benchmark trace. RemoteEvaluator speaks that
 //     protocol through a health-gated Pool and implements
 //     core.Evaluator, so every simulator consumer — BuildToAccuracy,
-//     retrain, shadow re-simulation, /v1/search verification — fans
-//     out to dedicated machines instead of the serving host. Workers
-//     are deterministic, so a remote build is bit-identical to a local
-//     one.
+//     shadow re-simulation, /v1/search verification — fans out to
+//     dedicated machines instead of the serving host. Workers are
+//     deterministic, so a remote build is bit-identical to a local one.
 //
 //   - The shard router (Router, cmd/predrouter) fronts a set of
 //     predserve shards: models are consistent-hash assigned to shards

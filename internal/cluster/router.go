@@ -119,9 +119,9 @@ type shardState struct {
 // with failover to the ring's secondary on 5xx or transport errors.
 // GET /v1/models merges every shard's listing; the generation vector
 // piggybacked on those responses drives replica re-sync: when a model's
-// primary generation bumps (hot load or retrain swap), the router asks
-// the secondary shard to reload the model file so failover keeps
-// serving current coefficients. The router declares the request SLO
+// primary generation bumps (a hot load), the router asks the secondary
+// shard to reload the model file so failover keeps serving current
+// coefficients. The router declares the request SLO
 // pair ("router-latency", "router-availability") over its own edge, so
 // it counts what its clients got: a failover the secondary served is
 // one good request, a 503 no_shard one bad request, and the latency is

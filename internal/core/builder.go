@@ -57,7 +57,15 @@ type Model struct {
 	// Name identifies the workload the model was trained for (usually
 	// the benchmark name). It travels with the persisted model so a
 	// serving registry can address models by name.
-	Name       string
+	Name string
+	// TraceLen and Metric name the simulation the responses came from:
+	// the trace length in dynamic instructions and the metric read off
+	// each run. Like Name they travel with the persisted model, so a
+	// server can check it against exactly that simulation. The build
+	// does not set them; the caller that chose the evaluator does
+	// (predperf), and 0 means the trace length is unknown.
+	TraceLen   int
+	Metric     Metric
 	Space      *design.Space
 	SampleSize int
 	Fit        *rbf.FitResult

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"predperf/internal/design"
 	"predperf/internal/rbf"
@@ -16,6 +17,8 @@ import (
 type modelFile struct {
 	Format     int             `json:"format"`
 	Name       string          `json:"name,omitempty"`
+	TraceLen   int             `json:"trace_len,omitempty"`
+	Metric     string          `json:"metric,omitempty"`
 	SampleSize int             `json:"sample_size"`
 	PMin       int             `json:"p_min"`
 	Alpha      float64         `json:"alpha"`
@@ -30,6 +33,12 @@ type modelFile struct {
 
 const modelFormat = 1
 
+// maxTraceLen bounds a model file's trace_len. The length sizes the
+// trace a server generates to re-simulate the model, so a file must not
+// choose it freely; no simworker at its default -max-insts simulates a
+// longer trace.
+const maxTraceLen = 10_000_000
+
 // ModelFormatVersion is the on-disk model format this build reads and
 // writes, exported so operational surfaces (predserve -version,
 // /healthz, /statusz) can report which model files the binary accepts.
@@ -43,6 +52,7 @@ func (m *Model) Save(w io.Writer) error {
 	f := modelFile{
 		Format:     modelFormat,
 		Name:       m.Name,
+		TraceLen:   m.TraceLen,
 		SampleSize: m.SampleSize,
 		PMin:       m.Fit.PMin,
 		Alpha:      m.Fit.Alpha,
@@ -51,6 +61,11 @@ func (m *Model) Save(w io.Writer) error {
 		Weights:    m.Fit.Net.Weights,
 		Configs:    m.Configs,
 		Responses:  m.Responses,
+	}
+	// ParseMetric's names; CPI leaves the key out, so every file written
+	// before the key existed reads as CPI.
+	if m.Metric != MetricCPI {
+		f.Metric = strings.ToLower(m.Metric.String())
 	}
 	for _, b := range m.Fit.Net.Bases {
 		f.Centers = append(f.Centers, b.Center)
@@ -63,7 +78,8 @@ func (m *Model) Save(w io.Writer) error {
 // LoadModel reads a model saved with Save. Files that lack the training
 // configs are rejected: without them the training points cannot be
 // restored, and diagnostics such as CrossValidate would silently
-// degenerate to empty statistics.
+// degenerate to empty statistics. A trace_len outside 0..10,000,000 or
+// a metric ParseMetric does not know is malformed.
 func LoadModel(r io.Reader) (*Model, error) {
 	var f modelFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -75,6 +91,13 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if len(f.Centers) != len(f.Radii) || len(f.Centers) != len(f.Weights) {
 		return nil, fmt.Errorf("core: malformed model: %d centers, %d radii, %d weights",
 			len(f.Centers), len(f.Radii), len(f.Weights))
+	}
+	if f.TraceLen < 0 || f.TraceLen > maxTraceLen {
+		return nil, fmt.Errorf("core: malformed model: trace_len %d, want 0 to %d", f.TraceLen, maxTraceLen)
+	}
+	metric, err := ParseMetric(f.Metric)
+	if err != nil {
+		return nil, fmt.Errorf("core: malformed model: %w", err)
 	}
 	if len(f.Configs) == 0 {
 		return nil, fmt.Errorf("core: model file has no training configs: cannot restore training points (re-save the model with a current build)")
@@ -108,6 +131,8 @@ func LoadModel(r io.Reader) (*Model, error) {
 	net.Precompute()
 	m := &Model{
 		Name:       f.Name,
+		TraceLen:   f.TraceLen,
+		Metric:     metric,
 		Space:      space,
 		SampleSize: f.SampleSize,
 		Fit: &rbf.FitResult{

@@ -33,6 +33,15 @@ func FuzzLoadModel(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	// The simulation a model names: a valid pair, then each refusal.
+	for _, sim := range []string{
+		`"trace_len":150000,"metric":"edp"`,
+		`"trace_len":-1`,
+		`"trace_len":10000001`,
+		`"metric":"ipc"`,
+	} {
+		f.Add(bytes.Replace(buf.Bytes(), []byte(`"format":1,`), []byte(`"format":1,`+sim+`,`), 1))
+	}
 
 	space := design.PaperSpace()
 	var corners []design.Config
@@ -47,6 +56,9 @@ func FuzzLoadModel(f *testing.F) {
 		m, err := LoadModel(bytes.NewReader(raw))
 		if err != nil {
 			return
+		}
+		if m.TraceLen < 0 || m.TraceLen > maxTraceLen || m.Metric < MetricCPI || m.Metric > MetricPower {
+			t.Fatalf("accepted trace_len %d, metric %d", m.TraceLen, m.Metric)
 		}
 		for _, c := range corners {
 			m.PredictConfig(c)

@@ -208,3 +208,82 @@ func TestLoadModelRejectsBadRadii(t *testing.T) {
 		t.Fatalf("the fitted model itself must load: %v", err)
 	}
 }
+
+// TestSaveLoadPreservesSimulation: trace_len and metric round-trip for
+// every metric; a CPI model's file leaves the metric key out, and a
+// model built in memory, which sets neither, writes neither key.
+func TestSaveLoadPreservesSimulation(t *testing.T) {
+	m, err := BuildRBFModel(FuncEvaluator(syntheticCPI), 40, fastOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if raw := buf.String(); strings.Contains(raw, `"trace_len"`) || strings.Contains(raw, `"metric"`) {
+		t.Fatalf("a model built in memory wrote trace_len or metric: %.200s", raw)
+	}
+	for _, c := range []struct {
+		metric Metric
+		key    string
+	}{{MetricCPI, ""}, {MetricEPI, `"metric":"epi"`}, {MetricEDP, `"metric":"edp"`}, {MetricPower, `"metric":"power"`}} {
+		m.TraceLen, m.Metric = 150_000, c.metric
+		buf.Reset()
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.String()
+		if !strings.Contains(raw, `"trace_len":150000`) {
+			t.Errorf("%v: file lacks trace_len: %.200s", c.metric, raw)
+		}
+		if c.key == "" && strings.Contains(raw, `"metric"`) || c.key != "" && !strings.Contains(raw, c.key) {
+			t.Errorf("%v: file's metric key is wrong, want %q: %.200s", c.metric, c.key, raw)
+		}
+		loaded, err := LoadModel(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.TraceLen != 150_000 || loaded.Metric != c.metric {
+			t.Errorf("loaded trace_len %d metric %v, want 150000 and %v", loaded.TraceLen, loaded.Metric, c.metric)
+		}
+	}
+}
+
+// TestLoadModelRejectsBadSimulation: a negative trace_len, one past
+// 10,000,000 and an unknown metric are malformed. A model file is a
+// trust boundary, and the trace length sizes the trace a server
+// generates to re-simulate the model.
+func TestLoadModelRejectsBadSimulation(t *testing.T) {
+	m, err := BuildRBFModel(FuncEvaluator(syntheticCPI), 40, fastOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	with := func(key string, v any) []byte {
+		var f map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+			t.Fatal(err)
+		}
+		f[key] = v
+		raw, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for _, c := range []struct {
+		key string
+		v   any
+	}{{"trace_len", -1}, {"trace_len", maxTraceLen + 1}, {"metric", "ipc"}} {
+		if _, err := LoadModel(bytes.NewReader(with(c.key, c.v))); err == nil || !strings.Contains(err.Error(), "malformed model") {
+			t.Errorf("%s %v: want a malformed-model error, got %v", c.key, c.v, err)
+		}
+	}
+	if loaded, err := LoadModel(bytes.NewReader(with("trace_len", maxTraceLen))); err != nil || loaded.TraceLen != maxTraceLen {
+		t.Errorf("trace_len at the cap: %v, want it to load", err)
+	}
+}

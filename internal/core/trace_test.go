@@ -109,7 +109,7 @@ func TestTracedBuildSpanTree(t *testing.T) {
 }
 
 // TestTracedBuildToAccuracyValidateSpans: every escalation step of a
-// traced BuildToAccuracyFromCtx records core.validate on the caller's
+// traced BuildToAccuracyCtx records core.validate on the caller's
 // trace, next to the step's core.build_rbf under the caller's span.
 func TestTracedBuildToAccuracyValidateSpans(t *testing.T) {
 	ev := FuncEvaluator(syntheticCPI)
@@ -117,10 +117,10 @@ func TestTracedBuildToAccuracyValidateSpans(t *testing.T) {
 	tr := obs.NewTrace("escalate")
 	ctx, end := obs.StartSpanCtx(obs.WithTrace(context.Background(), tr), "escalate")
 	// A target no model meets, so every size is built and validated.
-	res, err := BuildToAccuracyFromCtx(ctx, ev, 0, []int{15, 20}, -1, ts, fastOpt())
+	res, err := BuildToAccuracyCtx(ctx, ev, []int{15, 20}, -1, ts, fastOpt())
 	end()
 	if err != nil || len(res) != 2 {
-		t.Fatalf("BuildToAccuracyFromCtx = %d results, %v; want 2, nil", len(res), err)
+		t.Fatalf("BuildToAccuracyCtx = %d results, %v; want 2, nil", len(res), err)
 	}
 	byName := map[string][]obs.SpanInfo{}
 	for _, s := range tr.Spans() {

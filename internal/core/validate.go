@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -164,19 +163,15 @@ type BuildResult struct {
 // error is returned if the inputs are unusable (nil evaluator or test
 // set, no sizes) or if no size produced a model at all.
 func BuildToAccuracy(ev Evaluator, sizes []int, targetMeanPct float64, ts *TestSet, opt Options) ([]BuildResult, error) {
-	return BuildToAccuracyFromCtx(context.Background(), ev, 0, sizes, targetMeanPct, ts, opt)
+	return BuildToAccuracyCtx(context.Background(), ev, sizes, targetMeanPct, ts, opt)
 }
 
-// BuildToAccuracyFromCtx resumes the iterative escalation from a known
-// sample size: only sizes strictly greater than above are built, so a
-// caller that already serves a model of a given size (a retraining
-// controller) escalates past it instead of rebuilding cheaper models it
-// has already outgrown. above <= 0 builds every size, making
-// BuildToAccuracy the special case of a fresh start. Cancelling ctx
-// stops the escalation at the next size boundary; the results built so
-// far are returned alongside ctx.Err() so the caller can distinguish a
-// completed escalation (nil error) from an interrupted one.
-func BuildToAccuracyFromCtx(ctx context.Context, ev Evaluator, above int, sizes []int, targetMeanPct float64, ts *TestSet, opt Options) ([]BuildResult, error) {
+// BuildToAccuracyCtx is BuildToAccuracy on ctx: each size's build and
+// validation spans land on ctx's trace, and cancelling ctx stops the
+// escalation at the next size boundary. The results built so far are
+// returned alongside ctx.Err(), so a caller can tell a completed
+// escalation (nil error) from an interrupted one.
+func BuildToAccuracyCtx(ctx context.Context, ev Evaluator, sizes []int, targetMeanPct float64, ts *TestSet, opt Options) ([]BuildResult, error) {
 	if ev == nil {
 		return nil, errors.New("core: BuildToAccuracy requires a non-nil evaluator")
 	}
@@ -186,18 +181,9 @@ func BuildToAccuracyFromCtx(ctx context.Context, ev Evaluator, above int, sizes 
 	if len(sizes) == 0 {
 		return nil, errors.New("core: BuildToAccuracy requires at least one sample size")
 	}
-	eligible := make([]int, 0, len(sizes))
-	for _, size := range sizes {
-		if size > above {
-			eligible = append(eligible, size)
-		}
-	}
-	if len(eligible) == 0 {
-		return nil, fmt.Errorf("core: no sample size in %v exceeds the resume floor %d", sizes, above)
-	}
 	var out []BuildResult
 	var lastErr error
-	for _, size := range eligible {
+	for _, size := range sizes {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}

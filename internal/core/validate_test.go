@@ -79,56 +79,14 @@ func TestBuildToAccuracyRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestBuildToAccuracyFromCtxResumeFloor: only sizes strictly above the
-// resume floor are built, an exhausted ladder is a structured error,
-// and floor 0 reproduces the fresh-start behavior.
-func TestBuildToAccuracyFromCtxResumeFloor(t *testing.T) {
-	ev := FuncEvaluator(syntheticCPI)
-	ts := NewTestSet(ev, nil, 10, 3)
-
-	// Floor 20 skips the 15- and 20-point builds; the impossible target
-	// forces every eligible size to run.
-	res, err := BuildToAccuracyFromCtx(context.Background(), ev, 20, []int{15, 20, 25, 30}, 0, ts, fastOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 || res[0].Model.SampleSize != 25 || res[1].Model.SampleSize != 30 {
-		sizes := make([]int, len(res))
-		for i, r := range res {
-			sizes[i] = r.Model.SampleSize
-		}
-		t.Fatalf("floor 20 over {15,20,25,30} built sizes %v, want [25 30]", sizes)
-	}
-
-	// A ladder with nothing above the floor fails up front, without
-	// building anything.
-	if _, err := BuildToAccuracyFromCtx(context.Background(), ev, 30, []int{15, 20, 30}, 5, ts, fastOpt()); err == nil ||
-		!strings.Contains(err.Error(), "resume floor") {
-		t.Fatalf("want resume-floor error for an exhausted ladder, got %v", err)
-	}
-
-	// Floor 0 is a fresh start: identical sizes to BuildToAccuracy.
-	a, err := BuildToAccuracyFromCtx(context.Background(), ev, 0, []int{15, 20}, 0, ts, fastOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildToAccuracy(ev, []int{15, 20}, 0, ts, fastOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) || a[0].Stats.Mean != b[0].Stats.Mean {
-		t.Fatalf("floor 0 diverged from BuildToAccuracy: %+v vs %+v", a, b)
-	}
-}
-
-// TestBuildToAccuracyFromCtxCancel: a cancelled context stops the
+// TestBuildToAccuracyCtxCancel: a cancelled context stops the
 // escalation and surfaces ctx.Err.
-func TestBuildToAccuracyFromCtxCancel(t *testing.T) {
+func TestBuildToAccuracyCtxCancel(t *testing.T) {
 	ev := FuncEvaluator(syntheticCPI)
 	ts := NewTestSet(ev, nil, 10, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := BuildToAccuracyFromCtx(ctx, ev, 0, []int{15, 20}, 5, ts, fastOpt())
+	res, err := BuildToAccuracyCtx(ctx, ev, []int{15, 20}, 5, ts, fastOpt())
 	if err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
 		t.Fatalf("cancelled escalation returned err %v, want context.Canceled", err)
 	}

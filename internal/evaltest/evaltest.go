@@ -1,9 +1,9 @@
 // Package evaltest is a conformance suite for core.Evaluator
 // implementations. The Evaluator interface is the seam the whole
 // pipeline hangs off — model builds, validation, search verification,
-// shadow re-simulation, retraining — so every implementation (the
-// in-process core.SimEvaluator, the farm-backed cluster.RemoteEvaluator)
-// must honor the same contract: deterministic values, coherent
+// shadow re-simulation — so every implementation (the in-process
+// core.SimEvaluator, the farm-backed cluster.RemoteEvaluator) must
+// honor the same contract: deterministic values, coherent
 // memoization, single-flight de-duplication of concurrent misses, and
 // well-defined failure behavior. The suite runs against a Harness so
 // each package exercises its own construction without import cycles.

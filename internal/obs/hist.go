@@ -54,7 +54,9 @@ type Histogram struct {
 type exemplar struct {
 	traceID string
 	value   float64
-	unixMs  int64
+	// unixNano orders a histogram's exemplars for LatestExemplar; two
+	// requests often finish within one millisecond.
+	unixNano int64
 }
 
 // Exemplar is the exported view of a bucket exemplar.
@@ -106,7 +108,7 @@ func (h *Histogram) Observe(v float64) { h.observe(v) }
 func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
 	i := h.observe(v)
 	if traceID != "" {
-		h.exemplars[i].Store(&exemplar{traceID: traceID, value: v, unixMs: time.Now().UnixMilli()})
+		h.exemplars[i].Store(&exemplar{traceID: traceID, value: v, unixNano: time.Now().UnixNano()})
 	}
 }
 
@@ -134,14 +136,14 @@ func (h *Histogram) exemplarAt(i int) *exemplar { return h.exemplars[i].Load() }
 func (h *Histogram) LatestExemplar() (Exemplar, bool) {
 	var best *exemplar
 	for i := range h.exemplars {
-		if e := h.exemplars[i].Load(); e != nil && (best == nil || e.unixMs > best.unixMs) {
+		if e := h.exemplars[i].Load(); e != nil && (best == nil || e.unixNano > best.unixNano) {
 			best = e
 		}
 	}
 	if best == nil {
 		return Exemplar{}, false
 	}
-	return Exemplar{TraceID: best.traceID, Value: best.value, Time: time.UnixMilli(best.unixMs)}, true
+	return Exemplar{TraceID: best.traceID, Value: best.value, Time: time.Unix(0, best.unixNano)}, true
 }
 
 // ObserveSince records the elapsed seconds since t0 — the latency idiom:

@@ -240,7 +240,7 @@ func writePromHistogram(b *strings.Builder, name string, children []*Histogram) 
 			if ex := h.exemplarAt(i); ex != nil {
 				fmt.Fprintf(b, " # {trace_id=\"%s\"} %s %s",
 					escapeLabelValue(ex.traceID), promFloat(ex.value),
-					strconv.FormatFloat(float64(ex.unixMs)/1e3, 'f', 3, 64))
+					strconv.FormatFloat(float64(ex.unixNano/1e6)/1e3, 'f', 3, 64))
 			}
 			b.WriteByte('\n')
 		}

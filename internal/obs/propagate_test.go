@@ -324,7 +324,7 @@ func TestStartSpanArgsExtras(t *testing.T) {
 func TestTraceStoreRetention(t *testing.T) {
 	st := NewTraceStore(4)
 	add := func(id string, errFlag, keep bool) {
-		st.Add(NewTrace(id), TraceMeta{ID: id, Kind: "request", Route: "/v1/predict", Err: errFlag, Keep: keep, Start: time.Now()})
+		st.Add(NewTrace(id), TraceMeta{ID: id, Route: "/v1/predict", Err: errFlag, Keep: keep, Start: time.Now()})
 	}
 	// Errors and kept traces survive arbitrary sampled churn.
 	add("err-1", true, false)
@@ -354,7 +354,7 @@ func TestTraceStoreRetention(t *testing.T) {
 		t.Error("oldest error not evicted FIFO at capacity")
 	}
 	// Route filter.
-	st.Add(NewTrace("other-route"), TraceMeta{ID: "other-route", Kind: "request", Route: "/v1/search", Err: true, Start: time.Now()})
+	st.Add(NewTrace("other-route"), TraceMeta{ID: "other-route", Route: "/v1/search", Err: true, Start: time.Now()})
 	for _, s := range st.Snapshot("/v1/search") {
 		if s.Route != "/v1/search" {
 			t.Errorf("route filter leaked %q", s.Route)
@@ -368,7 +368,7 @@ func TestTraceStoreHandler(t *testing.T) {
 	ctx := WithTrace(context.Background(), tr)
 	_, end := StartSpanCtx(ctx, "serve.search")
 	end()
-	st.Add(tr, TraceMeta{ID: "handler-trace", Kind: "request", Route: "/v1/search", Status: 200, Start: time.Now(), Dur: time.Millisecond})
+	st.Add(tr, TraceMeta{ID: "handler-trace", Route: "/v1/search", Status: 200, Start: time.Now(), Dur: time.Millisecond})
 
 	h := st.Handler()
 	get := func(url string) *httptest.ResponseRecorder {
@@ -405,14 +405,15 @@ func TestTraceStoreHandler(t *testing.T) {
 		t.Errorf("POST /tracez: %d %v %s, want 405 method_not_allowed in JSON with Allow: GET", rec.Code, rec.Header(), rec.Body)
 	}
 
-	// A retrain's trace is named after its model, and a model name may
-	// hold any character: the list links it query-escaped and both views
-	// show it, and the span's args, HTML-escaped.
+	// A store holds whatever ID its caller gives a trace, and a route or
+	// a span arg may hold any character: the list links the ID
+	// query-escaped and both views show it, and the span's args,
+	// HTML-escaped.
 	const id = "retrain-a<b>&c-1"
 	tr = NewTrace(id)
 	_, end = StartSpanCtx(WithTrace(context.Background(), tr), "serve.retrain", "model", "a<b>&c")
 	end()
-	st.Add(tr, TraceMeta{ID: id, Kind: "retrain", Route: "a<b>&c", Start: time.Now(), Dur: time.Millisecond, Keep: true})
+	st.Add(tr, TraceMeta{ID: id, Route: "a<b>&c", Start: time.Now(), Dur: time.Millisecond, Keep: true})
 	for url, wants := range map[string][]string{
 		"/tracez":                           {`href="/tracez?id=retrain-a%3Cb%3E%26c-1"`, "retrain-a&lt;b&gt;&amp;c-1"},
 		"/tracez?id=retrain-a%3Cb%3E%26c-1": {"retrain-a&lt;b&gt;&amp;c-1", "model=a&lt;b&gt;&amp;c"},

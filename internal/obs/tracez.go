@@ -18,7 +18,7 @@ import (
 // request finishes, when its outcome is known. Three classes, each
 // capped at the store size — errors are always kept (FIFO within the
 // class), traces the caller flags Keep (latency outliers past the
-// windowed p99, background retrains) likewise, and everything else goes
+// windowed p99, router failovers) likewise, and everything else goes
 // through a reservoir sample so the boring majority is represented
 // without unbounded memory.
 type TraceStore struct {
@@ -40,13 +40,12 @@ type storedTrace struct {
 // TraceMeta is the retention-relevant summary of one finished trace.
 type TraceMeta struct {
 	ID     string
-	Kind   string // "request" or "retrain"
-	Route  string // route label (requests) or model name (retrains)
+	Route  string // route label
 	Status int    // HTTP status; 0 when not applicable
 	Start  time.Time
 	Dur    time.Duration
 	Err    bool // errors are always retained
-	Keep   bool // forced retention: latency outlier, retrain
+	Keep   bool // forced retention: latency outlier, router failover
 }
 
 // NewTraceStore builds a store keeping up to size traces per retention
@@ -108,7 +107,6 @@ func (s *TraceStore) Get(id string) (*Trace, TraceMeta, bool) {
 // TraceSummary is the /tracez list-view row.
 type TraceSummary struct {
 	ID     string  `json:"id"`
-	Kind   string  `json:"kind"`
 	Route  string  `json:"route,omitempty"`
 	Status int     `json:"status,omitempty"`
 	Class  string  `json:"class"` // error | kept | sampled
@@ -145,7 +143,6 @@ type classedTrace struct {
 func (c classedTrace) summary() TraceSummary {
 	return TraceSummary{
 		ID:     c.meta.ID,
-		Kind:   c.meta.Kind,
 		Route:  c.meta.Route,
 		Status: c.meta.Status,
 		Class:  c.class,
@@ -259,14 +256,13 @@ func (s *TraceStore) serveTrace(w http.ResponseWriter, id, format string) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct {
 			ID     string    `json:"id"`
-			Kind   string    `json:"kind"`
 			Route  string    `json:"route,omitempty"`
 			Status int       `json:"status,omitempty"`
 			Start  string    `json:"start"`
 			DurMS  float64   `json:"dur_ms"`
 			Spans  []spanRow `json:"spans"`
 		}{
-			ID: meta.ID, Kind: meta.Kind, Route: meta.Route, Status: meta.Status,
+			ID: meta.ID, Route: meta.Route, Status: meta.Status,
 			Start: meta.Start.UTC().Format(time.RFC3339Nano),
 			DurMS: float64(meta.Dur) / float64(time.Millisecond),
 			Spans: spanTree(tr),
@@ -331,7 +327,7 @@ func spanTree(tr *Trace) []spanRow {
 // traceList is the /tracez list view of sums, with the search box
 // holding query.
 func traceList(query string, sums []TraceSummary) Page {
-	headers := []string{"trace", "class", "kind", "route", "status", "start", "ms", "spans", ""}
+	headers := []string{"trace", "class", "route", "status", "start", "ms", "spans", ""}
 	rows := make([][]Cell, len(sums))
 	for i, s := range sums {
 		href := TraceHref(s.ID)
@@ -344,7 +340,7 @@ func traceList(query string, sums []TraceSummary) Page {
 			code := strconv.Itoa(s.Status)
 			status = Verdict(s.Status >= 500, code, code)
 		}
-		rows[i] = []Cell{{Text: s.ID, Href: href}, class, {Text: s.Kind}, {Text: s.Route}, status,
+		rows[i] = []Cell{{Text: s.ID, Href: href}, class, {Text: s.Route}, status,
 			{Text: s.Start, Class: "muted"}, {Text: strconv.FormatFloat(s.DurMS, 'f', 2, 64)}, {Text: strconv.Itoa(s.Spans)},
 			{Text: "chrome", Href: href + "&format=chrome"}}
 	}
@@ -360,14 +356,13 @@ func traceList(query string, sums []TraceSummary) Page {
 
 // TraceHref links to one trace's /tracez view. The ID is query-escaped:
 // the edge admits only IDs that need no escaping (ValidRequestID), but
-// a retrain's trace is named after its model, which may hold any
-// character.
+// a store holds whatever ID its caller gives a trace.
 func TraceHref(id string) string { return "/tracez?id=" + url.QueryEscape(id) }
 
 // tracePage is the detail view of one trace: its span tree, indented by
 // depth.
 func tracePage(meta TraceMeta, tr *Trace) Page {
-	status := meta.Kind + " " + meta.Route
+	status := meta.Route
 	if meta.Status != 0 {
 		status += " · status " + strconv.Itoa(meta.Status)
 	}

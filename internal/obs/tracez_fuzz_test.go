@@ -26,7 +26,7 @@ func FuzzTracez(f *testing.F) {
 		_, endChild := StartSpanArgs(ctx, "serve.predict", "model", "a<b>&c")
 		endChild("odd")
 		end()
-		store.Add(tr, TraceMeta{ID: id, Kind: "request", Route: "/v1/predict", Status: 200 + 300*(i%2),
+		store.Add(tr, TraceMeta{ID: id, Route: "/v1/predict", Status: 200 + 300*(i%2),
 			Start: start, Dur: time.Duration(i+1) * time.Millisecond, Err: i == 1, Keep: i == 2})
 	}
 	h := store.Handler()

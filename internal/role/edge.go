@@ -139,7 +139,7 @@ func (e Edge) Wrap(next http.Handler) http.Handler {
 			return
 		}
 		e.Traces.Add(tr, obs.TraceMeta{
-			ID: tr.ID(), Kind: "request", Route: route, Status: x.Status,
+			ID: tr.ID(), Route: route, Status: x.Status,
 			Start: x.Start, Dur: d, Err: x.Status >= 500, Keep: x.Keep,
 		})
 	})

@@ -44,8 +44,8 @@ type modelInfo struct {
 	AICc       float64 `json:"aicc"`
 	Path       string  `json:"path,omitempty"`
 	// Generation distinguishes successive holders of the name: it bumps
-	// on every hot load and every retrain hot-swap, so an operator (or
-	// the CI smoke test) can tell a retrained model went live.
+	// on every hot load, so an operator (or the CI smoke test) can tell
+	// a rebuilt model went live.
 	Generation uint64 `json:"generation"`
 }
 
@@ -90,6 +90,10 @@ type loadRequest struct {
 	Dir string `json:"dir"`
 }
 
+// handleModelsLoad hot-loads a file or a directory. Rebuilding a
+// drifting model and hot-loading it is the remedy for drift, so every
+// name a load replaces starts on a clean drift window instead of
+// inheriting its predecessor's samples.
 func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 	if !role.RequireMethod(w, r, http.MethodPost) {
 		return
@@ -110,6 +114,9 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 			role.WriteErr(w, http.StatusBadRequest, "load_failed", "%v", err)
 			return
 		}
+		for _, name := range names {
+			s.shadow.resetModel(name)
+		}
 		role.WriteJSON(w, http.StatusOK, map[string]any{"loaded": names})
 	case req.Path != "":
 		rel, err := s.reg.ClientPath(req.Path)
@@ -122,6 +129,7 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 			role.WriteErr(w, http.StatusBadRequest, "load_failed", "%v", err)
 			return
 		}
+		s.shadow.resetModel(name)
 		e, _ := s.reg.Get(name)
 		role.WriteJSON(w, http.StatusOK, map[string]any{"loaded": []string{name}, "model": entryInfo(e)})
 	default:
@@ -362,9 +370,10 @@ type searchRequest struct {
 	// (default 8).
 	Shortlist int `json:"shortlist"`
 	// Verify selects shortlist verification: "sim" demands the
-	// cycle-level simulator (error if the model names no benchmark),
-	// "model" skips simulation, "auto" (default) prefers the simulator
-	// and falls back to the model.
+	// cycle-level simulator on the model's own trace and metric (error
+	// if the model names no benchmark or trace length), "model" skips
+	// simulation, "auto" (default) prefers the simulator and falls back
+	// to the model.
 	Verify string `json:"verify"`
 }
 
@@ -419,13 +428,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	)
 	switch req.Verify {
 	case "", "auto":
-		if sim, err := entry.simEvaluator(s.opt.SearchTraceLen); err == nil {
+		if sim, err := entry.simEvaluator(); err == nil {
 			ev, verifiedBy = sim, "simulator"
 		} else {
 			ev, verifiedBy = modelEvaluator{entry.Model}, "model"
 		}
 	case "sim":
-		sim, err := entry.simEvaluator(s.opt.SearchTraceLen)
+		sim, err := entry.simEvaluator()
 		if err != nil {
 			role.WriteErr(w, http.StatusBadRequest, "no_simulator",
 				"model %q cannot be simulator-verified: %v", req.Model, err)

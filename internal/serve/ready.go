@@ -66,30 +66,17 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reasons := s.evaluate()
-	// Retraining is news, not a failure: a model being rebuilt keeps
-	// serving its current generation, so in-progress retrains ride along
-	// as structured notes on BOTH the ready and unready bodies without
-	// ever flipping readiness by themselves.
-	notes := s.retrain.notes()
 	if len(reasons) == 0 {
-		body := map[string]any{
+		role.WriteJSON(w, http.StatusOK, map[string]any{
 			"status": "ready",
 			"models": s.reg.Len(),
-		}
-		if len(notes) > 0 {
-			body["notes"] = notes
-		}
-		role.WriteJSON(w, http.StatusOK, body)
+		})
 		return
 	}
-	body := map[string]any{
+	role.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 		"status":  "unready",
 		"reasons": reasons,
-	}
-	if len(notes) > 0 {
-		body["notes"] = notes
-	}
-	role.WriteJSON(w, http.StatusServiceUnavailable, body)
+	})
 }
 
 // ---- /alertz ----
@@ -99,12 +86,8 @@ func (s *Server) handleAlertz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.evaluate()
-	body := map[string]any{
+	role.WriteJSON(w, http.StatusOK, map[string]any{
 		"firing": s.alerts.FiringCount(),
 		"alerts": s.alerts.Alerts(),
-	}
-	if st := s.retrain.states(); len(st) > 0 {
-		body["retrains"] = st
-	}
-	role.WriteJSON(w, http.StatusOK, body)
+	})
 }

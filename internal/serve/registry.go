@@ -13,12 +13,13 @@ import (
 	"predperf/internal/core"
 	"predperf/internal/design"
 	"predperf/internal/obs"
+	"predperf/internal/trace"
 )
 
 // Entry is one loaded model in the registry. The simulator evaluator
-// used by /v1/search to verify shortlists (and by the shadow monitor
-// and retrain controller) is constructed lazily, because building it
-// loads (or generates) a benchmark trace.
+// that /v1/search verifies shortlists with and the shadow monitor
+// re-simulates on is built lazily, because building it generates a
+// benchmark trace.
 type Entry struct {
 	Name  string      // registry key
 	Model *core.Model // the fitted model (read-only once registered)
@@ -33,9 +34,9 @@ type Entry struct {
 	// Lazy simulator evaluator. Success is memoized forever; a FAILED
 	// construction is memoized only until simRetryBackoff elapses, so a
 	// transient trace-load failure cannot permanently disable shadow
-	// verification, sim-verified search, or drift-triggered retraining
-	// for the entry — while a truly-missing benchmark retries at a
-	// bounded rate instead of hot-looping.
+	// verification or sim-verified search for the entry — while a
+	// truly-missing benchmark retries at a bounded rate instead of
+	// hot-looping.
 	simMu      sync.Mutex
 	simEv      core.Evaluator
 	simErr     error
@@ -45,20 +46,21 @@ type Entry struct {
 	// evalFactory builds the entry's evaluator (nil means the local
 	// cycle-level simulator). The registry stamps it at Add time, so a
 	// server configured with a sim-worker pool transparently fans every
-	// simulator consumer — search verification, shadow re-simulation,
-	// retrain builds — out to the farm.
+	// simulator consumer — search verification and shadow
+	// re-simulation — out to the farm.
 	evalFactory EvalFactory
 }
 
-// EvalFactory builds an evaluator for a benchmark at a trace length.
-// The default is the in-process core.NewSimEvaluator; a cluster-backed
-// server swaps in a factory returning cluster.RemoteEvaluator views.
-type EvalFactory func(benchmark string, traceLen int) (core.Evaluator, error)
+// EvalFactory builds an evaluator of metric for a benchmark at a trace
+// length. The default simulates in-process (newSimEvaluator); a
+// cluster-backed server swaps in a factory returning
+// cluster.RemoteEvaluator views.
+type EvalFactory func(benchmark string, traceLen int, metric core.Metric) (core.Evaluator, error)
 
 // Generation reports which holder of the registry name this entry is.
-// It increases monotonically across the whole registry: every Add (hot
-// load or retrain hot-swap) stamps a fresh generation, and the
-// prediction cache keys on it.
+// It increases monotonically across the whole registry: every Add (a
+// load or a hot load) stamps a fresh generation, and the prediction
+// cache keys on it.
 func (e *Entry) Generation() uint64 { return e.gen }
 
 // simRetryBackoff bounds how often a failed evaluator construction is
@@ -67,17 +69,26 @@ func (e *Entry) Generation() uint64 { return e.gen }
 // backoff restores shadow verification without manual intervention.
 const simRetryBackoff = 5 * time.Second
 
-// newSimEvaluator builds the entry's evaluator; a package variable so
-// tests can inject transient construction failures.
-var newSimEvaluator = core.NewSimEvaluator
+// newSimEvaluator is the in-process EvalFactory: an evaluator on a
+// trace generated for it, so the trace lives exactly as long as the
+// entry that holds the evaluator. A package variable so tests can
+// inject transient construction failures.
+var newSimEvaluator EvalFactory = func(benchmark string, traceLen int, metric core.Metric) (core.Evaluator, error) {
+	tr, err := trace.Named(benchmark, traceLen)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewTraceEvaluator(benchmark, tr).WithMetric(metric), nil
+}
 
 // simEvaluator returns the entry's simulator evaluator, building it on
-// first use from the model's persisted benchmark name. Models whose
-// name is not a known benchmark workload return an error; /v1/search
-// then falls back to model-verified search. Construction errors are
-// retried after simRetryBackoff (see the Entry field docs); concurrent
-// callers single-flight on the entry's mutex.
-func (e *Entry) simEvaluator(traceLen int) (core.Evaluator, error) {
+// first use for the simulation the model was built on: its benchmark
+// name, trace length and metric. A model that names no benchmark
+// workload or no trace length returns an error; /v1/search then falls
+// back to model-verified search. Construction errors are retried after
+// simRetryBackoff (see the Entry field docs); concurrent callers
+// single-flight on the entry's mutex.
+func (e *Entry) simEvaluator() (core.Evaluator, error) {
 	e.simMu.Lock()
 	defer e.simMu.Unlock()
 	if e.simEv != nil {
@@ -85,6 +96,9 @@ func (e *Entry) simEvaluator(traceLen int) (core.Evaluator, error) {
 	}
 	if e.Model.Name == "" {
 		return nil, fmt.Errorf("serve: model %q carries no benchmark name", e.Name)
+	}
+	if e.Model.TraceLen <= 0 {
+		return nil, fmt.Errorf("serve: model %q names no trace length; rebuild it with predperf to verify it on the simulator", e.Name)
 	}
 	clock := e.now
 	if clock == nil {
@@ -96,14 +110,12 @@ func (e *Entry) simEvaluator(traceLen int) (core.Evaluator, error) {
 	e.simLastTry = clock()
 	factory := e.evalFactory
 	if factory == nil {
-		factory = func(benchmark string, traceLen int) (core.Evaluator, error) {
-			return newSimEvaluator(benchmark, traceLen)
-		}
+		factory = newSimEvaluator
 	}
 	// Assign through locals: a failed factory must leave simEv nil, not
 	// an interface wrapping a typed nil pointer (which would satisfy the
 	// memoization check above and serve a dead evaluator forever).
-	ev, err := factory(e.Model.Name, traceLen)
+	ev, err := factory(e.Model.Name, e.Model.TraceLen, e.Model.Metric)
 	if err != nil {
 		e.simErr = err
 		return nil, err

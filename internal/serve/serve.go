@@ -72,9 +72,6 @@ type Options struct {
 	// either answers a structured 503 timeout when it passes. The other
 	// routes do bounded in-process work and wait on nothing.
 	Timeout time.Duration
-	// SearchTraceLen is the trace length used when /v1/search verifies
-	// its shortlist with the simulator (default 50k instructions).
-	SearchTraceLen int
 	// ModelDir resolves relative paths in /v1/models/load and is
 	// scanned for *.json models by LoadDir.
 	ModelDir string
@@ -94,34 +91,11 @@ type Options struct {
 	// model counts as drifting (default 25; negative keeps the error
 	// histograms but never trips readiness).
 	ShadowErrPct float64
-	// Retrain enables the drift-triggered retrain controller: models
-	// whose shadow drift alert fires for RetrainAfter are rebuilt at
-	// 2×, 3×, 4× their sample size and hot-swapped in. Requires shadow
-	// monitoring (ShadowFraction > 0) to ever trigger.
-	Retrain bool
-	// RetrainTargetPct stops the escalation once the mean test error
-	// drops to this percentage (default 5, the paper's "a few percent").
-	RetrainTargetPct float64
-	// RetrainAfter is how long a model's drift alert must fire
-	// continuously before a retrain starts (default 30s; negative means
-	// immediately).
-	RetrainAfter time.Duration
-	// RetrainPoll is the wall-clock cadence of drift-state polls
-	// (default 10s). Tests set it high and drive polls directly.
-	RetrainPoll time.Duration
-	// RetrainTestPoints sizes the simulator-backed test set that drives
-	// the escalation's stopping rule (default 24).
-	RetrainTestPoints int
-	// RetrainWorkers bounds the internal/par worker budget of one
-	// background build, so retraining cannot starve the serving CPUs
-	// (default 1).
-	RetrainWorkers int
 	// SimPool, when non-nil, fans every simulator consumer — search
-	// shortlist verification, shadow re-simulation, retrain builds —
-	// out to a cluster of sim workers instead of simulating on the
-	// serving host. Workers are deterministic, so results are
-	// bit-identical to local simulation. cmd/predserve builds the pool
-	// from -sim-workers.
+	// shortlist verification and shadow re-simulation — out to a
+	// cluster of sim workers instead of simulating on the serving host.
+	// Workers are deterministic, so results are bit-identical to local
+	// simulation. cmd/predserve builds the pool from -sim-workers.
 	SimPool *cluster.Pool
 	// TraceSample is the head-sampling rate for distributed traces: the
 	// fraction of edge requests that record a request-scoped trace
@@ -141,31 +115,11 @@ func (o Options) withDefaults() Options {
 	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
 	}
-	if o.SearchTraceLen <= 0 {
-		o.SearchTraceLen = 50_000
-	}
 	if o.Clock == nil {
 		o.Clock = time.Now
 	}
 	if o.ShadowErrPct == 0 {
 		o.ShadowErrPct = 25
-	}
-	if o.RetrainTargetPct <= 0 {
-		o.RetrainTargetPct = 5
-	}
-	if o.RetrainAfter == 0 {
-		o.RetrainAfter = 30 * time.Second
-	} else if o.RetrainAfter < 0 {
-		o.RetrainAfter = 0
-	}
-	if o.RetrainPoll <= 0 {
-		o.RetrainPoll = 10 * time.Second
-	}
-	if o.RetrainTestPoints <= 0 {
-		o.RetrainTestPoints = 24
-	}
-	if o.RetrainWorkers <= 0 {
-		o.RetrainWorkers = 1
 	}
 	if o.TraceSample == 0 {
 		o.TraceSample = 1
@@ -194,7 +148,6 @@ type Server struct {
 	alerts   *obs.AlertSet
 	shadow   *shadowMonitor
 	coalesce *coalescer
-	retrain  *retrainController
 
 	// Distributed tracing: the edge head-sampler and the tail-retention
 	// trace store behind /tracez.
@@ -221,8 +174,8 @@ func New(opt Options) *Server {
 	s.traces = obs.NewTraceStore(opt.TraceStoreSize)
 	obs.NewGaugeFunc("obs.trace_sample_rate", s.sampler.Rate)
 	if opt.SimPool != nil {
-		s.reg.SetEvalFactory(func(benchmark string, traceLen int) (core.Evaluator, error) {
-			return cluster.NewRemoteEvaluator(opt.SimPool, benchmark, traceLen, core.MetricCPI), nil
+		s.reg.SetEvalFactory(func(benchmark string, traceLen int, metric core.Metric) (core.Evaluator, error) {
+			return cluster.NewRemoteEvaluator(opt.SimPool, benchmark, traceLen, metric), nil
 		})
 	}
 	s.start = s.clock()
@@ -245,12 +198,6 @@ func New(opt Options) *Server {
 	s.alerts = obs.NewAlertSet(s.clock)
 	s.shadow = newShadowMonitor(opt, s.clock)
 	s.coalesce = newCoalescer(coalesceMax, coalesceQueue, s.predictBatch)
-	s.retrain = newRetrainController(opt, s.reg, s.shadow, s.clock)
-	s.retrain.traces = s.traces
-	if opt.Retrain {
-		obs.NewGaugeFunc("serve.retrains_inflight", func() float64 { return float64(s.retrain.inflightCount()) })
-	}
-	s.retrain.start()
 
 	s.http = role.NewServer(s.Handler())
 	return s
@@ -294,18 +241,16 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
 
 // Shutdown drains in-flight requests, waiting at most deadline before
-// giving up on stragglers, then stops the retrain controller (cancels
-// the escalation, waits for in-flight attempts), then the coalescer
-// dispatcher (which evaluates everything already queued), then the
-// shadow workers (which finish their in-flight simulations) — in that
-// order, because the coalescer's final flush feeds the shadow queue.
+// giving up on stragglers, then stops the coalescer dispatcher (which
+// evaluates everything already queued), then the shadow workers (which
+// finish their in-flight simulations) — in that order, because the
+// coalescer's final flush feeds the shadow queue.
 // New connections are refused immediately. Handlers that outlive the
 // drain deadline remain safe: enqueueing into a stopped coalescer
 // answers a structured 503, and offering to the stopped shadow monitor
 // drops the sample and counts it.
 func (s *Server) Shutdown(deadline time.Duration) error {
 	err := s.http.Shutdown(deadline)
-	s.retrain.stop()
 	s.coalesce.stop()
 	s.shadow.stop()
 	return err

@@ -547,13 +547,15 @@ func TestTimeoutResponseIsJSON(t *testing.T) {
 	defer close(gate)
 	srv := New(Options{Timeout: time.Millisecond})
 	defer srv.coalesce.stop()
-	srv.Registry().SetEvalFactory(func(string, int) (core.Evaluator, error) {
+	srv.Registry().SetEvalFactory(func(string, int, core.Metric) (core.Evaluator, error) {
 		return core.FuncEvaluator(func(c design.Config) float64 {
 			<-gate
 			return syntheticCPI(c)
 		}), nil
 	})
-	if err := srv.Registry().Add("mcf", buildTestModel(t, "mcf"), ""); err != nil {
+	m := buildTestModel(t, "mcf")
+	m.TraceLen = 2000
+	if err := srv.Registry().Add("mcf", m, ""); err != nil {
 		t.Fatal(err)
 	}
 	requireTimeout(t, postRecorded(srv.Handler(), "/v1/search",

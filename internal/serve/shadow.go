@@ -18,10 +18,12 @@ import (
 // quantized config) pair, so the decision is a pure function of the
 // served point and replayable offline — and re-evaluates each sampled
 // point on the cycle-level simulator in a bounded background worker
-// pool. The paper's error metric, 100·|pred−actual|/actual, lands in a
-// per-model histogram with a sliding-window view; a model whose windowed
-// mean error exceeds the configured threshold trips the drift alert and
-// flips /readyz.
+// pool, on the trace and metric the model was built on (its file names
+// both), so a model drifts only when it disagrees with its own
+// simulation. The paper's error metric, 100·|pred−actual|/actual, lands
+// in a per-model histogram with a sliding-window view; a model whose
+// windowed mean error exceeds the configured threshold trips the drift
+// alert and flips /readyz.
 //
 // The monitor never perturbs serving: sampling happens after the
 // response value is computed, the enqueue is non-blocking (a full queue
@@ -67,11 +69,10 @@ type shadowModelStats struct {
 // shadowMonitor owns the sampling decision, the bounded queue, the
 // worker pool, and the per-model drift state.
 type shadowMonitor struct {
-	frac     float64
-	limit    uint64 // sampling threshold in FNV-64a hash space
-	traceLen int
-	errPct   float64 // windowed mean error (percent) above which a model drifts
-	clock    obs.Clock
+	frac   float64
+	limit  uint64  // sampling threshold in FNV-64a hash space
+	errPct float64 // windowed mean error (percent) above which a model drifts
+	clock  obs.Clock
 
 	queue    chan shadowJob
 	jobs     sync.WaitGroup
@@ -112,11 +113,10 @@ func shadowLimit(frac float64) uint64 {
 // returns a disabled monitor: every method is a cheap no-op.
 func newShadowMonitor(opt Options, clock obs.Clock) *shadowMonitor {
 	m := &shadowMonitor{
-		frac:     opt.ShadowFraction,
-		traceLen: opt.SearchTraceLen,
-		errPct:   opt.ShadowErrPct,
-		clock:    clock,
-		models:   map[string]*shadowModelStats{},
+		frac:   opt.ShadowFraction,
+		errPct: opt.ShadowErrPct,
+		clock:  clock,
+		models: map[string]*shadowModelStats{},
 	}
 	if opt.ShadowFraction <= 0 {
 		return m
@@ -184,9 +184,11 @@ func (m *shadowMonitor) run() {
 
 // process runs the cycle-level simulator on one sampled point — the
 // bit-identical evaluator path the model was validated against at build
-// time — and records the percent error.
+// time — and records the percent error. A model that names no
+// benchmark or trace length cannot be re-simulated; its samples count
+// as failures.
 func (m *shadowMonitor) process(job shadowJob) {
-	sim, err := job.entry.simEvaluator(m.traceLen)
+	sim, err := job.entry.simEvaluator()
 	if err != nil {
 		cShadowSimFail.Inc()
 		return
@@ -229,11 +231,12 @@ func (m *shadowMonitor) modelStats(model string) (*shadowModelStats, bool) {
 	return st, ok
 }
 
-// resetModel forgets the model's windowed drift history: the retrain
-// controller calls it after hot-swapping a retrained model so samples
-// of the replaced generation stop counting against the new one (and
-// drift clears immediately instead of after the slow window drains).
-// The cumulative error histogram is untouched.
+// resetModel forgets the model's windowed drift history: a hot load
+// calls it for every name it replaces, so samples of the replaced
+// generation stop counting against the new one (and drift clears
+// immediately instead of after the slow window drains). A sample of
+// the old entry still queued may land after the reset. The cumulative
+// error histogram is untouched.
 func (m *shadowMonitor) resetModel(model string) {
 	if st, ok := m.modelStats(model); ok {
 		st.win.Rebase()

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"predperf/internal/cluster"
 	"predperf/internal/core"
@@ -93,8 +98,9 @@ func TestShadowResponsesBitIdentical(t *testing.T) {
 	if !bytes.Equal(with, without) {
 		t.Fatalf("responses differ with shadow sampling on:\n  with:    %s\n  without: %s", with, without)
 	}
-	// The synthetic model's name is not a simulator benchmark, so every
-	// shadow job fails at evaluator construction — counted, not fatal.
+	// The synthetic model names neither a simulator benchmark nor a
+	// trace length, so every shadow job fails at evaluator construction
+	// — counted, not fatal.
 	if obs.NewCounter("serve.shadow_sim_failures").Value() == 0 {
 		t.Fatal("expected shadow sim failures for a non-benchmark model name")
 	}
@@ -105,11 +111,12 @@ func TestShadowResponsesBitIdentical(t *testing.T) {
 func TestShadowQueueDrops(t *testing.T) {
 	obs.Reset()
 	m := buildTestModel(t, "drops")
+	m.TraceLen = 2000
 	// The one worker blocks building its evaluator, so a burst of one
 	// more sample than the worker and the queue can hold must overflow,
 	// and the overflow must be counted.
 	release := make(chan struct{})
-	e := &Entry{Name: "drops", Model: m, evalFactory: func(string, int) (core.Evaluator, error) {
+	e := &Entry{Name: "drops", Model: m, evalFactory: func(string, int, core.Metric) (core.Evaluator, error) {
 		<-release
 		return nil, errors.New("no simulator in this test")
 	}}
@@ -144,7 +151,10 @@ func TestShadowErrorMatchesBuildTimeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Name = "twolf" // the registry resolves the shadow evaluator by benchmark name
+	// The registry resolves the shadow evaluator from the simulation the
+	// model names: its benchmark and trace length (and CPI, the zero
+	// metric).
+	m.Name, m.TraceLen = "twolf", traceLen
 
 	// Draw random test points, then quantize each through the exact
 	// Decode∘Encode projection the serve path applies, so the served
@@ -168,7 +178,6 @@ func TestShadowErrorMatchesBuildTimeValidation(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Options{
 		ShadowFraction: 1,
-		SearchTraceLen: traceLen, // shadow evaluator: same benchmark, same trace length
 		Clock:          clk.now,
 		ShadowErrPct:   -1, // never trip readiness in this test
 	})
@@ -359,5 +368,188 @@ func TestShadowLimitBoundaries(t *testing.T) {
 		if got == 0 {
 			t.Errorf("shadowLimit(%v) = 0; positive fraction lost all hash space", f)
 		}
+	}
+}
+
+// edpMCF builds an EDP model of mcf (12 points, 2000-instruction
+// traces) as predperf would, stamped with the simulation it was built
+// on, saves it as the only file of a fresh model directory, and returns
+// the directory, the model and the EDP evaluator it was built with.
+func edpMCF(t *testing.T) (string, *core.Model, *core.SimEvaluator) {
+	t.Helper()
+	const traceLen = 2000
+	base, err := core.NewSimEvaluator("mcf", traceLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := base.WithMetric(core.MetricEDP)
+	m, err := core.BuildRBFModel(ev, 12, core.Options{LHSCandidates: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Name, m.TraceLen, m.Metric = "mcf", traceLen, core.MetricEDP
+	dir := t.TempDir()
+	saveModel(t, m, filepath.Join(dir, "mcf.json"))
+	return dir, m, ev
+}
+
+// TestShadowVerifiesEDPModelOnItsOwnSimulation: the shadow check
+// re-simulates an EDP model on the EDP metric at the model's own trace
+// length. After one 12-config batch its mean error equals the
+// build-time validation error on the same quantized configs, and the
+// model does not drift. Re-simulated as CPI it read a 30,494% mean
+// error and flipped /readyz to 503 model_drift.
+func TestShadowVerifiesEDPModelOnItsOwnSimulation(t *testing.T) {
+	obs.Reset()
+	dir, _, ev := edpMCF(t)
+	s := New(Options{ModelDir: dir, ShadowFraction: 1, Clock: newFakeClock().now})
+	if names, err := s.Registry().LoadDir(""); err != nil || len(names) != 1 {
+		t.Fatalf("LoadDir = %v, %v", names, err)
+	}
+	e, _ := s.Registry().Get("mcf")
+	m := e.Model // as loaded from the file
+	if m.TraceLen != 2000 || m.Metric != core.MetricEDP {
+		t.Fatalf("loaded model names trace_len %d metric %v, want 2000 and EDP", m.TraceLen, m.Metric)
+	}
+
+	raw := core.NewTestSet(ev, m.Space, 12, 5)
+	ts := &core.TestSet{Actual: make([]float64, len(raw.Configs))}
+	var req struct {
+		Model   string               `json:"model"`
+		Configs []cluster.WireConfig `json:"configs"`
+	}
+	req.Model = "mcf"
+	for i, c := range raw.Configs {
+		q := m.Space.Decode(m.Space.Encode(c), m.SampleSize)
+		ts.Configs = append(ts.Configs, q)
+		ts.Actual[i] = ev.Eval(q)
+		req.Configs = append(req.Configs, cluster.FromConfig(q))
+	}
+	want := m.Validate(ts)
+
+	hts := httptest.NewServer(s.Handler())
+	defer hts.Close()
+	js, _ := json.Marshal(req)
+	if resp, body := postJSON(t, hts.URL+"/v1/predict", string(js)); resp.StatusCode != 200 {
+		t.Fatalf("predict = %d: %s", resp.StatusCode, body)
+	}
+	s.shadow.drain()
+
+	st, ok := s.shadow.modelStats("mcf")
+	if !ok || st.hist.Count() != int64(len(ts.Configs)) {
+		t.Fatalf("shadow processed %v samples, want %d", st, len(ts.Configs))
+	}
+	got := st.hist.Sum() / float64(st.hist.Count())
+	if math.Abs(got-want.Mean) > 1e-9*math.Max(1, want.Mean) {
+		t.Fatalf("shadow mean error %.12f%%, want the build-time validation error %.12f%%", got, want.Mean)
+	}
+	if resp, body := getBody(t, hts.URL+"/readyz"); resp.StatusCode != 200 {
+		t.Fatalf("readyz = %d (%s), want 200: the model agrees with its own simulation (mean %.2f%%)", resp.StatusCode, body, got)
+	}
+}
+
+// TestSearchVerifiesEDPModelOnItsOwnSimulation: a simulator-verified
+// search on an EDP model reports, for every shortlisted candidate, the
+// EDP the simulator gives at the model's trace length, not its CPI.
+func TestSearchVerifiesEDPModelOnItsOwnSimulation(t *testing.T) {
+	obs.Reset()
+	dir, _, ev := edpMCF(t)
+	s := New(Options{ModelDir: dir})
+	if _, err := s.Registry().LoadDir(""); err != nil {
+		t.Fatal(err)
+	}
+	hts := httptest.NewServer(s.Handler())
+	defer hts.Close()
+	resp, body := postJSON(t, hts.URL+"/v1/search", `{"model":"mcf","verify":"sim","grid_levels":2,"shortlist":4}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("search = %d: %s", resp.StatusCode, body)
+	}
+	var sr searchResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatalf("%v in %s", err, body)
+	}
+	if sr.VerifiedBy != "simulator" || len(sr.Shortlist) != 4 {
+		t.Fatalf("verified by %q with %d candidates, want the simulator and 4", sr.VerifiedBy, len(sr.Shortlist))
+	}
+	for i, c := range sr.Shortlist {
+		if want := ev.Eval(c.Config.Config()); c.Actual != want {
+			t.Errorf("shortlist %d: actual %v, want the EDP at 2000 instructions %v", i, c.Actual, want)
+		}
+	}
+}
+
+// TestModelWithoutTraceLenIsNotSimVerified: a model file that names a
+// benchmark but no trace length, as every file written before the
+// field existed, is not simulator-verified. verify "sim" answers 400
+// no_simulator, "auto" falls back to the model, and a shadow sample
+// counts as a simulation failure.
+func TestModelWithoutTraceLenIsNotSimVerified(t *testing.T) {
+	obs.Reset()
+	dir := t.TempDir()
+	saveModel(t, buildTestModel(t, "mcf"), filepath.Join(dir, "mcf.json"))
+	s := New(Options{ModelDir: dir, ShadowFraction: 1})
+	if _, err := s.Registry().LoadDir(""); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	if rec := postRecorded(h, "/v1/search", `{"model":"mcf","verify":"sim","grid_levels":2,"shortlist":2}`); rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), `"no_simulator"`) {
+		t.Fatalf("verify sim: %d %s, want 400 no_simulator", rec.Code, rec.Body)
+	}
+	if rec := postRecorded(h, "/v1/search", `{"model":"mcf","grid_levels":2,"shortlist":2}`); rec.Code != http.StatusOK ||
+		!strings.Contains(rec.Body.String(), `"verified_by":"model"`) {
+		t.Fatalf("verify auto: %d %s, want 200 verified by the model", rec.Code, rec.Body)
+	}
+	e, _ := s.Registry().Get("mcf")
+	s.shadow.offer(e, e.Model.Configs[0], 1)
+	s.shadow.drain()
+	if got := obs.NewCounter("serve.shadow_sim_failures").Value(); got != 1 {
+		t.Fatalf("serve.shadow_sim_failures = %d, want 1", got)
+	}
+}
+
+// TestSimEvaluatorTransientFailureRetries is the regression test for
+// the forever-memoized construction error: a transient failure is
+// retried after the backoff instead of permanently disabling the
+// entry's simulator evaluator, and success memoizes.
+func TestSimEvaluatorTransientFailureRetries(t *testing.T) {
+	orig := newSimEvaluator
+	defer func() { newSimEvaluator = orig }()
+	calls := 0
+	fail := true
+	newSimEvaluator = func(string, int, core.Metric) (core.Evaluator, error) {
+		calls++
+		if fail {
+			return nil, fmt.Errorf("transient: trace unreadable")
+		}
+		return &core.SimEvaluator{}, nil
+	}
+	clk := newFakeClock()
+	m := buildTestModel(t, "retry")
+	m.TraceLen = 1000
+	e := &Entry{Name: "retry", Model: m, now: clk.now}
+
+	if _, err := e.simEvaluator(); err == nil || calls != 1 {
+		t.Fatalf("first construction: err %v after %d calls, want failure after 1", err, calls)
+	}
+	// Inside the backoff the memoized error answers without retrying.
+	if _, err := e.simEvaluator(); err == nil {
+		t.Fatal("memoized failure returned nil error")
+	}
+	if calls != 1 {
+		t.Fatalf("construction retried inside the backoff: %d calls", calls)
+	}
+	// Past the backoff it retries; with the old sync.Once memoization
+	// this retry never happened and the entry was dead forever.
+	clk.advance(simRetryBackoff + time.Second)
+	fail = false
+	ev, err := e.simEvaluator()
+	if err != nil || ev == nil || calls != 2 {
+		t.Fatalf("post-backoff retry: ev %v err %v calls %d, want success on call 2", ev, err, calls)
+	}
+	// Success is memoized: no further construction, same evaluator.
+	ev2, err := e.simEvaluator()
+	if err != nil || ev2 != ev || calls != 2 {
+		t.Fatalf("success not memoized: ev2 %v err %v calls %d", ev2, err, calls)
 	}
 }

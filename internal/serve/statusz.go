@@ -69,26 +69,6 @@ func (s *Server) statuszPage() obs.Page {
 			obs.Verdict(ds.Firing, "drifting", "ok")))
 	}
 
-	retrains := obs.Section{Title: "Retraining", Headers: []string{"model", "state", "attempts", "generation",
-		"firing since", "cooldown until", "last outcome", "last size", "last error"}}
-	for _, rs := range s.retrain.states() {
-		state := obs.Cell{Text: rs.Status}
-		if rs.Status == "retraining" || rs.Status == "drift_pending" {
-			state.Class = "bad"
-		}
-		outcome := obs.Cell{Text: rs.LastOutcome}
-		if rs.LastOutcome == "success" {
-			outcome.Class = "ok"
-		}
-		size := ""
-		if rs.LastSize != 0 {
-			size = strconv.Itoa(rs.LastSize)
-		}
-		retrains.Rows = append(retrains.Rows, []obs.Cell{{Text: rs.Model}, state,
-			{Text: strconv.FormatInt(rs.Attempts, 10)}, {Text: strconv.FormatUint(rs.Generation, 10)},
-			{Text: rs.FiringSince}, {Text: rs.Cooldown}, outcome, {Text: size}, {Text: rs.LastError, Class: "muted"}})
-	}
-
 	routes := obs.Section{Title: "Routes (windows: 1m / 5m / 1h; quantiles over 5m; sparkline: requests per 10s over 1h)",
 		Headers: []string{"route", "req 1m", "req 5m", "req 1h", "rate/s 1m", "p50 ms", "p90 ms", "p99 ms", "traffic", "recent trace"}}
 	routeNames := make([]string, 0, len(s.wRoutes))
@@ -127,7 +107,7 @@ func (s *Server) statuszPage() obs.Page {
 		alerts.Rows = append(alerts.Rows, []obs.Cell{{Text: a.Name}, obs.Verdict(a.Firing, "firing", "resolved"),
 			{Text: a.Since}, {Text: a.ResolvedAt}, {Text: strconv.Itoa(a.Count)}, {Text: a.Reason}})
 	}
-	p.Sections = []obs.Section{s.slo.Section(), models, retrains, routes, pool, alerts}
+	p.Sections = []obs.Section{s.slo.Section(), models, routes, pool, alerts}
 	return p
 }
 

@@ -24,14 +24,15 @@ type traceStack struct {
 }
 
 // newTraceStack wires router → shard → 2 workers over httptest. The
-// model is named after a real benchmark ("mcf") so the workers'
-// simulator accepts it; routerSample is the edge's head-sampling rate
+// model names a real benchmark ("mcf") and a trace length, so the
+// workers' simulator accepts it; routerSample is the edge's head-sampling rate
 // (everything downstream keeps its default sampler and must obey the
 // propagated bit instead).
 func newTraceStack(t *testing.T, routerSample float64) *traceStack {
 	t.Helper()
 	dir := t.TempDir()
 	m := buildTestModel(t, "mcf")
+	m.TraceLen = 2000
 	saveModel(t, m, filepath.Join(dir, "mcf.json"))
 
 	st := &traceStack{}
@@ -47,7 +48,7 @@ func newTraceStack(t *testing.T, routerSample float64) *traceStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.serve = New(Options{ModelDir: dir, SimPool: pool, SearchTraceLen: 2000})
+	st.serve = New(Options{ModelDir: dir, SimPool: pool})
 	if _, err := st.serve.Registry().LoadDir(""); err != nil {
 		t.Fatal(err)
 	}

@@ -174,19 +174,19 @@ grep -q '"name": "core.sim_point"' "$smoke_dir/build-trace.json"
 go build -o "$smoke_dir/predserve" ./cmd/predserve
 # -version prints build info without serving.
 "$smoke_dir/predserve" -version | grep -q 'model-format'
-# Knob ratchet: predserve has exactly 21 flags, so adding one is a
+# Knob ratchet: predserve has exactly 14 flags, so adding one is a
 # visible diff here.
 nflags=$("$smoke_dir/predserve" -h 2>&1 | grep -c '^  -')
-if [ "$nflags" != 21 ]; then
-    echo "predserve -h lists $nflags flags, want 21" >&2
+if [ "$nflags" != 14 ]; then
+    echo "predserve -h lists $nflags flags, want 14" >&2
     exit 1
 fi
 # Start with an EMPTY model directory so /readyz goes through its full
 # lifecycle, and shadow-verify 100% of served predictions on the
-# simulator (same trace length the model was built with).
+# simulator (on the trace length and metric the model file names).
 mkdir "$smoke_dir/models"
 "$smoke_dir/predserve" -addr 127.0.0.1:0 -models "$smoke_dir/models" \
-    -shadow-frac 1.0 -search-insts 2000 \
+    -shadow-frac 1.0 \
     > "$smoke_dir/predserve.log" 2>&1 &
 smoke_pid=$!
 addr=$(wait_addr "$smoke_dir/predserve.log" predserve)
@@ -202,6 +202,8 @@ if [ "$code" != 503 ]; then
     exit 1
 fi
 grep -q '"no_models"' "$smoke_dir/readyz.json"
+# predperf stamps the model with the simulation it was built on.
+grep -q '"trace_len":2000' "$smoke_dir/mcf.json"
 # Hot-load the model, after which the server must report ready.
 cp "$smoke_dir/mcf.json" "$smoke_dir/models/mcf.json"
 curl -fsS -X POST "http://$addr/v1/models/load" -d '{"path":"mcf.json"}' \
@@ -290,62 +292,59 @@ grep -q "shut down cleanly" "$smoke_dir/predserve.log"
 # The access log (default: stderr) must have JSON lines with request ids.
 grep -q '"id":' "$smoke_dir/predserve.log"
 
-echo "== retrain smoke =="
-# Closed-loop lifecycle: serve a deliberately weak model (8-point fit)
+echo "== drift smoke =="
+# Drift and its remedy: serve a deliberately weak model (8-point fit)
 # with full shadow verification and a drift threshold its real error is
-# certain to exceed, then let the retrain controller rebuild it at 2x
-# its sample size and hot-swap the winner.
+# certain to exceed, so one batch trips model_drift; then rebuild it at
+# twice the sample size and hot-load it, which must start the name on a
+# clean drift window.
 mkdir "$smoke_dir/models2"
 go run ./cmd/predperf -bench mcf -insts 2000 -sample 8 -lhs 4 -test 2 \
     -save "$smoke_dir/models2/mcf.json" > /dev/null
 "$smoke_dir/predserve" -addr 127.0.0.1:0 -models "$smoke_dir/models2" \
-    -shadow-frac 1.0 -search-insts 2000 -shadow-err-pct 0.5 \
-    -retrain -retrain-target-pct 10000 \
-    -retrain-after 0 -retrain-poll 200ms \
-    -retrain-test-points 6 -retrain-workers 2 \
-    > "$smoke_dir/retrain.log" 2>&1 &
+    -shadow-frac 1.0 -shadow-err-pct 0.5 \
+    > "$smoke_dir/drift.log" 2>&1 &
 smoke_pid=$!
-addr=$(wait_addr "$smoke_dir/retrain.log" predserve)
+addr=$(wait_addr "$smoke_dir/drift.log" predserve)
 # One batch of 12 distinct configurations: enough shadow samples to
 # cross the drift minimum (10) in a single request.
-retrain_cfgs=""
+drift_cfgs=""
 for rob in 32 48 64 80 96 112 128 144 160 176 192 208; do
     cfg="{\"depth\":14,\"rob\":$rob,\"iq\":$((rob / 2)),\"lsq\":$((rob / 2)),\"l2kb\":1024,\"l2lat\":12,\"il1kb\":32,\"dl1kb\":32,\"dl1lat\":2}"
-    retrain_cfgs="$retrain_cfgs${retrain_cfgs:+,}$cfg"
+    drift_cfgs="$drift_cfgs${drift_cfgs:+,}$cfg"
 done
 curl -fsS -X POST "http://$addr/v1/predict" \
-    -d "{\"model\":\"mcf\",\"configs\":[$retrain_cfgs]}" | grep -q '"value"'
-# Drift fires, the controller rebuilds at size 16, and the success
-# counter appears in the Prometheus export.
-retrain_ok=""
+    -d "{\"model\":\"mcf\",\"configs\":[$drift_cfgs]}" | grep -q '"value"'
+# The shadow worker re-simulates the batch in the background; readiness
+# must flip to 503 model_drift once it has.
+drift_ok=""
 for _ in $(seq 1 100); do
-    curl -fsS "http://$addr/metricz?format=prom" > "$smoke_dir/retrain.prom"
-    if grep -q 'serve_retrains{model="mcf",outcome="success"}' "$smoke_dir/retrain.prom"; then
-        retrain_ok=1
+    code=$(curl -s -o "$smoke_dir/drift-readyz.json" -w '%{http_code}' "http://$addr/readyz")
+    if [ "$code" = 503 ] && grep -q '"model_drift"' "$smoke_dir/drift-readyz.json"; then
+        drift_ok=1
         break
     fi
-    sleep 0.3
+    sleep 0.1
 done
-if [ -z "$retrain_ok" ]; then
-    echo "serve_retrains success counter never appeared:" >&2
-    cat "$smoke_dir/retrain.log" >&2
-    tail -20 "$smoke_dir/retrain.prom" >&2
+if [ -z "$drift_ok" ]; then
+    echo "readyz never answered 503 model_drift after a 12-config batch:" >&2
+    cat "$smoke_dir/drift-readyz.json" "$smoke_dir/drift.log" >&2
     exit 1
 fi
-# The swap cleared the drift (fresh window for the new generation), so
-# readiness recovers, and the listing shows the retrained generation at
-# the escalated sample size.
+# The remedy: rebuild into the model directory and hot-load the file.
+# Readiness recovers at once, and the listing shows the new generation
+# at the new sample size.
+go run ./cmd/predperf -bench mcf -insts 2000 -sample 16 -lhs 4 -test 2 \
+    -save "$smoke_dir/models2/mcf.json" > /dev/null
+curl -fsS -X POST "http://$addr/v1/models/load" -d '{"path":"mcf.json"}' | grep -q '"mcf"'
 curl -fsS "http://$addr/readyz" | grep -q '"ready"'
-curl -fsS "http://$addr/v1/models" > "$smoke_dir/retrain-models.json"
-grep -q '"generation":2[,}]' "$smoke_dir/retrain-models.json"
-grep -q '"sample_size":16[,}]' "$smoke_dir/retrain-models.json"
-# The retrained model was persisted back into the model directory.
-grep -q '"sample_size": 16' "$smoke_dir/models2/mcf.json" ||
-    grep -q '"sample_size":16' "$smoke_dir/models2/mcf.json"
+curl -fsS "http://$addr/v1/models" > "$smoke_dir/drift-models.json"
+grep -q '"generation":2[,}]' "$smoke_dir/drift-models.json"
+grep -q '"sample_size":16[,}]' "$smoke_dir/drift-models.json"
 kill -TERM "$smoke_pid"
 wait "$smoke_pid"
 smoke_pid=""
-grep -q "shut down cleanly" "$smoke_dir/retrain.log"
+grep -q "shut down cleanly" "$smoke_dir/drift.log"
 
 echo "== cluster smoke =="
 # Distributed evaluation farm: two sim workers, a distributed model
@@ -396,7 +395,7 @@ grep -q '"name":"mcf"' "$smoke_dir/models3/mcf.json"
 # The shard's simulator consumers fan out to the surviving worker so a
 # simulator-verified search crosses all three roles in one trace.
 "$smoke_dir/predserve" -addr 127.0.0.1:0 -models "$smoke_dir/models3" \
-    -sim-workers "$w2" -search-insts 2000 \
+    -sim-workers "$w2" \
     > "$smoke_dir/shard.log" 2>&1 &
 shard_pid=$!
 worker_pids="$worker_pids $shard_pid"
@@ -460,11 +459,16 @@ echo "== front-door SLO smoke =="
 # traffic dilutes it, and once both shards have drained, routed
 # predicts answer 503 and router-availability fires.
 predbody='{"model":"mcf","config":{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}}'
-"$smoke_dir/predserve" -addr 127.0.0.1:0 -models "$smoke_dir/models3" \
-    -search-insts 50000 -access-log off > "$smoke_dir/fshard1.log" 2>&1 &
+# The shards serve a model built on 50k-instruction traces (16
+# simulations), so a simulator-verified search re-simulates at 50k.
+mkdir "$smoke_dir/models4"
+go run ./cmd/predperf -bench mcf -insts 50000 -sample 12 -lhs 8 -test 4 \
+    -save "$smoke_dir/models4/mcf.json" > /dev/null
+"$smoke_dir/predserve" -addr 127.0.0.1:0 -models "$smoke_dir/models4" \
+    -access-log off > "$smoke_dir/fshard1.log" 2>&1 &
 fs1_pid=$!
-"$smoke_dir/predserve" -addr 127.0.0.1:0 -models "$smoke_dir/models3" \
-    -search-insts 50000 -access-log off > "$smoke_dir/fshard2.log" 2>&1 &
+"$smoke_dir/predserve" -addr 127.0.0.1:0 -models "$smoke_dir/models4" \
+    -access-log off > "$smoke_dir/fshard2.log" 2>&1 &
 fs2_pid=$!
 worker_pids="$fs1_pid $fs2_pid"
 fs1=$(wait_addr "$smoke_dir/fshard1.log" predserve)
@@ -493,8 +497,8 @@ curl -fsS "http://$fr/tracez?id=fleettrace01&format=json" > "$smoke_dir/fleet-tr
 grep -q '"serve.predict"' "$smoke_dir/fleet-trace-spans.json"
 curl -fsS "http://$fr/tracez?id=fleettrace01&format=chrome" > "$smoke_dir/fleet-trace.json"
 grep -q '"traceEvents"' "$smoke_dir/fleet-trace.json"
-# Induce an SLO burn: simulator-verified searches at 50k instructions
-# run well past the 250ms latency threshold, so with only a handful of
+# Induce an SLO burn: simulator-verified searches on the model's
+# 50k-instruction trace run well past the 250ms latency threshold, so with only a handful of
 # good requests in the windows both burn rates blow through the paging
 # threshold and router-latency must fire.
 # slo_firing <name> prints the "firing" value of the router's SLO of
