@@ -11,8 +11,13 @@
 //	predperf -bench mcf -sample 90 -metric edp     # model energy-delay product
 //	predperf -bench mcf -sample 90 -adaptive       # adaptive sampling at the same budget
 //	predperf -bench mcf -sample 90 -save m.json    # persist the model
-//	predperf -bench mcf -load m.json \
+//	predperf -load m.json \
 //	         -predict "depth=10,rob=96,iq=48,lsq=48,l2kb=4096,l2lat=8,il1kb=32,dl1kb=32,dl1lat=2"
+//
+// -load validates (and -predict checks) a model against the simulation
+// its file names: the benchmark, trace length and metric it was built
+// on. A file that names no trace length is checked against -bench,
+// -insts and -metric.
 //
 // Observability (internal/obs): -report writes a machine-readable JSON
 // run report (host info, per-stage wall-clock spans, pipeline counters
@@ -102,6 +107,28 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// A loaded model is validated against the simulation its file names:
+	// its benchmark, trace length and metric. A file that names no trace
+	// length leaves the flags to name it.
+	var m *predperf.Model
+	if *loadFile != "" {
+		f, err := os.Open(*loadFile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		m, err = core.LoadModel(f)
+		f.Close()
+		if err != nil {
+			log.Fatal(err)
+		}
+		if m.TraceLen > 0 {
+			if m.Name != "" {
+				*bench = m.Name
+			}
+			*insts, metric = m.TraceLen, m.Metric
+		}
+	}
+
 	// The evaluator is either the in-process simulator or a view onto
 	// the distributed evaluation farm; both are deterministic, so the
 	// model built downstream is bit-identical either way.
@@ -133,24 +160,15 @@ func main() {
 	}
 	opt := predperf.Options{LHSCandidates: *candidates, Seed: *seed, Parallel: *parallel}
 
-	var m *predperf.Model
 	switch {
-	case *loadFile != "":
-		f, err := os.Open(*loadFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m, err = core.LoadModel(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
+	case m != nil:
 		name := m.Name
 		if name == "" {
 			name = "(unnamed)"
 		}
 		fmt.Printf("loaded model %s from %s: %d training points, %d RBF centers\n",
 			name, *loadFile, m.SampleSize, m.Fit.NumCenters())
+		fmt.Printf("  validating on      : %s (%s), %d-instruction traces\n", *bench, metric, *insts)
 	case *adaptiveFlag:
 		fmt.Printf("adaptive build for %s (%s): budget %d simulations\n", *bench, metric, *sampleSize)
 		var rounds []adaptive.Round

@@ -11,8 +11,9 @@
 //
 //	curl -X POST localhost:9300/v1/predict -d \
 //	  '{"model":"mcf","config":{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}}'
-//	curl localhost:9300/v1/models            # merged listing across shards
-//	curl localhost:9300/statusz              # SLO burn, shard health, model placement
+//	curl localhost:9300/v1/models            # where each model lives, asked of every shard
+//	curl -X POST localhost:9300/v1/models/load -d '{"path":"mcf.json"}'   # hot-load on both replicas
+//	curl localhost:9300/statusz              # SLO burn and shard health
 //	curl localhost:9300/metricz              # the router's own metrics and SLO states
 //	curl "localhost:9300/tracez?q=error"     # routed requests' traces, every hop's spans
 //
@@ -25,17 +26,14 @@
 // slo_firing. The router samples traces at the fixed -trace-sample rate
 // and carries its decision to every shard and worker a request reaches.
 //
-// The router polls every shard's /v1/models on -sync-every; the model
-// generation vector piggybacked on those responses detects hot swaps
-// (a load bumps the generation), and the router re-syncs the model's
-// secondary shard with POST /v1/models/load so failover keeps serving
-// current coefficients. This assumes the shards share the
-// -models directory (bind mount, NFS, or same host).
-//
-// POST /v1/models/load through the router fans the load to the model's
-// primary and secondary shards — both must host it for failover to
-// work. 4xx answers from a shard are authoritative and relayed as-is;
-// only transport errors, timeouts, and 5xx trigger failover.
+// The router keeps no model state. A model's shards are a function of
+// the -shards list alone, and GET /v1/models asks every shard on demand
+// where each model lives and at which generation. POST /v1/models/load
+// through the router fans the load to the model's primary and secondary
+// shards — both must host it for failover to work — so hot-load
+// through the router: a load sent to one shard directly changes that
+// shard only. 4xx answers from a shard are authoritative and relayed
+// as-is; only transport errors, timeouts, and 5xx trigger failover.
 //
 // SIGINT/SIGTERM drains in-flight requests (deadline -drain) and exits
 // 0 on a clean drain.
@@ -58,8 +56,6 @@ func main() {
 
 	rf := role.Define(flag.CommandLine, "127.0.0.1:9300", 30*time.Second, "per-attempt deadline against one shard", 1<<20)
 	shards := flag.String("shards", "", "comma-separated predserve shard base URLs (required)")
-	replicas := flag.Int("replicas", cluster.DefaultReplicas, "virtual nodes per shard on the consistent-hash ring")
-	syncEvery := flag.Duration("sync-every", 5*time.Second, "cadence of the /v1/models topology poll driving replica re-sync")
 	flag.Parse()
 
 	var urls []string
@@ -80,12 +76,9 @@ func main() {
 
 	rt, err := cluster.NewRouter(cluster.RouterOptions{
 		Shards:         urls,
-		Replicas:       *replicas,
 		RequestTimeout: rf.Timeout,
 		MaxBodyBytes:   rf.MaxBody,
-		SyncInterval:   *syncEvery,
 		TraceSample:    rf.SampleRate(),
-		TraceStoreSize: rf.TraceStore,
 	})
 	if err != nil {
 		log.Fatal(err)

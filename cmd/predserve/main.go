@@ -98,7 +98,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 		return nil, err
 	}
 	o.MaxBodyBytes, o.Timeout = c.role.MaxBody, c.role.Timeout
-	o.TraceSample, o.TraceStoreSize = c.role.SampleRate(), c.role.TraceStore
+	o.TraceSample = c.role.SampleRate()
 	// The Options zero value means "default", not "none": an explicit 0
 	// becomes the negative sentinel.
 	if o.ShadowErrPct <= 0 {

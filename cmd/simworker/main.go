@@ -48,14 +48,13 @@ func main() {
 
 	obs.Enable()
 	w := cluster.NewWorker(cluster.WorkerOptions{
-		ID:             *id,
-		MaxBatch:       *maxBatch,
-		MaxBodyBytes:   rf.MaxBody,
-		MaxTraceLen:    *maxInsts,
-		Timeout:        rf.Timeout,
-		Workers:        *workers,
-		TraceSample:    rf.SampleRate(),
-		TraceStoreSize: rf.TraceStore,
+		ID:           *id,
+		MaxBatch:     *maxBatch,
+		MaxBodyBytes: rf.MaxBody,
+		MaxTraceLen:  *maxInsts,
+		Timeout:      rf.Timeout,
+		Workers:      *workers,
+		TraceSample:  rf.SampleRate(),
 	})
 	role.Run("simworker", rf, w)
 }

@@ -16,9 +16,9 @@
 //   - The shard router (Router, cmd/predrouter) fronts a set of
 //     predserve shards: models are consistent-hash assigned to shards
 //     (Ring), /v1/predict and /v1/search are forwarded to the owning
-//     shard with failover to the next shard on 5xx/timeout, and the
-//     model generation vector piggybacked on /v1/models detects hot
-//     swaps and triggers re-sync of the failover shard.
+//     shard with failover to the next shard on 5xx/timeout, and a hot
+//     load goes to both shards, so the failover shard serves the same
+//     coefficients. The router keeps no model state.
 //
 // Both roles thread X-Request-Id and the obs traceparent header through
 // every hop (the edge's sampling decision rides the header, and sampled

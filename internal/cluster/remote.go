@@ -60,9 +60,8 @@ type PoolOptions struct {
 	// ReadmitAfter is how long an evicted worker rests before a live
 	// request probes it for readmission (default 5s).
 	ReadmitAfter time.Duration
-	// BatchChunk splits a large evaluation batch into per-worker
-	// requests of this size so one batch fans out across the farm
-	// (default 64).
+	// Deprecated: BatchChunk is ignored. Callers split their own
+	// chunks and send each with EvalChunk.
 	BatchChunk int
 	// Client overrides the HTTP client (default: a dedicated client
 	// with sane connection pooling).
@@ -93,9 +92,6 @@ func (o PoolOptions) withDefaults(workers int) PoolOptions {
 	}
 	if o.ReadmitAfter <= 0 {
 		o.ReadmitAfter = 5 * time.Second
-	}
-	if o.BatchChunk <= 0 {
-		o.BatchChunk = 64
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{Transport: &http.Transport{
@@ -450,11 +446,8 @@ type boundRemote struct {
 }
 
 func (b boundRemote) Eval(cfg design.Config) float64 { return b.e.evalCtx(b.ctx, cfg) }
-func (b boundRemote) EvalBatch(cfgs []design.Config) ([]float64, error) {
-	return b.e.evalBatchCtx(b.ctx, cfgs)
-}
-func (b boundRemote) Simulations() int { return b.e.Simulations() }
-func (b boundRemote) Err() error       { return b.e.Err() }
+func (b boundRemote) Simulations() int               { return b.e.Simulations() }
+func (b boundRemote) Err() error                     { return b.e.Err() }
 
 func (e *RemoteEvaluator) evalCtx(ctx context.Context, cfg design.Config) float64 {
 	key := cfg.Key()
@@ -512,78 +505,6 @@ func (e *RemoteEvaluator) fetch(ctx context.Context, key string, ent *remoteEntr
 	e.mu.Lock()
 	delete(e.cache, key)
 	e.mu.Unlock()
-}
-
-// EvalBatch evaluates a batch of configurations, fanning cache misses
-// across the farm in BatchChunk-sized concurrent requests. Results are
-// positionally stable and bit-identical to per-config Eval calls.
-func (e *RemoteEvaluator) EvalBatch(cfgs []design.Config) ([]float64, error) {
-	return e.evalBatchCtx(context.Background(), cfgs)
-}
-
-func (e *RemoteEvaluator) evalBatchCtx(ctx context.Context, cfgs []design.Config) ([]float64, error) {
-	out := make([]float64, len(cfgs))
-	missIdx := make([]int, 0, len(cfgs))
-	e.mu.Lock()
-	for i, cfg := range cfgs {
-		if ent, ok := e.cache[cfg.Key()]; ok && ent.ok {
-			out[i] = ent.val
-			continue
-		}
-		missIdx = append(missIdx, i)
-	}
-	e.mu.Unlock()
-	if len(missIdx) == 0 {
-		return out, nil
-	}
-	chunk := e.pool.opt.BatchChunk
-	nChunks := (len(missIdx) + chunk - 1) / chunk
-	errs := make([]error, nChunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		lo, hi := c*chunk, (c+1)*chunk
-		if hi > len(missIdx) {
-			hi = len(missIdx)
-		}
-		wg.Add(1)
-		go func(c int, idx []int) {
-			defer wg.Done()
-			req := EvalRequest{
-				Benchmark: e.Benchmark,
-				TraceLen:  e.TraceLen,
-				Metric:    strings.ToLower(e.metric.String()),
-				Configs:   make([]WireConfig, len(idx)),
-			}
-			for a, i := range idx {
-				req.Configs[a] = FromConfig(cfgs[i])
-			}
-			vals, _, err := e.pool.EvalChunk(ctx, req)
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			e.mu.Lock()
-			for a, i := range idx {
-				out[i] = vals[a]
-				key := cfgs[i].Key()
-				if _, ok := e.cache[key]; !ok {
-					ent := &remoteEntry{done: make(chan struct{}), val: vals[a], ok: true}
-					close(ent.done)
-					e.cache[key] = ent
-					e.evals++
-				}
-			}
-			e.mu.Unlock()
-		}(c, missIdx[lo:hi])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			e.recordErr(err)
-			return out, err
-		}
-	}
-	return out, nil
 }
 
 func (e *RemoteEvaluator) recordErr(err error) {

@@ -250,32 +250,6 @@ func TestRemoteEvaluatorMatchesLocalAcrossMetrics(t *testing.T) {
 	}
 }
 
-func TestRemoteEvaluatorBatchFansOut(t *testing.T) {
-	pool := newFarm(t, 2, cluster.PoolOptions{BatchChunk: 4})
-	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, core.MetricCPI)
-	cfgs := evaltest.Configs(10)
-	vals, err := remote.EvalBatch(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, _ := core.NewSimEvaluator(testBench, testInsts)
-	for i, c := range cfgs {
-		if want := local.Eval(c); vals[i] != want {
-			t.Fatalf("config %d: batch value %v != local %v", i, vals[i], want)
-		}
-	}
-	// Batch results land in the cache: per-config Eval is free and equal.
-	before := remote.Simulations()
-	for i, c := range cfgs {
-		if got := remote.Eval(c); got != vals[i] {
-			t.Fatalf("config %d: Eval after batch %v != %v", i, got, vals[i])
-		}
-	}
-	if after := remote.Simulations(); after != before {
-		t.Fatalf("Eval after EvalBatch refetched: %d → %d", before, after)
-	}
-}
-
 func TestRemoteEvaluatorFarmDown(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close() // nothing listens: every attempt is a transport error

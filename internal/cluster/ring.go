@@ -77,8 +77,8 @@ func (r *Ring) Shards() []string { return append([]string(nil), r.shards...) }
 
 // Lookup returns the primary shard owning key and the secondary — the
 // next distinct shard clockwise — used as the failover target and the
-// replica that re-syncs after a primary hot swap. With a single shard
-// the secondary equals the primary.
+// second shard a routed load goes to. With a single shard the secondary
+// equals the primary.
 func (r *Ring) Lookup(key string) (primary, secondary string) {
 	h := ringHash(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })

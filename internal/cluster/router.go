@@ -18,14 +18,11 @@ import (
 )
 
 // Router-side observability: proxied request counts per route, failovers
-// to the secondary shard, replica re-syncs triggered by generation
-// bumps, and per-shard proxy latency.
+// to the secondary shard, and per-shard proxy latency.
 var (
 	cRouterRequests  = obs.NewCounterVec("cluster.router_requests", "route")
 	cRouterFailovers = obs.NewCounter("cluster.router_failovers")
 	cRouterErrors    = obs.NewCounter("cluster.router_errors")
-	cRouterResyncs   = obs.NewCounter("cluster.router_resyncs")
-	cRouterSyncErrs  = obs.NewCounter("cluster.router_sync_errors")
 	hRouterProxy     = obs.NewHistogramVec("cluster.router_proxy_seconds", obs.DefLatencyBuckets, "shard")
 )
 
@@ -35,9 +32,6 @@ type RouterOptions struct {
 	// Shards are the predserve base URLs fronted by this router
 	// (scheme optional). Required, at least one.
 	Shards []string
-	// Replicas is the virtual-node count per shard on the ring
-	// (default DefaultReplicas).
-	Replicas int
 	// RequestTimeout bounds one proxied attempt against one shard
 	// (default 30s; a search verifying by simulator is slow but
 	// bounded by the shard's own deadline).
@@ -45,11 +39,6 @@ type RouterOptions struct {
 	// MaxBodyBytes bounds a request body (default 1 MiB, matching
 	// predserve's own cap).
 	MaxBodyBytes int64
-	// SyncInterval is how often the router polls every shard's
-	// /v1/models to refresh topology and detect generation bumps
-	// (default 5s; <0 disables the background loop — tests call
-	// SyncOnce directly).
-	SyncInterval time.Duration
 	// Client overrides the HTTP client.
 	Client *http.Client
 	// TraceSample is the edge head-sampling rate: the fraction of
@@ -58,9 +47,6 @@ type RouterOptions struct {
 	// disables tracing). The decision is made once here and propagated
 	// to shards and workers on the traceparent header.
 	TraceSample float64
-	// TraceStoreSize caps each retention class of the /tracez store
-	// (default 64).
-	TraceStoreSize int
 }
 
 func (o RouterOptions) withDefaults() RouterOptions {
@@ -69,9 +55,6 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 1 << 20
-	}
-	if o.SyncInterval == 0 {
-		o.SyncInterval = 5 * time.Second
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{Transport: &http.Transport{
@@ -82,46 +65,34 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	if o.TraceSample == 0 {
 		o.TraceSample = 1
 	}
-	if o.TraceStoreSize <= 0 {
-		o.TraceStoreSize = 64
-	}
 	return o
 }
 
-// routerModel is the router's view of one model: where the ring places
-// it, the generation last seen on its primary, and the generation the
-// secondary replica was last synced to.
+// routerModel is one row of the router's /v1/models: where the ring
+// places a model and the generation its primary serves.
 type routerModel struct {
 	Name       string `json:"name"`
 	Primary    string `json:"primary"`
 	Secondary  string `json:"secondary"`
 	Generation uint64 `json:"generation"`
-	// Path is the model's file path as reported by the primary shard;
-	// its base name is what a re-sync asks the secondary to load.
-	Path string `json:"path,omitempty"`
-	// SyncedGen is the primary generation at which the secondary was
-	// last (re-)synced; SyncedGen < Generation means a hot swap has not
-	// yet propagated.
-	SyncedGen uint64 `json:"synced_generation"`
 }
 
-// shardState is the router's health view of one shard.
+// shardState is the router's health view of one shard, from the last
+// answer the router got from it.
 type shardState struct {
-	URL      string `json:"url"`
-	Healthy  bool   `json:"healthy"`
-	Models   int    `json:"models"`
-	LastErr  string `json:"last_error,omitempty"`
-	LastSync string `json:"last_sync,omitempty"`
+	URL     string `json:"url"`
+	Healthy bool   `json:"healthy"`
+	LastErr string `json:"last_error,omitempty"`
+	called  bool   // the router has called the shard at least once
 }
 
 // Router fronts a set of predserve shards: /v1/predict and /v1/search
 // are consistent-hash routed to the shard owning the request's model,
 // with failover to the ring's secondary on 5xx or transport errors.
-// GET /v1/models merges every shard's listing; the generation vector
-// piggybacked on those responses drives replica re-sync: when a model's
-// primary generation bumps (a hot load), the router asks the secondary
-// shard to reload the model file so failover keeps serving current
-// coefficients. The router declares the request SLO
+// The router keeps no model state. Placement is a function of the shard
+// list alone, GET /v1/models asks the shards on demand, and POST
+// /v1/models/load, which goes to both of a model's shards, is what
+// keeps its replicas alike. The router declares the request SLO
 // pair ("router-latency", "router-availability") over its own edge, so
 // it counts what its clients got: a failover the secondary served is
 // one good request, a 503 no_shard one bad request, and the latency is
@@ -136,12 +107,7 @@ type Router struct {
 	slo     *role.RequestSLO
 
 	mu     sync.Mutex
-	models map[string]*routerModel // name → placement + generations
-	shards map[string]*shardState  // url → health
-	synced map[string]uint64       // name → generation pushed to secondary
-
-	loopCancel context.CancelFunc
-	loopDone   chan struct{}
+	shards map[string]*shardState // url → health
 }
 
 // normalizeBaseURL canonicalizes a shard base URL: trimmed, no
@@ -165,7 +131,7 @@ func newRouter(opt RouterOptions, clock obs.Clock) (*Router, error) {
 	for _, s := range opt.Shards {
 		urls = append(urls, normalizeBaseURL(s))
 	}
-	ring, err := NewRing(urls, opt.Replicas)
+	ring, err := NewRing(urls, DefaultReplicas)
 	if err != nil {
 		return nil, err
 	}
@@ -174,11 +140,9 @@ func newRouter(opt RouterOptions, clock obs.Clock) (*Router, error) {
 		ring:    ring,
 		start:   time.Now(),
 		sampler: obs.NewSampler(opt.TraceSample),
-		traces:  obs.NewTraceStore(opt.TraceStoreSize),
+		traces:  obs.NewTraceStore(obs.DefTraceStoreSize),
 		slo:     role.NewRequestSLO("router", "router", clock),
-		models:  map[string]*routerModel{},
 		shards:  map[string]*shardState{},
-		synced:  map[string]uint64{},
 	}
 	obs.NewGaugeFunc("obs.trace_sample_rate", rt.sampler.Rate)
 	for _, u := range ring.Shards() {
@@ -300,7 +264,7 @@ func (rt *Router) markShard(url string, healthy bool, err error) {
 	if !ok {
 		return
 	}
-	st.Healthy = healthy
+	st.Healthy, st.called = healthy, true
 	if err != nil {
 		st.LastErr = err.Error()
 	} else if healthy {
@@ -308,15 +272,12 @@ func (rt *Router) markShard(url string, healthy bool, err error) {
 	}
 }
 
-// ---- /v1/models: merged listing + generation-vector sync ----
+// ---- /v1/models: the shards' listings, asked on demand ----
 
-// shardModel is the subset of a shard's /v1/models row the router needs:
-// identity, placement key, generation, and the file to re-sync from.
+// shardModel is the subset of a shard's /v1/models row the router needs.
 type shardModel struct {
 	Name       string `json:"name"`
-	Benchmark  string `json:"benchmark,omitempty"`
 	Generation uint64 `json:"generation"`
-	Path       string `json:"path,omitempty"`
 }
 
 // fetchModels asks one shard for its model listing.
@@ -337,122 +298,48 @@ func (rt *Router) fetchModels(ctx context.Context, shard string) ([]shardModel, 
 	return out.Models, nil
 }
 
-// SyncOnce polls every shard's /v1/models, rebuilds the router's model
-// map, and pushes re-syncs: any model whose primary generation moved
-// past what its secondary was last given gets a POST /v1/models/load on
-// the secondary (shards share the models directory, so the base file
-// name resolves on both). Returns the number of re-syncs issued. Its
+// handleModels asks every shard for its listing and answers each model
+// its ring primary lists, with the primary's generation. A shard whose
+// listing fails is marked unhealthy and its models are left out. The
 // calls are the router's own traffic, so no shard traces them, even
-// when a traced /v1/models request started the pass.
-func (rt *Router) SyncOnce(ctx context.Context) int {
-	ctx = role.Untraced(ctx)
-	type shardList struct {
-		shard  string
-		models []shardModel
-		err    error
-	}
-	lists := make([]shardList, len(rt.ring.Shards()))
-	var wg sync.WaitGroup
-	for i, shard := range rt.ring.Shards() {
-		wg.Add(1)
-		go func(i int, shard string) {
-			defer wg.Done()
-			models, err := rt.fetchModels(ctx, shard)
-			lists[i] = shardList{shard: shard, models: models, err: err}
-		}(i, shard)
-	}
-	wg.Wait()
-
-	now := time.Now().UTC().Format(time.RFC3339)
-	next := map[string]*routerModel{}
-	rt.mu.Lock()
-	for _, l := range lists {
-		st := rt.shards[l.shard]
-		if l.err != nil {
-			cRouterSyncErrs.Inc()
-			st.Healthy, st.LastErr = false, l.err.Error()
-			continue
-		}
-		st.Healthy, st.LastErr, st.LastSync, st.Models = true, "", now, len(l.models)
-		for _, m := range l.models {
-			primary, secondary := rt.ring.Lookup(m.Name)
-			if l.shard != primary {
-				continue // only the owner's generation is authoritative
-			}
-			next[m.Name] = &routerModel{
-				Name: m.Name, Primary: primary, Secondary: secondary,
-				Generation: m.Generation, Path: m.Path,
-				SyncedGen: rt.synced[m.Name],
-			}
-		}
-	}
-	var resync []*routerModel
-	for _, m := range next {
-		if m.Secondary != m.Primary && m.Path != "" && m.Generation > rt.synced[m.Name] {
-			resync = append(resync, m)
-		}
-	}
-	rt.models = next
-	rt.mu.Unlock()
-
-	done := 0
-	for _, m := range resync {
-		body, _ := json.Marshal(map[string]string{
-			"path": filepath.Base(m.Path),
-			"name": m.Name,
-		})
-		a, err := rt.tryShard(ctx, m.Secondary, http.MethodPost, "/v1/models/load", body)
-		if err != nil || a.Status != http.StatusOK {
-			cRouterSyncErrs.Inc()
-			continue
-		}
-		cRouterResyncs.Inc()
-		done++
-		rt.mu.Lock()
-		rt.synced[m.Name] = m.Generation
-		if cur, ok := rt.models[m.Name]; ok {
-			cur.SyncedGen = m.Generation
-		}
-		rt.mu.Unlock()
-	}
-	return done
-}
-
-// syncLoop polls the shards every RouterOptions.SyncInterval until ctx
-// ends.
-func (rt *Router) syncLoop(ctx context.Context) {
-	defer close(rt.loopDone)
-	t := time.NewTicker(rt.opt.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			rt.SyncOnce(ctx)
-		}
-	}
-}
-
+// when the client's request is traced.
 func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
 	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	cRouterRequests.With("models").Inc()
-	rt.SyncOnce(r.Context())
-	rt.mu.Lock()
-	models := make([]*routerModel, 0, len(rt.models))
-	for _, m := range rt.models {
-		cp := *m
-		models = append(models, &cp)
+	ctx := role.Untraced(r.Context())
+	shards := rt.ring.Shards()
+	lists := make([][]shardModel, len(shards))
+	var wg sync.WaitGroup
+	for i, shard := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			models, err := rt.fetchModels(ctx, shard)
+			if err != nil {
+				rt.markShard(shard, false, err)
+			}
+			lists[i] = models
+		}()
 	}
-	rt.mu.Unlock()
+	wg.Wait()
+	models := []routerModel{}
+	for i, shard := range shards {
+		for _, m := range lists[i] {
+			if primary, secondary := rt.ring.Lookup(m.Name); shard == primary {
+				models = append(models, routerModel{m.Name, primary, secondary, m.Generation})
+			}
+		}
+	}
 	sort.Slice(models, func(i, j int) bool { return models[i].Name < models[j].Name })
 	role.WriteJSON(w, http.StatusOK, map[string]any{"models": models})
 }
 
 // handleLoad fans a load request to the key's primary and secondary
-// shards — both must host the model for failover to serve it.
+// shards — both must host the model for failover to serve it. It is the
+// only way the router changes a replica: a load sent to one shard
+// directly changes that shard only.
 func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if !role.RequireMethod(w, r, http.MethodPost) {
 		return
@@ -520,17 +407,6 @@ func (rt *Router) snapshotShards() []shardState {
 	return out
 }
 
-func (rt *Router) snapshotModels() []routerModel {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([]routerModel, 0, len(rt.models))
-	for _, m := range rt.models {
-		out = append(out, *m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
@@ -540,7 +416,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"role":       "predrouter",
 		"uptime_sec": int64(time.Since(rt.start).Seconds()),
 		"shards":     rt.snapshotShards(),
-		"models":     rt.snapshotModels(),
 	})
 }
 
@@ -548,31 +423,20 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	if !role.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
-	shards := obs.Section{Title: "Shards", Headers: []string{"shard", "health", "models", "last sync"},
+	shards := obs.Section{Title: "Shards", Headers: []string{"shard", "health"},
 		Empty: "no shards configured"}
 	for _, st := range rt.snapshotShards() {
-		shards.Rows = append(shards.Rows, []obs.Cell{{Text: st.URL},
-			obs.Verdict(!st.Healthy, "unhealthy: "+st.LastErr, "healthy"),
-			{Text: strconv.Itoa(st.Models)}, {Text: st.LastSync}})
-	}
-	models := rt.snapshotModels()
-	placement := obs.Section{Title: "Model placement", Headers: []string{"model", "primary", "secondary", "generation", "synced"},
-		Empty: "no models discovered yet — the sync loop polls every shard's /v1/models"}
-	for _, m := range models {
-		synced := obs.Cell{Text: strconv.FormatUint(m.SyncedGen, 10)}
-		if m.Secondary != m.Primary && m.SyncedGen < m.Generation {
-			synced.Class = "bad"
+		health := obs.Cell{Text: "no answer yet"}
+		if st.called {
+			health = obs.Verdict(!st.Healthy, "unhealthy: "+st.LastErr, "healthy")
 		}
-		placement.Rows = append(placement.Rows, append(obs.Texts(m.Name, m.Primary, m.Secondary,
-			strconv.FormatUint(m.Generation, 10)), synced))
+		shards.Rows = append(shards.Rows, []obs.Cell{{Text: st.URL}, health})
 	}
 	statusPage("predrouter", "predrouter", rt.start, [][2]string{
 		{"shards", strconv.Itoa(len(rt.ring.Shards()))},
-		{"models placed", strconv.Itoa(len(models))},
 		{"failovers", strconv.FormatInt(cRouterFailovers.Value(), 10)},
-		{"replica re-syncs", strconv.FormatInt(cRouterResyncs.Value(), 10)},
 		{"trace sample rate", strconv.FormatFloat(rt.sampler.Rate(), 'g', 4, 64)},
-	}, rt.slo.Section(), shards, placement).Write(w)
+	}, rt.slo.Section(), shards).Write(w)
 }
 
 // statusPage is the /statusz of the router and the worker: the role and
@@ -588,32 +452,8 @@ func statusPage(title, role string, start time.Time, summary [][2]string, sectio
 	}
 }
 
-// Serve accepts connections on l until Shutdown, running the
-// background sync loop when its interval is positive.
-func (rt *Router) Serve(l net.Listener) error {
-	if rt.opt.SyncInterval > 0 {
-		ctx, cancel := context.WithCancel(context.Background())
-		rt.mu.Lock()
-		rt.loopCancel = cancel
-		rt.loopDone = make(chan struct{})
-		rt.mu.Unlock()
-		// Prime the topology before serving traffic so the first
-		// /statusz is not empty.
-		rt.SyncOnce(ctx)
-		go rt.syncLoop(ctx)
-	}
-	return rt.http.Serve(l)
-}
+// Serve accepts connections on l until Shutdown.
+func (rt *Router) Serve(l net.Listener) error { return rt.http.Serve(l) }
 
-// Shutdown drains in-flight requests and stops the sync loop, waiting
-// at most deadline.
-func (rt *Router) Shutdown(deadline time.Duration) error {
-	rt.mu.Lock()
-	cancel, done := rt.loopCancel, rt.loopDone
-	rt.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
-	}
-	return rt.http.Shutdown(deadline)
-}
+// Shutdown drains in-flight requests, waiting at most deadline.
+func (rt *Router) Shutdown(deadline time.Duration) error { return rt.http.Shutdown(deadline) }

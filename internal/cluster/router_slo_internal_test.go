@@ -66,7 +66,7 @@ func (c *fakeClock) advance(d time.Duration) {
 // a server in front of it.
 func sloRouter(t *testing.T, clock *fakeClock, shards ...*fakeShard) (*Router, *httptest.Server) {
 	t.Helper()
-	opt := RouterOptions{SyncInterval: -1}
+	opt := RouterOptions{}
 	for _, s := range shards {
 		opt.Shards = append(opt.Shards, s.ts.URL)
 	}

@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -32,9 +31,11 @@ func syntheticCPI(c design.Config) float64 {
 		0.2*float64(c.DL1Lat)/4*(64/float64(c.DL1SizeKB))*0.2
 }
 
-func saveSyntheticModel(t *testing.T, dir, name string) {
+// saveSyntheticModel saves a model of syntheticCPI fitted on n points
+// as dir/name.json.
+func saveSyntheticModel(t *testing.T, dir, name string, n int) {
 	t.Helper()
-	m, err := core.BuildRBFModel(core.FuncEvaluator(syntheticCPI), 40, core.Options{
+	m, err := core.BuildRBFModel(core.FuncEvaluator(syntheticCPI), n, core.Options{
 		LHSCandidates: 16,
 		RBF:           rbf.Options{PMinGrid: []int{1, 2}, AlphaGrid: []float64{5, 9}},
 		Seed:          7,
@@ -56,8 +57,8 @@ func saveSyntheticModel(t *testing.T, dir, name string) {
 }
 
 // shardFarm is two predserve shards sharing one model directory — the
-// deployment shape the router's re-sync protocol assumes — plus a
-// router over them with the background loop off (tests drive SyncOnce).
+// deployment shape a routed load assumes, since it sends the same path
+// to both — plus a router over them.
 type shardFarm struct {
 	dir     string
 	shards  []*httptest.Server
@@ -68,7 +69,7 @@ type shardFarm struct {
 func newShardFarm(t *testing.T, loadAll bool) *shardFarm {
 	t.Helper()
 	f := &shardFarm{dir: t.TempDir()}
-	saveSyntheticModel(t, f.dir, "synthetic")
+	saveSyntheticModel(t, f.dir, "synthetic", 40)
 	for i := 0; i < 2; i++ {
 		s := serve.New(serve.Options{ModelDir: f.dir})
 		if loadAll {
@@ -81,8 +82,7 @@ func newShardFarm(t *testing.T, loadAll bool) *shardFarm {
 		f.shards = append(f.shards, ts)
 	}
 	rt, err := cluster.NewRouter(cluster.RouterOptions{
-		Shards:       []string{f.shards[0].URL, f.shards[1].URL},
-		SyncInterval: -1,
+		Shards: []string{f.shards[0].URL, f.shards[1].URL},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestRouterValidation(t *testing.T) {
 // both shards stay healthy.
 func TestRouterTracedLongModelName(t *testing.T) {
 	f := newShardFarm(t, true)
-	f.router.SyncOnce(context.Background()) // marks both shards healthy
+	routerModels(t, f.routeTS.URL) // marks both shards healthy
 	req, _ := http.NewRequest(http.MethodPost, f.routeTS.URL+"/v1/predict", strings.NewReader(
 		`{"model":"`+strings.Repeat("m", 4096)+`","configs":[{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}]}`))
 	req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(obs.SpanContext{TraceID: "long-model-1", ParentID: 1, Sampled: true}))
@@ -295,9 +295,7 @@ func TestRouterRefusesOversizeShardAnswer(t *testing.T) {
 		}
 	}))
 	defer shard.Close()
-	rt, err := cluster.NewRouter(cluster.RouterOptions{
-		Shards: []string{shard.URL}, SyncInterval: -1,
-	})
+	rt, err := cluster.NewRouter(cluster.RouterOptions{Shards: []string{shard.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,114 +310,137 @@ func TestRouterRefusesOversizeShardAnswer(t *testing.T) {
 	}
 }
 
-// routerModels decodes the router's merged /v1/models listing.
-func routerModels(t *testing.T, url string) map[string]struct {
+// placement is one row of the router's /v1/models listing.
+type placement struct {
 	Primary    string `json:"primary"`
 	Secondary  string `json:"secondary"`
 	Generation uint64 `json:"generation"`
-	SyncedGen  uint64 `json:"synced_generation"`
-} {
+}
+
+// routerModels decodes the router's /v1/models listing.
+func routerModels(t *testing.T, url string) map[string]placement {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/models")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var out struct {
 		Models []struct {
-			Name       string `json:"name"`
-			Primary    string `json:"primary"`
-			Secondary  string `json:"secondary"`
-			Generation uint64 `json:"generation"`
-			SyncedGen  uint64 `json:"synced_generation"`
+			Name string `json:"name"`
+			placement
 		} `json:"models"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	m := map[string]struct {
-		Primary    string `json:"primary"`
-		Secondary  string `json:"secondary"`
-		Generation uint64 `json:"generation"`
-		SyncedGen  uint64 `json:"synced_generation"`
-	}{}
+	getJSON(t, url+"/v1/models", &out)
+	m := map[string]placement{}
 	for _, row := range out.Models {
-		m[row.Name] = struct {
-			Primary    string `json:"primary"`
-			Secondary  string `json:"secondary"`
-			Generation uint64 `json:"generation"`
-			SyncedGen  uint64 `json:"synced_generation"`
-		}{row.Primary, row.Secondary, row.Generation, row.SyncedGen}
+		m[row.Name] = row.placement
 	}
 	return m
 }
 
-// shardHasModel asks one shard directly whether it serves the model and
-// at which generation.
-func shardHasModel(t *testing.T, shardURL, name string) (bool, uint64) {
+// shardModel is one row of a shard's own /v1/models listing.
+type shardModel struct {
+	Path       string `json:"path"`
+	SampleSize int    `json:"sample_size"`
+	Generation uint64 `json:"generation"`
+}
+
+// shardModels asks one shard directly which models it serves.
+func shardModels(t *testing.T, shardURL string) map[string]shardModel {
 	t.Helper()
-	resp, err := http.Get(shardURL + "/v1/models")
+	var out struct {
+		Models []struct {
+			Name string `json:"name"`
+			shardModel
+		} `json:"models"`
+	}
+	getJSON(t, shardURL+"/v1/models", &out)
+	m := map[string]shardModel{}
+	for _, row := range out.Models {
+		m[row.Name] = row.shardModel
+	}
+	return m
+}
+
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out struct {
-		Models []struct {
-			Name       string `json:"name"`
-			Generation uint64 `json:"generation"`
-		} `json:"models"`
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d", url, resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range out.Models {
-		if m.Name == name {
-			return true, m.Generation
-		}
-	}
-	return false, 0
 }
 
-func TestRouterResyncsSecondaryOnGenerationBump(t *testing.T) {
-	// Shards start empty; the model is loaded on the primary only, as a
-	// hot load in production would land on one shard.
-	f := newShardFarm(t, false)
+// TestRouterModelsReloadsNothing: the router's /v1/models asks the
+// shards where each model lives and changes no replica. Both shards
+// loaded the same directory, so each still serves generation 1 after
+// the listing.
+func TestRouterModelsReloadsNothing(t *testing.T) {
+	f := newShardFarm(t, true)
 	primary, secondary := f.router.Ring().Lookup("synthetic")
-	resp, body := postJSON(t, primary+"/v1/models/load", `{"path":"synthetic.json"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("primary load failed: %d %s", resp.StatusCode, body)
+	got := routerModels(t, f.routeTS.URL)
+	if want := (placement{primary, secondary, 1}); len(got) != 1 || got["synthetic"] != want {
+		t.Fatalf("router lists %+v, want synthetic at %+v", got, want)
 	}
-	if ok, _ := shardHasModel(t, secondary, "synthetic"); ok {
-		t.Fatal("secondary has the model before any sync; the test premise is broken")
+	for _, s := range f.shards {
+		if m, ok := shardModels(t, s.URL)["synthetic"]; !ok || m.Generation != 1 {
+			t.Fatalf("shard %s lists synthetic as %+v (present %v) after the router's listing, want generation 1", s.URL, m, ok)
+		}
 	}
+}
 
-	// The sync pass must notice the unsynced replica and push the load.
-	models := routerModels(t, f.routeTS.URL) // GET /v1/models runs SyncOnce
-	m, ok := models["synthetic"]
-	if !ok {
-		t.Fatalf("router did not discover the model: %v", models)
+// TestRouterRoutedSubdirLoadReachesBothReplicas: a routed load of a
+// file in a subdirectory of the shards' model directory reaches both
+// replicas, and they keep serving it after the router's listing: the
+// same file, the same training set, bit-identical predictions. The
+// root holds an older fit under the same name.
+func TestRouterRoutedSubdirLoadReachesBothReplicas(t *testing.T) {
+	f := newShardFarm(t, false)
+	saveSyntheticModel(t, f.dir, "synthetic", 20)
+	sub := filepath.Join(f.dir, "sub")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if m.Primary != primary || m.Secondary != secondary {
-		t.Fatalf("placement (%s, %s) disagrees with the ring (%s, %s)", m.Primary, m.Secondary, primary, secondary)
+	saveSyntheticModel(t, sub, "synthetic", 40)
+	if resp, body := postJSON(t, f.routeTS.URL+"/v1/models/load", `{"dir":"."}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed root load = %d %s", resp.StatusCode, body)
 	}
-	if ok, gen := shardHasModel(t, secondary, "synthetic"); !ok || gen == 0 {
-		t.Fatalf("secondary not re-synced after sync pass (present=%v gen=%d)", ok, gen)
+	if resp, body := postJSON(t, f.routeTS.URL+"/v1/models/load", `{"path":"sub/synthetic.json"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed subdirectory load = %d %s", resp.StatusCode, body)
 	}
+	routerModels(t, f.routeTS.URL)
 
-	// A hot swap on the primary bumps its generation; the next sync pass
-	// must re-push so failover serves current coefficients.
-	_, genBefore := shardHasModel(t, secondary, "synthetic")
-	resp, body = postJSON(t, primary+"/v1/models/load", `{"path":"synthetic.json"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("primary reload failed: %d %s", resp.StatusCode, body)
-	}
-	models = routerModels(t, f.routeTS.URL)
-	m = models["synthetic"]
-	if m.SyncedGen != m.Generation {
-		t.Fatalf("replica left stale after generation bump: synced %d, primary %d", m.SyncedGen, m.Generation)
-	}
-	if _, genAfter := shardHasModel(t, secondary, "synthetic"); genAfter <= genBefore {
-		t.Fatalf("secondary generation did not advance on re-sync: %d → %d", genBefore, genAfter)
+	var want shardModel
+	var wantValue float64
+	for i, s := range f.shards {
+		m := shardModels(t, s.URL)["synthetic"]
+		if m.SampleSize != 40 || filepath.Base(filepath.Dir(m.Path)) != "sub" {
+			t.Fatalf("shard %s serves %s (%d points), want the routed sub/synthetic.json (40 points)", s.URL, m.Path, m.SampleSize)
+		}
+		var out struct {
+			Predictions []struct {
+				Value float64 `json:"value"`
+			} `json:"predictions"`
+		}
+		resp, body := postJSON(t, s.URL+"/v1/predict",
+			`{"model":"synthetic","config":{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("shard %s predict = %d %s", s.URL, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &out); err != nil || len(out.Predictions) != 1 {
+			t.Fatalf("shard %s predict body %s: %v", s.URL, body, err)
+		}
+		value := out.Predictions[0].Value
+		if i == 0 {
+			want, wantValue = m, value
+			continue
+		}
+		if m.Path != want.Path || value != wantValue {
+			t.Fatalf("replicas disagree: %s predicts %v from %s, %s predicts %v from %s",
+				f.shards[0].URL, wantValue, want.Path, s.URL, value, m.Path)
+		}
 	}
 }
 
@@ -430,7 +451,7 @@ func TestRouterLoadFansToPrimaryAndSecondary(t *testing.T) {
 		t.Fatalf("load through router failed: %d %s", resp.StatusCode, body)
 	}
 	for _, s := range f.shards {
-		if ok, _ := shardHasModel(t, s.URL, "synthetic"); !ok {
+		if _, ok := shardModels(t, s.URL)["synthetic"]; !ok {
 			t.Fatalf("shard %s did not receive the fanned-out load", s.URL)
 		}
 	}
@@ -455,23 +476,34 @@ func TestRouterRequestIDPropagates(t *testing.T) {
 	}
 }
 
+// TestRouterStatusz: /statusz lists every shard, as "no answer yet"
+// until the router has called it and by its health after.
 func TestRouterStatusz(t *testing.T) {
 	f := newShardFarm(t, true)
-	routerModels(t, f.routeTS.URL) // prime topology
-	resp, err := http.Get(f.routeTS.URL + "/statusz")
-	if err != nil {
-		t.Fatal(err)
+	statusz := func() string {
+		resp, err := http.Get(f.routeTS.URL + "/statusz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		if resp.StatusCode != http.StatusOK || !strings.Contains(resp.Header.Get("Content-Type"), "text/html") {
+			t.Fatalf("statusz = %d %s", resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		return buf.String()
 	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	page := buf.String()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(resp.Header.Get("Content-Type"), "text/html") {
-		t.Fatalf("statusz = %d %s", resp.StatusCode, resp.Header.Get("Content-Type"))
-	}
-	for _, want := range []string{"predrouter", "synthetic", f.shards[0].URL, f.shards[1].URL} {
+	page := statusz()
+	for _, want := range []string{"predrouter", f.shards[0].URL, f.shards[1].URL} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("statusz page missing %q", want)
 		}
+	}
+	if n := strings.Count(page, "no answer yet"); n != 2 || strings.Contains(page, "unhealthy") {
+		t.Fatalf("statusz before any call shows %d shards with no answer yet, want 2 and none unhealthy", n)
+	}
+	routerModels(t, f.routeTS.URL)
+	if page = statusz(); strings.Contains(page, "no answer yet") || strings.Count(page, ">healthy<") != 2 {
+		t.Fatalf("statusz after a listing does not show both shards healthy:\n%s", page)
 	}
 }

@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -157,7 +156,6 @@ func TestRoutedBodiesIdenticalAcrossSamplingRates(t *testing.T) {
 		{"partial", cluster.RouterOptions{TraceSample: 0.25}},
 	} {
 		tc.opt.Shards = []string{f.shards[0].URL, f.shards[1].URL}
-		tc.opt.SyncInterval = -1
 		rt, err := cluster.NewRouter(tc.opt)
 		if err != nil {
 			t.Fatal(err)
@@ -175,20 +173,21 @@ func TestRoutedBodiesIdenticalAcrossSamplingRates(t *testing.T) {
 	}
 }
 
-// TestRouterOwnTrafficIsUntraced: the router's own calls — SyncOnce's
-// /v1/models poll, its only traffic of its own — carry an unsampled
-// traceparent, so the shard records none of them. A routed predict is
-// still traced on the shard.
+// TestRouterOwnTrafficIsUntraced: the router's own calls — the
+// /v1/models listing it asks of every shard, its only traffic of its
+// own — carry an unsampled traceparent, so the shard records none of
+// them, even when the client's listing request is traced. A routed
+// predict is still traced on the shard.
 func TestRouterOwnTrafficIsUntraced(t *testing.T) {
 	dir := t.TempDir()
-	saveSyntheticModel(t, dir, "synthetic")
+	saveSyntheticModel(t, dir, "synthetic", 40)
 	s := serve.New(serve.Options{ModelDir: dir})
 	if _, err := s.Registry().LoadDir(""); err != nil {
 		t.Fatal(err)
 	}
 	shard := httptest.NewServer(s.Handler())
 	defer shard.Close()
-	rt, err := cluster.NewRouter(cluster.RouterOptions{Shards: []string{shard.URL}, SyncInterval: -1})
+	rt, err := cluster.NewRouter(cluster.RouterOptions{Shards: []string{shard.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,16 @@ func TestRouterOwnTrafficIsUntraced(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < 3; i++ {
-		rt.SyncOnce(context.Background())
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/models", nil)
+		req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(obs.SpanContext{TraceID: "listing-1", ParentID: 1, Sampled: true}))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("routed /v1/models = %d", resp.StatusCode)
+		}
 	}
 	if got := s.Traces().Snapshot(""); len(got) != 0 {
 		t.Fatalf("the shard traced the router's own traffic: %+v", got)

@@ -60,9 +60,6 @@ type WorkerOptions struct {
 	// sample everything (matching the old always-trace behaviour);
 	// negative disables edge sampling entirely.
 	TraceSample float64
-	// TraceStoreSize caps each retention class of the /tracez store
-	// (default 64).
-	TraceStoreSize int
 }
 
 func (o WorkerOptions) withDefaults() WorkerOptions {
@@ -80,9 +77,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	}
 	if o.TraceSample == 0 {
 		o.TraceSample = 1
-	}
-	if o.TraceStoreSize <= 0 {
-		o.TraceStoreSize = 64
 	}
 	return o
 }
@@ -139,7 +133,7 @@ func NewWorker(opt WorkerOptions) *Worker {
 	w.evs = map[string]*list.Element{}
 	w.sampler = obs.NewSampler(w.opt.TraceSample)
 	obs.NewGaugeFunc("obs.trace_sample_rate", w.sampler.Rate)
-	w.traces = obs.NewTraceStore(w.opt.TraceStoreSize)
+	w.traces = obs.NewTraceStore(obs.DefTraceStoreSize)
 	w.http = role.NewServer(w.Handler())
 	return w
 }

@@ -48,6 +48,10 @@ type TraceMeta struct {
 	Keep   bool // forced retention: latency outlier, router failover
 }
 
+// DefTraceStoreSize is the traces every role keeps per retention class
+// of its /tracez store.
+const DefTraceStoreSize = 64
+
 // NewTraceStore builds a store keeping up to size traces per retention
 // class (minimum 1).
 func NewTraceStore(size int) *TraceStore {

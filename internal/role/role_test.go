@@ -46,7 +46,6 @@ func newRoles(t *testing.T) []roleUnderTest {
 	rt, err := cluster.NewRouter(cluster.RouterOptions{
 		Shards:       []string{serveTS.URL},
 		MaxBodyBytes: maxBody,
-		SyncInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

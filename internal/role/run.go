@@ -46,13 +46,11 @@ type Flags struct {
 	Timeout     time.Duration // -timeout: the role's request deadline
 	MaxBody     int64         // -max-body: request body size limit
 	TraceSample float64       // -trace-sample: edge head-sampling rate
-	TraceStore  int           // -trace-store: traces kept per /tracez class
 }
 
 // Define registers the shared flags on fs. The role gives its defaults
 // for -addr, -timeout and -max-body and says what its -timeout bounds;
-// -drain (10s), -trace-sample (1) and -trace-store (64) default alike
-// everywhere.
+// -drain (10s) and -trace-sample (1) default alike everywhere.
 func Define(fs *flag.FlagSet, addr string, timeout time.Duration, timeoutUsage string, maxBody int64) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Addr, "addr", addr, "listen address (port 0 picks a free port)")
@@ -60,7 +58,6 @@ func Define(fs *flag.FlagSet, addr string, timeout time.Duration, timeoutUsage s
 	fs.DurationVar(&f.Timeout, "timeout", timeout, timeoutUsage)
 	fs.Int64Var(&f.MaxBody, "max-body", maxBody, "request body size limit in bytes")
 	fs.Float64Var(&f.TraceSample, "trace-sample", 1, "fraction of edge requests that record a distributed trace into /tracez (0 disables; requests carrying a traceparent follow the caller's decision)")
-	fs.IntVar(&f.TraceStore, "trace-store", 64, "traces retained per /tracez class (errors, kept outliers, reservoir sample)")
 	return f
 }
 

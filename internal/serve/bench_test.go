@@ -104,7 +104,7 @@ func BenchmarkRouterPredict(b *testing.B) {
 		sample float64
 	}{{"sampled", 1}, {"unsampled", -1}} {
 		rt, err := cluster.NewRouter(cluster.RouterOptions{
-			Shards: []string{shard.URL}, SyncInterval: -1, TraceSample: mode.sample,
+			Shards: []string{shard.URL}, TraceSample: mode.sample,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -103,9 +103,6 @@ type Options struct {
 	// decision is made once at the edge — an inbound traceparent header
 	// carries it downstream instead.
 	TraceSample float64
-	// TraceStoreSize bounds each retention class of the /tracez store
-	// (errors, kept outliers, reservoir sample) in traces (default 64).
-	TraceStoreSize int
 }
 
 func (o Options) withDefaults() Options {
@@ -123,9 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TraceSample == 0 {
 		o.TraceSample = 1
-	}
-	if o.TraceStoreSize <= 0 {
-		o.TraceStoreSize = 64
 	}
 	return o
 }
@@ -171,7 +165,7 @@ func New(opt Options) *Server {
 		clock:  opt.Clock,
 	}
 	s.sampler = obs.NewSampler(opt.TraceSample)
-	s.traces = obs.NewTraceStore(opt.TraceStoreSize)
+	s.traces = obs.NewTraceStore(obs.DefTraceStoreSize)
 	obs.NewGaugeFunc("obs.trace_sample_rate", s.sampler.Rate)
 	if opt.SimPool != nil {
 		s.reg.SetEvalFactory(func(benchmark string, traceLen int, metric core.Metric) (core.Evaluator, error) {

@@ -56,9 +56,8 @@ func newTraceStack(t *testing.T, routerSample float64) *traceStack {
 	t.Cleanup(shardTS.Close)
 
 	st.router, err = cluster.NewRouter(cluster.RouterOptions{
-		Shards:       []string{shardTS.URL},
-		SyncInterval: -1,
-		TraceSample:  routerSample,
+		Shards:      []string{shardTS.URL},
+		TraceSample: routerSample,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,13 +29,15 @@ func TestHTMLViews(t *testing.T) {
 	defer shard.Close()
 	worker := httptest.NewServer(cluster.NewWorker(cluster.WorkerOptions{}).Handler())
 	defer worker.Close()
-	rt, err := cluster.NewRouter(cluster.RouterOptions{Shards: []string{shard.URL}, SyncInterval: -1})
+	rt, err := cluster.NewRouter(cluster.RouterOptions{Shards: []string{shard.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	router := httptest.NewServer(rt.Handler())
 	defer router.Close()
-	rt.SyncOnce(context.Background())
+	if resp, body := getBody(t, router.URL+"/v1/models"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("router /v1/models = %d %s", resp.StatusCode, body)
+	}
 
 	// views-2 goes through the router, then views-1 to the shard directly,
 	// so views-1 is the shard's latest trace.
@@ -63,7 +64,7 @@ func TestHTMLViews(t *testing.T) {
 		{"predserve /statusz", shard.URL + "/statusz",
 			[]string{"SLOs", "Models", "Routes", "Alerts"}, []string{escapedModel, `href="/tracez?id=views-1"`}},
 		{"predrouter /statusz", router.URL + "/statusz",
-			[]string{"SLOs", "Shards", "Model placement"}, []string{escapedModel, "router-availability"}},
+			[]string{"SLOs", "Shards"}, []string{"router-availability"}},
 		{"simworker /statusz", worker.URL + "/statusz", []string{"Loaded evaluators"}, nil},
 		{"/tracez list", shard.URL + "/tracez", []string{"Traces"}, []string{`href="/tracez?id=views-1&amp;format=chrome"`}},
 		{"/tracez trace", shard.URL + "/tracez?id=views-1", []string{"Spans"}, []string{"serve.predict"}},

@@ -164,6 +164,17 @@ cleanup_smoke() {
     rm -rf "$smoke_dir"
 }
 trap cleanup_smoke EXIT
+# predperf -load validates a model against the simulation its file
+# names (benchmark, trace length, metric), not the flags' defaults: an
+# EDP equake model reloaded with no other flag validates exactly as it
+# did when it was built.
+go run ./cmd/predperf -bench equake -insts 20000 -sample 20 -metric edp \
+    -save "$smoke_dir/edp.json" | grep 'validation (' > "$smoke_dir/edp-build.txt"
+go run ./cmd/predperf -load "$smoke_dir/edp.json" | grep 'validation (' > "$smoke_dir/edp-load.txt"
+if ! diff -u "$smoke_dir/edp-build.txt" "$smoke_dir/edp-load.txt"; then
+    echo "predperf -load validated the model differently from its build" >&2
+    exit 1
+fi
 go run ./cmd/predperf -bench mcf -insts 2000 -sample 12 -lhs 8 -test 4 \
     -save "$smoke_dir/mcf.json" -trace "$smoke_dir/build-trace.json" > /dev/null
 # The -trace flag must emit loadable Chrome trace-event JSON with nested
@@ -174,11 +185,11 @@ grep -q '"name": "core.sim_point"' "$smoke_dir/build-trace.json"
 go build -o "$smoke_dir/predserve" ./cmd/predserve
 # -version prints build info without serving.
 "$smoke_dir/predserve" -version | grep -q 'model-format'
-# Knob ratchet: predserve has exactly 14 flags, so adding one is a
+# Knob ratchet: predserve has exactly 13 flags, so adding one is a
 # visible diff here.
 nflags=$("$smoke_dir/predserve" -h 2>&1 | grep -c '^  -')
-if [ "$nflags" != 14 ]; then
-    echo "predserve -h lists $nflags flags, want 14" >&2
+if [ "$nflags" != 13 ]; then
+    echo "predserve -h lists $nflags flags, want 13" >&2
     exit 1
 fi
 # Start with an EMPTY model directory so /readyz goes through its full
@@ -352,9 +363,9 @@ echo "== cluster smoke =="
 # shard fronted by the consistent-hash router.
 go build -o "$smoke_dir/simworker" ./cmd/simworker
 go build -o "$smoke_dir/predrouter" ./cmd/predrouter
-# Knob ratchets, as for predserve above: predrouter has exactly 9
-# flags and simworker 10.
-for r in predrouter:9 simworker:10; do
+# Knob ratchets, as for predserve above: predrouter has exactly 6
+# flags and simworker 9.
+for r in predrouter:6 simworker:9; do
     nflags=$("$smoke_dir/${r%:*}" -h 2>&1 | grep -c '^  -')
     if [ "$nflags" != "${r#*:}" ]; then
         echo "${r%:*} -h lists $nflags flags, want ${r#*:}" >&2
@@ -452,12 +463,13 @@ grep -q "shut down cleanly" "$smoke_dir/shard.log"
 grep -q "shut down cleanly" "$smoke_dir/worker2.log"
 
 echo "== front-door SLO smoke =="
-# The router's own request SLO pair, over 2 shards: the router's
-# /tracez?q= must find a routed trace holding the shard's spans and
-# export it as one Chrome timeline, an induced latency burn must fire
-# router-latency on the router's own /metricz and clear once good
-# traffic dilutes it, and once both shards have drained, routed
-# predicts answer 503 and router-availability fires.
+# The router over 2 shards: its /v1/models listing must reload nothing
+# and a load through it must reach both shards. Then its own request
+# SLO pair: the router's /tracez?q= must find a routed trace holding
+# the shard's spans and export it as one Chrome timeline, an induced
+# latency burn must fire router-latency on the router's own /metricz
+# and clear once good traffic dilutes it, and once both shards have
+# drained, routed predicts answer 503 and router-availability fires.
 predbody='{"model":"mcf","config":{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}}'
 # The shards serve a model built on 50k-instruction traces (16
 # simulations), so a simulator-verified search re-simulates at 50k.
@@ -478,6 +490,25 @@ fs2=$(wait_addr "$smoke_dir/fshard2.log" predserve)
 fr_pid=$!
 worker_pids="$worker_pids $fr_pid"
 fr=$(wait_addr "$smoke_dir/frouter.log" predrouter)
+# The router changes no replica on its own: after its /v1/models
+# listing, each shard still serves mcf at generation 1. A load through
+# the router reaches both shards, which then serve generation 2.
+# shard_gens <want> fails unless every shard lists mcf at that generation.
+shard_gens() {
+    for s in $fs1 $fs2; do
+        curl -fsS "http://$s/v1/models" > "$smoke_dir/shard-models.json"
+        if ! grep -q "\"generation\":$1[,}]" "$smoke_dir/shard-models.json"; then
+            echo "shard $s does not list mcf at generation $1:" >&2
+            cat "$smoke_dir/shard-models.json" >&2
+            exit 1
+        fi
+    done
+}
+curl -fsS "http://$fr/v1/models" | grep -q '"mcf"'
+shard_gens 1
+curl -fsS -X POST "http://$fr/v1/models/load" -d '{"path":"mcf.json"}' > /dev/null
+curl -fsS "http://$fr/v1/models" | grep -q '"generation":2[,}]'
+shard_gens 2
 # Both SLOs are declared on the router's /metricz and /statusz.
 curl -fsS "http://$fr/metricz?format=json" > "$smoke_dir/router-metricz.json"
 grep -q '"router-latency"' "$smoke_dir/router-metricz.json"
