@@ -23,13 +23,10 @@
 // latency histograms, and spans as JSON, or as Prometheus text with
 // ?format=prom; -pprof serves net/http/pprof on a side address.
 //
-// Concurrent single predictions are coalesced into micro-batches and
-// scored with one vectorized RBF evaluation, bit-identical to scoring
-// them alone. The dispatcher never waits: it flushes what is queued (at
-// most 64) at once, and requests that arrive meanwhile form the next
-// batch. Explicit batches (up to 4096 configurations) go straight to
-// the vectorized path. A full admission queue (4096 waiting requests)
-// answers a structured 503 (coalesce_queue_full) immediately.
+// Every prediction, a single or a batch of up to 4096 configurations,
+// is scored by the vectorized RBF evaluator on its request's own
+// goroutine; a single is a batch of one. -timeout bounds only
+// /v1/search, because a prediction is bounded in-process work.
 //
 // Operational endpoints beyond /healthz: /readyz answers 503 with
 // structured reasons while the registry is empty, the request SLO
@@ -85,7 +82,7 @@ type config struct {
 func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	c := &config{}
 	o := &c.opt
-	c.role = role.Define(fs, "127.0.0.1:8080", 30*time.Second, "per-request deadline: bounds a single prediction's wait in the coalescer and a whole /v1/search", 1<<20)
+	c.role = role.Define(fs, "127.0.0.1:8080", 30*time.Second, "deadline of a whole /v1/search (a prediction is bounded in-process work)", 1<<20)
 	fs.BoolVar(&c.version, "version", false, "print build info (Go version, model format, VCS revision) and exit")
 	fs.StringVar(&o.ModelDir, "models", "", "directory of *.json models to load at startup (also anchors relative /v1/models/load paths)")
 	fs.StringVar(&c.modelFiles, "model", "", "comma-separated model files to load at startup")

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -336,10 +335,12 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
 	role.WriteJSON(w, http.StatusOK, map[string]any{"models": models})
 }
 
-// handleLoad fans a load request to the key's primary and secondary
-// shards — both must host the model for failover to serve it. It is the
-// only way the router changes a replica: a load sent to one shard
-// directly changes that shard only.
+// handleLoad fans a load request to every shard. A shard registers a
+// file under the model name stored in it, which the router cannot know
+// without reading the file, and predictions route by that name; so
+// every shard loads every file, and whichever pair the name maps to
+// holds the model. It is the only way the router changes a replica: a
+// load sent to one shard directly changes that shard only.
 func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if !role.RequireMethod(w, r, http.MethodPost) {
 		return
@@ -347,7 +348,6 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 	cRouterRequests.With("load").Inc()
 	var req struct {
 		Path string `json:"path"`
-		Name string `json:"name"`
 		Dir  string `json:"dir"`
 	}
 	body, ok := role.PeekJSON(w, r, rt.opt.MaxBodyBytes, &req)
@@ -355,30 +355,13 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 		cRouterErrors.Inc()
 		return
 	}
-	// The ring key is the registry name the shard will assign: an
-	// explicit name, else the file's base name. Directory loads have no
-	// single key and fan out to every shard.
-	var targets []string
-	switch {
-	case req.Dir != "":
-		targets = rt.ring.Shards()
-	case req.Path != "" || req.Name != "":
-		key := req.Name
-		if key == "" {
-			key = strings.TrimSuffix(filepath.Base(req.Path), filepath.Ext(req.Path))
-		}
-		primary, secondary := rt.ring.Lookup(key)
-		targets = []string{primary}
-		if secondary != primary {
-			targets = append(targets, secondary)
-		}
-	default:
+	if req.Path == "" && req.Dir == "" {
 		cRouterErrors.Inc()
 		role.WriteErr(w, http.StatusBadRequest, "bad_request", `"path" or "dir" is required`)
 		return
 	}
 	var last role.Answer
-	for _, shard := range targets {
+	for _, shard := range rt.ring.Shards() {
 		a, err := rt.tryShard(r.Context(), shard, http.MethodPost, "/v1/models/load", body)
 		if err != nil {
 			cRouterErrors.Inc()

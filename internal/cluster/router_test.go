@@ -56,9 +56,9 @@ func saveSyntheticModel(t *testing.T, dir, name string, n int) {
 	}
 }
 
-// shardFarm is two predserve shards sharing one model directory — the
+// shardFarm is predserve shards sharing one model directory — the
 // deployment shape a routed load assumes, since it sends the same path
-// to both — plus a router over them.
+// to every shard — plus a router over them.
 type shardFarm struct {
 	dir     string
 	shards  []*httptest.Server
@@ -66,11 +66,13 @@ type shardFarm struct {
 	routeTS *httptest.Server
 }
 
-func newShardFarm(t *testing.T, loadAll bool) *shardFarm {
+// newShardFarm starts n shards over a directory holding synthetic.json;
+// with loadAll, each shard loads the directory.
+func newShardFarm(t *testing.T, n int, loadAll bool) *shardFarm {
 	t.Helper()
 	f := &shardFarm{dir: t.TempDir()}
 	saveSyntheticModel(t, f.dir, "synthetic", 40)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < n; i++ {
 		s := serve.New(serve.Options{ModelDir: f.dir})
 		if loadAll {
 			if _, err := s.Registry().LoadDir(""); err != nil {
@@ -81,9 +83,11 @@ func newShardFarm(t *testing.T, loadAll bool) *shardFarm {
 		t.Cleanup(ts.Close)
 		f.shards = append(f.shards, ts)
 	}
-	rt, err := cluster.NewRouter(cluster.RouterOptions{
-		Shards: []string{f.shards[0].URL, f.shards[1].URL},
-	})
+	urls := make([]string, n)
+	for i, s := range f.shards {
+		urls[i] = s.URL
+	}
+	rt, err := cluster.NewRouter(cluster.RouterOptions{Shards: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +124,7 @@ const predictBody = `{"model":"synthetic","configs":[
 	{"depth":16,"rob":160,"iq":64,"lsq":32,"l2kb":1024,"l2lat":12,"il1kb":32,"dl1kb":64,"dl1lat":3}]}`
 
 func TestRouterPredictBitIdenticalToDirect(t *testing.T) {
-	f := newShardFarm(t, true)
+	f := newShardFarm(t, 2, true)
 	primary, _ := f.router.Ring().Lookup("synthetic")
 
 	// Warm the shard's prediction cache so the `cached` flags agree
@@ -140,7 +144,7 @@ func TestRouterPredictBitIdenticalToDirect(t *testing.T) {
 }
 
 func TestRouterValidation(t *testing.T) {
-	f := newShardFarm(t, true)
+	f := newShardFarm(t, 2, true)
 	cases := []struct {
 		name, path, body string
 		status           int
@@ -180,7 +184,7 @@ func TestRouterValidation(t *testing.T) {
 // traced predict for a 4 KB unknown model name is the shard's 404, and
 // both shards stay healthy.
 func TestRouterTracedLongModelName(t *testing.T) {
-	f := newShardFarm(t, true)
+	f := newShardFarm(t, 2, true)
 	routerModels(t, f.routeTS.URL) // marks both shards healthy
 	req, _ := http.NewRequest(http.MethodPost, f.routeTS.URL+"/v1/predict", strings.NewReader(
 		`{"model":"`+strings.Repeat("m", 4096)+`","configs":[{"depth":12,"rob":96,"iq":48,"lsq":48,"l2kb":2048,"l2lat":10,"il1kb":32,"dl1kb":32,"dl1lat":2}]}`))
@@ -220,7 +224,7 @@ func TestRouterTracedLongModelName(t *testing.T) {
 }
 
 func TestRouterFailsOverWhenPrimaryDies(t *testing.T) {
-	f := newShardFarm(t, true)
+	f := newShardFarm(t, 2, true)
 	primary, secondary := f.router.Ring().Lookup("synthetic")
 	if primary == secondary {
 		t.Fatal("two shards but no distinct secondary")
@@ -378,7 +382,7 @@ func getJSON(t *testing.T, url string, v any) {
 // loaded the same directory, so each still serves generation 1 after
 // the listing.
 func TestRouterModelsReloadsNothing(t *testing.T) {
-	f := newShardFarm(t, true)
+	f := newShardFarm(t, 2, true)
 	primary, secondary := f.router.Ring().Lookup("synthetic")
 	got := routerModels(t, f.routeTS.URL)
 	if want := (placement{primary, secondary, 1}); len(got) != 1 || got["synthetic"] != want {
@@ -397,7 +401,7 @@ func TestRouterModelsReloadsNothing(t *testing.T) {
 // same file, the same training set, bit-identical predictions. The
 // root holds an older fit under the same name.
 func TestRouterRoutedSubdirLoadReachesBothReplicas(t *testing.T) {
-	f := newShardFarm(t, false)
+	f := newShardFarm(t, 2, false)
 	saveSyntheticModel(t, f.dir, "synthetic", 20)
 	sub := filepath.Join(f.dir, "sub")
 	if err := os.Mkdir(sub, 0o755); err != nil {
@@ -444,25 +448,40 @@ func TestRouterRoutedSubdirLoadReachesBothReplicas(t *testing.T) {
 	}
 }
 
-func TestRouterLoadFansToPrimaryAndSecondary(t *testing.T) {
-	f := newShardFarm(t, false)
-	resp, body := postJSON(t, f.routeTS.URL+"/v1/models/load", `{"path":"synthetic.json"}`)
+// TestRouterLoadReachesEveryShard: a shard registers a loaded file under
+// the model name stored in it, not under the file's name, so a routed
+// load must reach every shard. With three shards, a load of alias.json,
+// which holds model synthetic, lands on all three, and a predict for
+// synthetic still answers 200 once the name's ring primary is gone.
+func TestRouterLoadReachesEveryShard(t *testing.T) {
+	f := newShardFarm(t, 3, false)
+	raw, err := os.ReadFile(filepath.Join(f.dir, "synthetic.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(f.dir, "alias.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, f.routeTS.URL+"/v1/models/load", `{"path":"alias.json"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("load through router failed: %d %s", resp.StatusCode, body)
 	}
 	for _, s := range f.shards {
 		if _, ok := shardModels(t, s.URL)["synthetic"]; !ok {
-			t.Fatalf("shard %s did not receive the fanned-out load", s.URL)
+			t.Fatalf("shard %s does not list synthetic after a routed load of alias.json", s.URL)
 		}
 	}
-	// With both replicas loaded, predictions flow immediately.
+	primary, _ := f.router.Ring().Lookup("synthetic")
+	ps := f.shardFor(primary)
+	ps.CloseClientConnections()
+	ps.Close()
 	if resp, body := postJSON(t, f.routeTS.URL+"/v1/predict", predictBody); resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict after router load = %d %s", resp.StatusCode, body)
+		t.Fatalf("predict with synthetic's primary closed = %d %s, want 200 via failover", resp.StatusCode, body)
 	}
 }
 
 func TestRouterRequestIDPropagates(t *testing.T) {
-	f := newShardFarm(t, true)
+	f := newShardFarm(t, 2, true)
 	req, _ := http.NewRequest(http.MethodPost, f.routeTS.URL+"/v1/predict", strings.NewReader(predictBody))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(role.RequestIDHeader, "ride-7")
@@ -479,7 +498,7 @@ func TestRouterRequestIDPropagates(t *testing.T) {
 // TestRouterStatusz: /statusz lists every shard, as "no answer yet"
 // until the router has called it and by its health after.
 func TestRouterStatusz(t *testing.T) {
-	f := newShardFarm(t, true)
+	f := newShardFarm(t, 2, true)
 	statusz := func() string {
 		resp, err := http.Get(f.routeTS.URL + "/statusz")
 		if err != nil {

@@ -65,7 +65,7 @@ func getTrace(t *testing.T, base, id string) (int, traceSpans) {
 // serves it as one rooted tree holding the shard's serve.predict span,
 // and exports it to chrome://tracing.
 func TestRouterTracezSearchAndDetail(t *testing.T) {
-	f := newShardFarm(t, true)
+	f := newShardFarm(t, 2, true)
 	const id = "routed-trace-0001"
 
 	req, _ := http.NewRequest(http.MethodPost, f.routeTS.URL+"/v1/predict", strings.NewReader(predictBody))
@@ -143,7 +143,7 @@ func TestRouterTracezSearchAndDetail(t *testing.T) {
 // are byte-identical across configurations, and repeated requests
 // through one router agree with themselves.
 func TestRoutedBodiesIdenticalAcrossSamplingRates(t *testing.T) {
-	f := newShardFarm(t, true) // default router: TraceSample 1
+	f := newShardFarm(t, 2, true) // default router: TraceSample 1
 	primary, _ := f.router.Ring().Lookup("synthetic")
 	postJSON(t, primary+"/v1/predict", predictBody) // warm the shard cache
 	_, always := postJSON(t, f.routeTS.URL+"/v1/predict", predictBody)

@@ -541,7 +541,7 @@ func TestEncodeSpansMatchesMarshal(t *testing.T) {
 	forests := [][]WireSpan{
 		{{ID: 1, Name: "serve.predict", Start: 1760700000123456789, Dur: 12345}},
 		{
-			{ID: 3, Parent: 2, Name: "serve.coalesce_wait", Start: -1, Dur: 0, Args: []string{"k", ""}},
+			{ID: 3, Parent: 2, Name: "serve.load", Start: -1, Dur: 0, Args: []string{"k", ""}},
 			{ID: 2, Parent: 1, Name: "a", Start: math.MaxInt64, Dur: math.MinInt64, Args: []string{}},
 			{ID: math.MinInt64, Name: "", Args: []string{"route", "/v1/predict"}},
 		},

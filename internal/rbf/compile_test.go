@@ -170,7 +170,7 @@ func TestFitResultPredictBatch(t *testing.T) {
 // Benchmarks: scalar per-point evaluation (with and without the hoisted
 // 1/r²) against the compiled blocked batch pass, at serving-relevant
 // batch sizes. The predict workloads of cmd/bench measure the served
-// path end to end, coalescer and HTTP included.
+// path end to end, HTTP included.
 func benchmarkNetwork(m int) (*Network, [][]float64) {
 	rng := rand.New(rand.NewSource(1))
 	net := randomNetwork(rng, m, 9)

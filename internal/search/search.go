@@ -9,6 +9,13 @@
 // arg-min over hundreds of thousands of model predictions would exploit
 // model error at the corners of the space, so the returned winner is
 // always simulator-confirmed.
+//
+// A grid search scores each configuration as the grid walk produces it
+// and keeps only the shortlist, so its memory does not grow with the
+// grid. Quantization can map two raw grid points to one configuration
+// on some spaces (the paper space's grids have no such duplicates): the
+// shortlist never holds a configuration twice, but Result.Evaluated
+// counts raw points, duplicates included.
 package search
 
 import (
@@ -47,7 +54,7 @@ type Options struct {
 type Result struct {
 	Best      design.Config
 	BestValue float64 // simulator-verified response of Best
-	Evaluated int     // configurations scored by the model
+	Evaluated int     // configurations (raw grid points) scored by the model
 	Verified  int     // configurations simulated
 	// Shortlist pairs every verified candidate with its predicted and
 	// simulated responses, best-simulated first.
@@ -70,41 +77,46 @@ func Minimize(model Predictor, ev core.Evaluator, opt Options) (*Result, error) 
 	if opt.Shortlist <= 0 {
 		opt.Shortlist = 8
 	}
-	cands := opt.Candidates
-	if cands == nil {
-		// A space that cannot Decode (missing paper parameters) would
-		// panic inside the enumeration; reject it with an error instead.
-		if opt.Space != nil {
-			if err := opt.Space.CheckDecodable(); err != nil {
-				return nil, fmt.Errorf("search: cannot enumerate candidates: %w", err)
-			}
-		}
-		cands = EnumerateGrid(opt.Space, opt.GridLevels)
-	}
 	res := &Result{}
 	type scored struct {
 		cfg design.Config
 		v   float64
 	}
 	top := make([]scored, 0, opt.Shortlist+1)
-	for _, cfg := range cands {
+	score := func(cfg design.Config) {
 		if opt.Constraint != nil && !opt.Constraint(cfg) {
-			continue
+			return
 		}
 		res.Evaluated++
 		v := model.PredictConfig(cfg)
-		if math.IsNaN(v) {
-			continue
+		if math.IsNaN(v) || len(top) == opt.Shortlist && v >= top[len(top)-1].v {
+			return
 		}
-		if len(top) < opt.Shortlist || v < top[len(top)-1].v {
-			top = append(top, scored{cfg, v})
-			for i := len(top) - 1; i > 0 && top[i].v < top[i-1].v; i-- {
-				top[i], top[i-1] = top[i-1], top[i]
-			}
-			if len(top) > opt.Shortlist {
-				top = top[:opt.Shortlist]
+		for _, s := range top {
+			if s.cfg == cfg {
+				return
 			}
 		}
+		top = append(top, scored{cfg, v})
+		for i := len(top) - 1; i > 0 && top[i].v < top[i-1].v; i-- {
+			top[i], top[i-1] = top[i-1], top[i]
+		}
+		if len(top) > opt.Shortlist {
+			top = top[:opt.Shortlist]
+		}
+	}
+	if opt.Candidates != nil {
+		for _, cfg := range opt.Candidates {
+			score(cfg)
+		}
+	} else {
+		space, gridLevels := gridDefaults(opt.Space, opt.GridLevels)
+		// A space that cannot Decode (missing paper parameters) would
+		// panic inside the walk; reject it with an error instead.
+		if err := space.CheckDecodable(); err != nil {
+			return nil, fmt.Errorf("search: cannot enumerate candidates: %w", err)
+		}
+		walkGrid(space, gridLevels, score)
 	}
 	if len(top) == 0 {
 		return nil, errors.New("search: no feasible candidates")
@@ -142,6 +154,20 @@ func EnumerateGrid(space *design.Space, gridLevels int) []design.Config {
 		return nil
 	}
 	total, _ := GridPoints(space, gridLevels)
+	out := make([]design.Config, 0, total)
+	seen := make(map[design.Config]bool, total)
+	walkGrid(space, gridLevels, func(cfg design.Config) {
+		if !seen[cfg] {
+			seen[cfg] = true
+			out = append(out, cfg)
+		}
+	})
+	return out
+}
+
+// walkGrid calls visit with every raw point of the grid, in
+// EnumerateGrid's order and duplicates included. space must decode.
+func walkGrid(space *design.Space, gridLevels int, visit func(design.Config)) {
 	// Per-dimension normalized level coordinates.
 	levels := make([][]float64, space.N())
 	for i, p := range space.Params {
@@ -156,18 +182,11 @@ func EnumerateGrid(space *design.Space, gridLevels int) []design.Config {
 		}
 		levels[i] = ls
 	}
-	out := make([]design.Config, 0, total)
 	pt := make(design.Point, space.N())
-	seen := make(map[string]bool, total)
 	var walk func(dim int)
 	walk = func(dim int) {
 		if dim == space.N() {
-			cfg := space.Decode(pt, gridLevels)
-			key := cfg.Key()
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, cfg)
-			}
+			visit(space.Decode(pt, gridLevels))
 			return
 		}
 		for _, v := range levels[dim] {
@@ -176,7 +195,6 @@ func EnumerateGrid(space *design.Space, gridLevels int) []design.Config {
 		}
 	}
 	walk(0)
-	return out
 }
 
 // GridPoints returns how many raw points EnumerateGrid walks for space

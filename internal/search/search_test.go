@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -88,18 +89,49 @@ func TestMinimizeInfeasible(t *testing.T) {
 	}
 }
 
+// TestMinimizeExplicitCandidates: a candidate offered twice is scored
+// twice but shortlisted and verified once.
 func TestMinimizeExplicitCandidates(t *testing.T) {
 	ev := core.FuncEvaluator(truth)
 	cands := []design.Config{
 		{PipeDepth: 24, ROBSize: 24, IQSize: 12, LSQSize: 12, L2SizeKB: 256, L2Lat: 20, IL1SizeKB: 8, DL1SizeKB: 8, DL1Lat: 4},
 		{PipeDepth: 7, ROBSize: 128, IQSize: 64, LSQSize: 64, L2SizeKB: 8192, L2Lat: 5, IL1SizeKB: 64, DL1SizeKB: 64, DL1Lat: 1},
 	}
-	res, err := Minimize(biasedModel{}, ev, Options{Candidates: cands, Shortlist: 2})
+	res, err := Minimize(biasedModel{}, ev, Options{Candidates: append(cands, cands[1]), Shortlist: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Best != cands[1] {
 		t.Fatalf("best = %v, want the high-end config", res.Best)
+	}
+	if res.Evaluated != 3 || res.Verified != 2 {
+		t.Fatalf("evaluated %d and verified %d, want 3 and 2", res.Evaluated, res.Verified)
+	}
+}
+
+// TestMinimizeStreamsTheGrid: a grid search scores each configuration
+// as the walk produces it. It equals the same search over EnumerateGrid's
+// list, and allocates its shortlist, not the grid's 262,144 points.
+func TestMinimizeStreamsTheGrid(t *testing.T) {
+	ev := core.FuncEvaluator(truth)
+	grid, err := Minimize(biasedModel{}, ev, Options{GridLevels: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err := Minimize(biasedModel{}, ev, Options{Candidates: EnumerateGrid(nil, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(grid, list) {
+		t.Fatalf("grid search %+v, search over EnumerateGrid %+v", grid, list)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Minimize(biasedModel{}, ev, Options{GridLevels: 4}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 1000 {
+		t.Fatalf("a grid search allocated %.0f objects, want under 1000", allocs)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"predperf/internal/cluster"
@@ -19,6 +20,8 @@ import (
 //   - single_hit: one single prediction the LRU already holds;
 //   - single_miss: singles cycling through more distinct quantized
 //     configs than the LRU holds (cacheSize), so each one is scored;
+//   - single_miss_parallel: single_miss from 8 goroutines per CPU
+//     (b.RunParallel), so concurrent singles contend as under load;
 //   - batch64: 64-config batches cycling through the same configs.
 func BenchmarkServePredict(b *testing.B) {
 	m := buildTestModel(b, "bench")
@@ -26,7 +29,6 @@ func BenchmarkServePredict(b *testing.B) {
 	if err := s.Registry().Add("bench", m, ""); err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { s.coalesce.stop() })
 	h := s.Handler()
 
 	cfgs := distinctConfigs(m.Space, m.SampleSize, cacheSize+1024)
@@ -46,24 +48,44 @@ func BenchmarkServePredict(b *testing.B) {
 		batches = append(batches, []byte(fmt.Sprintf(`{"model":"bench","configs":%s}`, mustJSON(b, wire))))
 	}
 
-	post := func(b *testing.B, body []byte) {
+	// post reports a failure with Errorf, which RunParallel's goroutines
+	// may call, and returns false.
+	post := func(b *testing.B, body []byte) bool {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			b.Errorf("status %d: %s", rec.Code, rec.Body)
+			return false
 		}
+		return true
 	}
 	run := func(name string, bodies [][]byte) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				post(b, bodies[i%len(bodies)])
+				if !post(b, bodies[i%len(bodies)]) {
+					return
+				}
 			}
 		})
 	}
-	post(b, singles[0])
+	if !post(b, singles[0]) {
+		return
+	}
 	run("single_hit", singles[:1])
 	run("single_miss", singles)
+	b.Run("single_miss_parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetParallelism(8)
+		var next atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if !post(b, singles[int(next.Add(1))%len(singles)]) {
+					return
+				}
+			}
+		})
+	})
 	run("batch64", batches)
 }
 
@@ -84,7 +106,6 @@ func BenchmarkRouterPredict(b *testing.B) {
 	if err := s.Registry().Add("bench", m, ""); err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { s.coalesce.stop() })
 	shard := httptest.NewServer(s.Handler())
 	b.Cleanup(shard.Close)
 

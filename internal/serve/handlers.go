@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"math"
 	"net/http"
 
@@ -207,48 +206,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	cPredicts.Inc()
-	var preds []prediction
-	if len(batch) == 1 {
-		// A single prediction never pays worker-pool dispatch: it goes
-		// through the coalescer, so concurrent singles share one
-		// vectorized evaluation. Waiting there is the only step of a
-		// prediction that is not bounded in-process work, so the
-		// request deadline bounds just that wait.
-		ctx, cancel := context.WithTimeout(r.Context(), s.opt.Timeout)
-		p, err := s.coalesce.predict(ctx, entry, batch[0].Config())
-		cancel()
-		switch {
-		case errors.Is(err, ErrCoalesceQueueFull):
-			// The dispatcher never waits between flushes: a full queue
-			// drains in 64 back-to-back flushes of 64. Hint the header's
-			// smallest unit, one second.
-			w.Header().Set("Retry-After", "1")
-			role.WriteErr(w, http.StatusServiceUnavailable, "coalesce_queue_full",
-				"the prediction admission queue is full; retry shortly")
-			return
-		case errors.Is(err, ErrCoalesceStopped):
-			role.WriteErr(w, http.StatusServiceUnavailable, "shutting_down",
-				"the server is draining and no longer accepts predictions")
-			return
-		case errors.Is(err, context.DeadlineExceeded):
-			role.WriteErr(w, http.StatusServiceUnavailable, "timeout",
-				"request exceeded the server's per-request deadline")
-			return
-		case err != nil: // the client went away while queued
-			role.WriteErr(w, http.StatusServiceUnavailable, "request_canceled",
-				"request canceled while queued for coalescing: %v", err)
-			return
-		}
-		preds = []prediction{p}
-	} else {
-		// Explicit batches skip the coalescer: they already have batch
-		// shape, so they go straight to the vectorized evaluator.
-		cfgs := make([]design.Config, len(batch))
-		for i, wc := range batch {
-			cfgs[i] = wc.Config()
-		}
-		preds = s.predictBatch(entry, cfgs)
+	// A single is a batch of one, scored here on the request's goroutine
+	// like any batch: par.For runs a one-chunk batch inline.
+	cfgs := make([]design.Config, len(batch))
+	for i, wc := range batch {
+		cfgs[i] = wc.Config()
 	}
+	preds := s.predictBatch(entry, cfgs)
 	// A model can overflow a sum even when every weight and radius is
 	// finite, and JSON has no NaN or infinity.
 	for i, p := range preds {
@@ -258,7 +222,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Counted once scored, so a rejected single is not a prediction.
+	// Counted once served, so a refused request adds no predictions.
 	cBatchPts.Add(int64(len(preds)))
 	cModelPredictions.With(req.Model).Add(int64(len(preds)))
 	writePredict(w, &predictResponse{Model: req.Model, Predictions: preds})
@@ -295,14 +259,14 @@ func cacheKey(dst []byte, e *Entry, q design.Config) []byte {
 // vectorized call when a large batch is split across the pool.
 const predictBatchChunk = 256
 
-// predictBatch scores a batch of configurations; the coalescer and
-// explicit batches share it. Every input is clamped and quantized
-// through the model's design space (the same Decode∘Encode mapping used
-// on the training sample), what the LRU already holds is served from
-// it, and all cache misses are evaluated in one blocked design-matrix
-// pass of the compiled RBF network (chunked across the worker pool when
-// the miss set is large — fixed slots, so results are deterministic and
-// bit-identical to scalar Model.PredictConfig). The cache key is the
+// predictBatch scores a batch of configurations, a single being a batch
+// of one. Every input is clamped and quantized through the model's
+// design space (the same Decode∘Encode mapping used on the training
+// sample), what the LRU already holds is served from it, and all cache
+// misses are evaluated in one blocked design-matrix pass of the compiled
+// RBF network (chunked across the worker pool when the miss set is
+// large — fixed slots, so results are deterministic and bit-identical
+// to scalar Model.PredictConfig). The cache key is the
 // quantized machine, so raw inputs that snap to the same design point
 // share an entry. Shadow monitoring sees each value after it is final
 // and never touches the prediction: the served response is

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"predperf/internal/core"
 	"predperf/internal/design"
@@ -31,17 +30,12 @@ type Entry struct {
 	// them as stale hits.
 	gen uint64
 
-	// Lazy simulator evaluator. Success is memoized forever; a FAILED
-	// construction is memoized only until simRetryBackoff elapses, so a
-	// transient trace-load failure cannot permanently disable shadow
-	// verification or sim-verified search for the entry — while a
-	// truly-missing benchmark retries at a bounded rate instead of
-	// hot-looping.
-	simMu      sync.Mutex
-	simEv      core.Evaluator
-	simErr     error
-	simLastTry time.Time
-	now        func() time.Time // test hook; nil means time.Now
+	// Lazy simulator evaluator, memoized once built. A failed
+	// construction is not remembered: it cannot be transient (the trace
+	// is generated, and fails only on an unknown benchmark name), and
+	// trying again costs a lookup.
+	simMu sync.Mutex
+	simEv core.Evaluator
 
 	// evalFactory builds the entry's evaluator (nil means the local
 	// cycle-level simulator). The registry stamps it at Add time, so a
@@ -63,17 +57,10 @@ type EvalFactory func(benchmark string, traceLen int, metric core.Metric) (core.
 // cache keys on it.
 func (e *Entry) Generation() uint64 { return e.gen }
 
-// simRetryBackoff bounds how often a failed evaluator construction is
-// retried. Construction failures are usually transient (an unreadable
-// trace file mid-rewrite); retrying on the next call after a short
-// backoff restores shadow verification without manual intervention.
-const simRetryBackoff = 5 * time.Second
-
 // newSimEvaluator is the in-process EvalFactory: an evaluator on a
 // trace generated for it, so the trace lives exactly as long as the
-// entry that holds the evaluator. A package variable so tests can
-// inject transient construction failures.
-var newSimEvaluator EvalFactory = func(benchmark string, traceLen int, metric core.Metric) (core.Evaluator, error) {
+// entry that holds the evaluator.
+func newSimEvaluator(benchmark string, traceLen int, metric core.Metric) (core.Evaluator, error) {
 	tr, err := trace.Named(benchmark, traceLen)
 	if err != nil {
 		return nil, err
@@ -85,9 +72,8 @@ var newSimEvaluator EvalFactory = func(benchmark string, traceLen int, metric co
 // first use for the simulation the model was built on: its benchmark
 // name, trace length and metric. A model that names no benchmark
 // workload or no trace length returns an error; /v1/search then falls
-// back to model-verified search. Construction errors are retried after
-// simRetryBackoff (see the Entry field docs); concurrent callers
-// single-flight on the entry's mutex.
+// back to model-verified search. Concurrent callers single-flight on
+// the entry's mutex.
 func (e *Entry) simEvaluator() (core.Evaluator, error) {
 	e.simMu.Lock()
 	defer e.simMu.Unlock()
@@ -100,14 +86,6 @@ func (e *Entry) simEvaluator() (core.Evaluator, error) {
 	if e.Model.TraceLen <= 0 {
 		return nil, fmt.Errorf("serve: model %q names no trace length; rebuild it with predperf to verify it on the simulator", e.Name)
 	}
-	clock := e.now
-	if clock == nil {
-		clock = time.Now
-	}
-	if e.simErr != nil && clock().Sub(e.simLastTry) < simRetryBackoff {
-		return nil, e.simErr
-	}
-	e.simLastTry = clock()
 	factory := e.evalFactory
 	if factory == nil {
 		factory = newSimEvaluator
@@ -117,10 +95,9 @@ func (e *Entry) simEvaluator() (core.Evaluator, error) {
 	// memoization check above and serve a dead evaluator forever).
 	ev, err := factory(e.Model.Name, e.Model.TraceLen, e.Model.Metric)
 	if err != nil {
-		e.simErr = err
 		return nil, err
 	}
-	e.simEv, e.simErr = ev, nil
+	e.simEv = ev
 	return ev, nil
 }
 

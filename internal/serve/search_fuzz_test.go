@@ -20,7 +20,6 @@ func FuzzSearchBody(f *testing.F) {
 	if err := s.Registry().Add(m.Name, m, ""); err != nil {
 		f.Fatal(err)
 	}
-	f.Cleanup(s.coalesce.stop)
 	h := s.Handler()
 	for _, body := range []string{
 		`{"model":"fz"}`,

@@ -18,10 +18,12 @@
 // LRU prediction cache keyed on (model, quantized config), vectorized
 // batch evaluation (one blocked design-matrix pass per batch via
 // rbf.Compiled, chunked over the internal/par pool for large batches),
-// micro-batch coalescing of concurrent single predictions (flushed as
-// soon as the queue is empty, so a lone request never waits),
-// request-size limits, per-request deadlines, structured JSON errors,
-// and graceful shutdown (drain with a deadline).
+// request-size limits, a deadline on /v1/search, structured JSON
+// errors, and graceful shutdown (drain with a deadline). A single
+// prediction is a batch of one, scored on its request's own goroutine:
+// one configuration costs about as much scored alone as inside a
+// vectorized batch, so there is nothing to gain by queueing singles to
+// share one.
 //
 // Every incoming configuration is validated and then clamped/quantized
 // through the model's design.Space exactly as at training time
@@ -67,10 +69,10 @@ const (
 type Options struct {
 	// MaxBodyBytes bounds the size of a request body (default 1 MiB).
 	MaxBodyBytes int64
-	// Timeout is the per-request deadline (default 30s). It bounds a
-	// single prediction's wait in the coalescer and a whole /v1/search;
-	// either answers a structured 503 timeout when it passes. The other
-	// routes do bounded in-process work and wait on nothing.
+	// Timeout bounds a whole /v1/search (default 30s), which answers a
+	// structured 503 timeout when it passes. The other routes, a
+	// prediction included, do bounded in-process work and wait on
+	// nothing.
 	Timeout time.Duration
 	// ModelDir resolves relative paths in /v1/models/load and is
 	// scanned for *.json models by LoadDir.
@@ -135,13 +137,12 @@ type Server struct {
 	// Time-aware observability: the clock every window/SLO/alert runs
 	// on, per-route sliding-window views, the request SLO pair the edge
 	// feeds, the alert log, and the shadow drift monitor.
-	clock    obs.Clock
-	start    time.Time
-	wRoutes  map[string]*obs.WindowedHistogram
-	slo      *role.RequestSLO
-	alerts   *obs.AlertSet
-	shadow   *shadowMonitor
-	coalesce *coalescer
+	clock   obs.Clock
+	start   time.Time
+	wRoutes map[string]*obs.WindowedHistogram
+	slo     *role.RequestSLO
+	alerts  *obs.AlertSet
+	shadow  *shadowMonitor
 
 	// Distributed tracing: the edge head-sampler and the tail-retention
 	// trace store behind /tracez.
@@ -191,7 +192,6 @@ func New(opt Options) *Server {
 	s.slo = role.NewRequestSLO("serve", "", s.clock)
 	s.alerts = obs.NewAlertSet(s.clock)
 	s.shadow = newShadowMonitor(opt, s.clock)
-	s.coalesce = newCoalescer(coalesceMax, coalesceQueue, s.predictBatch)
 
 	s.http = role.NewServer(s.Handler())
 	return s
@@ -210,9 +210,9 @@ func (s *Server) Traces() *obs.TraceStore { return s.traces }
 // (per-route histograms, response counters, in-flight gauge, access
 // log), then the mux. Only /v1/search sits behind
 // role.WithTimeout, because a simulator-verified search does not watch
-// its context; a single prediction bounds its own coalescer wait, so
-// every other route runs on the connection's goroutine. Timed-out
-// requests are still logged and measured with their real 503.
+// its context; every other route does bounded in-process work on the
+// connection's goroutine. Timed-out requests are still logged and
+// measured with their real 503.
 // Request-size limits are applied per route by the body reader.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -235,17 +235,14 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
 
 // Shutdown drains in-flight requests, waiting at most deadline before
-// giving up on stragglers, then stops the coalescer dispatcher (which
-// evaluates everything already queued), then the shadow workers (which
-// finish their in-flight simulations) — in that order, because the
-// coalescer's final flush feeds the shadow queue.
-// New connections are refused immediately. Handlers that outlive the
-// drain deadline remain safe: enqueueing into a stopped coalescer
-// answers a structured 503, and offering to the stopped shadow monitor
-// drops the sample and counts it.
+// giving up on stragglers, then stops the shadow workers (which finish
+// their in-flight simulations) — in that order, because a draining
+// prediction still offers to the shadow queue. New connections are
+// refused immediately. Handlers that outlive the drain deadline remain
+// safe: offering to the stopped shadow monitor drops the sample and
+// counts it.
 func (s *Server) Shutdown(deadline time.Duration) error {
 	err := s.http.Shutdown(deadline)
-	s.coalesce.stop()
 	s.shadow.stop()
 	return err
 }

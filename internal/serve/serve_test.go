@@ -546,7 +546,6 @@ func TestTimeoutResponseIsJSON(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	srv := New(Options{Timeout: time.Millisecond})
-	defer srv.coalesce.stop()
 	srv.Registry().SetEvalFactory(func(string, int, core.Metric) (core.Evaluator, error) {
 		return core.FuncEvaluator(func(c design.Config) float64 {
 			<-gate
@@ -562,57 +561,21 @@ func TestTimeoutResponseIsJSON(t *testing.T) {
 		`{"model":"mcf","verify":"sim","grid_levels":2,"shortlist":2}`))
 }
 
-// TestPredictDeadline: a single prediction stuck in the coalescer
-// answers the structured 503 timeout at the server's deadline, and the
-// server keeps serving once the dispatcher moves again.
-func TestPredictDeadline(t *testing.T) {
-	m := buildTestModel(t, "deadline")
-	s := New(Options{Timeout: 50 * time.Millisecond})
-	if err := s.Registry().Add("deadline", m, ""); err != nil {
-		t.Fatal(err)
-	}
-	// Registered first, so it runs after holdDispatcher's release.
-	t.Cleanup(func() { s.coalesce.stop() })
-	release, _ := holdDispatcher(t, s)
-	h := s.Handler()
-	body := fmt.Sprintf(`{"model":"deadline","config":%s}`, mustJSON(t, cluster.FromConfig(m.Configs[0])))
-
-	start := time.Now()
-	requireTimeout(t, postRecorded(h, "/v1/predict", body))
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Fatalf("timeout answered after %v, want about 50ms", d)
-	}
-
-	release()
-	rec := postRecorded(h, "/v1/predict", body)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("after release: status %d: %s", rec.Code, rec.Body)
-	}
-	var pr predictResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil || len(pr.Predictions) != 1 {
-		t.Fatalf("after release: %v in %s", err, rec.Body)
-	}
-	if got, want := pr.Predictions[0].Value, m.PredictConfig(m.Configs[0]); got != want {
-		t.Fatalf("after release: value %v, want %v", got, want)
-	}
-}
-
 // TestRejectedSingleNotCounted: serve.batch_points and the per-model
-// prediction counter count scored configurations, so a single the
-// coalescer refuses adds to neither, while serve.predicts still counts
-// the request.
+// prediction counter count served configurations, so a single refused
+// with a 500 non_finite_prediction adds to neither, while serve.predicts
+// still counts the request.
 func TestRejectedSingleNotCounted(t *testing.T) {
-	m := buildTestModel(t, "rejected")
+	m := nonFiniteModel(t, "rejected")
 	s := New(Options{})
 	if err := s.Registry().Add("rejected", m, ""); err != nil {
 		t.Fatal(err)
 	}
-	s.coalesce.stop()
 	pts, model, reqs := cBatchPts.Value(), cModelPredictions.With("rejected").Value(), cPredicts.Value()
 	body := fmt.Sprintf(`{"model":"rejected","config":%s}`, mustJSON(t, cluster.FromConfig(m.Configs[0])))
 	rec := postRecorded(s.Handler(), "/v1/predict", body)
-	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), `"shutting_down"`) {
-		t.Fatalf("single after stop: %d %s, want 503 shutting_down", rec.Code, rec.Body)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), `"non_finite_prediction"`) {
+		t.Fatalf("non-finite single: %d %s, want 500 non_finite_prediction", rec.Code, rec.Body)
 	}
 	if got := cBatchPts.Value() - pts; got != 0 {
 		t.Errorf("serve.batch_points rose by %d for a rejected single", got)

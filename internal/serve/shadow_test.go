@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"predperf/internal/cluster"
 	"predperf/internal/core"
@@ -480,76 +478,39 @@ func TestSearchVerifiesEDPModelOnItsOwnSimulation(t *testing.T) {
 
 // TestModelWithoutTraceLenIsNotSimVerified: a model file that names a
 // benchmark but no trace length, as every file written before the
-// field existed, is not simulator-verified. verify "sim" answers 400
-// no_simulator, "auto" falls back to the model, and a shadow sample
-// counts as a simulation failure.
+// field existed, is not simulator-verified, and neither is one that
+// names a trace length but a benchmark the trace generator does not
+// know. For each, verify "sim" answers 400 no_simulator, "auto" falls
+// back to the model, and a shadow sample counts as a simulation
+// failure.
 func TestModelWithoutTraceLenIsNotSimVerified(t *testing.T) {
 	obs.Reset()
 	dir := t.TempDir()
 	saveModel(t, buildTestModel(t, "mcf"), filepath.Join(dir, "mcf.json"))
+	unknown := buildTestModel(t, "nosuchbench")
+	unknown.TraceLen = 2000
+	saveModel(t, unknown, filepath.Join(dir, "nosuchbench.json"))
 	s := New(Options{ModelDir: dir, ShadowFraction: 1})
 	if _, err := s.Registry().LoadDir(""); err != nil {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	if rec := postRecorded(h, "/v1/search", `{"model":"mcf","verify":"sim","grid_levels":2,"shortlist":2}`); rec.Code != http.StatusBadRequest ||
-		!strings.Contains(rec.Body.String(), `"no_simulator"`) {
-		t.Fatalf("verify sim: %d %s, want 400 no_simulator", rec.Code, rec.Body)
-	}
-	if rec := postRecorded(h, "/v1/search", `{"model":"mcf","grid_levels":2,"shortlist":2}`); rec.Code != http.StatusOK ||
-		!strings.Contains(rec.Body.String(), `"verified_by":"model"`) {
-		t.Fatalf("verify auto: %d %s, want 200 verified by the model", rec.Code, rec.Body)
-	}
-	e, _ := s.Registry().Get("mcf")
-	s.shadow.offer(e, e.Model.Configs[0], 1)
-	s.shadow.drain()
-	if got := obs.NewCounter("serve.shadow_sim_failures").Value(); got != 1 {
-		t.Fatalf("serve.shadow_sim_failures = %d, want 1", got)
-	}
-}
-
-// TestSimEvaluatorTransientFailureRetries is the regression test for
-// the forever-memoized construction error: a transient failure is
-// retried after the backoff instead of permanently disabling the
-// entry's simulator evaluator, and success memoizes.
-func TestSimEvaluatorTransientFailureRetries(t *testing.T) {
-	orig := newSimEvaluator
-	defer func() { newSimEvaluator = orig }()
-	calls := 0
-	fail := true
-	newSimEvaluator = func(string, int, core.Metric) (core.Evaluator, error) {
-		calls++
-		if fail {
-			return nil, fmt.Errorf("transient: trace unreadable")
+	failures := obs.NewCounter("serve.shadow_sim_failures")
+	for _, name := range []string{"mcf", "nosuchbench"} {
+		if rec := postRecorded(h, "/v1/search", `{"model":"`+name+`","verify":"sim","grid_levels":2,"shortlist":2}`); rec.Code != http.StatusBadRequest ||
+			!strings.Contains(rec.Body.String(), `"no_simulator"`) {
+			t.Fatalf("%s, verify sim: %d %s, want 400 no_simulator", name, rec.Code, rec.Body)
 		}
-		return &core.SimEvaluator{}, nil
-	}
-	clk := newFakeClock()
-	m := buildTestModel(t, "retry")
-	m.TraceLen = 1000
-	e := &Entry{Name: "retry", Model: m, now: clk.now}
-
-	if _, err := e.simEvaluator(); err == nil || calls != 1 {
-		t.Fatalf("first construction: err %v after %d calls, want failure after 1", err, calls)
-	}
-	// Inside the backoff the memoized error answers without retrying.
-	if _, err := e.simEvaluator(); err == nil {
-		t.Fatal("memoized failure returned nil error")
-	}
-	if calls != 1 {
-		t.Fatalf("construction retried inside the backoff: %d calls", calls)
-	}
-	// Past the backoff it retries; with the old sync.Once memoization
-	// this retry never happened and the entry was dead forever.
-	clk.advance(simRetryBackoff + time.Second)
-	fail = false
-	ev, err := e.simEvaluator()
-	if err != nil || ev == nil || calls != 2 {
-		t.Fatalf("post-backoff retry: ev %v err %v calls %d, want success on call 2", ev, err, calls)
-	}
-	// Success is memoized: no further construction, same evaluator.
-	ev2, err := e.simEvaluator()
-	if err != nil || ev2 != ev || calls != 2 {
-		t.Fatalf("success not memoized: ev2 %v err %v calls %d", ev2, err, calls)
+		if rec := postRecorded(h, "/v1/search", `{"model":"`+name+`","grid_levels":2,"shortlist":2}`); rec.Code != http.StatusOK ||
+			!strings.Contains(rec.Body.String(), `"verified_by":"model"`) {
+			t.Fatalf("%s, verify auto: %d %s, want 200 verified by the model", name, rec.Code, rec.Body)
+		}
+		before := failures.Value()
+		e, _ := s.Registry().Get(name)
+		s.shadow.offer(e, e.Model.Configs[0], 1)
+		s.shadow.drain()
+		if got := failures.Value() - before; got != 1 {
+			t.Fatalf("%s: serve.shadow_sim_failures rose by %d, want 1", name, got)
+		}
 	}
 }

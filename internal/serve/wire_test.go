@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"predperf/internal/cluster"
+	"predperf/internal/core"
 )
 
 // encodeJSON is what json.NewEncoder(w).Encode writes for v, the
@@ -66,7 +67,6 @@ func TestPredictResponseBytesMatchEncodingJSON(t *testing.T) {
 func TestPredictBodiesMatchEncodingJSON(t *testing.T) {
 	m := buildTestModel(t, "x")
 	s := New(Options{})
-	t.Cleanup(s.coalesce.stop)
 	for _, name := range []string{"plain", "a<b>&c"} {
 		if err := s.Registry().Add(name, m, ""); err != nil {
 			t.Fatal(err)
@@ -155,21 +155,28 @@ func TestAccessLogBytesMatchEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestPredictNonFinite: weights near the float64 limit load (every
-// radius is positive and finite) but overflow the prediction sum. JSON
-// has no infinity, so the answer is a structured 500, not a 200 with
-// an empty body.
-func TestPredictNonFinite(t *testing.T) {
-	m := buildTestModel(t, "huge")
+// nonFiniteModel is a test model whose weights are all math.MaxFloat64:
+// it loads (every radius is positive and finite), but its prediction
+// of Configs[0] overflows to a non-finite value.
+func nonFiniteModel(t *testing.T, name string) *core.Model {
+	t.Helper()
+	m := buildTestModel(t, name)
 	for i := range m.Fit.Net.Weights {
 		m.Fit.Net.Weights[i] = math.MaxFloat64
 	}
-	q := m.Configs[0]
-	if v := m.PredictConfig(q); !math.IsInf(v, 0) && !math.IsNaN(v) {
+	if v := m.PredictConfig(m.Configs[0]); !math.IsInf(v, 0) && !math.IsNaN(v) {
 		t.Fatalf("fixture predicts %v, want a non-finite value", v)
 	}
+	return m
+}
+
+// TestPredictNonFinite: JSON has no infinity, so a prediction that
+// overflows (nonFiniteModel) answers a structured 500, not a 200 with
+// an empty body.
+func TestPredictNonFinite(t *testing.T) {
+	m := nonFiniteModel(t, "huge")
+	q := m.Configs[0]
 	s := New(Options{})
-	t.Cleanup(s.coalesce.stop)
 	if err := s.Registry().Add("huge", m, ""); err != nil {
 		t.Fatal(err)
 	}
