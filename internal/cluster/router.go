@@ -340,7 +340,10 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
 // without reading the file, and predictions route by that name; so
 // every shard loads every file, and whichever pair the name maps to
 // holds the model. It is the only way the router changes a replica: a
-// load sent to one shard directly changes that shard only.
+// load sent to one shard directly changes that shard only. A shard that
+// gives no answer does not stop the fan-out, so the live shards still
+// agree; the load then answers 503 no_shard naming every such shard. A
+// shard's non-200 answer stops it and is relayed verbatim.
 func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if !role.RequireMethod(w, r, http.MethodPost) {
 		return
@@ -360,19 +363,27 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 		role.WriteErr(w, http.StatusBadRequest, "bad_request", `"path" or "dir" is required`)
 		return
 	}
+	shards := rt.ring.Shards()
 	var last role.Answer
-	for _, shard := range rt.ring.Shards() {
+	var failed []string
+	for _, shard := range shards {
 		a, err := rt.tryShard(r.Context(), shard, http.MethodPost, "/v1/models/load", body)
 		if err != nil {
-			cRouterErrors.Inc()
-			w.Header().Set("Retry-After", RetryAfterSeconds(rt.opt.RequestTimeout/10))
-			role.WriteErr(w, http.StatusServiceUnavailable, "no_shard", "shard load failed: %v", err)
+			failed = append(failed, err.Error())
+			continue
+		}
+		if a.Status != http.StatusOK {
+			relay(w, a) // surface the first rejection verbatim
 			return
 		}
 		last = a
-		if a.Status != http.StatusOK {
-			break // surface the first rejection verbatim
-		}
+	}
+	if len(failed) > 0 {
+		cRouterErrors.Inc()
+		w.Header().Set("Retry-After", RetryAfterSeconds(rt.opt.RequestTimeout/10))
+		role.WriteErr(w, http.StatusServiceUnavailable, "no_shard", "shard load failed on %d of %d shards: %s",
+			len(failed), len(shards), strings.Join(failed, "; "))
+		return
 	}
 	relay(w, last)
 }

@@ -480,6 +480,28 @@ func TestRouterLoadReachesEveryShard(t *testing.T) {
 	}
 }
 
+// TestRouterLoadSkipsDeadShard: a shard that gives no answer does not
+// stop a routed load. With three shards and the second in ring order
+// closed, the load answers 503 no_shard naming that shard, and the first
+// and third both load the file.
+func TestRouterLoadSkipsDeadShard(t *testing.T) {
+	f := newShardFarm(t, 3, false)
+	shards := f.router.Ring().Shards()
+	dead := f.shardFor(shards[1])
+	dead.CloseClientConnections()
+	dead.Close()
+	resp, body := postJSON(t, f.routeTS.URL+"/v1/models/load", `{"path":"synthetic.json"}`)
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), `"no_shard"`) ||
+		!strings.Contains(string(body), shards[1]) || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("load with %s closed = %d %s, want 503 no_shard naming it, with Retry-After", shards[1], resp.StatusCode, body)
+	}
+	for _, live := range []string{shards[0], shards[2]} {
+		if _, ok := shardModels(t, live)["synthetic"]; !ok {
+			t.Fatalf("live shard %s does not list synthetic after the routed load", live)
+		}
+	}
+}
+
 func TestRouterRequestIDPropagates(t *testing.T) {
 	f := newShardFarm(t, 2, true)
 	req, _ := http.NewRequest(http.MethodPost, f.routeTS.URL+"/v1/predict", strings.NewReader(predictBody))

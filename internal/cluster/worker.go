@@ -112,6 +112,8 @@ func simulable(wc WireConfig) error {
 // bit-identical to evaluating locally. Each evaluator owns its trace,
 // and the worker keeps evaluators, least recently used evicted first,
 // only while their traces total at most 2 × MaxTraceLen instructions.
+// An evaluator that has run evaluatorSims simulations is replaced by a
+// fresh one on the same trace, so a hot evaluator's memo is bounded too.
 type Worker struct {
 	opt     WorkerOptions
 	start   time.Time
@@ -122,8 +124,20 @@ type Worker struct {
 	mu    sync.Mutex
 	id    string
 	evs   map[string]*list.Element // benchmark \x00 traceLen → element of lru
-	lru   list.List                // *core.SimEvaluator, most recently used first
+	lru   list.List                // *keptEvaluator, most recently used first
 	insts int                      // trace instructions the kept evaluators hold
+}
+
+// evaluatorSims is how many simulations one evaluator memoizes before
+// the worker replaces it: a memo keeps every result it computed, about
+// 440 bytes each, and a client can send any number of distinct configs.
+const evaluatorSims = 1024
+
+// keptEvaluator is an evaluator in the worker's LRU with its trace, from
+// which a replacement evaluator starts without generating it again.
+type keptEvaluator struct {
+	ev *core.SimEvaluator
+	tr trace.Trace
 }
 
 // NewWorker builds a Worker; it serves nothing until Serve.
@@ -148,28 +162,34 @@ func evaluatorKey(benchmark string, traceLen int) string {
 
 // evaluator returns (building and memoizing on first use) the evaluator
 // for one benchmark and trace length, on a trace generated for it, so
-// evicting the evaluator frees its trace. Construction errors are
-// returned to the client rather than cached: a worker outliving a
-// transient failure keeps serving.
+// evicting the evaluator frees its trace. One that has run
+// evaluatorSims simulations is first replaced by a new evaluator on the
+// same trace; a request already holding the old one finishes on it.
+// Construction errors are returned to the client rather than cached: a
+// worker outliving a transient failure keeps serving.
 func (w *Worker) evaluator(benchmark string, traceLen int) (*core.SimEvaluator, error) {
 	key := evaluatorKey(benchmark, traceLen)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if e, ok := w.evs[key]; ok {
 		w.lru.MoveToFront(e)
-		return e.Value.(*core.SimEvaluator), nil
+		k := e.Value.(*keptEvaluator)
+		if k.ev.Simulations() >= evaluatorSims {
+			k.ev = core.NewTraceEvaluator(benchmark, k.tr)
+		}
+		return k.ev, nil
 	}
 	tr, err := trace.Named(benchmark, traceLen)
 	if err != nil {
 		return nil, err
 	}
 	for w.insts+traceLen > 2*w.opt.MaxTraceLen {
-		old := w.lru.Remove(w.lru.Back()).(*core.SimEvaluator)
-		delete(w.evs, evaluatorKey(old.Benchmark, old.TraceLen))
-		w.insts -= old.TraceLen
+		old := w.lru.Remove(w.lru.Back()).(*keptEvaluator)
+		delete(w.evs, evaluatorKey(old.ev.Benchmark, old.ev.TraceLen))
+		w.insts -= old.ev.TraceLen
 	}
 	ev := core.NewTraceEvaluator(benchmark, tr)
-	w.evs[key] = w.lru.PushFront(ev)
+	w.evs[key] = w.lru.PushFront(&keptEvaluator{ev: ev, tr: tr})
 	w.insts += traceLen
 	return ev, nil
 }
@@ -296,7 +316,7 @@ func (w *Worker) loaded() []workerLoadedEvaluator {
 	defer w.mu.Unlock()
 	out := make([]workerLoadedEvaluator, 0, len(w.evs))
 	for e := w.lru.Front(); e != nil; e = e.Next() {
-		ev := e.Value.(*core.SimEvaluator)
+		ev := e.Value.(*keptEvaluator).ev
 		out = append(out, workerLoadedEvaluator{
 			Benchmark: ev.Benchmark, TraceLen: ev.TraceLen, Sims: ev.Simulations(),
 		})

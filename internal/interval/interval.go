@@ -80,7 +80,7 @@ func Analyze(tr trace.Trace, cfg sim.Config) Estimate {
 			pred, cp := bp.PredictDirection(in.PC)
 			ok := pred == in.Taken
 			if ok && in.Taken {
-				if tgt, hit := bp.PredictTarget(in.PC); !hit || tgt != in.Target {
+				if tgt, hit := bp.PredictTarget(in.PC); !hit || tgt != in.Addr {
 					ok = false
 				}
 			}
@@ -90,7 +90,7 @@ func Analyze(tr trace.Trace, cfg sim.Config) Estimate {
 			}
 			bp.Update(in.PC, cp, in.Taken)
 			if in.Taken {
-				bp.UpdateTarget(in.PC, in.Target)
+				bp.UpdateTarget(in.PC, in.Addr)
 			}
 			lastLine = ^uint64(0) // control transfer breaks the fetch line
 		case trace.Load:

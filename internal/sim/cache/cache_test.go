@@ -49,16 +49,19 @@ func TestLRUReplacement(t *testing.T) {
 	}
 }
 
-// TestDirtyBitKeepsRecency: lastUse packs the dirty bit under the tick,
-// and a line 16 bytes long holds a full tag. An older dirty line is
-// still the LRU victim of a younger clean one, a write-hit keeps a line
-// dirty through later clean hits, and the tag bits no address can
-// spare still tell lines apart.
+// TestDirtyBitKeepsRecency: the state byte packs the dirty bit under
+// the rank, and a line, 8 bytes of tag plus 1 state byte, holds a full
+// tag. An older dirty line is still the LRU victim of a younger clean
+// one, a write-hit keeps a line dirty through later clean hits, and the
+// tag bits no address can spare still tell lines apart.
 func TestDirtyBitKeepsRecency(t *testing.T) {
-	if n := unsafe.Sizeof(line{}); n != 16 {
-		t.Fatalf("a tag-store line is %d bytes, want 16", n)
-	}
 	c := New(Config{SizeKB: 1, LineBytes: 64, Assoc: 2}) // 8 sets
+	if n := unsafe.Sizeof(c.tags[0]) + unsafe.Sizeof(c.state[0]); n != 9 {
+		t.Fatalf("a tag-store line is %d bytes, want 8 of tag and 1 of state", n)
+	}
+	if lines := c.Sets() * 2; len(c.tags) != lines || len(c.state) != lines {
+		t.Fatalf("%d tags and %d state bytes, want one each for %d lines", len(c.tags), len(c.state), lines)
+	}
 	setStride := uint64(64 * 8)
 	a, b, d := uint64(0), setStride, 2*setStride
 	c.Access(a, true)  // dirty, older
@@ -224,4 +227,199 @@ func TestFillReportsDirtyVictim(t *testing.T) {
 	if !wb || victim != 0 {
 		t.Fatalf("Fill victim = (%#x,%v), want (0,true)", victim, wb)
 	}
+}
+
+// tickCache is the tag store before recency ranks, kept as the oracle
+// FuzzCacheLRU compares Cache against: 16-byte lines of the full tag and
+// lastUse, the tick of the access that last touched the line shifted
+// left over its dirty bit. Ticks start at 1, so lastUse is non-zero
+// exactly when the line is valid; no two accesses share a tick, so
+// comparing lastUse orders lines by recency whatever their dirty bits.
+type tickCache struct {
+	lines     []tickLine // way w of set s at s*assoc+w
+	assoc     int
+	setMask   uint64
+	lineShift uint
+	tagShift  uint
+	tick      uint64
+	Stats     Stats
+}
+
+type tickLine struct {
+	tag     uint64
+	lastUse uint64
+}
+
+func (l tickLine) valid() bool { return l.lastUse != 0 }
+func (l tickLine) dirty() bool { return l.lastUse&1 != 0 }
+
+func (l *tickLine) use(tick uint64, dirty bool) {
+	l.lastUse = tick<<1 | l.lastUse&1
+	if dirty {
+		l.lastUse |= 1
+	}
+}
+
+// newTickCache sizes the oracle as Reset sizes a Cache.
+func newTickCache(cfg Config) *tickCache {
+	if cfg.LineBytes <= 0 {
+		cfg.LineBytes = 64
+	}
+	if cfg.Assoc <= 0 {
+		cfg.Assoc = 4
+	}
+	nsets := cfg.SizeKB * 1024 / (cfg.LineBytes * cfg.Assoc)
+	p := 1
+	for p*2 <= nsets {
+		p *= 2
+	}
+	c := &tickCache{lines: make([]tickLine, p*cfg.Assoc), assoc: cfg.Assoc, setMask: uint64(p - 1)}
+	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
+		c.lineShift++
+	}
+	c.tagShift = c.lineShift
+	for s := p; s > 1; s >>= 1 {
+		c.tagShift++
+	}
+	return c
+}
+
+func (c *tickCache) ways(addr uint64) (set int, tag uint64, lines []tickLine) {
+	set, tag = int(addr>>c.lineShift&c.setMask), addr>>c.tagShift
+	return set, tag, c.lines[set*c.assoc : (set+1)*c.assoc]
+}
+
+// use touches addr's line as Access (demand) or Fill (not demand) does.
+func (c *tickCache) use(addr uint64, write, demand bool) (hit bool, victim uint64, writeback bool) {
+	c.tick++
+	if demand {
+		c.Stats.Accesses++
+	}
+	set, tag, lines := c.ways(addr)
+	for i := range lines {
+		if lines[i].valid() && lines[i].tag == tag {
+			lines[i].use(c.tick, write)
+			return true, 0, false
+		}
+	}
+	if demand {
+		c.Stats.Misses++
+	}
+	vi := 0
+	for i := range lines {
+		if !lines[i].valid() {
+			vi = i
+			break
+		}
+		if lines[i].lastUse < lines[vi].lastUse {
+			vi = i
+		}
+	}
+	if lines[vi].dirty() {
+		writeback = true
+		victim = lines[vi].tag<<c.tagShift | uint64(set)<<c.lineShift
+		c.Stats.Writebacks++
+	}
+	lines[vi] = tickLine{tag: tag}
+	lines[vi].use(c.tick, write)
+	return false, victim, writeback
+}
+
+func (c *tickCache) Probe(addr uint64) bool {
+	_, tag, lines := c.ways(addr)
+	for _, l := range lines {
+		if l.valid() && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzCacheLRU drives a Cache and the tickCache oracle through the same
+// sequence of Access, Fill and Probe calls and requires every hit,
+// victim, writeback, Probe answer and Stats value to agree at every
+// step. The first three bytes choose the geometry: 1–16 ways, 1–4 KB,
+// 16-, 32- or 64-byte lines. Each later three bytes make one call: its
+// kind, its write flag and an address, a 16-byte step within 1 KB in
+// one of four regions 1 MB apart, moved to the top 4 GB of the address
+// space when the third byte's top bit is set. The eight 1 KB spans map
+// onto the same sets, so lines conflict, hit and age. The sequence runs
+// twice, the second time on the same Cache after a Reset to a geometry
+// of one more way, so stale tags must not show.
+func FuzzCacheLRU(f *testing.F) {
+	f.Add([]byte{1, 0, 2, 0, 0, 0, 1, 0, 8, 0, 0, 16, 4, 0, 0, 2, 0, 0})
+	f.Add([]byte{7, 3, 0, 0, 1, 2, 4, 1, 2, 1, 1, 2, 5, 200, 7, 0, 1, 2})
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 3+3*1000)
+		rng.Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		cfg := Config{Assoc: 1 + int(data[0]%16), SizeKB: 1 + int(data[1]%4), LineBytes: 16 << (data[2] % 3)}
+		ops := data[3:]
+		c := New(Config{SizeKB: 4, LineBytes: 16, Assoc: 16})
+		for pass := 0; pass < 2; pass++ {
+			c.Reset(cfg)
+			o := newTickCache(cfg)
+			for i := 0; i+3 <= len(ops); i += 3 {
+				op := ops[i : i+3]
+				write := op[0]&4 != 0
+				addr := uint64(op[1]%64)<<4 | uint64(op[2]%4)<<20 | uint64(op[0]>>3)
+				if op[2]&0x80 != 0 {
+					addr |= 0xffff_ffff_0000_0000
+				}
+				var got, want [3]uint64
+				switch op[0] % 3 {
+				case 0:
+					h, v, wb := c.Access(addr, write)
+					oh, ov, owb := o.use(addr, write, true)
+					got, want = [3]uint64{b2u(h), v, b2u(wb)}, [3]uint64{b2u(oh), ov, b2u(owb)}
+				case 1:
+					v, wb := c.Fill(addr)
+					_, ov, owb := o.use(addr, false, false)
+					got, want = [3]uint64{0, v, b2u(wb)}, [3]uint64{0, ov, b2u(owb)}
+				case 2:
+					got[0], want[0] = b2u(c.Probe(addr)), b2u(o.Probe(addr))
+				}
+				if got != want || c.Stats != o.Stats {
+					t.Fatalf("%+v pass %d call %d (kind %d, addr %#x, write %v): (hit, victim, writeback) %v stats %+v, oracle %v stats %+v",
+						cfg, pass, i/3, op[0]%3, addr, write, got, c.Stats, want, o.Stats)
+				}
+			}
+			cfg.Assoc++
+		}
+	})
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestAssocLimit: 127 ways, the most a rank orders, match the oracle on
+// one full set; a 128th way panics at Reset.
+func TestAssocLimit(t *testing.T) {
+	cfg := Config{SizeKB: 8, LineBytes: 64, Assoc: 127} // one set
+	c, o := New(cfg), newTickCache(cfg)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		addr, write := uint64(rng.Intn(160))<<6, rng.Intn(4) == 0
+		h, v, wb := c.Access(addr, write)
+		oh, ov, owb := o.use(addr, write, true)
+		if h != oh || v != ov || wb != owb || c.Stats != o.Stats {
+			t.Fatalf("access %d of %#x: (%v, %#x, %v) %+v, oracle (%v, %#x, %v) %+v", i, addr, h, v, wb, c.Stats, oh, ov, owb, o.Stats)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset accepted 128 ways")
+		}
+	}()
+	c.Reset(Config{SizeKB: 8, LineBytes: 64, Assoc: 128})
 }

@@ -29,7 +29,7 @@ func memTrace(n int, footprint uint64, loadFrac float64) trace.Trace {
 		if pos == loopInsts-1 {
 			in.Op = trace.Branch
 			in.Taken = true
-			in.Target = base
+			in.Addr = base
 		} else if float64(next()%1000)/1000 < loadFrac {
 			in.Op = trace.Load
 			in.Addr = 0x10000000 + (next()%footprint)&^7
@@ -88,7 +88,7 @@ func TestWakeOnFrontEndRefill(t *testing.T) {
 	tr := mkTrace(6000, 4)
 	x := uint64(7)
 	for i := range tr {
-		if tr[i].Op == trace.Branch && tr[i].Target == tr[i].PC+4 {
+		if tr[i].Op == trace.Branch && tr[i].Addr == tr[i].PC+4 {
 			x ^= x << 13
 			x ^= x >> 7
 			x ^= x << 17
@@ -125,7 +125,7 @@ func strideMixTrace(n int, strideFrac, randFrac float64, array uint64) trace.Tra
 		r := float64(next()%1000) / 1000
 		switch {
 		case pos == loopInsts-1:
-			in.Op, in.Taken, in.Target = trace.Branch, true, base
+			in.Op, in.Taken, in.Addr = trace.Branch, true, base
 		case r < strideFrac:
 			in.Op = trace.Load
 			in.PC = base + 4*loopInsts

@@ -26,12 +26,12 @@ type depRef struct {
 	seq  uint64
 }
 
-// robEntry is one reorder-buffer entry.
+// robEntry is one reorder-buffer entry, 72 bytes.
 type robEntry struct {
 	seq      uint64
 	traceIdx int
 	pc       uint64
-	addr     uint64
+	addr     uint64 // trace.Inst.Addr: a Load/Store's address, a Branch's target
 	op       trace.Op
 	state    entryState
 	notReady int8
@@ -40,7 +40,6 @@ type robEntry struct {
 	bpCP   branch.Checkpoint
 	predOK bool
 	taken  bool
-	target uint64
 
 	dependents []depRef // backing array kept across reuses of the slot
 }
@@ -121,8 +120,9 @@ type cpu struct {
 // so concurrent runs never share one, and puts it back once it has
 // finished: in steady state a run allocates nothing. A pooled machine
 // keeps the largest structures any of its runs needed, so it costs its
-// peak run's memory, chiefly the L2 tag store: 2 MiB for an 8 MB L2 of
-// 64-byte lines.
+// peak run's memory, chiefly the L2 tag store at 9 bytes a line:
+// 1.125 MiB for an 8 MB L2 of 64-byte lines, of the 1.3 MiB the paper
+// space's largest machine keeps.
 var machines = sync.Pool{New: func() any { return new(cpu) }}
 
 // Run simulates the trace to completion on the configured machine and
@@ -355,7 +355,7 @@ func (c *cpu) resolveBranch(slot int32) {
 	e := &c.rob[slot]
 	c.bp.Update(e.pc, e.bpCP, e.taken)
 	if e.taken {
-		c.bp.UpdateTarget(e.pc, e.target)
+		c.bp.UpdateTarget(e.pc, e.addr)
 	}
 	if e.predOK {
 		return
@@ -368,7 +368,10 @@ func (c *cpu) resolveBranch(slot int32) {
 	// youngest instruction in flight: there is nothing to squash beyond
 	// the (empty) front-end queue. Assert the invariant rather than
 	// carrying dead squash machinery.
-	pos := (int(slot) - c.robHead + len(c.rob)) % len(c.rob)
+	pos := int(slot) - c.robHead
+	if pos < 0 {
+		pos += len(c.rob)
+	}
 	if c.robCount != pos+1 || c.fq.n != 0 {
 		panic(fmt.Sprintf("sim: wrong-path state at mispredict resolve: robCount=%d pos=%d fq=%d",
 			c.robCount, pos, c.fq.n))
@@ -399,7 +402,9 @@ func (c *cpu) commit() {
 		}
 		c.res.Committed[int(e.op)]++
 		e.seq = 0
-		c.robHead = (c.robHead + 1) % len(c.rob)
+		if c.robHead++; c.robHead == len(c.rob) {
+			c.robHead = 0
+		}
 		c.robCount--
 		c.committed++
 	}
@@ -579,6 +584,16 @@ func (c *cpu) loadIssue(e *robEntry) (done uint64, ok bool) {
 	return fill, true
 }
 
+// robSlot returns the ROB slot i entries after the head, for i below
+// the ROB's size.
+func (c *cpu) robSlot(i int) int32 {
+	s := c.robHead + i
+	if s >= len(c.rob) {
+		s -= len(c.rob)
+	}
+	return int32(s)
+}
+
 // dispatch moves decoded instructions from the front-end queue into the
 // ROB, issue queue, and LSQ, resolving their data dependencies. It
 // reports whether any instruction dispatched.
@@ -604,22 +619,22 @@ func (c *cpu) dispatch() bool {
 		}
 		c.fq.pop()
 
-		slot := int32((c.robHead + c.robCount) % len(c.rob))
+		slot := c.robSlot(c.robCount)
 		c.seqGen++
+		// Field by field: assigning a composite literal copies a whole
+		// entry through a temporary.
 		e := &c.rob[slot]
-		*e = robEntry{
-			seq:        c.seqGen,
-			traceIdx:   f.traceIdx,
-			pc:         in.PC,
-			addr:       in.Addr,
-			op:         in.Op,
-			state:      stWaiting,
-			bpCP:       f.bpCP,
-			predOK:     f.predOK,
-			taken:      in.Taken,
-			target:     in.Target,
-			dependents: e.dependents[:0],
-		}
+		e.seq = c.seqGen
+		e.traceIdx = f.traceIdx
+		e.pc = in.PC
+		e.addr = in.Addr
+		e.op = in.Op
+		e.state = stWaiting
+		e.notReady = 0
+		e.bpCP = f.bpCP
+		e.predOK = f.predOK
+		e.taken = in.Taken
+		e.dependents = e.dependents[:0]
 		headTraceIdx := f.traceIdx - c.robCount // oldest in-flight trace index
 		if c.robCount > 0 {
 			headTraceIdx = c.rob[c.robHead].traceIdx
@@ -632,8 +647,7 @@ func (c *cpu) dispatch() bool {
 			if prodIdx < headTraceIdx {
 				return // producer already committed
 			}
-			pslot := (c.robHead + (prodIdx - headTraceIdx)) % len(c.rob)
-			p := &c.rob[pslot]
+			p := &c.rob[c.robSlot(prodIdx-headTraceIdx)]
 			if p.state == stDone {
 				return
 			}
@@ -697,7 +711,7 @@ func (c *cpu) fetch() bool {
 			f.predOK = predTaken == in.Taken
 			if in.Taken && f.predOK {
 				tgt, ok := c.bp.PredictTarget(in.PC)
-				if !ok || tgt != in.Target {
+				if !ok || tgt != in.Addr {
 					f.predOK = false
 				}
 			}

@@ -22,9 +22,9 @@ func mkTrace(n, blockLen int) trace.Trace {
 			in.Op = trace.Branch
 			in.Taken = pos == loopInsts-1
 			if in.Taken {
-				in.Target = base
+				in.Addr = base
 			} else {
-				in.Target = pc + 4
+				in.Addr = pc + 4
 			}
 		}
 		tr[i] = in
@@ -109,7 +109,7 @@ func TestMispredictionPenaltyScalesWithDepth(t *testing.T) {
 			x ^= x << 17
 			taken := x&1 == 0
 			tr[i].Taken = taken
-			tr[i].Target = tr[i].PC + 4 // target same either way: direction still mispredicts
+			tr[i].Addr = tr[i].PC + 4 // target same either way: direction still mispredicts
 		}
 	}
 	shallow := DefaultConfig()
@@ -293,7 +293,7 @@ func TestHeavyMispredictStressWithTinyROB(t *testing.T) {
 	tr := mkTrace(20000, 4)
 	x := uint64(99)
 	for i := range tr {
-		if tr[i].Op == trace.Branch && tr[i].Target == tr[i].PC+4 {
+		if tr[i].Op == trace.Branch && tr[i].Addr == tr[i].PC+4 {
 			x ^= x << 13
 			x ^= x >> 7
 			x ^= x << 17

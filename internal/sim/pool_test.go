@@ -3,10 +3,15 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
+
+	"predperf/internal/design"
+	"predperf/internal/trace"
 )
 
 // pinnedCases reads the golden cases, skipping the test when there are
@@ -224,4 +229,80 @@ func TestRunAfterWedge(t *testing.T) {
 	if diffs := resultDiff(Run(g.config(), tr), g.Result); len(diffs) > 0 {
 		t.Errorf("after a wedged run:\n  %s", strings.Join(diffs, "\n  "))
 	}
+}
+
+// TestPooledMachineFootprint: after one mcf run at 30k instructions on
+// the paper space's largest machine, the backing arrays the machine
+// keeps for its next run total at most 1.4 MiB, most of it the 8 MB
+// L2's tag store at 9 bytes a line (1.125 MiB). With 16-byte lines, a
+// 40-byte trace record and an 80-byte ROB entry it kept 2.2 MiB. The
+// records a run reads and writes per instruction keep their sizes too.
+func TestPooledMachineFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(trace.Inst{}); n != 32 {
+		t.Errorf("trace.Inst is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(robEntry{}); n > 72 {
+		t.Errorf("robEntry is %d bytes, want at most 72", n)
+	}
+	tr, err := trace.Named("mcf", 30_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := FromDesign(design.Config{PipeDepth: 24, ROBSize: 128, IQSize: 96, LSQSize: 96,
+		L2SizeKB: 8192, L2Lat: 20, IL1SizeKB: 64, DL1SizeKB: 64, DL1Lat: 4})
+	cfg.WarmupInsts = len(tr) / 5
+	cfg.sanitize()
+	c := new(cpu)
+	c.simulate(cfg, tr)
+	const limit = 14 << 20 / 10 // 1.4 MiB
+	got := retainedBytes(reflect.ValueOf(c).Elem())
+	t.Logf("the machine keeps %d bytes (%.3f MiB)", got, float64(got)/(1<<20))
+	if got > limit {
+		t.Fatalf("the machine keeps %.3f MiB of backing arrays, want at most 1.4", float64(got)/(1<<20))
+	}
+}
+
+// retainedBytes sums the capacity of every slice reachable from v
+// through struct fields, arrays and slice elements, up to each slice's
+// capacity.
+func retainedBytes(v reflect.Value) int {
+	n := 0
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			n += retainedBytes(v.Field(i))
+		}
+	case reflect.Array:
+		if holdsSlices(v.Type().Elem()) {
+			for i := 0; i < v.Len(); i++ {
+				n += retainedBytes(v.Index(i))
+			}
+		}
+	case reflect.Slice:
+		n += v.Cap() * int(v.Type().Elem().Size())
+		if holdsSlices(v.Type().Elem()) {
+			all := v.Slice(0, v.Cap())
+			for i := 0; i < all.Len(); i++ {
+				n += retainedBytes(all.Index(i))
+			}
+		}
+	}
+	return n
+}
+
+// holdsSlices reports whether a value of type t can reach a slice.
+func holdsSlices(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Slice:
+		return true
+	case reflect.Array:
+		return holdsSlices(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsSlices(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -24,7 +24,7 @@ func strideTrace(n int, stride uint64, chained bool) trace.Trace {
 		case pos == loopInsts-1:
 			in.Op = trace.Branch
 			in.Taken = true
-			in.Target = base
+			in.Addr = base
 		case pos%4 == 1:
 			in.Op = trace.Load
 			in.Addr = addr
@@ -88,7 +88,7 @@ func TestNextLinePrefetchHelpsSequentialCode(t *testing.T) {
 		if pos == codeInsts-1 {
 			in.Op = trace.Branch
 			in.Taken = true
-			in.Target = base
+			in.Addr = base
 		}
 		tr[i] = in
 	}

@@ -286,9 +286,9 @@ func Generate(p Profile, n int, seed uint64) Trace {
 				}
 				in.Taken = taken
 				if taken {
-					in.Target = prog.blocks[b.taken].pc
+					in.Addr = prog.blocks[b.taken].pc
 				} else {
-					in.Target = prog.blocks[b.next].pc
+					in.Addr = prog.blocks[b.next].pc
 				}
 			}
 			out = append(out, in)

@@ -42,15 +42,18 @@ func (o Op) String() string {
 // IsMem reports whether the op accesses data memory.
 func (o Op) IsMem() bool { return o == Load || o == Store }
 
-// Inst is one dynamic instruction.
+// Inst is one dynamic instruction, in 32 bytes. Addr serves both kinds
+// of instruction that need an address: no instruction is both a memory
+// op and a branch. The binary file format (WriteTo) keeps separate
+// address and target slots, so a Branch's Addr is read from and written
+// to the target slot.
 type Inst struct {
-	PC     uint64 // instruction address (4-byte instructions)
-	Addr   uint64 // effective address for Load/Store
-	Target uint64 // taken-path target for Branch
-	Dep1   int32  // backward distance (dynamic instructions) to 1st producer; 0 = none
-	Dep2   int32  // backward distance to 2nd producer; 0 = none
-	Op     Op
-	Taken  bool // Branch outcome
+	PC    uint64 // instruction address (4-byte instructions)
+	Addr  uint64 // effective address of a Load/Store, or successor PC of a Branch
+	Dep1  int32  // backward distance (dynamic instructions) to 1st producer; 0 = none
+	Dep2  int32  // backward distance to 2nd producer; 0 = none
+	Op    Op
+	Taken bool // Branch outcome
 }
 
 // Trace is a dynamic instruction sequence.

@@ -10,11 +10,13 @@ import (
 // Binary trace format: an 8-byte header ("PPTR", version, flags) plus a
 // little-endian instruction count, followed by fixed-width records. The
 // format lets generated workloads be stored and exchanged with external
-// tools.
+// tools. A record has an address slot for a Load or Store and a target
+// slot for a Branch; Inst keeps either in Addr, and the other slot is
+// written as zero and ignored on reading.
 const (
 	traceMagic   = "PPTR"
 	traceVersion = 1
-	recordBytes  = 8 + 8 + 8 + 4 + 4 + 1 + 1 + 2 // PC, Addr, Target, Dep1, Dep2, Op, Taken, pad
+	recordBytes  = 8 + 8 + 8 + 4 + 4 + 1 + 1 + 2 // PC, address, target, Dep1, Dep2, Op, Taken, pad
 )
 
 // WriteTo serializes the trace in the binary format.
@@ -32,9 +34,13 @@ func (t Trace) WriteTo(w io.Writer) (int64, error) {
 	}
 	rec := make([]byte, recordBytes)
 	for _, in := range t {
+		addr, target := in.Addr, uint64(0)
+		if in.Op == Branch {
+			addr, target = 0, in.Addr
+		}
 		binary.LittleEndian.PutUint64(rec[0:], in.PC)
-		binary.LittleEndian.PutUint64(rec[8:], in.Addr)
-		binary.LittleEndian.PutUint64(rec[16:], in.Target)
+		binary.LittleEndian.PutUint64(rec[8:], addr)
+		binary.LittleEndian.PutUint64(rec[16:], target)
 		binary.LittleEndian.PutUint32(rec[24:], uint32(in.Dep1))
 		binary.LittleEndian.PutUint32(rec[28:], uint32(in.Dep2))
 		rec[32] = byte(in.Op)
@@ -79,12 +85,15 @@ func ReadTrace(r io.Reader) (Trace, error) {
 		}
 		in := &out[i]
 		in.PC = binary.LittleEndian.Uint64(rec[0:])
-		in.Addr = binary.LittleEndian.Uint64(rec[8:])
-		in.Target = binary.LittleEndian.Uint64(rec[16:])
 		in.Dep1 = int32(binary.LittleEndian.Uint32(rec[24:]))
 		in.Dep2 = int32(binary.LittleEndian.Uint32(rec[28:]))
 		in.Op = Op(rec[32])
 		in.Taken = rec[33] != 0
+		if in.Op == Branch {
+			in.Addr = binary.LittleEndian.Uint64(rec[16:])
+		} else {
+			in.Addr = binary.LittleEndian.Uint64(rec[8:])
+		}
 		if in.Op >= numOps {
 			return nil, fmt.Errorf("trace: record %d has invalid op %d", i, rec[32])
 		}

@@ -89,16 +89,15 @@ func TestBranchTargetsAreBlockStarts(t *testing.T) {
 		if in.Op != Branch {
 			continue
 		}
-		if !pcs[in.Target] {
-			t.Fatalf("inst %d: branch target %#x never executed", i, in.Target)
+		if !pcs[in.Addr] {
+			t.Fatalf("inst %d: branch target %#x never executed", i, in.Addr)
 		}
 	}
 }
 
 func TestControlFlowConsistency(t *testing.T) {
 	// After a branch, the next instruction's PC must equal the branch's
-	// chosen successor (taken → Target, not taken → Target too, since we
-	// record the actual successor in Target either way).
+	// Addr, the successor it chose, taken or not.
 	p, _ := ByName("crafty")
 	tr := Generate(p, 20000, 1)
 	for i := 0; i < len(tr)-1; i++ {
@@ -109,8 +108,8 @@ func TestControlFlowConsistency(t *testing.T) {
 			}
 			continue
 		}
-		if tr[i+1].PC != tr[i].Target {
-			t.Fatalf("inst %d: branch to %#x but next PC %#x", i, tr[i].Target, tr[i+1].PC)
+		if tr[i+1].PC != tr[i].Addr {
+			t.Fatalf("inst %d: branch to %#x but next PC %#x", i, tr[i].Addr, tr[i+1].PC)
 		}
 	}
 }
@@ -237,7 +236,7 @@ func TestQuickGenerateWellFormed(t *testing.T) {
 			if in.Op.IsMem() && in.Addr == 0 {
 				return false
 			}
-			if in.Op == Branch && in.Target == 0 {
+			if in.Op == Branch && in.Addr == 0 {
 				return false
 			}
 			if int(in.Dep1) > i || int(in.Dep2) > i {

@@ -72,6 +72,9 @@ go test -run '^$' -fuzz '^FuzzEvalRequest$' -fuzztime 5s ./internal/cluster
 echo "== fuzz admitted configs through the simulator (5 s) =="
 go test -run '^$' -fuzz '^FuzzSimRun$' -fuzztime 5s ./internal/cluster
 
+echo "== fuzz the tag store against its tick-LRU oracle (5 s) =="
+go test -run '^$' -fuzz '^FuzzCacheLRU$' -fuzztime 5s ./internal/sim/cache
+
 echo "== fuzz the JSON value skipper (5 s) =="
 go test -run '^$' -fuzz '^FuzzSkip$' -fuzztime 5s ./internal/wirejson
 
@@ -155,6 +158,27 @@ if [ "$(go env GOARCH)" = amd64 ]; then
 else
     echo "skipped on $(go env GOARCH): the results are pinned on amd64"
 fi
+
+echo "== trace file format =="
+# The v1 trace file keeps separate address and target slots although
+# trace.Inst holds both in Addr: tracegen's mcf file at 30k instructions
+# must keep its bytes (pinned on amd64, as the goldens are), and
+# simulating the file must print the cycles and CPI of simulating the
+# named benchmark.
+trace_dir=$(mktemp -d)
+trap 'rm -rf "$trace_dir"' EXIT
+go run ./cmd/tracegen -bench mcf -insts 30000 -o "$trace_dir/mcf.trace" > /dev/null
+if [ "$(go env GOARCH)" = amd64 ]; then
+    echo "613dd9b6e04bcb6f2acce4b424fa9116b1927d52d768ed317ec58f5aa3d37e29  $trace_dir/mcf.trace" |
+        sha256sum -c --quiet -
+fi
+go run ./cmd/simulate -bench mcf -insts 30000 | grep -E '^(cycles|CPI) ' > "$trace_dir/bench.txt"
+go run ./cmd/simulate -trace "$trace_dir/mcf.trace" | grep -E '^(cycles|CPI) ' > "$trace_dir/file.txt"
+if ! diff -u "$trace_dir/bench.txt" "$trace_dir/file.txt"; then
+    echo "simulating tracegen's file differs from simulating the benchmark" >&2
+    exit 1
+fi
+rm -rf "$trace_dir"
 
 echo "== predserve smoke =="
 smoke_dir=$(mktemp -d)
